@@ -25,6 +25,7 @@ from .errors import (
     FactorLengthMismatchError,
     InvalidAlphaError,
     InvalidFrequencyError,
+    InvalidSeriesError,
     InvalidSpecError,
     LagTooLargeError,
     LengthMismatchError,

@@ -124,12 +124,14 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
+    except (CycleTransferError, OSError) as exc:
+        # Caught before ValueError: InvalidSeriesError is both, and a bad
+        # series is a data error.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (CycleTransferError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

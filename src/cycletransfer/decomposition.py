@@ -119,6 +119,11 @@ def find_crossovers(smoothed, trend) -> list[Crossover]:
     crossover at the first zero. Direction is RISING when d moves from the
     negative to the positive side.
 
+    Array code, O(n): each zero takes the sign at the index of the next
+    nonzero sample, found by a running minimum over the reversed index
+    array, and one comparison of neighbours marks the changes. Python only
+    touches the crossovers themselves.
+
     Raises NoCrossoversError when d never changes sign.
     """
     s = as_series(smoothed)
@@ -126,19 +131,19 @@ def find_crossovers(smoothed, trend) -> list[Crossover]:
     if s.size != t.size:
         raise ValueError(f"smoothed and trend lengths differ: {s.size} != {t.size}")
     sign = np.sign(s - t)
-    # Zeros inherit the sign of the next signed sample to their right;
-    # trailing zeros keep sign 0 and can never register a change.
-    for i in range(sign.size - 2, -1, -1):
-        if sign[i] == 0.0:
-            sign[i] = sign[i + 1]
-    out = []
-    for i in range(1, sign.size):
-        a, b = sign[i - 1], sign[i]
-        if a != 0.0 and b != 0.0 and a != b:
-            out.append(Crossover(i, RISING if b > 0.0 else FALLING))
-    if not out:
+    n = sign.size
+    # Index n points at an appended 0, so trailing zeros keep sign 0 and
+    # can never register a change.
+    nonzero_at = np.where(sign != 0.0, np.arange(n), n)
+    next_nonzero = np.minimum.accumulate(nonzero_at[::-1])[::-1]
+    filled = np.append(sign, 0.0)[next_nonzero]
+    changed = np.nonzero(filled[:-1] * filled[1:] < 0.0)[0] + 1
+    if not changed.size:
         raise NoCrossoversError("series never crosses its trend")
-    return out
+    return [
+        Crossover(i, RISING if up else FALLING)
+        for i, up in zip(changed.tolist(), (filled[changed] > 0.0).tolist())
+    ]
 
 
 @dataclass(eq=False)
@@ -155,15 +160,44 @@ class PeriodSegmentation:
     reference_period: float
     alpha: float
 
+    def _bounds(self) -> np.ndarray:
+        return np.asarray(self.periods, dtype=int).reshape(-1, 2)
+
     @property
     def period_lengths(self) -> np.ndarray:
-        return np.array([end - start for start, end in self.periods], dtype=int)
+        """Frames per period, in period order."""
+        bounds = self._bounds()
+        return bounds[:, 1] - bounds[:, 0]
 
     def covered_frames(self) -> np.ndarray:
-        """All frame indices inside any period, in increasing order."""
-        if not self.periods:
-            return np.empty(0, dtype=int)
-        return np.concatenate([np.arange(start, end) for start, end in self.periods])
+        """All frame indices inside any period, in increasing order.
+
+        Each output position minus the position of its period's first
+        frame, plus that period's start; O(frames) array code.
+        """
+        bounds = self._bounds()
+        lengths = bounds[:, 1] - bounds[:, 0]
+        firsts = np.cumsum(lengths) - lengths
+        return np.arange(lengths.sum()) + np.repeat(bounds[:, 0] - firsts, lengths)
+
+
+def _gap_range(l: float, window: float) -> tuple[int, int] | None:
+    """Smallest and largest integer gap g >= 1 with abs(g - l) < window.
+
+    abs(g - l) falls and then rises as g grows, rounding included, so the
+    gaps passing the test form one run of integers. Its ends lie within a
+    frame of l -/+ window; the test itself is evaluated on the integers
+    around them, exactly as the pairwise scan evaluates it, so gaps on a
+    window boundary get the same verdict. None when no gap passes.
+    """
+    if not np.isfinite(l):
+        return None  # abs(g - inf) < inf holds for no g
+    edges = np.array([np.ceil(l - window), np.floor(l + window)])
+    probe = np.maximum(edges[:, None] + np.arange(-2.0, 3.0), 1.0)
+    passing = probe[np.abs(probe - l) < window]
+    if not passing.size:
+        return None
+    return int(passing.min()), int(passing.max())
 
 
 def validate_periods(candidates, reference_period: float, alpha: float = 0.8) -> PeriodSegmentation:
@@ -173,6 +207,11 @@ def validate_periods(candidates, reference_period: float, alpha: float = 0.8) ->
     distance within (1 - alpha) * reference_period of the reference
     period itself, i.e. abs(abs(p' - p) - l) < (1 - alpha) * l. Retained
     consecutive pairs whose own gap passes the same test become periods.
+
+    The passing gaps form one integer range [gmin, gmax], so each
+    candidate needs only two searchsorted probes per side into the sorted
+    candidates: O(k log k) for k candidates instead of the O(k**2)
+    pairwise scan, with the same verdicts.
 
     Raises SeasonalityNotFoundError when fewer than two starts survive or
     no consecutive pair forms a period.
@@ -189,25 +228,24 @@ def validate_periods(candidates, reference_period: float, alpha: float = 0.8) ->
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     window = (1.0 - alpha) * l
 
-    retained = []
-    for p in cand:
-        gaps = np.abs(cand - p)
-        ok = np.abs(gaps - l) < window
-        ok &= cand != p
-        if np.any(ok):
-            retained.append(int(p))
-    periods = [
-        (a, b)
-        for a, b in zip(retained, retained[1:])
-        if abs((b - a) - l) < window
-    ]
-    if len(retained) < 2 or not periods:
+    gaps = _gap_range(l, window) if cand.size > 1 else None
+    if gaps is None or gaps[0] > cand[-1] - cand[0]:
+        retained = cand[:0]
+    else:
+        # Capping gmax at the candidate span keeps the probes in range.
+        gmin, gmax = gaps[0], min(gaps[1], int(cand[-1] - cand[0]))
+        right = np.searchsorted(cand, cand + gmax, "right") > np.searchsorted(cand, cand + gmin, "left")
+        left = np.searchsorted(cand, cand - gmin, "right") > np.searchsorted(cand, cand - gmax, "left")
+        retained = cand[right | left]
+    ok = np.abs(np.diff(retained) - l) < window
+    periods = list(zip(retained[:-1][ok].tolist(), retained[1:][ok].tolist()))
+    if retained.size < 2 or not periods:
         raise SeasonalityNotFoundError(
-            f"{len(retained)} retained starts and {len(periods)} periods; "
+            f"{retained.size} retained starts and {len(periods)} periods; "
             "need at least 2 starts forming 1 period"
         )
     return PeriodSegmentation(
-        period_starts=np.asarray(retained, dtype=int),
+        period_starts=retained,
         periods=periods,
         reference_period=l,
         alpha=alpha,

@@ -5,6 +5,14 @@ class CycleTransferError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
+class InvalidSeriesError(CycleTransferError, ValueError):
+    """Series is not 1-D, holds too few samples, or holds NaN or infinity.
+
+    A ValueError too, so callers that validated series by catching
+    ValueError keep working; the CLI reports it as a data error.
+    """
+
+
 class ConstantSeriesError(CycleTransferError):
     """Series range is (numerically) zero, so the operation is undefined."""
 

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     ConstantSeriesError,
     InvalidAlphaError,
+    InvalidSeriesError,
     RadiusTooLargeError,
 )
 
@@ -25,11 +26,11 @@ def as_series(values, min_len: int = 1) -> np.ndarray:
     """Coerce ``values`` to a 1-D float64 array and check basic sanity."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D series, got shape {arr.shape}")
+        raise InvalidSeriesError(f"expected a 1-D series, got shape {arr.shape}")
     if arr.size < min_len:
-        raise ValueError(f"series has {arr.size} samples, need at least {min_len}")
+        raise InvalidSeriesError(f"series has {arr.size} samples, need at least {min_len}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("series contains NaN or infinite samples")
+        raise InvalidSeriesError("series contains NaN or infinite samples")
     return arr
 
 

@@ -128,39 +128,44 @@ def compute_lmin(ref_seg: PeriodSegmentation, target_seg: PeriodSegmentation) ->
     return int(lengths.min())
 
 
-def _interval_sizes(length: int, l_min: int) -> np.ndarray:
-    """Sizes of l_min contiguous intervals covering ``length`` frames.
+def _interval_of(offsets, length, l_min: int) -> np.ndarray:
+    """0-based interval of each within-period offset, in closed form.
 
-    Sizes are ceil(length/l_min) for the first length % l_min intervals
-    and floor(length/l_min) for the rest. Lengths below l_min leave
-    trailing intervals empty, which only ever happens on the periodic
-    extension grid.
+    A period of ``length`` frames is cut into l_min contiguous intervals:
+    the first r = length % l_min hold q + 1 = length // l_min + 1 frames,
+    the rest q. Offsets below r * (q + 1) fall in interval o // (q + 1),
+    later ones in r + (o - r * (q + 1)) // q. ``length`` is one value or
+    one per offset. Lengths below l_min (q = 0) leave trailing intervals
+    empty, which only ever happens on the periodic extension grid.
     """
-    q, r = divmod(int(length), int(l_min))
-    sizes = np.full(l_min, q, dtype=int)
-    sizes[:r] += 1
-    return sizes
+    q, r = np.divmod(length, l_min)
+    head = r * (q + 1)
+    # Where q is 0 every offset lies below head, so the divisor guard
+    # only keeps the unused branch free of a division by zero.
+    return np.where(offsets < head, offsets // (q + 1), r + (offsets - head) // np.maximum(q, 1))
 
 
 def build_phi(segmentation: PeriodSegmentation, l_min: int) -> IntervalMap:
-    """Map every segmented frame to its within-period interval."""
+    """Map every segmented frame to its within-period interval.
+
+    Array code, O(frames): each frame's offset from its period start comes
+    from np.repeat and :func:`_interval_of` turns it into the interval, so
+    there is no loop over periods or frames.
+    """
     l_min = int(l_min)
     if l_min < 1:
         raise ValueError(f"l_min must be >= 1, got {l_min}")
-    frames = []
-    interval = []
-    for start, end in segmentation.periods:
-        length = end - start
-        if length < l_min:
-            raise PeriodTooShortError(
-                f"period [{start}, {end}) holds {length} frames, fewer than l_min={l_min}"
-            )
-        sizes = _interval_sizes(length, l_min)
-        frames.append(np.arange(start, end))
-        interval.append(np.repeat(np.arange(1, l_min + 1), sizes))
-    frames = np.concatenate(frames) if frames else np.empty(0, dtype=int)
-    interval = np.concatenate(interval) if interval else np.empty(0, dtype=int)
-    counts = np.bincount(interval - 1, minlength=l_min) if interval.size else np.zeros(l_min, int)
+    lengths = segmentation.period_lengths
+    short = np.flatnonzero(lengths < l_min)
+    if short.size:
+        start, end = segmentation.periods[short[0]]
+        raise PeriodTooShortError(
+            f"period [{start}, {end}) holds {end - start} frames, fewer than l_min={l_min}"
+        )
+    frames = segmentation.covered_frames()
+    starts = np.repeat(frames[np.cumsum(lengths) - lengths], lengths)
+    interval = _interval_of(frames - starts, np.repeat(lengths, lengths), l_min) + 1
+    counts = np.bincount(interval - 1, minlength=l_min)
     return IntervalMap(l_min=l_min, frames=frames, interval=interval, counts=counts)
 
 
@@ -186,8 +191,13 @@ def mean_additive_factor(residual, interval_map: IntervalMap) -> np.ndarray:
             f"residual has {a.size} values for {interval_map.frames.size} mapped frames"
         )
     counts = interval_map.counts
-    # Empty intervals cannot occur when l_min came from compute_lmin.
-    assert np.all(counts > 0), "interval with no samples"
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        # Cannot happen when l_min came from compute_lmin and the map
+        # covers at least one period.
+        raise PeriodTooShortError(
+            f"interval {empty[0] + 1} of {interval_map.l_min} holds no samples"
+        )
     sums = np.bincount(interval_map.interval - 1, weights=a, minlength=interval_map.l_min)
     return sums / counts
 
@@ -226,7 +236,6 @@ def apply_transfer(
     transferred[frames] = True
 
     l_int = max(1, int(round(reference_period)))
-    grid = np.repeat(np.arange(1, interval_map.l_min + 1), _interval_sizes(l_int, interval_map.l_min))
     ends = np.array([end for _, end in segmentation.periods])
     first_start = segmentation.periods[0][0]
     outside = np.nonzero(~transferred)[0]
@@ -238,7 +247,7 @@ def apply_transfer(
         anchor_idx = np.searchsorted(ends, outside, side="right") - 1
         anchors = np.where(anchor_idx < 0, first_start, ends[np.maximum(anchor_idx, 0)])
         offsets = (outside - anchors) % l_int
-        applied[outside] = factor[grid[offsets] - 1]
+        applied[outside] = factor[_interval_of(offsets, l_int, interval_map.l_min)]
     values = t + applied
     return RefinedSeries(values=values, trend=t.copy(), applied_factor=applied, transferred=transferred)
 

@@ -86,6 +86,22 @@ def test_transfer_missing_file_is_data_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["transfer", "analyze"])
+@pytest.mark.parametrize("body", ["", "0,1.5\n"], ids=["header_only", "one_row"])
+def test_too_short_csv_is_data_error(tmp_path, capsys, command, body):
+    short = tmp_path / "short.csv"
+    short.write_text("frame,synth\n" + body)
+    if command == "transfer":
+        ref = run_synth(tmp_path, "hr.csv", 80, 16, 0.0, 0.0, 0)
+        argv = ["transfer", "--ref", str(ref), "--target", str(short), "--out", str(tmp_path / "o.csv")]
+    else:
+        argv = ["analyze", "--input", str(short), "--report", str(tmp_path / "r.json")]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert "channel 'synth'" in err
+    assert "usage error" not in err
+
+
 def test_analyze_reports_period_exactly(tmp_path):
     src = run_synth(tmp_path, "clean.csv", 160, 16, 0.02, 0.0, 0)
     report = tmp_path / "report.json"

@@ -1,0 +1,164 @@
+"""Array implementations checked against plain loops that define them.
+
+Each oracle below is the straightforward per-sample or per-pair loop the
+vectorised function replaces. Integer results must match exactly; the
+autocorrelation sums in another order, so it gets a tolerance.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cycletransfer.decomposition import (
+    FALLING,
+    RISING,
+    PeriodSegmentation,
+    find_crossovers,
+    validate_periods,
+)
+from cycletransfer.errors import NoCrossoversError, PeriodTooShortError, SeasonalityNotFoundError
+from cycletransfer.seasonality import autocorrelation
+from cycletransfer.transfer import _interval_of, build_phi
+
+
+def acf_oracle(x, max_lag):
+    d = x - x.mean()
+    n = d.size
+    return np.array([np.dot(d[: n - k], d[k:]) for k in range(max_lag + 1)]) / np.dot(d, d)
+
+
+def crossovers_oracle(sign):
+    sign = list(sign)
+    for i in range(len(sign) - 2, -1, -1):
+        if sign[i] == 0:
+            sign[i] = sign[i + 1]
+    return [
+        (i, RISING if sign[i] > 0 else FALLING)
+        for i in range(1, len(sign))
+        if sign[i - 1] != 0 and sign[i] != 0 and sign[i - 1] != sign[i]
+    ]
+
+
+def validate_oracle(cand, l, alpha):
+    window = (1.0 - alpha) * l
+    retained = [p for p in cand if any(q != p and abs(abs(q - p) - l) < window for q in cand)]
+    periods = [(a, b) for a, b in zip(retained, retained[1:]) if abs((b - a) - l) < window]
+    return retained, periods
+
+
+def phi_oracle(periods, l_min):
+    frames, interval = [], []
+    for start, end in periods:
+        q, r = divmod(end - start, l_min)
+        sizes = [q + 1] * r + [q] * (l_min - r)
+        frames.extend(range(start, end))
+        for j, size in enumerate(sizes, start=1):
+            interval.extend([j] * size)
+    return frames, interval
+
+
+def segmentation(start, lengths):
+    bounds = np.concatenate([[start], np.cumsum(lengths) + start]).tolist()
+    return PeriodSegmentation(
+        period_starts=np.asarray(bounds, dtype=int),
+        periods=list(zip(bounds[:-1], bounds[1:])),
+        reference_period=10.0,
+        alpha=0.8,
+    )
+
+
+@given(st.integers(2, 300), st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=150, deadline=None)
+def test_acf_matches_direct_sums(n, seed, data):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4) + rng.uniform(-50, 50)
+    max_lag = data.draw(st.integers(1, n - 1))
+    acf = autocorrelation(x, max_lag)
+    assert acf.shape == (max_lag + 1,)
+    assert acf[0] == 1.0
+    np.testing.assert_allclose(acf, acf_oracle(x, max_lag), rtol=0, atol=1e-12)
+
+
+signs = st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=1, max_size=60)
+
+
+@given(signs, st.integers(0, 10), st.floats(-3.0, 3.0))
+@settings(max_examples=300, deadline=None)
+def test_find_crossovers_matches_loop(sign, zero_tail, level):
+    # Zero runs come from the 0 entries, all-zero tails from zero_tail.
+    sign = np.array(sign + [0.0] * zero_tail)
+    trend = np.full(sign.size, level)
+    smoothed = trend + sign * np.linspace(0.5, 2.0, sign.size)
+    expected = crossovers_oracle(np.sign(smoothed - trend))
+    if not expected:
+        with pytest.raises(NoCrossoversError):
+            find_crossovers(smoothed, trend)
+        return
+    got = find_crossovers(smoothed, trend)
+    assert [(c.index, c.direction) for c in got] == expected
+    assert all(type(c.index) is int for c in got)
+
+
+@given(
+    st.one_of(st.integers(1, 60).map(float), st.floats(0.5, 60.0)),
+    st.one_of(st.sampled_from([0.5, 0.75, 0.8, 0.9]), st.floats(0.01, 0.99)),
+    st.integers(0, 50),
+    st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_validate_periods_matches_pairwise_scan(l, alpha, start, data):
+    # Integer l with these alphas puts window edges on integer gaps; gaps
+    # drawn up to 2.5 l land on both edges and on either side of them.
+    gaps = data.draw(st.lists(st.integers(1, int(2.5 * l) + 2), max_size=30))
+    cand = np.cumsum([start] + gaps).tolist()
+    retained, periods = validate_oracle(cand, l, alpha)
+    if len(retained) < 2 or not periods:
+        with pytest.raises(SeasonalityNotFoundError):
+            validate_periods(cand, l, alpha)
+        return
+    seg = validate_periods(cand, l, alpha)
+    assert seg.period_starts.tolist() == retained
+    assert seg.periods == periods
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 0.8, 0.9])
+def test_validate_periods_window_edges(alpha):
+    # The last start's only neighbour sits on or next to a window edge, so
+    # whether it is retained hinges on the strict inequality.
+    for l in range(1, 41):
+        window = (1.0 - alpha) * l
+        for edge in (l - window, l + window):
+            for g in range(max(1, int(edge) - 1), int(edge) + 3):
+                cand = [0, l, 2 * l, 2 * l + g]
+                seg = validate_periods(cand, float(l), alpha)
+                retained, periods = validate_oracle(cand, float(l), alpha)
+                assert (seg.period_starts.tolist(), seg.periods) == (retained, periods), (l, g)
+
+
+@given(st.integers(1, 12), st.lists(st.integers(0, 20), max_size=8), st.integers(0, 5))
+@settings(max_examples=300, deadline=None)
+def test_build_phi_matches_per_period_loop(l_min, extra, start):
+    lengths = [l_min + e for e in extra]
+    seg = segmentation(start, lengths)
+    frames, interval = phi_oracle(seg.periods, l_min)
+    imap = build_phi(seg, l_min)
+    assert imap.frames.tolist() == frames
+    assert imap.interval.tolist() == interval
+    assert imap.counts.tolist() == np.bincount(np.array(interval, dtype=int) - 1, minlength=l_min).tolist()
+    assert seg.covered_frames().tolist() == frames
+    assert seg.period_lengths.tolist() == lengths
+
+
+def test_build_phi_names_first_short_period():
+    with pytest.raises(PeriodTooShortError, match=r"\[9, 11\)"):
+        build_phi(segmentation(0, [5, 4, 2, 1]), 3)
+
+
+@given(st.integers(1, 80), st.integers(1, 20))
+@settings(max_examples=300, deadline=None)
+def test_interval_rule_matches_size_grid(length, l_min):
+    # Lengths below l_min occur only on the periodic extension grid.
+    _, grid = phi_oracle([(0, length)], l_min)
+    got = _interval_of(np.arange(length), length, l_min) + 1
+    assert got.tolist() == grid

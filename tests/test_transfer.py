@@ -17,6 +17,7 @@ from cycletransfer.transfer import (
     STATUS_PASSTHROUGH,
     STATUS_SKIPPED,
     STATUS_TRANSFERRED,
+    IntervalMap,
     analyze_table,
     apply_transfer,
     build_phi,
@@ -151,6 +152,16 @@ def test_mean_factor_length_mismatch():
     imap = build_phi(seg_from_lengths([4], 4), 4)
     with pytest.raises(LengthMismatchError):
         mean_additive_factor(np.zeros(3), imap)
+
+
+def test_mean_factor_empty_interval_is_an_error():
+    # Interval 3 of 3 gets no frame; a real error, not an assert, so the
+    # check survives python -O instead of returning nan.
+    imap = IntervalMap(
+        l_min=3, frames=np.arange(4), interval=np.array([1, 1, 2, 2]), counts=np.array([2, 2, 0])
+    )
+    with pytest.raises(PeriodTooShortError, match="interval 3 of 3"):
+        mean_additive_factor(np.ones(4), imap)
 
 
 def test_apply_transfer_zero_factor_returns_trend():
