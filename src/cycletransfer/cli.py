@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 
 from .config import SMOOTH_EXPONENTIAL, SMOOTH_MEAN, RunConfig
-from .errors import CycleTransferError
+from .errors import DataError, UsageError
 from .tableio import SynthSpec, read_csv, synth_generate, write_csv, write_report
 from .transfer import analyze_table, transfer_table
 
@@ -31,7 +31,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.channels is not None:
         channel_filter = [name for name in args.channels.split(",") if name]
         if not channel_filter:
-            raise ValueError("--channels got an empty list")
+            raise UsageError("--channels got an empty list")
     return RunConfig(
         alpha=args.alpha,
         max_order=args.max_order,
@@ -124,14 +124,12 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (CycleTransferError, OSError) as exc:
-        # Caught before ValueError: InvalidSeriesError is both, and a bad
-        # series is a data error.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except (DataError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

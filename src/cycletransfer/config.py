@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import UsageError
+
 SMOOTH_MEAN = "mean"
 SMOOTH_EXPONENTIAL = "exponential"
 
@@ -18,7 +20,6 @@ class RunConfig:
     smooth_kind    "mean" or "exponential"
     exp_alpha      center weight for exponential smoothing
     channel_filter channels to process; None means all
-    rng_seed       seed for synthetic data helpers
     """
 
     alpha: float = 0.8
@@ -27,16 +28,15 @@ class RunConfig:
     smooth_kind: str = SMOOTH_MEAN
     exp_alpha: float = 0.5
     channel_filter: list[str] | None = field(default=None)
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+            raise UsageError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.max_order < 1:
-            raise ValueError(f"max_order must be >= 1, got {self.max_order}")
+            raise UsageError(f"max_order must be >= 1, got {self.max_order}")
         if self.smooth_radius is not None and self.smooth_radius < 0:
-            raise ValueError(f"smooth_radius must be >= 0, got {self.smooth_radius}")
+            raise UsageError(f"smooth_radius must be >= 0, got {self.smooth_radius}")
         if self.smooth_kind not in (SMOOTH_MEAN, SMOOTH_EXPONENTIAL):
-            raise ValueError(f"unknown smooth_kind {self.smooth_kind!r}")
+            raise UsageError(f"unknown smooth_kind {self.smooth_kind!r}")
         if not 0.0 < self.exp_alpha <= 1.0:
-            raise ValueError(f"exp_alpha must lie in (0, 1], got {self.exp_alpha}")
+            raise UsageError(f"exp_alpha must lie in (0, 1], got {self.exp_alpha}")

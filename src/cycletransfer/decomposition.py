@@ -14,12 +14,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import (
-    InvalidFrequencyError,
-    NoCrossoversError,
-    SeasonalityNotFoundError,
-    SeriesTooShortError,
-)
+from .errors import DataError, SeasonalityNotFoundError, UsageError
 from .series import as_series
 
 RISING = "rising"
@@ -57,7 +52,7 @@ class TrendModel:
 def scaled_abscissa(n: int) -> np.ndarray:
     """Frame indices 0..n-1 mapped linearly onto [-1, 1]."""
     if n < 2:
-        raise SeriesTooShortError("need at least 2 frames for a trend abscissa")
+        raise DataError("need at least 2 frames for a trend abscissa")
     return np.linspace(-1.0, 1.0, n)
 
 
@@ -77,17 +72,17 @@ def fit_trend(series, max_order: int = 30, f: int = 1) -> TrendModel:
     a plain line.
 
     Coefficients live on the rescaled abscissa (frames mapped onto
-    [-1, 1]). Raises SeriesTooShortError unless n >= max_order + 1.
+    [-1, 1]). Raises DataError unless n >= max_order + 1.
     """
     x = as_series(series, min_len=2)
     n = x.size
     max_order = int(max_order)
     if max_order < 1:
-        raise ValueError("max_order must be a positive integer")
+        raise UsageError("max_order must be a positive integer")
     if n <= max_order:
-        raise SeriesTooShortError(f"need more than max_order={max_order} samples, got {n}")
+        raise DataError(f"need more than max_order={max_order} samples, got {n}")
     if f < 1:
-        raise InvalidFrequencyError(f"cycle count bound f must be >= 1, got {f}")
+        raise UsageError(f"cycle count bound f must be >= 1, got {f}")
     t = scaled_abscissa(n)
     probe, _ = npoly.polyfit(t, x, max_order, full=True)
     floor = max(MIN_LEAD_COEF, REL_COEF_FLOOR * float(np.max(np.abs(probe))))
@@ -124,12 +119,12 @@ def find_crossovers(smoothed, trend) -> list[Crossover]:
     array, and one comparison of neighbours marks the changes. Python only
     touches the crossovers themselves.
 
-    Raises NoCrossoversError when d never changes sign.
+    Raises SeasonalityNotFoundError when d never changes sign.
     """
     s = as_series(smoothed)
     t = _trend_values(trend)
     if s.size != t.size:
-        raise ValueError(f"smoothed and trend lengths differ: {s.size} != {t.size}")
+        raise UsageError(f"smoothed and trend lengths differ: {s.size} != {t.size}")
     sign = np.sign(s - t)
     n = sign.size
     # Index n points at an appended 0, so trailing zeros keep sign 0 and
@@ -139,7 +134,7 @@ def find_crossovers(smoothed, trend) -> list[Crossover]:
     filled = np.append(sign, 0.0)[next_nonzero]
     changed = np.nonzero(filled[:-1] * filled[1:] < 0.0)[0] + 1
     if not changed.size:
-        raise NoCrossoversError("series never crosses its trend")
+        raise SeasonalityNotFoundError("series never crosses its trend")
     return [
         Crossover(i, RISING if up else FALLING)
         for i, up in zip(changed.tolist(), (filled[changed] > 0.0).tolist())
@@ -218,14 +213,14 @@ def validate_periods(candidates, reference_period: float, alpha: float = 0.8) ->
     """
     cand = np.asarray(candidates, dtype=int)
     if cand.ndim != 1:
-        raise ValueError("candidates must be a 1-D sequence of frame indices")
+        raise UsageError("candidates must be a 1-D sequence of frame indices")
     if cand.size > 1 and not np.all(np.diff(cand) > 0):
-        raise ValueError("candidate starts must be strictly increasing")
+        raise UsageError("candidate starts must be strictly increasing")
     l = float(reference_period)
     if not l > 0:
-        raise ValueError(f"reference period must be positive, got {l}")
+        raise UsageError(f"reference period must be positive, got {l}")
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        raise UsageError(f"alpha must lie in (0, 1), got {alpha}")
     window = (1.0 - alpha) * l
 
     gaps = _gap_range(l, window) if cand.size > 1 else None

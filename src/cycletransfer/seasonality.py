@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidFrequencyError,
-    LagTooLargeError,
-    SeriesTooShortError,
-    SpectrumTooShortError,
-)
+from .errors import DataError, UsageError
 from .series import as_series, require_nonconstant
 
 
@@ -29,7 +24,6 @@ class SeasonalityReport:
     spectrum: np.ndarray
     dominant_frequency: int
     reference_period: float
-    n: int
 
 
 def autocorrelation(series, max_lag: int) -> np.ndarray:
@@ -49,9 +43,9 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
     n = x.size
     max_lag = int(max_lag)
     if max_lag < 1:
-        raise ValueError("max_lag must be a positive integer")
+        raise UsageError("max_lag must be a positive integer")
     if max_lag >= n:
-        raise LagTooLargeError(f"max_lag {max_lag} must be below the series length {n}")
+        raise UsageError(f"max_lag {max_lag} must be below the series length {n}")
     require_nonconstant(x)
     size = 1 << (2 * n - 1).bit_length()
     f = np.fft.rfft(x - x.mean(), size)
@@ -68,7 +62,7 @@ def power_spectrum(series) -> np.ndarray:
     x = as_series(series)
     n = x.size
     if n < 4:
-        raise SeriesTooShortError(f"need at least 4 samples for a spectrum, got {n}")
+        raise DataError(f"need at least 4 samples for a spectrum, got {n}")
     require_nonconstant(x)
     f = np.fft.rfft(x - x.mean())
     spectrum = (f.real**2 + f.imag**2) / n
@@ -83,9 +77,9 @@ def dominant_frequency(spectrum) -> int:
     """
     s = np.asarray(spectrum, dtype=float)
     if s.ndim != 1:
-        raise ValueError(f"expected a 1-D spectrum, got shape {s.shape}")
+        raise UsageError(f"expected a 1-D spectrum, got shape {s.shape}")
     if s.size < 3:
-        raise SpectrumTooShortError(
+        raise DataError(
             f"spectrum needs at least 2 bins beyond the DC bin, got {s.size} total"
         )
     return int(np.argmax(s[1:])) + 1
@@ -96,7 +90,7 @@ def reference_period(n: int, f: int) -> float:
     n = int(n)
     f = int(f)
     if not 1 <= f <= n // 2:
-        raise InvalidFrequencyError(f"frequency {f} outside 1..{n // 2} for n={n}")
+        raise UsageError(f"frequency {f} outside 1..{n // 2} for n={n}")
     return n / f
 
 
@@ -117,5 +111,4 @@ def analyze_series(series, max_lag: int | None = None) -> SeasonalityReport:
         spectrum=spectrum,
         dominant_frequency=f,
         reference_period=reference_period(n, f),
-        n=n,
     )

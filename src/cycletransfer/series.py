@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstantSeriesError,
-    InvalidAlphaError,
-    InvalidSeriesError,
-    RadiusTooLargeError,
-)
+from .errors import ConstantSeriesError, DataError, UsageError
 
 # Ranges below this are treated as constant (zero variance).
 MIN_RANGE = 1e-12
@@ -26,11 +21,11 @@ def as_series(values, min_len: int = 1) -> np.ndarray:
     """Coerce ``values`` to a 1-D float64 array and check basic sanity."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
-        raise InvalidSeriesError(f"expected a 1-D series, got shape {arr.shape}")
+        raise DataError(f"expected a 1-D series, got shape {arr.shape}")
     if arr.size < min_len:
-        raise InvalidSeriesError(f"series has {arr.size} samples, need at least {min_len}")
+        raise DataError(f"series has {arr.size} samples, need at least {min_len}")
     if not np.all(np.isfinite(arr)):
-        raise InvalidSeriesError("series contains NaN or infinite samples")
+        raise DataError("series contains NaN or infinite samples")
     return arr
 
 
@@ -51,7 +46,7 @@ class ScaleParams:
 
     def __post_init__(self):
         if not self.max - self.min > 0.0:
-            raise ValueError(f"scale bounds must satisfy max > min, got [{self.min}, {self.max}]")
+            raise UsageError(f"scale bounds must satisfy max > min, got [{self.min}, {self.max}]")
 
 
 def normalize_minmax(series) -> tuple[np.ndarray, ScaleParams]:
@@ -85,9 +80,9 @@ def mean_smoothing(series, radius: int) -> np.ndarray:
     n = x.size
     radius = int(radius)
     if radius < 0:
-        raise ValueError("radius must be non-negative")
+        raise UsageError("radius must be non-negative")
     if radius >= n:
-        raise RadiusTooLargeError(f"radius {radius} must be below the series length {n}")
+        raise DataError(f"radius {radius} must be below the series length {n}")
     if radius == 0:
         return x.copy()
     # Center on the first sample so constant series come back bit-exact.
@@ -111,11 +106,11 @@ def exponential_smoothing(series, alpha: float, radius: int) -> np.ndarray:
     n = x.size
     radius = int(radius)
     if not 0.0 < alpha <= 1.0:
-        raise InvalidAlphaError(f"alpha must lie in (0, 1], got {alpha}")
+        raise UsageError(f"alpha must lie in (0, 1], got {alpha}")
     if radius < 1:
-        raise ValueError("radius must be a positive integer")
+        raise UsageError("radius must be a positive integer")
     if radius >= n:
-        raise RadiusTooLargeError(f"radius {radius} must be below the series length {n}")
+        raise DataError(f"radius {radius} must be below the series length {n}")
     if alpha == 1.0 or 2 * radius >= n:
         # No interior sample is further than radius from both ends, so the
         # boundary-copy rule covers the whole series.

@@ -18,14 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CsvParseError,
-    DuplicateChannelError,
-    InvalidSpecError,
-    NonConsecutiveFramesError,
-)
+from .errors import DataError, UsageError
 
 SYNTH_CHANNEL = "synth"
+# Largest synthetic table, in frames; far past what fits in memory, but
+# below sizes numpy rejects with an error of its own.
+MAX_SYNTH_FRAMES = 2**31
 
 
 @dataclass(eq=False)
@@ -39,21 +37,21 @@ class PoseTable:
         self.channel_names = [str(name) for name in self.channel_names]
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
-            raise ValueError(f"table values must be 2-D, got shape {self.values.shape}")
+            raise UsageError(f"table values must be 2-D, got shape {self.values.shape}")
         if self.values.shape[1] != len(self.channel_names):
-            raise ValueError(
+            raise UsageError(
                 f"{len(self.channel_names)} channel names but {self.values.shape[1]} columns"
             )
         for name in self.channel_names:
             if not name.strip():
-                raise ValueError("channel names must be non-empty")
+                raise UsageError("channel names must be non-empty")
         seen = set()
         for name in self.channel_names:
             if name in seen:
-                raise DuplicateChannelError(f"duplicate channel name {name!r}")
+                raise DataError(f"duplicate channel name {name!r}")
             seen.add(name)
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("table contains NaN or infinite values")
+            raise UsageError("table contains NaN or infinite values")
 
     @property
     def n_frames(self) -> int:
@@ -84,63 +82,88 @@ def _write_text_atomic(path, text: str) -> None:
 
 
 def read_csv(path) -> PoseTable:
-    """Parse a pose table, reporting the line number of anything malformed."""
+    """Parse a pose table, reporting the line number of anything malformed.
+
+    Every malformed file raises DataError, including one holding bytes
+    that are not UTF-8 or a cell the csv module refuses (over its field
+    size limit, for example).
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: file is empty, expected a header line") from None
-        if not header or header[0] != "frame":
-            raise CsvParseError(f"{path}: line 1: header must start with 'frame'")
-        names = header[1:]
-        for name in names:
-            if not name.strip():
-                raise CsvParseError(f"{path}: line 1: empty channel name in header")
-        seen = set()
-        for name in names:
-            if name in seen:
-                raise DuplicateChannelError(f"{path}: line 1: duplicate channel {name!r}")
-            seen.add(name)
-
-        rows = []
-        expected_frame = 0
-        for row in reader:
-            lineno = reader.line_num
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}"
-                )
-            try:
-                frame = int(row[0])
-            except ValueError:
-                raise CsvParseError(
-                    f"{path}: line {lineno}: frame index {row[0]!r} is not an integer"
-                ) from None
-            if frame != expected_frame:
-                raise NonConsecutiveFramesError(
-                    f"{path}: line {lineno}: frame {frame}, expected {expected_frame}"
-                )
-            expected_frame += 1
-            parsed = []
-            for name, cell in zip(names, row[1:]):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}: line {lineno}: channel {name!r} cell {cell!r} "
-                        "is not a number"
-                    ) from None
-                if not np.isfinite(value):
-                    raise CsvParseError(
-                        f"{path}: line {lineno}: channel {name!r} value {cell!r} "
-                        "is not finite"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+            names, rows = _parse_rows(reader, path)
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # The text layer decodes ahead in blocks, so reader.line_num
+            # does not locate the bad byte; the raw bytes do.
+            line = _first_non_utf8_line(path)
+            raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
     values = np.asarray(rows, dtype=float) if rows else np.empty((0, len(names)))
     values = values.reshape(len(rows), len(names))
     return PoseTable(list(names), values)
+
+
+def _parse_rows(reader, path) -> tuple[list[str], list[list[float]]]:
+    """Channel names and per-frame values from a csv reader over a pose table."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty, expected a header line") from None
+    if not header or header[0] != "frame":
+        raise DataError(f"{path}: line 1: header must start with 'frame'")
+    names = header[1:]
+    for name in names:
+        if not name.strip():
+            raise DataError(f"{path}: line 1: empty channel name in header")
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DataError(f"{path}: line 1: duplicate channel {name!r}")
+        seen.add(name)
+
+    rows = []
+    expected_frame = 0
+    for row in reader:
+        lineno = reader.line_num
+        if len(row) != len(header):
+            raise DataError(f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}")
+        try:
+            frame = int(row[0])
+        except ValueError:
+            raise DataError(
+                f"{path}: line {lineno}: frame index {row[0]!r} is not an integer"
+            ) from None
+        if frame != expected_frame:
+            raise DataError(f"{path}: line {lineno}: frame {frame}, expected {expected_frame}")
+        expected_frame += 1
+        parsed = []
+        for name, cell in zip(names, row[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {lineno}: channel {name!r} cell {cell!r} is not a number"
+                ) from None
+            if not np.isfinite(value):
+                raise DataError(
+                    f"{path}: line {lineno}: channel {name!r} value {cell!r} is not finite"
+                )
+            parsed.append(value)
+        rows.append(parsed)
+    return names, rows
+
+
+def _first_non_utf8_line(path) -> int | None:
+    """1-based line of the first byte in the file that is not UTF-8; None
+    if the whole file decodes (it changed since it was read)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return None
 
 
 def write_csv(table: PoseTable, path) -> None:
@@ -204,15 +227,19 @@ class SynthSpec:
     seed: int
 
     def __post_init__(self):
+        if self.n > MAX_SYNTH_FRAMES:
+            raise UsageError(f"n must be <= {MAX_SYNTH_FRAMES}, got {self.n}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.period < 4:
-            raise InvalidSpecError(f"period must be >= 4, got {self.period}")
+            raise UsageError(f"period must be >= 4, got {self.period}")
         if self.n < 2 * self.period:
-            raise InvalidSpecError(f"n must be >= 2*period, got n={self.n} period={self.period}")
+            raise UsageError(f"n must be >= 2*period, got n={self.n} period={self.period}")
         if self.noise_sigma < 0:
-            raise InvalidSpecError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+            raise UsageError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         for field_name in ("trend_slope", "amplitude", "noise_sigma"):
             if not np.isfinite(getattr(self, field_name)):
-                raise InvalidSpecError(f"{field_name} must be finite")
+                raise UsageError(f"{field_name} must be finite")
 
 
 def synth_generate(spec: SynthSpec) -> PoseTable:

@@ -25,15 +25,11 @@ from .decomposition import (
     validate_periods,
 )
 from .errors import (
-    ChannelMismatchError,
     ConstantSeriesError,
     CycleTransferError,
-    FactorLengthMismatchError,
-    LengthMismatchError,
-    NoCrossoversError,
-    PeriodTooShortError,
+    DataError,
     SeasonalityNotFoundError,
-    SeriesTooShortError,
+    UsageError,
 )
 from .seasonality import SeasonalityReport, analyze_series
 from .series import (
@@ -154,12 +150,12 @@ def build_phi(segmentation: PeriodSegmentation, l_min: int) -> IntervalMap:
     """
     l_min = int(l_min)
     if l_min < 1:
-        raise ValueError(f"l_min must be >= 1, got {l_min}")
+        raise UsageError(f"l_min must be >= 1, got {l_min}")
     lengths = segmentation.period_lengths
     short = np.flatnonzero(lengths < l_min)
     if short.size:
         start, end = segmentation.periods[short[0]]
-        raise PeriodTooShortError(
+        raise DataError(
             f"period [{start}, {end}) holds {end - start} frames, fewer than l_min={l_min}"
         )
     frames = segmentation.covered_frames()
@@ -174,10 +170,10 @@ def extract_additive(values, trend, segmentation: PeriodSegmentation) -> np.ndar
     y = as_series(values)
     t = trend.values if isinstance(trend, TrendModel) else as_series(trend)
     if y.size != t.size:
-        raise LengthMismatchError(f"values and trend lengths differ: {y.size} != {t.size}")
+        raise UsageError(f"values and trend lengths differ: {y.size} != {t.size}")
     frames = segmentation.covered_frames()
     if frames.size and frames[-1] >= y.size:
-        raise LengthMismatchError(
+        raise UsageError(
             f"segmentation reaches frame {frames[-1]} but series ends at {y.size - 1}"
         )
     return y[frames] - t[frames]
@@ -187,7 +183,7 @@ def mean_additive_factor(residual, interval_map: IntervalMap) -> np.ndarray:
     """Per-interval means of the residual, length l_min."""
     a = as_series(residual, min_len=0 if interval_map.frames.size == 0 else 1)
     if a.size != interval_map.frames.size:
-        raise LengthMismatchError(
+        raise UsageError(
             f"residual has {a.size} values for {interval_map.frames.size} mapped frames"
         )
     counts = interval_map.counts
@@ -195,7 +191,7 @@ def mean_additive_factor(residual, interval_map: IntervalMap) -> np.ndarray:
     if empty.size:
         # Cannot happen when l_min came from compute_lmin and the map
         # covers at least one period.
-        raise PeriodTooShortError(
+        raise DataError(
             f"interval {empty[0] + 1} of {interval_map.l_min} holds no samples"
         )
     sums = np.bincount(interval_map.interval - 1, weights=a, minlength=interval_map.l_min)
@@ -220,7 +216,7 @@ def apply_transfer(
     t = trend.values if isinstance(trend, TrendModel) else as_series(trend)
     factor = as_series(mean_factor)
     if factor.size != interval_map.l_min:
-        raise FactorLengthMismatchError(
+        raise UsageError(
             f"mean factor has {factor.size} entries for l_min={interval_map.l_min}"
         )
     n = t.size
@@ -229,7 +225,7 @@ def apply_transfer(
 
     frames = interval_map.frames
     if frames.size and frames[-1] >= n:
-        raise LengthMismatchError(
+        raise UsageError(
             f"interval map reaches frame {frames[-1]} but trend ends at {n - 1}"
         )
     applied[frames] = factor[interval_map.interval - 1]
@@ -252,16 +248,10 @@ def apply_transfer(
     return RefinedSeries(values=values, trend=t.copy(), applied_factor=applied, transferred=transferred)
 
 
-@dataclass(eq=False)
-class _SequenceAnalysis:
-    diagnostics: SequenceDiagnostics
-    normalized: np.ndarray
-    trend_original: np.ndarray
-
-
-def _analyze_sequence(x: np.ndarray, cfg: RunConfig) -> _SequenceAnalysis:
+def _analyze_sequence(x: np.ndarray, cfg: RunConfig) -> tuple[SequenceDiagnostics, np.ndarray]:
     """Normalize, detect the cycle, fit the trend, segment into periods.
 
+    Returns the diagnostics and the trend in original units.
     Segmentation failures (no crossovers, validation rejecting the
     candidates) are recorded on the diagnostics instead of raised, so the
     caller can fall back to passing the channel through.
@@ -295,7 +285,7 @@ def _analyze_sequence(x: np.ndarray, cfg: RunConfig) -> _SequenceAnalysis:
         crossovers = find_crossovers(smoothed, trend)
         rising = [c.index for c in crossovers if c.direction == RISING]
         segmentation = validate_periods(rising, report.reference_period, cfg.alpha)
-    except (NoCrossoversError, SeasonalityNotFoundError) as exc:
+    except SeasonalityNotFoundError as exc:
         failure = str(exc)
 
     diagnostics = SequenceDiagnostics(
@@ -306,11 +296,7 @@ def _analyze_sequence(x: np.ndarray, cfg: RunConfig) -> _SequenceAnalysis:
         smooth_radius=radius,
         failure=failure,
     )
-    return _SequenceAnalysis(
-        diagnostics=diagnostics,
-        normalized=normalized,
-        trend_original=denormalize(trend.values, scale),
-    )
+    return diagnostics, denormalize(trend.values, scale)
 
 
 def transfer_channel(
@@ -331,52 +317,52 @@ def transfer_channel(
     ref_x = as_series(reference)
     tgt_x = as_series(target)
     if ref_x.size < MIN_TRANSFER_LENGTH or tgt_x.size < MIN_TRANSFER_LENGTH:
-        raise SeriesTooShortError(
+        raise DataError(
             f"transfer needs at least {MIN_TRANSFER_LENGTH} frames per sequence, "
             f"got {ref_x.size} and {tgt_x.size}"
         )
 
-    ref = _analyze_sequence(ref_x, cfg)
-    tgt = _analyze_sequence(tgt_x, cfg)
+    ref, ref_trend = _analyze_sequence(ref_x, cfg)
+    tgt, tgt_trend = _analyze_sequence(tgt_x, cfg)
 
-    if ref.diagnostics.segmentation is None or tgt.diagnostics.segmentation is None:
+    if ref.segmentation is None or tgt.segmentation is None:
         reasons = []
-        if ref.diagnostics.failure:
-            reasons.append(f"reference: {ref.diagnostics.failure}")
-        if tgt.diagnostics.failure:
-            reasons.append(f"target: {tgt.diagnostics.failure}")
+        if ref.failure:
+            reasons.append(f"reference: {ref.failure}")
+        if tgt.failure:
+            reasons.append(f"target: {tgt.failure}")
         refined = RefinedSeries(
             values=tgt_x.copy(),
-            trend=tgt.trend_original,
+            trend=tgt_trend,
             applied_factor=np.zeros(tgt_x.size),
             transferred=np.zeros(tgt_x.size, dtype=bool),
         )
         diag = ChannelDiagnostics(
             status=STATUS_SKIPPED,
-            reference=ref.diagnostics,
-            target=tgt.diagnostics,
+            reference=ref,
+            target=tgt,
             detail="; ".join(reasons),
         )
         return refined, diag
 
-    ref_seg = ref.diagnostics.segmentation
-    tgt_seg = tgt.diagnostics.segmentation
+    ref_seg = ref.segmentation
+    tgt_seg = tgt.segmentation
     l_min = compute_lmin(ref_seg, tgt_seg)
     ref_map = build_phi(ref_seg, l_min)
     tgt_map = build_phi(tgt_seg, l_min)
-    raw = extract_additive(ref_x, ref.trend_original, ref_seg)
+    raw = extract_additive(ref_x, ref_trend, ref_seg)
     mean_factor = mean_additive_factor(raw, ref_map)
     refined = apply_transfer(
-        tgt.trend_original,
+        tgt_trend,
         mean_factor,
         tgt_map,
         tgt_seg,
-        tgt.diagnostics.report.reference_period,
+        tgt.report.reference_period,
     )
     diag = ChannelDiagnostics(
         status=STATUS_TRANSFERRED,
-        reference=ref.diagnostics,
-        target=tgt.diagnostics,
+        reference=ref,
+        target=tgt,
         l_min=l_min,
         factor=AdditiveFactor(frames=ref_map.frames, raw=raw, mean_factor=mean_factor),
     )
@@ -388,7 +374,7 @@ def _selected_channels(table: PoseTable, cfg: RunConfig) -> set[str]:
         return set(table.channel_names)
     unknown = sorted(set(cfg.channel_filter) - set(table.channel_names))
     if unknown:
-        raise ChannelMismatchError(f"filter names not present in table: {unknown}")
+        raise DataError(f"filter names not present in table: {unknown}")
     return set(cfg.channel_filter)
 
 
@@ -406,7 +392,7 @@ def transfer_table(
     if set(ref_table.channel_names) != set(target_table.channel_names):
         only_ref = sorted(set(ref_table.channel_names) - set(target_table.channel_names))
         only_tgt = sorted(set(target_table.channel_names) - set(ref_table.channel_names))
-        raise ChannelMismatchError(
+        raise DataError(
             f"channel sets differ; only in reference: {only_ref}, only in target: {only_tgt}"
         )
     selected = _selected_channels(target_table, cfg)
@@ -453,13 +439,12 @@ def analyze_table(table: PoseTable, config: RunConfig | None = None) -> dict[str
             out[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
             continue
         try:
-            analysis = _analyze_sequence(table.channel(name), cfg)
+            seq, _ = _analyze_sequence(table.channel(name), cfg)
         except ConstantSeriesError as exc:
             out[name] = ChannelDiagnostics(status=STATUS_SKIPPED, detail=str(exc))
             continue
         except CycleTransferError as exc:
             raise type(exc)(f"channel {name!r}: {exc}") from exc
-        seq = analysis.diagnostics
         status = STATUS_PASSTHROUGH if seq.segmentation is not None else STATUS_SKIPPED
         out[name] = ChannelDiagnostics(status=status, target=seq, detail=seq.failure)
     return out

@@ -156,3 +156,36 @@ def test_smooth_kind_flag(tmp_path, kind):
     )
     assert code == 0
     assert out.exists()
+
+
+SYNTH_FLAGS = {
+    "--n": "80", "--period": "16", "--trend-slope": "0", "--amplitude": "1",
+    "--noise-sigma": "0", "--seed": "0",
+}
+
+
+@pytest.mark.parametrize(
+    "case, code, fragment",
+    [
+        (b"frame,synth\n0,1.0\n1,\xff\n", 2, "line 3: not UTF-8 text"),
+        (b"frame,synth\n0,1.0\n1," + b"1" * 200_000 + b"\n", 2, "line 3: field larger than field limit"),
+        (("--period", "2"), 1, "period must be >= 4"),
+        (("--noise-sigma", "-1"), 1, "noise_sigma must be >= 0"),
+        (("--trend-slope", "nan"), 1, "trend_slope must be finite"),
+        (("--seed", "-1"), 1, "seed must be >= 0"),
+        (("--n", str(10**20)), 1, "n must be <="),
+    ],
+    ids=["non_utf8", "long_field", "period", "noise_sigma", "trend_slope", "seed", "huge_n"],
+)
+def test_exit_code_follows_error_family(tmp_path, capsys, case, code, fragment):
+    if isinstance(case, bytes):
+        path = tmp_path / "in.csv"
+        path.write_bytes(case)
+        argv = ["analyze", "--input", str(path), "--report", str(tmp_path / "r.json")]
+    else:
+        flags = dict(SYNTH_FLAGS, **dict([case]))
+        argv = ["synth", *(x for kv in flags.items() for x in kv), "--out", str(tmp_path / "o.csv")]
+    assert cli_main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: " if code == 1 else "error: ")
+    assert fragment in err

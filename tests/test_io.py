@@ -2,14 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycletransfer.config import RunConfig
-from cycletransfer.errors import (
-    CsvParseError,
-    DuplicateChannelError,
-    InvalidSpecError,
-    NonConsecutiveFramesError,
-)
+from cycletransfer.errors import DataError, UsageError
 from cycletransfer.tableio import (
     PoseTable,
     SynthSpec,
@@ -26,7 +23,7 @@ def test_pose_table_validation():
         PoseTable(["a"], np.zeros((3, 2)))
     with pytest.raises(ValueError):
         PoseTable(["a"], np.zeros(3))
-    with pytest.raises(DuplicateChannelError):
+    with pytest.raises(DataError, match="duplicate channel name 'a'"):
         PoseTable(["a", "a"], np.zeros((3, 2)))
     with pytest.raises(ValueError):
         PoseTable([" "], np.zeros((3, 1)))
@@ -53,41 +50,41 @@ def test_read_csv_basic(tmp_path):
 def test_read_csv_non_consecutive_frames(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("frame,a\n0,1.0\n2,2.0\n")
-    with pytest.raises(NonConsecutiveFramesError):
+    with pytest.raises(DataError, match="line 3: frame 2, expected 1"):
         read_csv(path)
 
 
 def test_read_csv_non_numeric_cell_names_line(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("frame,a\n0,1.0\n1,abc\n")
-    with pytest.raises(CsvParseError, match="line 3"):
+    with pytest.raises(DataError, match="line 3: .* is not a number"):
         read_csv(path)
 
 
 def test_read_csv_header_errors(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("")
-    with pytest.raises(CsvParseError):
+    with pytest.raises(DataError, match="file is empty"):
         read_csv(path)
     path.write_text("a,b\n")
-    with pytest.raises(CsvParseError):
+    with pytest.raises(DataError, match="line 1: header must start with 'frame'"):
         read_csv(path)
     path.write_text("frame,a,a\n")
-    with pytest.raises(DuplicateChannelError):
+    with pytest.raises(DataError, match="line 1: duplicate channel 'a'"):
         read_csv(path)
 
 
 def test_read_csv_ragged_row(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("frame,a,b\n0,1.0\n")
-    with pytest.raises(CsvParseError, match="line 2"):
+    with pytest.raises(DataError, match="line 2: expected 3 cells, got 2"):
         read_csv(path)
 
 
 def test_read_csv_rejects_non_finite(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("frame,a\n0,inf\n")
-    with pytest.raises(CsvParseError):
+    with pytest.raises(DataError, match="value 'inf' is not finite"):
         read_csv(path)
 
 
@@ -203,11 +200,51 @@ def test_synth_seed_changes_noise():
 
 
 def test_synth_spec_validation():
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(UsageError, match=r"n must be >= 2\*period"):
         SynthSpec(n=6, period=4, trend_slope=0.0, amplitude=1.0, noise_sigma=0.0, seed=0)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(UsageError, match="period must be >= 4"):
         SynthSpec(n=64, period=3, trend_slope=0.0, amplitude=1.0, noise_sigma=0.0, seed=0)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(UsageError, match="noise_sigma must be >= 0"):
         SynthSpec(n=64, period=16, trend_slope=0.0, amplitude=1.0, noise_sigma=-0.1, seed=0)
-    with pytest.raises(InvalidSpecError):
+    with pytest.raises(UsageError, match="trend_slope must be finite"):
         SynthSpec(n=64, period=16, trend_slope=np.inf, amplitude=1.0, noise_sigma=0.0, seed=0)
+    with pytest.raises(UsageError, match="seed must be >= 0"):
+        SynthSpec(n=64, period=16, trend_slope=0.0, amplitude=1.0, noise_sigma=0.0, seed=-1)
+
+
+VALID_ROWS = [["frame", "a", "b"], ["0", "1.5", "-2"], ["1", "0.25", "3e2"], ["2", "7", "8"]]
+# Spliced into or put in place of one cell: a NUL, bytes that are not
+# UTF-8, non-ASCII UTF-8, a cell over the csv module's field size limit,
+# non-finite values and csv structure characters.
+CELL_DAMAGE = [
+    b"", b"\x00", b"\xff", b"\xe9", "é".encode(), b"1" * 140_000,
+    b"nan", b"-inf", b"1e999", b'"', b",", b"\r", b"\n",
+]
+
+
+@st.composite
+def damaged_tables(draw):
+    rows = [[cell.encode() for cell in row] for row in VALID_ROWS]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    col = draw(st.integers(0, len(row) - 1))
+    action = draw(st.sampled_from(["drop", "replace", "splice"]))
+    if action == "drop":
+        del row[col]
+    else:
+        damage = draw(st.sampled_from(CELL_DAMAGE))
+        at = 0 if action == "replace" else draw(st.integers(0, len(row[col])))
+        row[col] = row[col][:at] + damage + (row[col][at:] if action == "splice" else b"")
+    return b"\n".join(b",".join(r) for r in rows) + b"\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=300) | damaged_tables())
+def test_read_csv_returns_table_or_data_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(data)
+    try:
+        table = read_csv(path)
+    except DataError:
+        return
+    assert isinstance(table, PoseTable)
+    assert np.all(np.isfinite(table.values))

@@ -4,11 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cycletransfer.errors import (
-    ConstantSeriesError,
-    InvalidAlphaError,
-    RadiusTooLargeError,
-)
+from cycletransfer.errors import ConstantSeriesError, DataError, UsageError
 from cycletransfer.series import (
     ScaleParams,
     as_series,
@@ -98,7 +94,7 @@ def test_mean_smoothing_zero_radius_is_identity():
 def test_mean_smoothing_radius_validation():
     with pytest.raises(ValueError):
         mean_smoothing([1.0, 2.0], -1)
-    with pytest.raises(RadiusTooLargeError):
+    with pytest.raises(DataError, match="radius 3 must be below the series length 3"):
         mean_smoothing([1.0, 2.0, 3.0], 3)
 
 
@@ -128,13 +124,13 @@ def test_exponential_smoothing_alpha_one_is_identity():
 
 
 def test_exponential_smoothing_alpha_validation():
-    with pytest.raises(InvalidAlphaError):
+    with pytest.raises(UsageError, match=r"alpha must lie in \(0, 1\], got 0\.0"):
         exponential_smoothing([1.0, 2.0, 3.0], 0.0, 1)
-    with pytest.raises(InvalidAlphaError):
+    with pytest.raises(UsageError, match=r"alpha must lie in \(0, 1\], got 1\.5"):
         exponential_smoothing([1.0, 2.0, 3.0], 1.5, 1)
     with pytest.raises(ValueError):
         exponential_smoothing([1.0, 2.0, 3.0], 0.5, 0)
-    with pytest.raises(RadiusTooLargeError):
+    with pytest.raises(DataError, match="radius 3 must be below the series length 3"):
         exponential_smoothing([1.0, 2.0, 3.0], 0.5, 3)
 
 

@@ -15,3 +15,25 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# The CLI's exit code comes from the error family, so every raise names
+# one. The base CycleTransferError has no exit code of its own.
+FAMILY_ERRORS = {"UsageError", "DataError", "ConstantSeriesError", "SeasonalityNotFoundError"}
+# Raises outside the families, each on purpose: the channel-name prefix
+# re-raises the caught error's own class, and a missing channel is a
+# KeyError, as for a mapping.
+ALLOWED_RAISES = {("transfer.py", "type(exc)"), ("tableio.py", "KeyError")}
+
+
+def test_package_raises_only_family_errors():
+    sources = sorted(PACKAGE.glob("*.py"))
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue  # a bare raise re-raises what was caught
+            raised = ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+            if raised not in FAMILY_ERRORS and (path.name, raised) not in ALLOWED_RAISES:
+                found.append(f"{path.name}:{node.lineno} raises {raised}")
+    assert found == []

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,7 @@ from hypothesis import strategies as st
 
 from cycletransfer.config import RunConfig
 from cycletransfer.decomposition import PeriodSegmentation, validate_periods
-from cycletransfer.errors import (
-    ChannelMismatchError,
-    FactorLengthMismatchError,
-    LengthMismatchError,
-    PeriodTooShortError,
-    SeriesTooShortError,
-)
+from cycletransfer.errors import DataError, UsageError
 from cycletransfer.tableio import PoseTable
 from cycletransfer.transfer import (
     STATUS_PASSTHROUGH,
@@ -78,7 +74,7 @@ def test_build_phi_counts_match_period_frames():
 
 
 def test_build_phi_rejects_short_period():
-    with pytest.raises(PeriodTooShortError):
+    with pytest.raises(DataError, match=r"period \[5, 7\) holds 2 frames, fewer than l_min=3"):
         build_phi(seg_from_lengths([5, 2], 5), 3)
     with pytest.raises(ValueError):
         build_phi(seg_from_lengths([5], 5), 0)
@@ -115,9 +111,9 @@ def test_extract_additive_restricts_to_segmented_frames():
 
 def test_extract_additive_length_mismatch():
     seg = seg_from_lengths([16], 16)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(UsageError, match="lengths differ: 20 != 19"):
         extract_additive(np.zeros(20), np.zeros(19), seg)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(UsageError, match="reaches frame 15 but series ends at 9"):
         extract_additive(np.zeros(10), np.zeros(10), seg)
 
 
@@ -150,7 +146,7 @@ def test_mean_factor_matches_group_by_oracle():
 
 def test_mean_factor_length_mismatch():
     imap = build_phi(seg_from_lengths([4], 4), 4)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(UsageError, match="residual has 3 values for 4 mapped frames"):
         mean_additive_factor(np.zeros(3), imap)
 
 
@@ -160,7 +156,7 @@ def test_mean_factor_empty_interval_is_an_error():
     imap = IntervalMap(
         l_min=3, frames=np.arange(4), interval=np.array([1, 1, 2, 2]), counts=np.array([2, 2, 0])
     )
-    with pytest.raises(PeriodTooShortError, match="interval 3 of 3"):
+    with pytest.raises(DataError, match="interval 3 of 3"):
         mean_additive_factor(np.ones(4), imap)
 
 
@@ -211,7 +207,7 @@ def test_apply_transfer_extension_is_periodic():
 def test_apply_transfer_factor_length_mismatch():
     seg = seg_from_lengths([4], 4)
     imap = build_phi(seg, 4)
-    with pytest.raises(FactorLengthMismatchError):
+    with pytest.raises(UsageError, match="mean factor has 3 entries for l_min=4"):
         apply_transfer(np.zeros(8), np.zeros(3), imap, seg, 4.0)
 
 
@@ -290,7 +286,7 @@ def test_transfer_channel_reconstruction_identity():
 
 
 def test_transfer_channel_too_short():
-    with pytest.raises(SeriesTooShortError):
+    with pytest.raises(DataError, match="at least 8 frames per sequence"):
         transfer_channel(np.arange(7, dtype=float), phase_shifted_sin(80, 16))
 
 
@@ -324,13 +320,13 @@ def test_transfer_table_empty_filter_is_identity():
 def test_transfer_table_channel_set_mismatch():
     ref_table, tgt_table = two_channel_tables()
     renamed = PoseTable(["swing", "other"], tgt_table.values)
-    with pytest.raises(ChannelMismatchError):
+    with pytest.raises(DataError, match="channel sets differ"):
         transfer_table(ref_table, renamed)
 
 
 def test_transfer_table_unknown_filter_name():
     ref_table, tgt_table = two_channel_tables()
-    with pytest.raises(ChannelMismatchError):
+    with pytest.raises(DataError, match="filter names not present in table"):
         transfer_table(ref_table, tgt_table, RunConfig(channel_filter=["nope"]))
 
 
@@ -401,3 +397,59 @@ def test_analyze_table_filter():
     assert diags["a"].target is not None
     assert diags["b"].status == STATUS_PASSTHROUGH
     assert diags["b"].target is None
+
+
+@functools.cache
+def four_channel_tables():
+    """Periodic channels of two periods, white noise and a constant, as
+    per-channel reference and target columns, plus the transfer of the
+    tables in this channel order with no filter."""
+    rng = np.random.Generator(np.random.PCG64(21))
+    t = np.arange(160, dtype=float)
+    ref = {
+        "swing": phase_shifted_sin(80, 16),
+        "fast": phase_shifted_sin(80, 10, phase=2.0),
+        "noise": rng.standard_normal(80),
+        "still": np.full(80, -1.0),
+    }
+    tgt = {
+        "swing": 0.01 * t + phase_shifted_sin(160, 16) + 0.15 * rng.standard_normal(160),
+        "fast": phase_shifted_sin(160, 10) + 0.1 * rng.standard_normal(160),
+        "noise": rng.standard_normal(160),
+        "still": np.full(160, -1.0),
+    }
+    out, diags = transfer_table(
+        PoseTable(list(ref), np.column_stack(list(ref.values()))),
+        PoseTable(list(tgt), np.column_stack(list(tgt.values()))),
+    )
+    return ref, tgt, out, diags
+
+
+CHANNELS = ["swing", "fast", "noise", "still"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    ref_order=st.permutations(CHANNELS),
+    tgt_order=st.permutations(CHANNELS),
+    channel_filter=st.none() | st.lists(st.sampled_from(CHANNELS), unique=True),
+)
+def test_transfer_table_invariant_to_channel_order_and_other_channels(
+    ref_order, tgt_order, channel_filter
+):
+    # Each channel's output depends on that channel alone: not on the
+    # order of either table, nor on which other channels are selected.
+    ref_cols, tgt_cols, base_out, base_diags = four_channel_tables()
+    assert {d.status for d in base_diags.values()} == {STATUS_TRANSFERRED, STATUS_SKIPPED}
+    ref = PoseTable(ref_order, np.column_stack([ref_cols[name] for name in ref_order]))
+    tgt = PoseTable(tgt_order, np.column_stack([tgt_cols[name] for name in tgt_order]))
+    out, diags = transfer_table(ref, tgt, RunConfig(channel_filter=channel_filter))
+    assert out.channel_names == tgt_order
+    assert list(diags) == tgt_order
+    for name in tgt_order:
+        if channel_filter is None or name in channel_filter:
+            np.testing.assert_array_equal(out.channel(name), base_out.channel(name))
+            assert diags[name].status == base_diags[name].status
+        else:
+            np.testing.assert_array_equal(out.channel(name), tgt_cols[name])
+            assert diags[name].status == STATUS_PASSTHROUGH
