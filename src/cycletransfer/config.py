@@ -38,5 +38,7 @@ class RunConfig:
             raise UsageError(f"smooth_radius must be >= 0, got {self.smooth_radius}")
         if self.smooth_kind not in (SMOOTH_MEAN, SMOOTH_EXPONENTIAL):
             raise UsageError(f"unknown smooth_kind {self.smooth_kind!r}")
+        if self.smooth_kind == SMOOTH_EXPONENTIAL and self.smooth_radius == 0:
+            raise UsageError("smooth_radius must be >= 1 for exponential smoothing, got 0")
         if not 0.0 < self.exp_alpha <= 1.0:
             raise UsageError(f"exp_alpha must lie in (0, 1], got {self.exp_alpha}")

@@ -5,12 +5,25 @@ row per frame. The frame column counts 0, 1, 2, ... without gaps; every
 other cell is a finite float. Values are written with 9 significant
 digits, which keeps a write/read round trip well below pipeline
 tolerances for pose-scale values.
+
+``read_csv`` first tries a block parser that splits about 64 KiB of lines
+at a time on commas and converts every value cell with ``float``. It
+takes a file only when the file holds no ``"`` and no ``\r``, every line
+(the last one too) ends in ``\n``, the header starts with ``frame`` and
+names no channel twice or blank, every row has exactly one comma per
+channel, every frame cell is written as ``str(i)`` for its row i, no cell
+is longer than ``csv.field_size_limit()``, every value cell parses and
+every value is finite. Any other file, valid or not, goes to the
+line-precise ``csv.reader`` parser, which is the one source of every
+error message, so both paths give the same table or the same error.
+``write_csv`` formats a block of rows with one format string.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -24,6 +37,11 @@ SYNTH_CHANNEL = "synth"
 # Largest synthetic table, in frames; far past what fits in memory, but
 # below sizes numpy rejects with an error of its own.
 MAX_SYNTH_FRAMES = 2**31
+# Characters of lines per read_csv block and cells per write_csv block:
+# large enough that the per-block Python work is small, small enough that
+# every transient stays a small fraction of the table.
+READ_BLOCK_CHARS = 1 << 16
+WRITE_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(eq=False)
@@ -66,14 +84,15 @@ class PoseTable:
         return self.values[:, idx].copy()
 
 
-def _write_text_atomic(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename over path."""
+def _write_text_atomic(path, chunks) -> None:
+    """Write the strings ``chunks`` yields via a temp file in the same
+    directory, then rename over path."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -86,8 +105,87 @@ def read_csv(path) -> PoseTable:
 
     Every malformed file raises DataError, including one holding bytes
     that are not UTF-8 or a cell the csv module refuses (over its field
-    size limit, for example).
+    size limit, for example). Plain files take the block parser; the
+    module docstring lists what it declines.
     """
+    table = _read_csv_blocks(path)
+    return table if table is not None else _read_csv_lines(path)
+
+
+def _read_csv_blocks(path) -> PoseTable | None:
+    """The table, parsed a block of lines at a time; None for any file the
+    block parser declines, including every malformed one."""
+    limit = csv.field_size_limit()
+    blocks = []
+    n_frames = 0
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            names = _plain_header(fh.readline(), limit)
+            if names is None:
+                return None
+            while lines := fh.readlines(READ_BLOCK_CHARS):
+                block = _parse_block(lines, n_frames, len(names), limit)
+                if block is None:
+                    return None
+                blocks.append(block)
+                n_frames += len(lines)
+    except (OSError, UnicodeDecodeError):
+        return None
+    values = np.concatenate(blocks) if blocks else np.empty(0)
+    values = values.reshape(n_frames, len(names))
+    if not np.isfinite(values).all():
+        return None
+    return PoseTable(names, values)
+
+
+def _is_plain(text: str) -> bool:
+    """Whether text is whole lines that csv.reader splits on commas alone:
+    no quote, no carriage return, and a newline at the end."""
+    return text.endswith("\n") and '"' not in text and "\r" not in text
+
+
+def _plain_header(line: str, limit: int) -> list[str] | None:
+    """Channel names of a header line the block parser takes, else None."""
+    if not _is_plain(line):
+        return None
+    cells = line[:-1].split(",")
+    names = cells[1:]
+    if (
+        cells[0] != "frame"
+        or max(map(len, cells)) > limit
+        or not all(name.strip() for name in names)
+        or len(set(names)) != len(names)
+    ):
+        return None
+    return names
+
+
+def _parse_block(lines: list[str], first_frame: int, n_channels: int, limit: int):
+    """Values of consecutive body lines as one flat array, else None.
+
+    With plain text and exactly n_channels commas per line, the cells
+    below are the cells csv.reader would give and ``float`` gives its
+    values.
+    """
+    text = "".join(lines)
+    if not _is_plain(text) or any(line.count(",") != n_channels for line in lines):
+        return None
+    cells = text[:-1].replace("\n", ",").split(",")
+    # No cell is longer than its line, so cells are measured only when a
+    # line is long.
+    if max(map(len, lines)) > limit and max(map(len, cells)) > limit:
+        return None
+    if cells[:: n_channels + 1] != list(map(str, range(first_frame, first_frame + len(lines)))):
+        return None
+    del cells[:: n_channels + 1]
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return None
+
+
+def _read_csv_lines(path) -> PoseTable:
+    """Parse a pose table with csv.reader, one line at a time."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -167,13 +265,29 @@ def _first_non_utf8_line(path) -> int | None:
 
 
 def write_csv(table: PoseTable, path) -> None:
-    """Write a pose table atomically, 9 significant digits per value."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["frame"] + list(table.channel_names))
-    for i in range(table.n_frames):
-        writer.writerow([str(i)] + [f"{v:.9g}" for v in table.values[i]])
-    _write_text_atomic(path, buf.getvalue())
+    """Write a pose table atomically, 9 significant digits per value.
+
+    csv.writer writes the header, so names holding a comma or a quote
+    come out quoted. The body rows ``i,v1,...,vC`` are formatted a block
+    at a time with one ``%`` format string, which gives the same text as
+    formatting each value with ``f"{v:.9g}"``.
+    """
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(["frame"] + list(table.channel_names))
+    _write_text_atomic(path, itertools.chain([header.getvalue()], _csv_body(table.values)))
+
+
+def _csv_body(values: np.ndarray):
+    """Yield the body rows of a table, about WRITE_BLOCK_CELLS cells per string."""
+    n, c = values.shape
+    row_fmt = "%d" + ",%.9g" * c + "\n"
+    step = max(1, WRITE_BLOCK_CELLS // (c + 1))
+    block = np.empty((min(step, n), c + 1))
+    for start in range(0, n, step):
+        rows = min(step, n - start)
+        block[:rows, 0] = np.arange(start, start + rows)
+        block[:rows, 1:] = values[start : start + rows]
+        yield (row_fmt * rows) % tuple(block[:rows].ravel().tolist())
 
 
 def write_report(diagnostics, path) -> None:
@@ -201,17 +315,17 @@ def write_report(diagnostics, path) -> None:
         if seq is not None:
             entry["dominant_frequency"] = int(seq.report.dominant_frequency)
             entry["reference_period"] = float(seq.report.reference_period)
-            entry["acf"] = [float(v) for v in seq.report.acf]
-            entry["spectrum"] = [float(v) for v in seq.report.spectrum]
+            entry["acf"] = seq.report.acf.tolist()
+            entry["spectrum"] = seq.report.spectrum.tolist()
             entry["trend_order"] = int(seq.trend.order)
             if seq.segmentation is not None:
-                entry["period_starts"] = [int(p) for p in seq.segmentation.period_starts]
+                entry["period_starts"] = seq.segmentation.period_starts.tolist()
         if diag.l_min is not None:
             entry["l_min"] = int(diag.l_min)
         if diag.factor is not None:
-            entry["mean_factor"] = [float(v) for v in diag.factor.mean_factor]
+            entry["mean_factor"] = diag.factor.mean_factor.tolist()
         out[name] = entry
-    _write_text_atomic(path, json.dumps(out, indent=2) + "\n")
+    _write_text_atomic(path, [json.dumps(out, indent=2) + "\n"])
 
 
 @dataclass(frozen=True)

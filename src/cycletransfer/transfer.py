@@ -248,10 +248,11 @@ def apply_transfer(
     return RefinedSeries(values=values, trend=t.copy(), applied_factor=applied, transferred=transferred)
 
 
-def _analyze_sequence(x: np.ndarray, cfg: RunConfig) -> tuple[SequenceDiagnostics, np.ndarray]:
+def _analyze_sequence(x: np.ndarray, cfg: RunConfig) -> SequenceDiagnostics:
     """Normalize, detect the cycle, fit the trend, segment into periods.
 
-    Returns the diagnostics and the trend in original units.
+    The trend stays in normalized units; a caller that needs it in
+    original units denormalizes it with the diagnostics' scale.
     Segmentation failures (no crossovers, validation rejecting the
     candidates) are recorded on the diagnostics instead of raised, so the
     caller can fall back to passing the channel through.
@@ -288,7 +289,7 @@ def _analyze_sequence(x: np.ndarray, cfg: RunConfig) -> tuple[SequenceDiagnostic
     except SeasonalityNotFoundError as exc:
         failure = str(exc)
 
-    diagnostics = SequenceDiagnostics(
+    return SequenceDiagnostics(
         report=report,
         trend=trend,
         segmentation=segmentation,
@@ -296,7 +297,6 @@ def _analyze_sequence(x: np.ndarray, cfg: RunConfig) -> tuple[SequenceDiagnostic
         smooth_radius=radius,
         failure=failure,
     )
-    return diagnostics, denormalize(trend.values, scale)
 
 
 def transfer_channel(
@@ -322,8 +322,9 @@ def transfer_channel(
             f"got {ref_x.size} and {tgt_x.size}"
         )
 
-    ref, ref_trend = _analyze_sequence(ref_x, cfg)
-    tgt, tgt_trend = _analyze_sequence(tgt_x, cfg)
+    ref = _analyze_sequence(ref_x, cfg)
+    tgt = _analyze_sequence(tgt_x, cfg)
+    tgt_trend = denormalize(tgt.trend.values, tgt.scale)
 
     if ref.segmentation is None or tgt.segmentation is None:
         reasons = []
@@ -350,7 +351,7 @@ def transfer_channel(
     l_min = compute_lmin(ref_seg, tgt_seg)
     ref_map = build_phi(ref_seg, l_min)
     tgt_map = build_phi(tgt_seg, l_min)
-    raw = extract_additive(ref_x, ref_trend, ref_seg)
+    raw = extract_additive(ref_x, denormalize(ref.trend.values, ref.scale), ref_seg)
     mean_factor = mean_additive_factor(raw, ref_map)
     refined = apply_transfer(
         tgt_trend,
@@ -439,7 +440,7 @@ def analyze_table(table: PoseTable, config: RunConfig | None = None) -> dict[str
             out[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
             continue
         try:
-            seq, _ = _analyze_sequence(table.channel(name), cfg)
+            seq = _analyze_sequence(table.channel(name), cfg)
         except ConstantSeriesError as exc:
             out[name] = ChannelDiagnostics(status=STATUS_SKIPPED, detail=str(exc))
             continue

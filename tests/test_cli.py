@@ -158,6 +158,18 @@ def test_smooth_kind_flag(tmp_path, kind):
     assert out.exists()
 
 
+def test_exponential_zero_radius_rejected_before_reading(tmp_path, capsys):
+    # --ref names no file: exit 1 shows the config is checked before any
+    # file is opened (a missing file exits 2).
+    missing = str(tmp_path / "none.csv")
+    code = cli_main(
+        ["transfer", "--ref", missing, "--target", missing, "--out", str(tmp_path / "o.csv"),
+         "--smooth-kind", "exponential", "--smooth-radius", "0"]
+    )
+    assert code == 1
+    assert "smooth_radius must be >= 1 for exponential smoothing" in capsys.readouterr().err
+
+
 SYNTH_FLAGS = {
     "--n": "80", "--period": "16", "--trend-slope": "0", "--amplitude": "1",
     "--noise-sigma": "0", "--seed": "0",

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +11,19 @@ from hypothesis import strategies as st
 from cycletransfer.config import RunConfig
 from cycletransfer.errors import DataError, UsageError
 from cycletransfer.tableio import (
+    READ_BLOCK_CHARS,
     PoseTable,
     SynthSpec,
+    _read_csv_blocks,
+    _read_csv_lines,
     read_csv,
     synth_generate,
     write_csv,
     write_report,
 )
 from cycletransfer.transfer import analyze_table, transfer_table
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_pose_table_validation():
@@ -159,7 +167,7 @@ def test_write_report_filtered_channel(tmp_path):
     assert data["b"]["acf"] is None
 
 
-def test_write_report_transfer_includes_factor(tmp_path):
+def _transfer_report(tmp_path):
     rng = np.random.Generator(np.random.PCG64(12))
     t = np.arange(200, dtype=float)
     ref = np.sin(2.0 * np.pi * (np.arange(80) + 0.5) / 16.0)
@@ -169,12 +177,36 @@ def test_write_report_transfer_includes_factor(tmp_path):
     )
     path = tmp_path / "report.json"
     write_report(diags, path)
+    return diags, path
+
+
+def test_write_report_transfer_includes_factor(tmp_path):
+    _, path = _transfer_report(tmp_path)
     data = json.loads(path.read_text())
     entry = data["m"]
     assert entry["status"] == "transferred"
     assert entry["l_min"] >= 1
     assert len(entry["mean_factor"]) == entry["l_min"]
     assert entry["period_starts"] == sorted(entry["period_starts"])
+
+
+def test_write_report_bytes_are_pinned(tmp_path):
+    # data/report_transfer.json is this report as written when every list
+    # was built with per-element float()/int() (numpy 2.4.6, x86-64), so
+    # report.json stays byte-compatible.
+    diags, path = _transfer_report(tmp_path)
+    assert path.read_bytes() == (DATA / "report_transfer.json").read_bytes()
+    # The same check without numbers that depend on the machine's
+    # floating point: the old per-element lists give the same text.
+    diag = diags["m"]
+    old = json.loads(path.read_text())
+    old["m"].update(
+        acf=[float(v) for v in diag.target.report.acf],
+        spectrum=[float(v) for v in diag.target.report.spectrum],
+        period_starts=[int(p) for p in diag.target.segmentation.period_starts],
+        mean_factor=[float(v) for v in diag.factor.mean_factor],
+    )
+    assert path.read_text() == json.dumps(old, indent=2) + "\n"
 
 
 def test_synth_deterministic():
@@ -222,9 +254,8 @@ CELL_DAMAGE = [
 ]
 
 
-@st.composite
-def damaged_tables(draw):
-    rows = [[cell.encode() for cell in row] for row in VALID_ROWS]
+def _damage(draw, rows):
+    """Drop, replace or splice into one cell of ``rows`` (lists of bytes)."""
     row = rows[draw(st.integers(0, len(rows) - 1))]
     col = draw(st.integers(0, len(row) - 1))
     action = draw(st.sampled_from(["drop", "replace", "splice"]))
@@ -235,6 +266,11 @@ def damaged_tables(draw):
         at = 0 if action == "replace" else draw(st.integers(0, len(row[col])))
         row[col] = row[col][:at] + damage + (row[col][at:] if action == "splice" else b"")
     return b"\n".join(b",".join(r) for r in rows) + b"\n"
+
+
+@st.composite
+def damaged_tables(draw):
+    return _damage(draw, [[cell.encode() for cell in row] for row in VALID_ROWS])
 
 
 @settings(max_examples=300, deadline=None)
@@ -248,3 +284,138 @@ def test_read_csv_returns_table_or_data_error(tmp_path_factory, data):
         return
     assert isinstance(table, PoseTable)
     assert np.all(np.isfinite(table.values))
+
+
+def write_csv_oracle(table: PoseTable) -> bytes:
+    """The per-row csv.writer loop that write_csv's block formatting replaces."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["frame"] + list(table.channel_names))
+    for i in range(table.n_frames):
+        writer.writerow([str(i)] + [f"{v:.9g}" for v in table.values[i]])
+    return buf.getvalue().encode("utf-8")
+
+
+def parse_outcome(parse, path):
+    """A parse result compared bit for bit: the table, or the DataError text."""
+    try:
+        table = parse(path)
+    except DataError as exc:
+        return str(exc)
+    return table.channel_names, table.values.shape, table.values.tobytes()
+
+
+EXTREME_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308]
+channel_names = st.lists(
+    st.text(st.characters(codec="utf-8"), min_size=1, max_size=6).filter(str.strip),
+    max_size=4,
+    unique=True,
+)
+
+
+@st.composite
+def tables(draw):
+    names = draw(channel_names | st.lists(st.sampled_from("xyz"), max_size=3, unique=True))
+    n = draw(st.integers(0, 6))
+    cell = st.sampled_from(EXTREME_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(cell, min_size=n * len(names), max_size=n * len(names)))
+    return PoseTable(names, np.array(values, dtype=float).reshape(n, len(names)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables())
+def test_write_csv_matches_per_row_oracle(tmp_path_factory, table):
+    path = tmp_path_factory.getbasetemp() / "oracle.csv"
+    write_csv(table, path)
+    assert path.read_bytes() == write_csv_oracle(table)
+
+
+def test_write_csv_matches_oracle_across_blocks(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(4))
+    for shape in [(40_000, 1), (700, 61), (3, 20_000)]:
+        table = PoseTable([f"c{j}" for j in range(shape[1])], rng.standard_normal(shape) * 1e3)
+        write_csv(table, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == write_csv_oracle(table)
+
+
+# Files the block parser must decline, each a way in which splitting on
+# commas would disagree with csv.reader or with the line checks.
+FAST_PATH_TRAPS = {
+    "balanced_cell_counts": b"frame,a,b\n0,1\n1,2,3,4\n",
+    "over_field_limit": b"frame,a\n0," + b"0" * 140_000 + b"1\n",
+    "blank_line": b"frame,a\n0,1\n\n1,2\n",
+    "blank_last_line": b"frame,a\n0,1\n\n",
+    "crlf": b"frame,a\r\n0,1\r\n1,2\r\n",
+    "quoted_cell": b'frame,a\n0,"1"\n1,2\n',
+    "quoted_header": b'frame,"a,b"\n0,1\n',
+    "frame_plus": b"frame,a\n+0,1\n1,2\n",
+    "frame_space": b"frame,a\n 0,1\n1,2\n",
+    "frame_float": b"frame,a\n0.0,1\n1,2\n",
+    "no_final_newline": b"frame,a\n0,1\n1,2",
+    "header_no_newline": b"frame,a",
+    "nan": b"frame,a\n0,nan\n",
+    "non_utf8": b"frame,a\n0,1\n1,\xff\n",
+    "no_channels_blank": b"frame\n0\n\n",
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("data", FAST_PATH_TRAPS.values(), ids=FAST_PATH_TRAPS.keys())
+def test_read_csv_traps_fall_back_to_line_parser(tmp_path, data):
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    assert _read_csv_blocks(path) is None
+    assert parse_outcome(read_csv, path) == parse_outcome(_read_csv_lines, path)
+
+
+def _long_table_bytes(n=6000):
+    rng = np.random.Generator(np.random.PCG64(8))
+    table = PoseTable(["a", "b", "c"], rng.standard_normal((n, 3)))
+    data = write_csv_oracle(table)
+    assert len(data) > 3 * READ_BLOCK_CHARS
+    return data
+
+
+def test_read_csv_block_parser_takes_plain_files(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(_long_table_bytes())
+    table = _read_csv_blocks(path)
+    assert table is not None
+    assert parse_outcome(lambda _: table, path) == parse_outcome(_read_csv_lines, path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["3000,1,2", "3001,1,2,3", "+3000,1,2,3", "3000,1,2,nan", '3000,1,"2",3', "3000,1,2,3\r", ""],
+)
+def test_read_csv_trap_deep_in_file(tmp_path, line):
+    lines = _long_table_bytes().decode().split("\n")
+    lines[3001] = line  # the row of frame 3000, past the first blocks
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines), encoding="utf-8", newline="")
+    assert _read_csv_blocks(path) is None
+    assert parse_outcome(read_csv, path) == parse_outcome(_read_csv_lines, path)
+
+
+@st.composite
+def written_tables(draw):
+    """write_csv output, as is or with a cell damaged or a line end changed."""
+    data = write_csv_oracle(draw(tables()))
+    action = draw(st.sampled_from(["none", "damage", "crlf", "strip_newline", "blank_line"]))
+    if action == "damage":
+        return _damage(draw, [line.split(b",") for line in data.split(b"\n")[:-1]])
+    if action == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if action == "strip_newline":
+        return data[:-1]
+    if action == "blank_line":
+        return data + b"\n"
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=written_tables() | damaged_tables() | st.binary(max_size=300))
+def test_read_csv_matches_line_parser(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "diff.csv"
+    path.write_bytes(data)
+    assert parse_outcome(read_csv, path) == parse_outcome(_read_csv_lines, path)

@@ -453,3 +453,10 @@ def test_transfer_table_invariant_to_channel_order_and_other_channels(
         else:
             np.testing.assert_array_equal(out.channel(name), tgt_cols[name])
             assert diags[name].status == STATUS_PASSTHROUGH
+
+
+def test_run_config_rejects_exponential_zero_radius():
+    with pytest.raises(UsageError, match="smooth_radius must be >= 1 for exponential"):
+        RunConfig(smooth_kind="exponential", smooth_radius=0)
+    assert RunConfig(smooth_kind="mean", smooth_radius=0).smooth_radius == 0
+    assert RunConfig(smooth_kind="exponential", smooth_radius=None).smooth_radius is None
