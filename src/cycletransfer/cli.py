@@ -13,16 +13,25 @@ from .transfer import analyze_table, transfer_table
 
 
 def _add_tuning_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=0.8, help="period validation strictness")
-    parser.add_argument("--max-order", type=int, default=30, help="largest candidate trend order")
-    parser.add_argument("--smooth-radius", type=int, default=None, help="smoothing window radius")
+    defaults = RunConfig()
+    parser.add_argument(
+        "--alpha", type=float, default=defaults.alpha, help="period validation strictness"
+    )
+    parser.add_argument(
+        "--max-order", type=int, default=defaults.max_order, help="largest candidate trend order"
+    )
+    parser.add_argument(
+        "--smooth-radius", type=int, default=defaults.smooth_radius, help="smoothing window radius"
+    )
     parser.add_argument(
         "--smooth-kind",
         choices=[SMOOTH_MEAN, SMOOTH_EXPONENTIAL],
-        default=SMOOTH_MEAN,
+        default=defaults.smooth_kind,
         help="smoother applied before crossover detection",
     )
-    parser.add_argument("--exp-alpha", type=float, default=0.5, help="exponential center weight")
+    parser.add_argument(
+        "--exp-alpha", type=float, default=defaults.exp_alpha, help="exponential center weight"
+    )
     parser.add_argument("--channels", default=None, help="comma-separated channels to process")
 
 

@@ -8,14 +8,18 @@ from .errors import UsageError
 
 SMOOTH_MEAN = "mean"
 SMOOTH_EXPONENTIAL = "exponential"
+# Largest accepted max_order. The probe fit's numerical rank stops growing
+# below this (at degree 100 it is 50 for n=200 and 44 for n=60k), so
+# higher orders add nothing but an n x (max_order + 1) matrix.
+MAX_TREND_ORDER = 50
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Pipeline configuration.
+    """Pipeline configuration, checked once here for every stage that uses it.
 
     alpha          period validation strictness in (0, 1)
-    max_order      largest candidate trend order
+    max_order      largest candidate trend order, 1..MAX_TREND_ORDER
     smooth_radius  window radius; None picks max(1, round(l/8)) per series
     smooth_kind    "mean" or "exponential"
     exp_alpha      center weight for exponential smoothing
@@ -32,10 +36,16 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise UsageError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.max_order < 1:
+        if not self.max_order >= 1:
             raise UsageError(f"max_order must be >= 1, got {self.max_order}")
-        if self.smooth_radius is not None and self.smooth_radius < 0:
+        if self.max_order > MAX_TREND_ORDER:
+            raise UsageError(f"max_order must be <= {MAX_TREND_ORDER}, got {self.max_order}")
+        if self.smooth_radius is not None and not self.smooth_radius >= 0:
             raise UsageError(f"smooth_radius must be >= 0, got {self.smooth_radius}")
+        # The stages count and slice with these, so they are held as ints.
+        object.__setattr__(self, "max_order", int(self.max_order))
+        if self.smooth_radius is not None:
+            object.__setattr__(self, "smooth_radius", int(self.smooth_radius))
         if self.smooth_kind not in (SMOOTH_MEAN, SMOOTH_EXPONENTIAL):
             raise UsageError(f"unknown smooth_kind {self.smooth_kind!r}")
         if self.smooth_kind == SMOOTH_EXPONENTIAL and self.smooth_radius == 0:

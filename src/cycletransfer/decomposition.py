@@ -14,8 +14,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DataError, SeasonalityNotFoundError, UsageError
-from .series import as_series
+from .errors import SeasonalityNotFoundError
 
 RISING = "rising"
 FALLING = "falling"
@@ -51,12 +50,10 @@ class TrendModel:
 
 def scaled_abscissa(n: int) -> np.ndarray:
     """Frame indices 0..n-1 mapped linearly onto [-1, 1]."""
-    if n < 2:
-        raise DataError("need at least 2 frames for a trend abscissa")
     return np.linspace(-1.0, 1.0, n)
 
 
-def fit_trend(series, max_order: int = 30, f: int = 1) -> TrendModel:
+def fit_trend(series: np.ndarray, max_order: int, f: int) -> TrendModel:
     """Fit the slow trend of a series by polynomial least squares.
 
     One probe fit at max_order supplies the coefficient sequence; the
@@ -72,25 +69,16 @@ def fit_trend(series, max_order: int = 30, f: int = 1) -> TrendModel:
     a plain line.
 
     Coefficients live on the rescaled abscissa (frames mapped onto
-    [-1, 1]). Raises DataError unless n >= max_order + 1.
+    [-1, 1]). Needs 1 <= max_order < n and f >= 1.
     """
-    x = as_series(series, min_len=2)
-    n = x.size
-    max_order = int(max_order)
-    if max_order < 1:
-        raise UsageError("max_order must be a positive integer")
-    if n <= max_order:
-        raise DataError(f"need more than max_order={max_order} samples, got {n}")
-    if f < 1:
-        raise UsageError(f"cycle count bound f must be >= 1, got {f}")
-    t = scaled_abscissa(n)
-    probe, _ = npoly.polyfit(t, x, max_order, full=True)
+    t = scaled_abscissa(series.size)
+    probe, _ = npoly.polyfit(t, series, max_order, full=True)
     floor = max(MIN_LEAD_COEF, REL_COEF_FLOOR * float(np.max(np.abs(probe))))
     for order in range(max_order, 0, -1):
         if floor < abs(probe[order]) < f:
-            coef, _ = npoly.polyfit(t, x, order, full=True)
+            coef, _ = npoly.polyfit(t, series, order, full=True)
             return TrendModel(coef, order, npoly.polyval(t, coef))
-    coef, _ = npoly.polyfit(t, x, 1, full=True)
+    coef, _ = npoly.polyfit(t, series, 1, full=True)
     return TrendModel(coef, 1, npoly.polyval(t, coef), fallback=True)
 
 
@@ -99,14 +87,9 @@ class Crossover(NamedTuple):
     direction: str
 
 
-def _trend_values(trend) -> np.ndarray:
-    if isinstance(trend, TrendModel):
-        return trend.values
-    return as_series(trend)
-
-
-def find_crossovers(smoothed, trend) -> list[Crossover]:
-    """Indices where the smoothed series crosses its trend.
+def find_crossovers(smoothed: np.ndarray, trend: np.ndarray) -> list[Crossover]:
+    """Indices where the smoothed series crosses its trend, both given as
+    arrays of one length.
 
     The scan looks at the sign of d = smoothed - trend. A crossover sits at
     the smallest index i >= 1 where the sign changes; a zero sample takes
@@ -121,11 +104,7 @@ def find_crossovers(smoothed, trend) -> list[Crossover]:
 
     Raises SeasonalityNotFoundError when d never changes sign.
     """
-    s = as_series(smoothed)
-    t = _trend_values(trend)
-    if s.size != t.size:
-        raise UsageError(f"smoothed and trend lengths differ: {s.size} != {t.size}")
-    sign = np.sign(s - t)
+    sign = np.sign(smoothed - trend)
     n = sign.size
     # Index n points at an appended 0, so trailing zeros keep sign 0 and
     # can never register a change.
@@ -195,13 +174,14 @@ def _gap_range(l: float, window: float) -> tuple[int, int] | None:
     return int(passing.min()), int(passing.max())
 
 
-def validate_periods(candidates, reference_period: float, alpha: float = 0.8) -> PeriodSegmentation:
-    """Prune candidate period starts by neighbor spacing.
+def validate_periods(candidates, reference_period: float, alpha: float) -> PeriodSegmentation:
+    """Prune strictly increasing candidate period starts by neighbor spacing.
 
     A candidate start p is retained when some other candidate p' sits at a
     distance within (1 - alpha) * reference_period of the reference
-    period itself, i.e. abs(abs(p' - p) - l) < (1 - alpha) * l. Retained
-    consecutive pairs whose own gap passes the same test become periods.
+    period itself, i.e. abs(abs(p' - p) - l) < (1 - alpha) * l, with l > 0
+    and alpha in (0, 1). Retained consecutive pairs whose own gap passes
+    the same test become periods.
 
     The passing gaps form one integer range [gmin, gmax], so each
     candidate needs only two searchsorted probes per side into the sorted
@@ -212,15 +192,7 @@ def validate_periods(candidates, reference_period: float, alpha: float = 0.8) ->
     no consecutive pair forms a period.
     """
     cand = np.asarray(candidates, dtype=int)
-    if cand.ndim != 1:
-        raise UsageError("candidates must be a 1-D sequence of frame indices")
-    if cand.size > 1 and not np.all(np.diff(cand) > 0):
-        raise UsageError("candidate starts must be strictly increasing")
-    l = float(reference_period)
-    if not l > 0:
-        raise UsageError(f"reference period must be positive, got {l}")
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"alpha must lie in (0, 1), got {alpha}")
+    l = reference_period
     window = (1.0 - alpha) * l
 
     gaps = _gap_range(l, window) if cand.size > 1 else None

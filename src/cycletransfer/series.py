@@ -1,8 +1,9 @@
 """Single-channel series utilities: validation, scaling and smoothing.
 
-A series is held as a plain 1-D float64 numpy array. Every public function
-validates its input through :func:`as_series`, which enforces the basic
-contract (one dimension, at least one sample, all values finite).
+A series is held as a plain 1-D float64 numpy array. Raw input is checked
+once, where it enters the pipeline, by :func:`as_series` (one dimension,
+enough samples, all values finite); the stages below take the arrays the
+pipeline built and do not check them again.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantSeriesError, DataError, UsageError
+from .errors import ConstantSeriesError, DataError
 
 # Ranges below this are treated as constant (zero variance).
 MIN_RANGE = 1e-12
@@ -22,19 +23,16 @@ def as_series(values, min_len: int = 1) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DataError(f"expected a 1-D series, got shape {arr.shape}")
-    if arr.size < min_len:
-        raise DataError(f"series has {arr.size} samples, need at least {min_len}")
+    require_length(arr, min_len)
     if not np.all(np.isfinite(arr)):
         raise DataError("series contains NaN or infinite samples")
     return arr
 
 
-def require_nonconstant(series: np.ndarray) -> None:
-    """Raise ConstantSeriesError when the series range is numerically zero."""
-    if float(np.ptp(series)) < MIN_RANGE:
-        raise ConstantSeriesError(
-            f"series range is below {MIN_RANGE:g}, values are effectively constant"
-        )
+def require_length(series: np.ndarray, min_len: int) -> None:
+    """Raise DataError when the series holds fewer than min_len samples."""
+    if series.size < min_len:
+        raise DataError(f"series has {series.size} samples, need at least {min_len}")
 
 
 @dataclass(frozen=True)
@@ -44,84 +42,69 @@ class ScaleParams:
     min: float
     max: float
 
-    def __post_init__(self):
-        if not self.max - self.min > 0.0:
-            raise UsageError(f"scale bounds must satisfy max > min, got [{self.min}, {self.max}]")
 
-
-def normalize_minmax(series) -> tuple[np.ndarray, ScaleParams]:
+def normalize_minmax(series: np.ndarray) -> tuple[np.ndarray, ScaleParams]:
     """Map a series onto [0, 1] and return the bounds used.
 
     The minimum maps to exactly 0 and the maximum to exactly 1. A series
     whose range falls below ``MIN_RANGE`` raises ConstantSeriesError.
     """
-    x = as_series(series, min_len=2)
-    lo = float(x.min())
-    hi = float(x.max())
+    lo = float(series.min())
+    hi = float(series.max())
     if hi - lo < MIN_RANGE:
         raise ConstantSeriesError(f"series range {hi - lo:g} is below {MIN_RANGE:g}")
-    return (x - lo) / (hi - lo), ScaleParams(lo, hi)
+    return (series - lo) / (hi - lo), ScaleParams(lo, hi)
 
 
-def denormalize(series, params: ScaleParams) -> np.ndarray:
+def denormalize(series: np.ndarray, params: ScaleParams) -> np.ndarray:
     """Undo :func:`normalize_minmax` using the stored bounds."""
-    x = as_series(series)
-    return x * (params.max - params.min) + params.min
+    return series * (params.max - params.min) + params.min
 
 
-def mean_smoothing(series, radius: int) -> np.ndarray:
+def mean_smoothing(series: np.ndarray, radius: int) -> np.ndarray:
     """Centered moving average with window 2*radius + 1.
 
     Windows are clipped at the series ends, so boundary samples average
     whatever part of the window exists. ``radius`` must be smaller than
     the series length; radius 0 returns a copy.
     """
-    x = as_series(series)
-    n = x.size
-    radius = int(radius)
-    if radius < 0:
-        raise UsageError("radius must be non-negative")
+    n = series.size
     if radius >= n:
         raise DataError(f"radius {radius} must be below the series length {n}")
     if radius == 0:
-        return x.copy()
+        return series.copy()
     # Center on the first sample so constant series come back bit-exact.
-    base = x[0]
-    csum = np.concatenate(([0.0], np.cumsum(x - base)))
+    base = series[0]
+    csum = np.concatenate(([0.0], np.cumsum(series - base)))
     idx = np.arange(n)
     lo = np.maximum(idx - radius, 0)
     hi = np.minimum(idx + radius, n - 1)
     return base + (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
 
 
-def exponential_smoothing(series, alpha: float, radius: int) -> np.ndarray:
-    """Weighted window smoother with center weight alpha.
+def exponential_smoothing(series: np.ndarray, alpha: float, radius: int) -> np.ndarray:
+    """Weighted window smoother with center weight alpha in (0, 1].
 
     Interior samples become ``alpha*s[i] + beta*sum(s[i-j] + s[i+j])`` for
     j in 1..radius with ``beta = (1 - alpha)/(2*radius)``, so the weights
     add up to one. The first and last ``radius`` samples are copied
-    unchanged.
+    unchanged. ``radius`` must be at least 1 and smaller than the series
+    length.
     """
-    x = as_series(series)
-    n = x.size
-    radius = int(radius)
-    if not 0.0 < alpha <= 1.0:
-        raise UsageError(f"alpha must lie in (0, 1], got {alpha}")
-    if radius < 1:
-        raise UsageError("radius must be a positive integer")
+    n = series.size
     if radius >= n:
         raise DataError(f"radius {radius} must be below the series length {n}")
     if alpha == 1.0 or 2 * radius >= n:
         # No interior sample is further than radius from both ends, so the
         # boundary-copy rule covers the whole series.
-        return x.copy()
-    base = x[0]
-    d = x - base
+        return series.copy()
+    base = series[0]
+    d = series - base
     beta = (1.0 - alpha) / (2.0 * radius)
     acc = np.zeros(n - 2 * radius)
     for j in range(1, radius + 1):
         acc += d[radius - j : n - radius - j] + d[radius + j : n - radius + j]
-    out = x.copy()
+    out = series.copy()
     out[radius : n - radius] = base + (alpha * d[radius : n - radius] + beta * acc)
     return out
 

@@ -24,13 +24,7 @@ from .decomposition import (
     scaled_abscissa,
     validate_periods,
 )
-from .errors import (
-    ConstantSeriesError,
-    CycleTransferError,
-    DataError,
-    SeasonalityNotFoundError,
-    UsageError,
-)
+from .errors import ConstantSeriesError, CycleTransferError, DataError, SeasonalityNotFoundError
 from .seasonality import SeasonalityReport, analyze_series
 from .series import (
     MIN_RANGE,
@@ -41,6 +35,7 @@ from .series import (
     exponential_smoothing,
     mean_smoothing,
     normalize_minmax,
+    require_length,
 )
 from .tableio import PoseTable
 
@@ -118,10 +113,7 @@ class ChannelDiagnostics:
 
 def compute_lmin(ref_seg: PeriodSegmentation, target_seg: PeriodSegmentation) -> int:
     """Shortest period length across both segmentations."""
-    lengths = np.concatenate([ref_seg.period_lengths, target_seg.period_lengths])
-    if lengths.size == 0:
-        raise SeasonalityNotFoundError("no periods to derive an interval count from")
-    return int(lengths.min())
+    return int(min(ref_seg.period_lengths.min(), target_seg.period_lengths.min()))
 
 
 def _interval_of(offsets, length, l_min: int) -> np.ndarray:
@@ -144,20 +136,13 @@ def _interval_of(offsets, length, l_min: int) -> np.ndarray:
 def build_phi(segmentation: PeriodSegmentation, l_min: int) -> IntervalMap:
     """Map every segmented frame to its within-period interval.
 
+    ``l_min`` is at most the shortest period, as :func:`compute_lmin`
+    makes it, so every interval holds at least one frame of each period.
     Array code, O(frames): each frame's offset from its period start comes
     from np.repeat and :func:`_interval_of` turns it into the interval, so
     there is no loop over periods or frames.
     """
-    l_min = int(l_min)
-    if l_min < 1:
-        raise UsageError(f"l_min must be >= 1, got {l_min}")
     lengths = segmentation.period_lengths
-    short = np.flatnonzero(lengths < l_min)
-    if short.size:
-        start, end = segmentation.periods[short[0]]
-        raise DataError(
-            f"period [{start}, {end}) holds {end - start} frames, fewer than l_min={l_min}"
-        )
     frames = segmentation.covered_frames()
     starts = np.repeat(frames[np.cumsum(lengths) - lengths], lengths)
     interval = _interval_of(frames - starts, np.repeat(lengths, lengths), l_min) + 1
@@ -165,47 +150,29 @@ def build_phi(segmentation: PeriodSegmentation, l_min: int) -> IntervalMap:
     return IntervalMap(l_min=l_min, frames=frames, interval=interval, counts=counts)
 
 
-def extract_additive(values, trend, segmentation: PeriodSegmentation) -> np.ndarray:
+def extract_additive(
+    values: np.ndarray, trend: np.ndarray, segmentation: PeriodSegmentation
+) -> np.ndarray:
     """Residual values minus trend over the segmented frames only."""
-    y = as_series(values)
-    t = trend.values if isinstance(trend, TrendModel) else as_series(trend)
-    if y.size != t.size:
-        raise UsageError(f"values and trend lengths differ: {y.size} != {t.size}")
     frames = segmentation.covered_frames()
-    if frames.size and frames[-1] >= y.size:
-        raise UsageError(
-            f"segmentation reaches frame {frames[-1]} but series ends at {y.size - 1}"
-        )
-    return y[frames] - t[frames]
+    return values[frames] - trend[frames]
 
 
-def mean_additive_factor(residual, interval_map: IntervalMap) -> np.ndarray:
-    """Per-interval means of the residual, length l_min."""
-    a = as_series(residual, min_len=0 if interval_map.frames.size == 0 else 1)
-    if a.size != interval_map.frames.size:
-        raise UsageError(
-            f"residual has {a.size} values for {interval_map.frames.size} mapped frames"
-        )
-    counts = interval_map.counts
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        # Cannot happen when l_min came from compute_lmin and the map
-        # covers at least one period.
-        raise DataError(
-            f"interval {empty[0] + 1} of {interval_map.l_min} holds no samples"
-        )
-    sums = np.bincount(interval_map.interval - 1, weights=a, minlength=interval_map.l_min)
-    return sums / counts
+def mean_additive_factor(residual: np.ndarray, interval_map: IntervalMap) -> np.ndarray:
+    """Per-interval means of the residual (one value per mapped frame),
+    length l_min."""
+    sums = np.bincount(interval_map.interval - 1, weights=residual, minlength=interval_map.l_min)
+    return sums / interval_map.counts
 
 
 def apply_transfer(
-    trend,
-    mean_factor,
+    trend: np.ndarray,
+    mean_factor: np.ndarray,
     interval_map: IntervalMap,
     segmentation: PeriodSegmentation,
     reference_period: float,
 ) -> RefinedSeries:
-    """Add the mean pattern onto a trend, interval by interval.
+    """Add the mean pattern (l_min values) onto a trend, interval by interval.
 
     Inside detected periods the interval map decides which mean-factor
     entry lands on each frame. Frames outside the segmented region reuse
@@ -213,22 +180,12 @@ def apply_transfer(
     nearest whole frame, anchored at the nearest period boundary; those
     frames are flagged as extension rather than genuine transfer.
     """
-    t = trend.values if isinstance(trend, TrendModel) else as_series(trend)
-    factor = as_series(mean_factor)
-    if factor.size != interval_map.l_min:
-        raise UsageError(
-            f"mean factor has {factor.size} entries for l_min={interval_map.l_min}"
-        )
-    n = t.size
+    n = trend.size
     applied = np.empty(n)
     transferred = np.zeros(n, dtype=bool)
 
     frames = interval_map.frames
-    if frames.size and frames[-1] >= n:
-        raise UsageError(
-            f"interval map reaches frame {frames[-1]} but trend ends at {n - 1}"
-        )
-    applied[frames] = factor[interval_map.interval - 1]
+    applied[frames] = mean_factor[interval_map.interval - 1]
     transferred[frames] = True
 
     l_int = max(1, int(round(reference_period)))
@@ -243,13 +200,21 @@ def apply_transfer(
         anchor_idx = np.searchsorted(ends, outside, side="right") - 1
         anchors = np.where(anchor_idx < 0, first_start, ends[np.maximum(anchor_idx, 0)])
         offsets = (outside - anchors) % l_int
-        applied[outside] = factor[_interval_of(offsets, l_int, interval_map.l_min)]
-    values = t + applied
-    return RefinedSeries(values=values, trend=t.copy(), applied_factor=applied, transferred=transferred)
+        applied[outside] = mean_factor[_interval_of(offsets, l_int, interval_map.l_min)]
+    values = trend + applied
+    return RefinedSeries(values=values, trend=trend.copy(), applied_factor=applied, transferred=transferred)
 
 
 def _analyze_sequence(x: np.ndarray, cfg: RunConfig) -> SequenceDiagnostics:
     """Normalize, detect the cycle, fit the trend, segment into periods.
+
+    ``x`` is a finite 1-D float64 array, as a PoseTable column or
+    :func:`transfer_channel` provides it. The conditions on the sequence
+    are checked here, in this order: at least 2 samples; a range of at
+    least MIN_RANGE and a cyclic part left after ramp removal (both
+    ConstantSeriesError); at least 4 samples. The smoother then checks
+    its radius against n. The stages take what this function built
+    without checking it again.
 
     The trend stays in normalized units; a caller that needs it in
     original units denormalizes it with the diagnostics' scale.
@@ -260,16 +225,16 @@ def _analyze_sequence(x: np.ndarray, cfg: RunConfig) -> SequenceDiagnostics:
     Cycle detection runs on ramp-removed values: a least-squares line is
     subtracted first, because a ramp's spectral leakage into the lowest
     bins can outweigh a genuine cycle whose frequency falls between bins.
-    A series with nothing left after ramp removal raises
-    ConstantSeriesError just as a flat series does.
     """
     n = x.size
+    require_length(x, 2)
     normalized, scale = normalize_minmax(x)
     t_axis = scaled_abscissa(n)
     ramp = npoly.polyval(t_axis, npoly.polyfit(t_axis, normalized, 1))
     cyclic = normalized - ramp
     if float(np.ptp(cyclic)) < MIN_RANGE:
         raise ConstantSeriesError("series is a plain ramp, no cyclic part to analyze")
+    require_length(x, 4)
     report = analyze_series(cyclic)
     radius = cfg.smooth_radius
     if radius is None:
@@ -283,7 +248,7 @@ def _analyze_sequence(x: np.ndarray, cfg: RunConfig) -> SequenceDiagnostics:
     segmentation = None
     failure = None
     try:
-        crossovers = find_crossovers(smoothed, trend)
+        crossovers = find_crossovers(smoothed, trend.values)
         rising = [c.index for c in crossovers if c.direction == RISING]
         segmentation = validate_periods(rising, report.reference_period, cfg.alpha)
     except SeasonalityNotFoundError as exc:

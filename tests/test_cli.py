@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from cycletransfer.cli import cli_main
+from cycletransfer.cli import _config_from_args, build_parser, cli_main
+from cycletransfer.config import MAX_TREND_ORDER, RunConfig
 from cycletransfer.tableio import read_csv
 
 
@@ -201,3 +202,24 @@ def test_exit_code_follows_error_family(tmp_path, capsys, case, code, fragment):
     err = capsys.readouterr().err
     assert err.startswith("usage error: " if code == 1 else "error: ")
     assert fragment in err
+
+
+def test_max_order_cap_rejected_before_reading(tmp_path, capsys):
+    # --input names no file: exit 1 shows the config is checked before any
+    # file is opened (a missing file exits 2).
+    code = cli_main(
+        ["analyze", "--input", str(tmp_path / "none.csv"), "--report", str(tmp_path / "r.json"),
+         "--max-order", str(MAX_TREND_ORDER + 1)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"usage error: max_order must be <= {MAX_TREND_ORDER}, got 51\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--input", "in.csv", "--report", "r.json"],
+     ["transfer", "--ref", "a.csv", "--target", "b.csv", "--out", "o.csv"]],
+    ids=["analyze", "transfer"],
+)
+def test_tuning_flag_defaults_are_run_config_defaults(argv):
+    assert _config_from_args(build_parser().parse_args(argv)) == RunConfig()

@@ -11,7 +11,8 @@ from cycletransfer.decomposition import (
     scaled_abscissa,
     validate_periods,
 )
-from cycletransfer.errors import DataError, SeasonalityNotFoundError, UsageError
+from cycletransfer.config import MAX_TREND_ORDER, RunConfig
+from cycletransfer.errors import SeasonalityNotFoundError, UsageError
 
 
 def test_scaled_abscissa_endpoints():
@@ -19,8 +20,6 @@ def test_scaled_abscissa_endpoints():
     assert t[0] == -1.0
     assert t[-1] == 1.0
     assert t.size == 5
-    with pytest.raises(DataError, match="trend abscissa"):
-        scaled_abscissa(1)
 
 
 def test_fit_trend_exact_line():
@@ -72,12 +71,13 @@ def test_fit_trend_recovers_exact_polynomials(order):
 
 
 def test_fit_trend_validation():
-    with pytest.raises(DataError, match="more than max_order=5 samples"):
-        fit_trend(np.arange(5, dtype=float), 5, 1)
-    with pytest.raises(ValueError):
-        fit_trend(np.arange(10, dtype=float), 0, 1)
-    with pytest.raises(UsageError, match="cycle count bound f must be >= 1"):
-        fit_trend(np.arange(10, dtype=float), 3, 0)
+    # max_order is refused where the run's settings enter; the analysis
+    # caps it at n - 1 and passes the dominant bin, at least 1, as f.
+    with pytest.raises(UsageError, match="max_order must be >= 1, got 0"):
+        RunConfig(max_order=0)
+    with pytest.raises(UsageError, match=f"max_order must be <= {MAX_TREND_ORDER}, got 51"):
+        RunConfig(max_order=MAX_TREND_ORDER + 1)
+    assert RunConfig(max_order=MAX_TREND_ORDER).max_order == MAX_TREND_ORDER
 
 
 def test_find_crossovers_hand_example():
@@ -112,7 +112,7 @@ def test_find_crossovers_sin_with_trend_spacing():
     t = np.arange(80, dtype=float)
     x = np.sin(2.0 * np.pi * t / 16.0) + 0.01 * t
     model = fit_trend(x, 30, 5)
-    cross = find_crossovers(x, model)
+    cross = find_crossovers(x, model.values)
     rising = [c.index for c in cross if c.direction == RISING]
     gaps = np.diff(rising)
     assert gaps.size >= 3
@@ -167,12 +167,11 @@ def test_validate_periods_lengths_inside_window():
 
 
 def test_validate_periods_validation():
-    with pytest.raises(ValueError):
-        validate_periods([5, 3], 16.0, 0.8)
-    with pytest.raises(ValueError):
-        validate_periods([0, 16], -2.0, 0.8)
-    with pytest.raises(ValueError):
-        validate_periods([0, 16], 16.0, 1.5)
+    # alpha is refused where the run's settings enter; the candidates and
+    # the reference period come from the analysis, increasing and positive.
+    for alpha in (0.0, 1.0, 1.5):
+        with pytest.raises(UsageError, match=rf"alpha must lie in \(0, 1\), got {alpha}"):
+            RunConfig(alpha=alpha)
 
 
 def test_covered_frames_concatenates_periods():

@@ -17,7 +17,7 @@ from cycletransfer.decomposition import (
     find_crossovers,
     validate_periods,
 )
-from cycletransfer.errors import DataError, SeasonalityNotFoundError
+from cycletransfer.errors import SeasonalityNotFoundError
 from cycletransfer.seasonality import autocorrelation
 from cycletransfer.transfer import _interval_of, build_phi
 
@@ -148,11 +148,6 @@ def test_build_phi_matches_per_period_loop(l_min, extra, start):
     assert imap.counts.tolist() == np.bincount(np.array(interval, dtype=int) - 1, minlength=l_min).tolist()
     assert seg.covered_frames().tolist() == frames
     assert seg.period_lengths.tolist() == lengths
-
-
-def test_build_phi_names_first_short_period():
-    with pytest.raises(DataError, match=r"\[9, 11\)"):
-        build_phi(segmentation(0, [5, 4, 2, 1]), 3)
 
 
 @given(st.integers(1, 80), st.integers(1, 20))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cycletransfer.config import RunConfig
 from cycletransfer.errors import ConstantSeriesError, DataError, UsageError
 from cycletransfer.series import (
     ScaleParams,
@@ -43,32 +44,25 @@ def test_as_series_rejects_bad_input():
 
 
 def test_normalize_example():
-    normed, params = normalize_minmax([2.0, 4.0, 6.0])
+    normed, params = normalize_minmax(np.array([2.0, 4.0, 6.0]))
     np.testing.assert_allclose(normed, [0.0, 0.5, 1.0], atol=0)
     assert params == ScaleParams(2.0, 6.0)
 
 
 def test_normalize_already_unit_range():
-    normed, params = normalize_minmax([0.0, 1.0, 0.5])
+    normed, params = normalize_minmax(np.array([0.0, 1.0, 0.5]))
     np.testing.assert_array_equal(normed, [0.0, 1.0, 0.5])
     assert params == ScaleParams(0.0, 1.0)
 
 
 def test_normalize_constant_errors():
     with pytest.raises(ConstantSeriesError):
-        normalize_minmax([5.0, 5.0, 5.0])
+        normalize_minmax(np.array([5.0, 5.0, 5.0]))
 
 
 def test_denormalize_example():
-    restored = denormalize([0.0, 0.5, 1.0], ScaleParams(2.0, 6.0))
+    restored = denormalize(np.array([0.0, 0.5, 1.0]), ScaleParams(2.0, 6.0))
     np.testing.assert_allclose(restored, [2.0, 4.0, 6.0], atol=0)
-
-
-def test_scale_params_rejects_empty_range():
-    with pytest.raises(ValueError):
-        ScaleParams(3.0, 3.0)
-    with pytest.raises(ValueError):
-        ScaleParams(4.0, 1.0)
 
 
 @given(varied_series())
@@ -80,7 +74,7 @@ def test_normalize_round_trip(x):
 
 
 def test_mean_smoothing_example():
-    out = mean_smoothing([0.0, 0.0, 3.0, 0.0, 0.0], 1)
+    out = mean_smoothing(np.array([0.0, 0.0, 3.0, 0.0, 0.0]), 1)
     np.testing.assert_allclose(out, [0.0, 1.0, 1.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -92,10 +86,11 @@ def test_mean_smoothing_zero_radius_is_identity():
 
 
 def test_mean_smoothing_radius_validation():
-    with pytest.raises(ValueError):
-        mean_smoothing([1.0, 2.0], -1)
+    # A negative radius is refused where the run's settings enter.
+    with pytest.raises(UsageError, match="smooth_radius must be >= 0, got -1"):
+        RunConfig(smooth_radius=-1)
     with pytest.raises(DataError, match="radius 3 must be below the series length 3"):
-        mean_smoothing([1.0, 2.0, 3.0], 3)
+        mean_smoothing(np.array([1.0, 2.0, 3.0]), 3)
 
 
 @given(varied_series(min_size=3), st.integers(0, 5))
@@ -114,7 +109,7 @@ def test_mean_smoothing_preserves_constants(value, n, radius):
 
 
 def test_exponential_smoothing_example():
-    out = exponential_smoothing([0.0, 0.0, 3.0, 0.0, 0.0], 0.5, 1)
+    out = exponential_smoothing(np.array([0.0, 0.0, 3.0, 0.0, 0.0]), 0.5, 1)
     np.testing.assert_allclose(out, [0.0, 0.75, 1.5, 0.75, 0.0], atol=1e-12)
 
 
@@ -124,14 +119,16 @@ def test_exponential_smoothing_alpha_one_is_identity():
 
 
 def test_exponential_smoothing_alpha_validation():
-    with pytest.raises(UsageError, match=r"alpha must lie in \(0, 1\], got 0\.0"):
-        exponential_smoothing([1.0, 2.0, 3.0], 0.0, 1)
-    with pytest.raises(UsageError, match=r"alpha must lie in \(0, 1\], got 1\.5"):
-        exponential_smoothing([1.0, 2.0, 3.0], 1.5, 1)
-    with pytest.raises(ValueError):
-        exponential_smoothing([1.0, 2.0, 3.0], 0.5, 0)
+    # alpha and a zero radius are refused where the run's settings enter;
+    # only the radius against the series length depends on the series.
+    with pytest.raises(UsageError, match=r"exp_alpha must lie in \(0, 1\], got 0\.0"):
+        RunConfig(exp_alpha=0.0)
+    with pytest.raises(UsageError, match=r"exp_alpha must lie in \(0, 1\], got 1\.5"):
+        RunConfig(exp_alpha=1.5)
+    with pytest.raises(UsageError, match="smooth_radius must be >= 1 for exponential smoothing"):
+        RunConfig(smooth_kind="exponential", smooth_radius=0)
     with pytest.raises(DataError, match="radius 3 must be below the series length 3"):
-        exponential_smoothing([1.0, 2.0, 3.0], 0.5, 3)
+        exponential_smoothing(np.array([1.0, 2.0, 3.0]), 0.5, 3)
 
 
 @given(

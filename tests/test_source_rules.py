@@ -37,3 +37,38 @@ def test_package_raises_only_family_errors():
             if raised not in FAMILY_ERRORS and (path.name, raised) not in ALLOWED_RAISES:
                 found.append(f"{path.name}:{node.lineno} raises {raised}")
     assert found == []
+
+
+# Raw arrays are checked once, where they enter the pipeline; the stages
+# take the arrays the pipeline built. (file, function) pairs allowed to
+# call as_series:
+AS_SERIES_CALLERS = {("transfer.py", "transfer_channel")}
+
+
+def _callers(tree, name):
+    """(enclosing function, line) of every call to ``name`` in a module."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_as_series_called_only_at_the_boundary():
+    sources = sorted(PACKAGE.glob("*.py"))
+    calls = [
+        (path.name, function, line)
+        for path in sources
+        for function, line in _callers(ast.parse(path.read_text(encoding="utf-8"), str(path)), "as_series")
+    ]
+    assert {(name, function) for name, function, _ in calls} == AS_SERIES_CALLERS, calls

@@ -13,7 +13,6 @@ from cycletransfer.transfer import (
     STATUS_PASSTHROUGH,
     STATUS_SKIPPED,
     STATUS_TRANSFERRED,
-    IntervalMap,
     analyze_table,
     apply_transfer,
     build_phi,
@@ -73,13 +72,6 @@ def test_build_phi_counts_match_period_frames():
     assert imap.frames.size == 30
 
 
-def test_build_phi_rejects_short_period():
-    with pytest.raises(DataError, match=r"period \[5, 7\) holds 2 frames, fewer than l_min=3"):
-        build_phi(seg_from_lengths([5, 2], 5), 3)
-    with pytest.raises(ValueError):
-        build_phi(seg_from_lengths([5], 5), 0)
-
-
 def test_extract_additive_zero_residual():
     trend = np.linspace(0.0, 5.0, 32)
     seg = seg_from_lengths([16, 16], 16)
@@ -109,14 +101,6 @@ def test_extract_additive_restricts_to_segmented_frames():
     np.testing.assert_array_equal(out, t[4:20])
 
 
-def test_extract_additive_length_mismatch():
-    seg = seg_from_lengths([16], 16)
-    with pytest.raises(UsageError, match="lengths differ: 20 != 19"):
-        extract_additive(np.zeros(20), np.zeros(19), seg)
-    with pytest.raises(UsageError, match="reaches frame 15 but series ends at 9"):
-        extract_additive(np.zeros(10), np.zeros(10), seg)
-
-
 def test_mean_factor_identical_periods():
     seg = seg_from_lengths([4, 4], 4)
     imap = build_phi(seg, 4)
@@ -142,22 +126,6 @@ def test_mean_factor_matches_group_by_oracle():
         [residual[imap.interval == j].mean() for j in range(1, 5)]
     )
     np.testing.assert_allclose(got, expected, rtol=1e-12)
-
-
-def test_mean_factor_length_mismatch():
-    imap = build_phi(seg_from_lengths([4], 4), 4)
-    with pytest.raises(UsageError, match="residual has 3 values for 4 mapped frames"):
-        mean_additive_factor(np.zeros(3), imap)
-
-
-def test_mean_factor_empty_interval_is_an_error():
-    # Interval 3 of 3 gets no frame; a real error, not an assert, so the
-    # check survives python -O instead of returning nan.
-    imap = IntervalMap(
-        l_min=3, frames=np.arange(4), interval=np.array([1, 1, 2, 2]), counts=np.array([2, 2, 0])
-    )
-    with pytest.raises(DataError, match="interval 3 of 3"):
-        mean_additive_factor(np.ones(4), imap)
 
 
 def test_apply_transfer_zero_factor_returns_trend():
@@ -202,13 +170,6 @@ def test_apply_transfer_extension_is_periodic():
     factor = np.array([1.0, 2.0, 3.0, 4.0])
     refined = apply_transfer(np.zeros(16), factor, imap, seg, 4.0)
     np.testing.assert_array_equal(refined.values, np.tile(factor, 4))
-
-
-def test_apply_transfer_factor_length_mismatch():
-    seg = seg_from_lengths([4], 4)
-    imap = build_phi(seg, 4)
-    with pytest.raises(UsageError, match="mean factor has 3 entries for l_min=4"):
-        apply_transfer(np.zeros(8), np.zeros(3), imap, seg, 4.0)
 
 
 @given(st.integers(3, 8), st.integers(0, 2 ** 16))
@@ -460,3 +421,75 @@ def test_run_config_rejects_exponential_zero_radius():
         RunConfig(smooth_kind="exponential", smooth_radius=0)
     assert RunConfig(smooth_kind="mean", smooth_radius=0).smooth_radius == 0
     assert RunConfig(smooth_kind="exponential", smooth_radius=None).smooth_radius is None
+
+
+DYADIC_STEP = 2.0 ** -10
+
+
+@st.composite
+def dyadic_pairs(draw):
+    """Reference and target channels of one period whose values are
+    multiples of 2**-10 below 2**20 in magnitude, so adding an integer or
+    scaling by a power of two is exact."""
+    period = draw(st.integers(6, 24))
+    amplitude = draw(st.floats(0.5, 100.0))
+    slope = draw(st.floats(-0.02, 0.02))
+    noise = draw(st.sampled_from([0.0, 0.05, 0.3, 2.0]))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+
+    def channel(n):
+        t = np.arange(n, dtype=float)
+        x = amplitude * (phase_shifted_sin(n, period) + slope * t + noise * rng.standard_normal(n))
+        return np.round(x / DYADIC_STEP) * DYADIC_STEP
+
+    return channel(draw(st.integers(3 * period, 8 * period))), channel(draw(st.integers(3 * period, 12 * period)))
+
+
+def _segmentations(diag):
+    return [
+        None if seq.segmentation is None else seq.segmentation.periods
+        for seq in (diag.reference, diag.target)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dyadic_pairs(), st.integers(-(2**20), 2**20), st.integers(-8, 8))
+def test_transfer_commutes_with_target_shift_and_reference_scale(pair, d, k):
+    reference, target = pair
+    a = 2.0**k
+    base, base_diag = transfer_channel(reference, target)
+    shifted, shifted_diag = transfer_channel(reference, target + d)
+    scaled, scaled_diag = transfer_channel(reference * a, target)
+    for diag in (shifted_diag, scaled_diag):
+        assert diag.status == base_diag.status
+        assert _segmentations(diag) == _segmentations(base_diag)
+    # Target + d: the pattern is unchanged and the output moves by d.
+    np.testing.assert_array_equal(shifted.applied_factor, base.applied_factor)
+    np.testing.assert_allclose(shifted.values - d, base.values, rtol=0, atol=1e-9 * (1 + abs(d)))
+    # Reference * a: the pattern scales by a, the target's trend stays.
+    np.testing.assert_array_equal(scaled.applied_factor, a * base.applied_factor)
+    np.testing.assert_array_equal(scaled.trend, base.trend)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dyadic_pairs())
+def test_pipeline_builds_what_the_stages_assume(pair):
+    # The stages do not check their inputs; these are the conditions the
+    # analysis makes true for them.
+    reference, target = pair
+    _, diag = transfer_channel(reference, target)
+    for seq, n in ((diag.reference, reference.size), (diag.target, target.size)):
+        assert 1 <= seq.report.dominant_frequency <= n // 2
+        assert seq.report.acf.size == n // 2 + 1
+        assert seq.trend.values.size == n
+        assert 1 <= seq.smooth_radius < n
+        if seq.segmentation is not None:
+            starts = seq.segmentation.period_starts
+            assert np.all(np.diff(starts) > 0) and starts[0] >= 0 and starts[-1] <= n
+            assert seq.segmentation.reference_period > 0
+    if diag.status == STATUS_TRANSFERRED:
+        for seq in (diag.reference, diag.target):
+            assert 1 <= diag.l_min <= seq.segmentation.period_lengths.min()
+        assert diag.factor.raw.size == diag.factor.frames.size
+        assert diag.factor.mean_factor.size == diag.l_min
+        assert np.all(np.isfinite(diag.factor.mean_factor))
