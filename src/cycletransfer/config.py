@@ -42,6 +42,8 @@ class RunConfig:
             raise UsageError(f"max_order must be <= {MAX_TREND_ORDER}, got {self.max_order}")
         if self.smooth_radius is not None and not self.smooth_radius >= 0:
             raise UsageError(f"smooth_radius must be >= 0, got {self.smooth_radius}")
+        if self.smooth_radius == float("inf"):
+            raise UsageError("smooth_radius must be finite, got inf")
         # The stages count and slice with these, so they are held as ints.
         object.__setattr__(self, "max_order", int(self.max_order))
         if self.smooth_radius is not None:

@@ -47,12 +47,16 @@ def normalize_minmax(series: np.ndarray) -> tuple[np.ndarray, ScaleParams]:
     """Map a series onto [0, 1] and return the bounds used.
 
     The minimum maps to exactly 0 and the maximum to exactly 1. A series
-    whose range falls below ``MIN_RANGE`` raises ConstantSeriesError.
+    whose range falls below ``MIN_RANGE`` raises ConstantSeriesError; one
+    whose range overflows float64, which would make every sample NaN,
+    raises DataError.
     """
     lo = float(series.min())
     hi = float(series.max())
     if hi - lo < MIN_RANGE:
         raise ConstantSeriesError(f"series range {hi - lo:g} is below {MIN_RANGE:g}")
+    if hi - lo == np.inf:
+        raise DataError(f"series range from min {lo:g} to max {hi:g} overflows float64")
     return (series - lo) / (hi - lo), ScaleParams(lo, hi)
 
 

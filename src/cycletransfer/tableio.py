@@ -1,4 +1,4 @@
-"""Multi-channel tables, CSV and JSON serialization, synthetic data.
+r"""Multi-channel tables, CSV and JSON serialization, synthetic data.
 
 CSV grammar: a header line ``frame,<name1>,<name2>,...`` followed by one
 row per frame. The frame column counts 0, 1, 2, ... without gaps; every
@@ -8,15 +8,23 @@ tolerances for pose-scale values.
 
 ``read_csv`` first tries a block parser that splits about 64 KiB of lines
 at a time on commas and converts every value cell with ``float``. It
-takes a file only when the file holds no ``"`` and no ``\r``, every line
-(the last one too) ends in ``\n``, the header starts with ``frame`` and
-names no channel twice or blank, every row has exactly one comma per
-channel, every frame cell is written as ``str(i)`` for its row i, no cell
-is longer than ``csv.field_size_limit()``, every value cell parses and
-every value is finite. Any other file, valid or not, goes to the
-line-precise ``csv.reader`` parser, which is the one source of every
-error message, so both paths give the same table or the same error.
-``write_csv`` formats a block of rows with one format string.
+takes a file only when the file holds no ``"``, every line (the last one
+too) ends in the header's line end, ``\n`` or ``\r\n``, with no other
+``\r`` anywhere, the header starts with ``frame`` and names no channel
+twice or blank, every row has exactly one comma per channel (counted for
+all lines of a block by array code), every frame cell is written as
+``str(i)`` for its row i, no cell is longer than
+``csv.field_size_limit()``, every value cell parses and every value is
+finite. Any other file, valid or not, goes to the line-precise
+``csv.reader`` parser, which is the one source of every error message, so
+both paths give the same table or the same error.
+
+Both writers give the bytes of the plain per-row and per-value
+formatting they replace, with the per-value work in C: ``write_csv``
+formats a block of rows with one ``%`` format string that holds the frame
+numbers as literals, and ``write_report`` lays out the two object levels
+of ``json.dumps(..., indent=2)`` itself and encodes each array with
+json's C encoder.
 """
 
 from __future__ import annotations
@@ -120,11 +128,13 @@ def _read_csv_blocks(path) -> PoseTable | None:
     n_frames = 0
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            names = _plain_header(fh.readline(), limit)
+            header = fh.readline()
+            crlf = header.endswith("\r\n")
+            names = _plain_header(header, crlf, limit)
             if names is None:
                 return None
             while lines := fh.readlines(READ_BLOCK_CHARS):
-                block = _parse_block(lines, n_frames, len(names), limit)
+                block = _parse_block(lines, crlf, n_frames, len(names), limit)
                 if block is None:
                     return None
                 blocks.append(block)
@@ -138,15 +148,26 @@ def _read_csv_blocks(path) -> PoseTable | None:
     return PoseTable(names, values)
 
 
-def _is_plain(text: str) -> bool:
-    """Whether text is whole lines that csv.reader splits on commas alone:
-    no quote, no carriage return, and a newline at the end."""
-    return text.endswith("\n") and '"' not in text and "\r" not in text
+def _plain_text(text: str, crlf: bool) -> str | None:
+    r"""text with ``\n`` line ends if it is whole lines that csv.reader
+    splits on commas alone, else None: no quote, and every line ended by
+    ``\r\n`` (crlf) or ``\n`` (not crlf), with no other carriage return.
+    """
+    if crlf:
+        # With every \r\n made \n and no \r left, each \r stood before a
+        # \n; equal counts make each \n stand after a \r.
+        if text.count("\r") != text.count("\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    if text.endswith("\n") and '"' not in text and "\r" not in text:
+        return text
+    return None
 
 
-def _plain_header(line: str, limit: int) -> list[str] | None:
+def _plain_header(line: str, crlf: bool, limit: int) -> list[str] | None:
     """Channel names of a header line the block parser takes, else None."""
-    if not _is_plain(line):
+    line = _plain_text(line, crlf)
+    if line is None:
         return None
     cells = line[:-1].split(",")
     names = cells[1:]
@@ -160,15 +181,23 @@ def _plain_header(line: str, limit: int) -> list[str] | None:
     return names
 
 
-def _parse_block(lines: list[str], first_frame: int, n_channels: int, limit: int):
+def _parse_block(lines: list[str], crlf: bool, first_frame: int, n_channels: int, limit: int):
     """Values of consecutive body lines as one flat array, else None.
 
     With plain text and exactly n_channels commas per line, the cells
     below are the cells csv.reader would give and ``float`` gives its
     values.
     """
-    text = "".join(lines)
-    if not _is_plain(text) or any(line.count(",") != n_channels for line in lines):
+    text = _plain_text("".join(lines), crlf)
+    if text is None:
+        return None
+    # Every line holds n_channels commas exactly when the k-th newline has
+    # k * n_channels commas before it. In UTF-8 no byte of a multi-byte
+    # character is a comma or a newline.
+    raw = np.frombuffer(text.encode(), np.uint8)
+    newlines = np.flatnonzero(raw == 10)
+    commas_before = np.searchsorted(np.flatnonzero(raw == 44), newlines)
+    if not np.array_equal(commas_before, n_channels * np.arange(1, newlines.size + 1)):
         return None
     cells = text[:-1].replace("\n", ",").split(",")
     # No cell is longer than its line, so cells are measured only when a
@@ -269,8 +298,9 @@ def write_csv(table: PoseTable, path) -> None:
 
     csv.writer writes the header, so names holding a comma or a quote
     come out quoted. The body rows ``i,v1,...,vC`` are formatted a block
-    at a time with one ``%`` format string, which gives the same text as
-    formatting each value with ``f"{v:.9g}"``.
+    at a time with one ``%`` format string that holds the frame numbers
+    as literals, which gives the same bytes as writing ``str(i)`` and
+    formatting each value with ``f"{v:.9g}"`` row by row.
     """
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(["frame"] + list(table.channel_names))
@@ -280,23 +310,29 @@ def write_csv(table: PoseTable, path) -> None:
 def _csv_body(values: np.ndarray):
     """Yield the body rows of a table, about WRITE_BLOCK_CELLS cells per string."""
     n, c = values.shape
-    row_fmt = "%d" + ",%.9g" * c + "\n"
+    row_end = ",%.9g" * c + "\n"
     step = max(1, WRITE_BLOCK_CELLS // (c + 1))
-    block = np.empty((min(step, n), c + 1))
     for start in range(0, n, step):
-        rows = min(step, n - start)
-        block[:rows, 0] = np.arange(start, start + rows)
-        block[:rows, 1:] = values[start : start + rows]
-        yield (row_fmt * rows) % tuple(block[:rows].ravel().tolist())
+        stop = min(start + step, n)
+        # "0" + row_end + "1" + row_end + ...: each frame number, then the
+        # formats of its values and the newline.
+        fmt = row_end.join(itertools.chain(map(str, range(start, stop)), [""]))
+        yield fmt % tuple(values[start:stop].ravel().tolist())
 
 
 def write_report(diagnostics, path) -> None:
-    """Dump per-channel diagnostics as JSON with a fixed key order.
+    r"""Dump per-channel diagnostics as JSON with a fixed key order.
 
     ``diagnostics`` maps channel name to a ChannelDiagnostics; channels
     appear in mapping order. Fields that were never computed (filtered or
     skipped channels) are null. Array fields are plain lists, ready to
     plot.
+
+    The text is the bytes of ``json.dumps(entries, indent=2) + "\n"``.
+    That call would run json's pure-Python encoder, which ``indent``
+    selects, over every float; here the two object levels are laid out
+    directly and each array goes through the C encoder, with the list
+    indent as its item separator.
     """
     out = {}
     for name, diag in diagnostics.items():
@@ -325,7 +361,37 @@ def write_report(diagnostics, path) -> None:
         if diag.factor is not None:
             entry["mean_factor"] = diag.factor.mean_factor.tolist()
         out[name] = entry
-    _write_text_atomic(path, [json.dumps(out, indent=2) + "\n"])
+    _write_text_atomic(path, _report_text(out))
+
+
+# Runs json's C encoder (it takes no indent); the separator puts each list
+# item on its own line at the depth of an entry's array items.
+_LIST_ENCODER = json.JSONEncoder(separators=(",\n" + " " * 6, ": "))
+
+
+def _report_text(out: dict):
+    r"""Yield the text of ``json.dumps(out, indent=2) + "\n"`` for a mapping
+    of channel name to entry, an entry being a non-empty dict of scalars,
+    None and lists of scalars; one string per channel."""
+    if not out:
+        yield "{}\n"
+        return
+    head = "{\n  "
+    for name, entry in out.items():
+        fields = ",\n    ".join(f"{json.dumps(key)}: {_json_field(v)}" for key, v in entry.items())
+        yield f"{head}{json.dumps(name)}: {{\n    {fields}\n  }}"
+        head = ",\n  "
+    yield "\n}\n"
+
+
+def _json_field(value) -> str:
+    """One entry value as ``json.dumps(..., indent=2)`` lays it out inside
+    an entry."""
+    if not isinstance(value, list):
+        return json.dumps(value)
+    if not value:
+        return "[]"
+    return "[\n      " + _LIST_ENCODER.encode(value)[1:-1] + "\n    ]"
 
 
 @dataclass(frozen=True)

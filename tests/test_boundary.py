@@ -28,6 +28,19 @@ def _analyze(values, *flags):
     return run
 
 
+def _transfer(values):
+    def run(tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("frame,c\n" + "".join(f"{i},{v:.9g}\n" for i, v in enumerate(values)))
+        report = tmp_path / "r.json"
+        code = cli_main(["transfer", "--ref", str(path), "--target", str(path),
+                         "--out", str(tmp_path / "o.csv"), "--report", str(report)])
+        assert not report.exists()
+        return code, capsys.readouterr().err
+
+    return run
+
+
 def _transfer_channel(reference, target):
     def run(tmp_path, capsys):
         try:
@@ -56,6 +69,12 @@ def _transfer_channel(reference, target):
             "error: channel 'c': radius 400 must be below the series length 200\n",
         ),
         (
+            # max - min overflows to inf: no NaN-filled report, no skip.
+            _transfer(1.5e308 * _wave(200)),
+            2,
+            "error: channel 'c': series range from min -1.47118e+308 to max 1.47118e+308 overflows float64\n",
+        ),
+        (
             _transfer_channel(np.where(np.arange(80) == 5, np.nan, _wave(80)), _wave(80)),
             2,
             "error: series contains NaN or infinite samples\n",
@@ -77,6 +96,7 @@ def _transfer_channel(reference, target):
         "analyze_3_frames",
         "mean_radius_400_of_200",
         "exponential_radius_400_of_200",
+        "transfer_range_overflow",
         "transfer_channel_nan",
         "transfer_channel_2d",
         "transfer_channel_7_frames",

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycletransfer.config import RunConfig
-from cycletransfer.errors import DataError, UsageError
+from cycletransfer.errors import CycleTransferError, DataError, UsageError
 from cycletransfer.tableio import (
     READ_BLOCK_CHARS,
     PoseTable,
@@ -209,6 +210,98 @@ def test_write_report_bytes_are_pinned(tmp_path):
     assert path.read_text() == json.dumps(old, indent=2) + "\n"
 
 
+REPORT_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308]
+report_floats = st.sampled_from(REPORT_FLOATS) | st.floats()
+report_arrays = st.lists(report_floats, max_size=4).map(lambda v: np.array(v, dtype=float))
+# Names json must escape: quote, backslash, control and non-ASCII characters.
+report_names = st.sampled_from(['"', "\\", "\x00\x1f\n", "é", "名", "\u2028", "\U0001f600"])
+report_names |= st.text(min_size=1)
+
+
+@st.composite
+def report_diagnostics(draw):
+    """ChannelDiagnostics look-alikes with every field write_report reads."""
+    diagnostics = {}
+    for name in draw(st.lists(report_names, max_size=3, unique=True)):
+        target = None
+        if draw(st.booleans()):
+            starts = draw(st.none() | st.lists(st.integers(0, 2**40), max_size=4).map(np.array))
+            target = SimpleNamespace(
+                report=SimpleNamespace(
+                    dominant_frequency=np.int64(draw(st.integers(0, 2**40))),
+                    reference_period=np.float64(draw(report_floats)),
+                    acf=draw(report_arrays),
+                    spectrum=draw(report_arrays),
+                ),
+                trend=SimpleNamespace(order=draw(st.integers(0, 50))),
+                segmentation=None if starts is None else SimpleNamespace(period_starts=starts),
+            )
+        diagnostics[name] = SimpleNamespace(
+            status=draw(st.sampled_from(["transferred", "passthrough"]) | st.text()),
+            target=target,
+            l_min=draw(st.none() | st.integers(1, 2**40)),
+            factor=draw(st.none() | report_arrays.map(lambda a: SimpleNamespace(mean_factor=a))),
+        )
+    return diagnostics
+
+
+def report_oracle(diagnostics) -> bytes:
+    """json.dumps(indent=2) of the same entries, lists built per element."""
+    out = {}
+    for name, diag in diagnostics.items():
+        seq = diag.target
+        segmentation = None if seq is None else seq.segmentation
+        out[name] = {
+            "dominant_frequency": None if seq is None else int(seq.report.dominant_frequency),
+            "reference_period": None if seq is None else float(seq.report.reference_period),
+            "acf": None if seq is None else [float(v) for v in seq.report.acf],
+            "spectrum": None if seq is None else [float(v) for v in seq.report.spectrum],
+            "trend_order": None if seq is None else int(seq.trend.order),
+            "period_starts": (
+                None if segmentation is None else [int(p) for p in segmentation.period_starts]
+            ),
+            "l_min": diag.l_min,
+            "mean_factor": None if diag.factor is None else [float(v) for v in diag.factor.mean_factor],
+            "status": diag.status,
+        }
+    return (json.dumps(out, indent=2) + "\n").encode("utf-8")
+
+
+def test_write_report_empty_mapping(tmp_path):
+    write_report({}, tmp_path / "r.json")
+    assert (tmp_path / "r.json").read_bytes() == b"{}\n" == report_oracle({})
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagnostics=report_diagnostics())
+def test_write_report_matches_indent_oracle(tmp_path_factory, diagnostics):
+    path = tmp_path_factory.getbasetemp() / "report.json"
+    write_report(diagnostics, path)
+    assert path.read_bytes() == report_oracle(diagnostics)
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(8, 40), n_channels=st.integers(1, 2))
+def test_report_of_a_finite_table_is_strict_json(tmp_path_factory, data, n, n_channels):
+    # Every finite table either is rejected with a family error or gives a
+    # report without the NaN/Infinity tokens strict JSON parsers refuse.
+    cell = st.sampled_from(EXTREME_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    values = np.array(data.draw(st.lists(cell, min_size=n * n_channels, max_size=n * n_channels)))
+    table = PoseTable([f"c{j}" for j in range(n_channels)], values.reshape(n, n_channels))
+    path = tmp_path_factory.getbasetemp() / "strict.json"
+    for run in (lambda: analyze_table(table), lambda: transfer_table(table, table)[1]):
+        try:
+            diagnostics = run()
+        except CycleTransferError:
+            continue
+        write_report(diagnostics, path)
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
 def test_synth_deterministic():
     spec = SynthSpec(n=96, period=12, trend_slope=0.05, amplitude=2.0, noise_sigma=0.3, seed=5)
     a = synth_generate(spec)
@@ -332,7 +425,9 @@ def test_write_csv_matches_per_row_oracle(tmp_path_factory, table):
 
 def test_write_csv_matches_oracle_across_blocks(tmp_path):
     rng = np.random.Generator(np.random.PCG64(4))
-    for shape in [(40_000, 1), (700, 61), (3, 20_000)]:
+    # (8_193, 1) and (16_385, 0) end one row into a second block, whose
+    # frame numbers must carry on from the first.
+    for shape in [(40_000, 1), (700, 61), (3, 20_000), (8_193, 1), (16_385, 0)]:
         table = PoseTable([f"c{j}" for j in range(shape[1])], rng.standard_normal(shape) * 1e3)
         write_csv(table, tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == write_csv_oracle(table)
@@ -342,10 +437,18 @@ def test_write_csv_matches_oracle_across_blocks(tmp_path):
 # commas would disagree with csv.reader or with the line checks.
 FAST_PATH_TRAPS = {
     "balanced_cell_counts": b"frame,a,b\n0,1\n1,2,3,4\n",
+    # The right comma total, and frame cells in their places once the
+    # block is split on commas and newlines, but 2 and 0 commas per line.
+    "balanced_shifted_cells": b"frame,a\n0,1,1\n2\n",
     "over_field_limit": b"frame,a\n0," + b"0" * 140_000 + b"1\n",
     "blank_line": b"frame,a\n0,1\n\n1,2\n",
     "blank_last_line": b"frame,a\n0,1\n\n",
-    "crlf": b"frame,a\r\n0,1\r\n1,2\r\n",
+    "crlf_one_lf_line": b"frame,a\r\n0,1\n1,2\r\n",
+    "crlf_header_lf_body": b"frame,a\r\n0,1\n1,2\n",
+    "lf_header_crlf_body": b"frame,a\n0,1\r\n1,2\r\n",
+    "crlf_trailing_bare_cr": b"frame,a\r\n0,1\r\n1,2\r",
+    "crlf_lone_cr": b"frame,a\r\n0,1\r1,2\r\n",
+    "crlf_cr_in_cell": b"frame,a\r\n0,1\r\r\n1,2\r\n",
     "quoted_cell": b'frame,a\n0,"1"\n1,2\n',
     "quoted_header": b'frame,"a,b"\n0,1\n',
     "frame_plus": b"frame,a\n+0,1\n1,2\n",
@@ -384,6 +487,18 @@ def test_read_csv_block_parser_takes_plain_files(tmp_path):
     assert parse_outcome(lambda _: table, path) == parse_outcome(_read_csv_lines, path)
 
 
+@pytest.mark.parametrize("data", ["crlf", "crlf_long"], ids=str)
+def test_read_csv_block_parser_takes_crlf_files(tmp_path, data):
+    path = tmp_path / "t.csv"
+    if data == "crlf":
+        path.write_bytes(b"frame,a\r\n0,1\r\n1,2\r\n")
+    else:
+        path.write_bytes(_long_table_bytes().replace(b"\n", b"\r\n"))
+    table = _read_csv_blocks(path)
+    assert table is not None
+    assert parse_outcome(lambda _: table, path) == parse_outcome(_read_csv_lines, path)
+
+
 @pytest.mark.parametrize(
     "line",
     ["3000,1,2", "3001,1,2,3", "+3000,1,2,3", "3000,1,2,nan", '3000,1,"2",3', "3000,1,2,3\r", ""],
@@ -397,19 +512,44 @@ def test_read_csv_trap_deep_in_file(tmp_path, line):
     assert parse_outcome(read_csv, path) == parse_outcome(_read_csv_lines, path)
 
 
+@pytest.mark.parametrize(
+    "row, end",
+    [("3000,1,2", "\r\n"), ("3000,1,2,3", "\n"), ("3000,1,2,3", "\r"), ("3000,1\r,2,3", "\r\n"),
+     ('3000,1,"2",3', "\r\n"), ("+3000,1,2,3", "\r\n")],
+    ids=["short_row", "lf_end", "cr_end", "cr_in_cell", "quoted_cell", "frame_plus"],
+)
+def test_read_csv_crlf_trap_deep_in_file(tmp_path, row, end):
+    lines = _long_table_bytes().decode().split("\n")[:-1]
+    ends = ["\r\n"] * len(lines)
+    lines[3001], ends[3001] = row, end  # the row of frame 3000, past the first blocks
+    path = tmp_path / "t.csv"
+    path.write_text("".join(map(str.__add__, lines, ends)), encoding="utf-8", newline="")
+    assert _read_csv_blocks(path) is None
+    assert parse_outcome(read_csv, path) == parse_outcome(_read_csv_lines, path)
+
+
 @st.composite
 def written_tables(draw):
-    """write_csv output, as is or with a cell damaged or a line end changed."""
+    """write_csv output, as is or with a cell damaged or a line end changed,
+    with LF or CRLF line ends."""
     data = write_csv_oracle(draw(tables()))
-    action = draw(st.sampled_from(["none", "damage", "crlf", "strip_newline", "blank_line"]))
+    action = draw(st.sampled_from(["none", "damage", "strip_newline", "blank_line"]))
     if action == "damage":
-        return _damage(draw, [line.split(b",") for line in data.split(b"\n")[:-1]])
-    if action == "crlf":
-        return data.replace(b"\n", b"\r\n")
-    if action == "strip_newline":
-        return data[:-1]
-    if action == "blank_line":
-        return data + b"\n"
+        data = _damage(draw, [line.split(b",") for line in data.split(b"\n")[:-1]])
+    elif action == "strip_newline":
+        data = data[:-1]
+    elif action == "blank_line":
+        data += b"\n"
+    kind = draw(st.sampled_from(["lf", "crlf", "crlf_one_lf_line", "crlf_trailing_bare_cr"]))
+    if kind == "lf":
+        return data
+    lines = data.split(b"\n")
+    ends = [b"\r\n"] * (len(lines) - 1) + [b""]
+    if kind == "crlf_one_lf_line" and len(lines) > 1:
+        ends[draw(st.integers(0, len(lines) - 2))] = b"\n"
+    data = b"".join(map(bytes.__add__, lines, ends))
+    if kind == "crlf_trailing_bare_cr" and data.endswith(b"\r\n"):
+        data = data[:-1]
     return data
 
 

@@ -60,6 +60,14 @@ def test_normalize_constant_errors():
         normalize_minmax(np.array([5.0, 5.0, 5.0]))
 
 
+def test_normalize_rejects_range_overflow():
+    # max - min is inf, which would make every normalized sample NaN.
+    with pytest.raises(DataError, match=r"range from min -1.5e\+308 to max 1.5e\+308 overflows float64"):
+        normalize_minmax(np.array([-1.5e308, 0.0, 1.5e308]))
+    normed, _ = normalize_minmax(np.array([-0.8e308, 0.0, 0.8e308]))
+    np.testing.assert_array_equal(normed, [0.0, 0.5, 1.0])
+
+
 def test_denormalize_example():
     restored = denormalize(np.array([0.0, 0.5, 1.0]), ScaleParams(2.0, 6.0))
     np.testing.assert_allclose(restored, [2.0, 4.0, 6.0], atol=0)

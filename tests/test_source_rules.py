@@ -72,3 +72,16 @@ def test_as_series_called_only_at_the_boundary():
         for function, line in _callers(ast.parse(path.read_text(encoding="utf-8"), str(path)), "as_series")
     ]
     assert {(name, function) for name, function, _ in calls} == AS_SERIES_CALLERS, calls
+
+
+def test_package_never_asks_json_for_an_indent():
+    # indent makes json run its pure-Python encoder over every float; the
+    # report lays out its indent itself and encodes through the C encoder.
+    sources = sorted(PACKAGE.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Call) and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+    assert found == []

@@ -423,6 +423,19 @@ def test_run_config_rejects_exponential_zero_radius():
     assert RunConfig(smooth_kind="exponential", smooth_radius=None).smooth_radius is None
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"smooth_radius": float("inf")}, "smooth_radius must be finite, got inf"),
+     ({"max_order": float("inf")}, "max_order must be <= 50, got inf")],
+    ids=["smooth_radius", "max_order"],
+)
+def test_run_config_rejects_infinite_settings(kwargs, message):
+    # int(inf) raises OverflowError, an error outside both families.
+    with pytest.raises(UsageError) as info:
+        RunConfig(**kwargs)
+    assert str(info.value) == message
+
+
 DYADIC_STEP = 2.0 ** -10
 
 
