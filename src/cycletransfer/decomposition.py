@@ -53,7 +53,31 @@ def scaled_abscissa(n: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, n)
 
 
-def fit_trend(series: np.ndarray, max_order: int, f: int) -> TrendModel:
+def trend_probes(columns: np.ndarray, max_order: int) -> np.ndarray:
+    """Degree-max_order least-squares probe fits of the columns of an
+    (n, k) matrix, as a (max_order + 1, k) coefficient matrix.
+
+    The columns are the right-hand sides of one polyfit solve over the
+    shared Vandermonde matrix of :func:`scaled_abscissa`, so k channels of
+    a table side cost one solve instead of k. A (n,) series gives
+    its (max_order + 1,) probe, the same bits as an (n, 1) column. The
+    probe only chooses each channel's trend order in :func:`fit_trend`,
+    which refits at that order, so a batched probe leaves the trend values
+    unchanged wherever it picks the same order. ``full=True`` keeps polyfit
+    from warning on the rank deficiency a degree-30 probe usually has.
+    """
+    t = scaled_abscissa(columns.shape[0])
+    probes, _ = npoly.polyfit(t, columns, max_order, full=True)
+    return probes
+
+
+def fit_trend(
+    series: np.ndarray,
+    max_order: int,
+    f: int,
+    probe: np.ndarray | None = None,
+    line: np.ndarray | None = None,
+) -> TrendModel:
     """Fit the slow trend of a series by polynomial least squares.
 
     One probe fit at max_order supplies the coefficient sequence; the
@@ -68,18 +92,29 @@ def fit_trend(series: np.ndarray, max_order: int, f: int) -> TrendModel:
     data: every power is busy tracking the cycle, so the trend reduces to
     a plain line.
 
+    ``probe`` is this series' column of :func:`trend_probes` when the
+    caller has probed a whole table side at once; it only chooses the
+    order. ``line`` is ``polyfit(t, series, 1)``, the ramp the caller has
+    already fitted; an order-1 trend, fallback included, reuses it, which
+    gives the same bits as a fresh fit. Without them the probe and the
+    line are fitted here.
+
     Coefficients live on the rescaled abscissa (frames mapped onto
     [-1, 1]). Needs 1 <= max_order < n and f >= 1.
     """
     t = scaled_abscissa(series.size)
-    probe, _ = npoly.polyfit(t, series, max_order, full=True)
+    if probe is None:
+        probe = trend_probes(series, max_order)
     floor = max(MIN_LEAD_COEF, REL_COEF_FLOOR * float(np.max(np.abs(probe))))
-    for order in range(max_order, 0, -1):
-        if floor < abs(probe[order]) < f:
-            coef, _ = npoly.polyfit(t, series, order, full=True)
-            return TrendModel(coef, order, npoly.polyval(t, coef))
-    coef, _ = npoly.polyfit(t, series, 1, full=True)
-    return TrendModel(coef, 1, npoly.polyval(t, coef), fallback=True)
+    order = next((k for k in range(max_order, 0, -1) if floor < abs(probe[k]) < f), None)
+    fallback = order is None
+    if fallback:
+        order = 1
+    if order == 1 and line is not None:
+        coef = line
+    else:
+        coef, _ = npoly.polyfit(t, series, order, full=True)
+    return TrendModel(coef, order, npoly.polyval(t, coef), fallback=fallback)
 
 
 class Crossover(NamedTuple):

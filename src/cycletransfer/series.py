@@ -102,14 +102,16 @@ def exponential_smoothing(series: np.ndarray, alpha: float, radius: int) -> np.n
         # No interior sample is further than radius from both ends, so the
         # boundary-copy rule covers the whole series.
         return series.copy()
+    # Center on the first sample so constant series come back bit-exact.
     base = series[0]
     d = series - base
     beta = (1.0 - alpha) / (2.0 * radius)
-    acc = np.zeros(n - 2 * radius)
-    for j in range(1, radius + 1):
-        acc += d[radius - j : n - radius - j] + d[radius + j : n - radius + j]
+    csum = np.concatenate(([0.0], np.cumsum(d)))
+    center = d[radius : n - radius]
+    # Each interior window sum of 2*radius + 1 samples, minus its center.
+    neighbours = csum[2 * radius + 1 :] - csum[: n - 2 * radius] - center
     out = series.copy()
-    out[radius : n - radius] = base + (alpha * d[radius : n - radius] + beta * acc)
+    out[radius : n - radius] = base + (alpha * center + beta * neighbours)
     return out
 
 

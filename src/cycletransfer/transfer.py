@@ -22,6 +22,7 @@ from .decomposition import (
     find_crossovers,
     fit_trend,
     scaled_abscissa,
+    trend_probes,
     validate_periods,
 )
 from .errors import ConstantSeriesError, CycleTransferError, DataError, SeasonalityNotFoundError
@@ -205,7 +206,9 @@ def apply_transfer(
     return RefinedSeries(values=values, trend=trend.copy(), applied_factor=applied, transferred=transferred)
 
 
-def _analyze_sequence(x: np.ndarray, cfg: RunConfig) -> SequenceDiagnostics:
+def _analyze_sequence(
+    x: np.ndarray, cfg: RunConfig, probe: np.ndarray | None = None
+) -> SequenceDiagnostics:
     """Normalize, detect the cycle, fit the trend, segment into periods.
 
     ``x`` is a finite 1-D float64 array, as a PoseTable column or
@@ -225,12 +228,16 @@ def _analyze_sequence(x: np.ndarray, cfg: RunConfig) -> SequenceDiagnostics:
     Cycle detection runs on ramp-removed values: a least-squares line is
     subtracted first, because a ramp's spectral leakage into the lowest
     bins can outweigh a genuine cycle whose frequency falls between bins.
+    That line is also the order-1 trend. ``probe`` is the sequence's trend
+    probe from its table side (see :func:`_side_probes`); without it
+    :func:`fit_trend` probes the sequence alone.
     """
     n = x.size
     require_length(x, 2)
     normalized, scale = normalize_minmax(x)
     t_axis = scaled_abscissa(n)
-    ramp = npoly.polyval(t_axis, npoly.polyfit(t_axis, normalized, 1))
+    line = npoly.polyfit(t_axis, normalized, 1)
+    ramp = npoly.polyval(t_axis, line)
     cyclic = normalized - ramp
     if float(np.ptp(cyclic)) < MIN_RANGE:
         raise ConstantSeriesError("series is a plain ramp, no cyclic part to analyze")
@@ -243,7 +250,9 @@ def _analyze_sequence(x: np.ndarray, cfg: RunConfig) -> SequenceDiagnostics:
         smoothed = exponential_smoothing(normalized, cfg.exp_alpha, radius)
     else:
         smoothed = mean_smoothing(normalized, radius)
-    trend = fit_trend(normalized, min(cfg.max_order, n - 1), report.dominant_frequency)
+    trend = fit_trend(
+        normalized, min(cfg.max_order, n - 1), report.dominant_frequency, probe=probe, line=line
+    )
 
     segmentation = None
     failure = None
@@ -265,7 +274,7 @@ def _analyze_sequence(x: np.ndarray, cfg: RunConfig) -> SequenceDiagnostics:
 
 
 def transfer_channel(
-    reference, target, config: RunConfig | None = None
+    reference, target, config: RunConfig | None = None, *, probes=(None, None)
 ) -> tuple[RefinedSeries, ChannelDiagnostics]:
     """Refine one target channel using one reference channel.
 
@@ -276,7 +285,13 @@ def transfer_channel(
     physical amplitude across differently scaled sequences.
 
     When either sequence fails segmentation the target comes back
-    unchanged with status "skipped_no_seasonality".
+    unchanged with status "skipped_no_seasonality". A refined series that
+    overflows float64, which a range near its limit can cause, raises
+    DataError.
+
+    ``probes`` holds the reference's and the target's trend probes when
+    :func:`transfer_table` has probed each table side at once; None
+    probes the sequence alone.
     """
     cfg = config if config is not None else RunConfig()
     ref_x = as_series(reference)
@@ -287,9 +302,12 @@ def transfer_channel(
             f"got {ref_x.size} and {tgt_x.size}"
         )
 
-    ref = _analyze_sequence(ref_x, cfg)
-    tgt = _analyze_sequence(tgt_x, cfg)
-    tgt_trend = denormalize(tgt.trend.values, tgt.scale)
+    ref = _analyze_sequence(ref_x, cfg, probes[0])
+    tgt = _analyze_sequence(tgt_x, cfg, probes[1])
+    # Back in original units a range near float64's limit can overflow;
+    # the finiteness check below reports that instead of numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tgt_trend = denormalize(tgt.trend.values, tgt.scale)
 
     if ref.segmentation is None or tgt.segmentation is None:
         reasons = []
@@ -316,15 +334,18 @@ def transfer_channel(
     l_min = compute_lmin(ref_seg, tgt_seg)
     ref_map = build_phi(ref_seg, l_min)
     tgt_map = build_phi(tgt_seg, l_min)
-    raw = extract_additive(ref_x, denormalize(ref.trend.values, ref.scale), ref_seg)
-    mean_factor = mean_additive_factor(raw, ref_map)
-    refined = apply_transfer(
-        tgt_trend,
-        mean_factor,
-        tgt_map,
-        tgt_seg,
-        tgt.report.reference_period,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = extract_additive(ref_x, denormalize(ref.trend.values, ref.scale), ref_seg)
+        mean_factor = mean_additive_factor(raw, ref_map)
+        refined = apply_transfer(
+            tgt_trend,
+            mean_factor,
+            tgt_map,
+            tgt_seg,
+            tgt.report.reference_period,
+        )
+    if not np.all(np.isfinite(refined.values)):
+        raise DataError("trend plus transferred pattern overflows float64")
     diag = ChannelDiagnostics(
         status=STATUS_TRANSFERRED,
         reference=ref,
@@ -333,6 +354,35 @@ def transfer_channel(
         factor=AdditiveFactor(frames=ref_map.frames, raw=raw, mean_factor=mean_factor),
     )
     return refined, diag
+
+
+def _side_probes(table: PoseTable, selected: set[str], cfg: RunConfig) -> dict[str, np.ndarray]:
+    """Trend probes of the selected channels of one table side, by name.
+
+    Each channel is normalized as :func:`normalize_minmax` does it, with
+    the same bits, and the columns go through :func:`trend_probes` in
+    blocks of at most max_order + 1, so the right-hand sides never
+    outgrow the Vandermonde matrix polyfit builds anyway. Raises nothing:
+    channels that normalize_minmax rejects (range below MIN_RANGE or
+    overflowing) get no probe, and neither does a table too short to
+    transfer, so every error still comes from the channel's own analysis,
+    in table order.
+    """
+    n = table.n_frames
+    if n < MIN_TRANSFER_LENGTH:
+        return {}
+    names = table.channel_names
+    lo = table.values.min(axis=0)
+    with np.errstate(over="ignore"):
+        span = table.values.max(axis=0) - lo
+    columns = [i for i, name in enumerate(names) if name in selected and MIN_RANGE <= span[i] < np.inf]
+    max_order = min(cfg.max_order, n - 1)
+    probes = {}
+    for start in range(0, len(columns), max_order + 1):
+        block = columns[start : start + max_order + 1]
+        normalized = (table.values[:, block] - lo[block]) / span[block]
+        probes.update(zip([names[i] for i in block], trend_probes(normalized, max_order).T))
+    return probes
 
 
 def _selected_channels(table: PoseTable, cfg: RunConfig) -> set[str]:
@@ -352,7 +402,9 @@ def transfer_table(
     Channel sets must match exactly. Channels excluded by the config
     filter pass through untouched with status "passthrough"; constant
     channels pass through with status "skipped_no_seasonality". Output
-    channels keep the target table's order.
+    channels keep the target table's order. Each table side gets one
+    batched trend probe (:func:`_side_probes`), which only chooses the
+    trend orders.
     """
     cfg = config if config is not None else RunConfig()
     if set(ref_table.channel_names) != set(target_table.channel_names):
@@ -362,6 +414,8 @@ def transfer_table(
             f"channel sets differ; only in reference: {only_ref}, only in target: {only_tgt}"
         )
     selected = _selected_channels(target_table, cfg)
+    ref_probes = _side_probes(ref_table, selected, cfg)
+    tgt_probes = _side_probes(target_table, selected, cfg)
 
     columns = []
     diagnostics: dict[str, ChannelDiagnostics] = {}
@@ -372,7 +426,9 @@ def transfer_table(
             diagnostics[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
             continue
         try:
-            refined, diag = transfer_channel(ref_table.channel(name), tgt_col, cfg)
+            refined, diag = transfer_channel(
+                ref_table.channel(name), tgt_col, cfg, probes=(ref_probes.get(name), tgt_probes.get(name))
+            )
         except ConstantSeriesError as exc:
             columns.append(tgt_col)
             diagnostics[name] = ChannelDiagnostics(status=STATUS_SKIPPED, detail=str(exc))
@@ -395,17 +451,19 @@ def analyze_table(table: PoseTable, config: RunConfig | None = None) -> dict[str
     Channels that segment cleanly get status "passthrough" (nothing is
     modified by analysis); ones that fail segmentation or are constant get
     "skipped_no_seasonality"; filtered-out channels get "passthrough" with
-    empty diagnostics.
+    empty diagnostics. The trend orders come from one batched probe of
+    the selected channels (:func:`_side_probes`).
     """
     cfg = config if config is not None else RunConfig()
     selected = _selected_channels(table, cfg)
+    probes = _side_probes(table, selected, cfg)
     out: dict[str, ChannelDiagnostics] = {}
     for name in table.channel_names:
         if name not in selected:
             out[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
             continue
         try:
-            seq = _analyze_sequence(table.channel(name), cfg)
+            seq = _analyze_sequence(table.channel(name), cfg, probes.get(name))
         except ConstantSeriesError as exc:
             out[name] = ChannelDiagnostics(status=STATUS_SKIPPED, detail=str(exc))
             continue

@@ -11,7 +11,7 @@ import pytest
 from cycletransfer.cli import cli_main
 from cycletransfer.config import RunConfig
 from cycletransfer.errors import CycleTransferError, UsageError
-from cycletransfer.transfer import transfer_channel
+from cycletransfer.transfer import STATUS_SKIPPED, transfer_channel
 
 
 def _wave(n, period=16):
@@ -75,6 +75,12 @@ def _transfer_channel(reference, target):
             "error: channel 'c': series range from min -1.47118e+308 to max 1.47118e+308 overflows float64\n",
         ),
         (
+            # A finite range, but trend plus pattern leaves float64.
+            _transfer(0.8e308 * _wave(300)),
+            2,
+            "error: channel 'c': trend plus transferred pattern overflows float64\n",
+        ),
+        (
             _transfer_channel(np.where(np.arange(80) == 5, np.nan, _wave(80)), _wave(80)),
             2,
             "error: series contains NaN or infinite samples\n",
@@ -97,13 +103,25 @@ def _transfer_channel(reference, target):
         "mean_radius_400_of_200",
         "exponential_radius_400_of_200",
         "transfer_range_overflow",
+        "transfer_output_overflow",
         "transfer_channel_nan",
         "transfer_channel_2d",
         "transfer_channel_7_frames",
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_outside_input_error_is_pinned(tmp_path, capsys, case, code, text):
     assert case(tmp_path, capsys) == (code, text)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_skipped_channel_near_float64_limit_warns_nothing():
+    # The trend leaves float64 once it is back in original units; the
+    # skipped target passes through and numpy prints no overflow warning.
+    x = np.array([0.0] * 7 + [-np.finfo(float).max])
+    refined, diag = transfer_channel(x, x)
+    assert diag.status == STATUS_SKIPPED
+    np.testing.assert_array_equal(refined.values, x)
 
 
 @pytest.mark.parametrize("kind", ["mean", "exponential"])

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycletransfer.decomposition import (
     FALLING,
@@ -9,6 +11,7 @@ from cycletransfer.decomposition import (
     find_crossovers,
     fit_trend,
     scaled_abscissa,
+    trend_probes,
     validate_periods,
 )
 from cycletransfer.config import MAX_TREND_ORDER, RunConfig
@@ -68,6 +71,71 @@ def test_fit_trend_recovers_exact_polynomials(order):
     model = fit_trend(x, 30, 10)
     assert model.order == order
     np.testing.assert_allclose(model.values, x, atol=1e-7)
+
+
+def trend_columns(rng, n, k):
+    """k columns of n frames: polynomials, cycles on a slope, noise and
+    constants, each at its own scale."""
+    t = scaled_abscissa(n)
+    kinds = [
+        lambda: npoly.polyval(t, rng.uniform(-2.0, 2.0, rng.integers(1, 8))),
+        lambda: np.sin(2.0 * np.pi * rng.uniform(2.0, 20.0) * t) + rng.uniform(-1.0, 1.0) * t,
+        lambda: rng.standard_normal(n),
+        lambda: np.full(n, rng.uniform(-1.0, 1.0)),
+    ]
+    cols = [kinds[rng.integers(len(kinds))]() * 10.0 ** rng.integers(-3, 4) for _ in range(k)]
+    return np.column_stack(cols)
+
+
+@given(st.integers(8, 400), st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_trend_probes_columns_match_one_column_probes(n, k, seed, data):
+    # One solve over a shared design matrix (so a shared SVD and rank)
+    # gives each column the probe it gets alone, up to rounding. The
+    # monomial design's conditioning grows about 2.3x per degree, and so
+    # does that rounding: the worst relative difference measured over
+    # n = 8..600 was 1e-11 at degree 12, 3e-10 at 16 and 1e-4 at 30. High
+    # degrees are why the probe only chooses the order; the pipeline's
+    # differential tests check that the chosen orders agree.
+    max_order = data.draw(st.integers(1, min(12, n - 1)))
+    columns = trend_columns(np.random.Generator(np.random.PCG64(seed)), n, k)
+    probes = trend_probes(columns, max_order)
+    assert probes.shape == (max_order + 1, k)
+    for j in range(k):
+        alone = trend_probes(columns[:, j], max_order)
+        np.testing.assert_allclose(probes[:, j], alone, rtol=0, atol=1e-9 * np.max(np.abs(alone)))
+        # A one-column matrix gives the bits of the series itself.
+        np.testing.assert_array_equal(trend_probes(columns[:, j : j + 1], max_order)[:, 0], alone)
+
+
+@given(st.integers(8, 400), st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.data())
+@settings(max_examples=60, deadline=None)
+def test_fit_trend_with_own_probe_and_ramp_is_bit_identical(n, seed, f, data):
+    max_order = data.draw(st.integers(1, min(30, n - 1)))
+    x = trend_columns(np.random.Generator(np.random.PCG64(seed)), n, 1)[:, 0]
+    t = scaled_abscissa(n)
+    alone = fit_trend(x, max_order, f)
+    given_parts = fit_trend(x, max_order, f, probe=trend_probes(x, max_order), line=npoly.polyfit(t, x, 1))
+    assert (given_parts.order, given_parts.fallback) == (alone.order, alone.fallback)
+    np.testing.assert_array_equal(given_parts.coefficients, alone.coefficients)
+    np.testing.assert_array_equal(given_parts.values, alone.values)
+
+
+def test_fit_trend_reads_the_probe_it_is_given():
+    # The probe alone chooses the order; the refit at that order, or the
+    # given line at order 1, supplies the coefficients.
+    t = scaled_abscissa(100)
+    x = 1.0 + 0.5 * t - 2.0 * t ** 3
+    probe = np.zeros(11)
+    probe[2] = 1.0
+    model = fit_trend(x, 10, 5, probe=probe)
+    assert (model.order, model.fallback) == (2, False)
+    np.testing.assert_array_equal(model.coefficients, npoly.polyfit(t, x, 2))
+    line = np.array([0.25, 0.5])
+    model = fit_trend(x, 10, 5, probe=np.zeros(11), line=line)
+    assert (model.order, model.fallback) == (1, True)
+    assert model.coefficients is line
+    np.testing.assert_array_equal(model.values, npoly.polyval(t, line))
 
 
 def test_fit_trend_validation():

@@ -19,6 +19,7 @@ from cycletransfer.decomposition import (
 )
 from cycletransfer.errors import SeasonalityNotFoundError
 from cycletransfer.seasonality import autocorrelation
+from cycletransfer.series import exponential_smoothing
 from cycletransfer.transfer import _interval_of, build_phi
 
 
@@ -58,6 +59,17 @@ def phi_oracle(periods, l_min):
     return frames, interval
 
 
+def exponential_oracle(series, alpha, radius):
+    n = series.size
+    if alpha == 1.0 or 2 * radius >= n:
+        return series.copy()
+    beta = (1.0 - alpha) / (2.0 * radius)
+    out = series.copy()
+    for i in range(radius, n - radius):
+        out[i] = alpha * series[i] + beta * sum(series[i - j] + series[i + j] for j in range(1, radius + 1))
+    return out
+
+
 def segmentation(start, lengths):
     bounds = np.concatenate([[start], np.cumsum(lengths) + start]).tolist()
     return PeriodSegmentation(
@@ -78,6 +90,27 @@ def test_acf_matches_direct_sums(n, seed, data):
     assert acf.shape == (max_lag + 1,)
     assert acf[0] == 1.0
     np.testing.assert_allclose(acf, acf_oracle(x, max_lag), rtol=0, atol=1e-12)
+
+
+@given(
+    st.integers(2, 400),
+    st.integers(0, 2 ** 32 - 1),
+    st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_exponential_smoothing_matches_window_loop(n, seed, alpha, data):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    scale = 10.0 ** rng.integers(-3, 4)
+    x = scale * (rng.standard_normal(n) + rng.uniform(-5, 5))
+    radius = data.draw(st.integers(1, n - 1))
+    got = exponential_smoothing(x, alpha, radius)
+    np.testing.assert_allclose(got, exponential_oracle(x, alpha, radius), rtol=0, atol=1e-12 * np.ptp(x))
+    # Boundary samples are copied, and a constant series comes back bit-exact.
+    np.testing.assert_array_equal(got[:radius], x[:radius])
+    np.testing.assert_array_equal(got[n - radius :], x[n - radius :])
+    flat = np.full(n, x[0])
+    np.testing.assert_array_equal(exponential_smoothing(flat, alpha, radius), flat)
 
 
 signs = st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=1, max_size=60)

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cycletransfer.transfer
 from cycletransfer.config import RunConfig
-from cycletransfer.decomposition import PeriodSegmentation, validate_periods
-from cycletransfer.errors import DataError, UsageError
+from cycletransfer.decomposition import PeriodSegmentation, trend_probes, validate_periods
+from cycletransfer.errors import ConstantSeriesError, DataError, UsageError
+from cycletransfer.series import normalize_minmax
 from cycletransfer.tableio import PoseTable
 from cycletransfer.transfer import (
     STATUS_PASSTHROUGH,
     STATUS_SKIPPED,
     STATUS_TRANSFERRED,
+    _analyze_sequence,
     analyze_table,
     apply_transfer,
     build_phi,
@@ -506,3 +509,119 @@ def test_pipeline_builds_what_the_stages_assume(pair):
         assert diag.factor.raw.size == diag.factor.frames.size
         assert diag.factor.mean_factor.size == diag.l_min
         assert np.all(np.isfinite(diag.factor.mean_factor))
+
+
+def wide_tables(seed, n_ref=300, n_tgt=600):
+    """Reference and target tables of 60 channels in random order: 48
+    periodic (periods of 12-40 frames with a second harmonic, a slope and
+    noise), 9 white noise, 3 constant."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    kinds = rng.permutation(["periodic"] * 48 + ["noise"] * 9 + ["constant"] * 3)
+    ref, tgt = [], []
+    for kind in kinds:
+        if kind == "periodic":
+            period, amplitude = rng.uniform(12.0, 40.0), rng.uniform(0.5, 2.0)
+            harmonic = rng.uniform(0.0, 0.3)
+        for cols, n, noise in ((ref, n_ref, 0.05), (tgt, n_tgt, 0.3)):
+            t = np.arange(n, dtype=float)
+            if kind == "periodic":
+                w = 2.0 * np.pi * t / period + rng.uniform(0.0, 2.0 * np.pi)
+                drift = rng.uniform(-0.5, 0.5) * t / (n - 1)
+                cycle = np.sin(w) + harmonic * np.sin(2.0 * w)
+                cols.append(amplitude * (cycle + drift + noise * rng.standard_normal(n)))
+            elif kind == "noise":
+                cols.append(rng.uniform(-1.0, 1.0) + rng.standard_normal(n))
+            else:
+                cols.append(np.full(n, rng.uniform(-1.0, 1.0)))
+    names = [f"c{i:02d}" for i in range(kinds.size)]
+    return names, PoseTable(names, np.column_stack(ref)), PoseTable(names, np.column_stack(tgt))
+
+
+def _orders(diag):
+    return [
+        None if seq is None else (seq.trend.order, seq.trend.fallback)
+        for seq in (diag.reference, diag.target)
+    ]
+
+
+def assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg):
+    for name in tgt.channel_names:
+        try:
+            alone, diag = transfer_channel(ref.channel(name), tgt.channel(name), cfg)
+        except ConstantSeriesError as exc:
+            assert (diags[name].status, diags[name].detail) == (STATUS_SKIPPED, str(exc))
+            np.testing.assert_array_equal(out.channel(name), tgt.channel(name))
+            continue
+        assert diags[name].status == diag.status, name
+        assert _orders(diags[name]) == _orders(diag), name
+        np.testing.assert_array_equal(out.channel(name), alone.values)
+
+
+@pytest.mark.parametrize("max_order", [30, 12])
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_side_probes_choose_the_per_channel_trend_orders(seed, max_order):
+    # The batched probe of each table side differs from one-channel
+    # probes in rounding only; every channel keeps its trend order, its
+    # status and the bits of its refined values. At max_order 30 every
+    # sequence here falls back to order 1; at 12 the orders run from 2
+    # to 12.
+    _, ref, tgt = wide_tables(seed)
+    cfg = RunConfig(max_order=max_order)
+    out, diags = transfer_table(ref, tgt, cfg)
+    assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg)
+
+
+def test_side_probes_split_into_blocks_of_max_order_plus_one(monkeypatch):
+    # 57 of the 60 channels have a range to normalize; with max_order 5
+    # each side is probed in blocks of at most 6 columns.
+    widths = []
+
+    def recording(columns, max_order):
+        widths.append(columns.shape[1])
+        return trend_probes(columns, max_order)
+
+    monkeypatch.setattr(cycletransfer.transfer, "trend_probes", recording)
+    _, ref, tgt = wide_tables(11)
+    cfg = RunConfig(max_order=5)
+    out, diags = transfer_table(ref, tgt, cfg)
+    assert widths == ([6] * 9 + [3]) * 2
+    assert {_orders(d)[1][0] for d in diags.values() if d.target is not None} - {1}
+    assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg)
+
+
+def test_analyze_table_side_probe_leaves_errors_to_the_channels():
+    # Constant and overflowing columns get no probe, a plain ramp gets one
+    # it never uses; each channel still ends as its own analysis says.
+    n = 240
+    t = np.arange(n, dtype=float)
+    columns = {
+        "wave": phase_shifted_sin(n, 16) + 0.004 * t,
+        "flat": np.full(n, 2.5),
+        "ramp": np.linspace(-1.0, 3.0, n),
+        "slow": 2.0 * phase_shifted_sin(n, 24) - 1e-5 * (t - 100.0) ** 2,
+    }
+    table = PoseTable(list(columns), np.column_stack(list(columns.values())))
+    diags = analyze_table(table)
+    statuses = [d.status for d in diags.values()]
+    assert statuses == [STATUS_PASSTHROUGH, STATUS_SKIPPED, STATUS_SKIPPED, STATUS_PASSTHROUGH]
+    assert diags["flat"].detail == "series range 0 is below 1e-12"
+    assert diags["ramp"].detail == "series is a plain ramp, no cyclic part to analyze"
+    for name in ("wave", "slow"):
+        alone = _analyze_sequence(table.channel(name), RunConfig())
+        got = diags[name].target
+        assert (got.trend.order, got.trend.fallback) == (alone.trend.order, alone.trend.fallback)
+        np.testing.assert_array_equal(got.trend.values, alone.trend.values)
+        assert got.segmentation.periods == alone.segmentation.periods
+
+    # The first overflowing channel in table order names the error, with
+    # the message its own normalization gives.
+    huge = 1.5e308 * phase_shifted_sin(n, 16)
+    with pytest.raises(DataError) as expected:
+        normalize_minmax(huge)
+    names = ["wave", "flat", "big", "ramp", "big2", "slow"]
+    values = np.column_stack(
+        [columns["wave"], columns["flat"], huge, columns["ramp"], -huge, columns["slow"]]
+    )
+    with pytest.raises(DataError) as info:
+        analyze_table(PoseTable(names, values))
+    assert str(info.value) == f"channel 'big': {expected.value}"
