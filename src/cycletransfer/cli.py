@@ -85,28 +85,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_transfer(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    ref = read_csv(args.ref)
-    target = read_csv(args.target)
-    refined, diagnostics = transfer_table(ref, target, cfg)
-    write_csv(refined, args.out)
-    if args.report is not None:
-        write_report(diagnostics, args.report)
+def _emit_diagnostics(diagnostics, report_path) -> int:
+    """Write the report when a path is given and print one status line per
+    channel, with the reason when there is one."""
+    if report_path is not None:
+        write_report(diagnostics, report_path)
     for name, diag in diagnostics.items():
         note = f" ({diag.detail})" if diag.detail else ""
         print(f"channel {name!r}: {diag.status}{note}", file=sys.stderr)
     return 0
 
 
+def _cmd_transfer(args: argparse.Namespace) -> int:
+    cfg = _config_from_args(args)
+    refined, diagnostics = transfer_table(read_csv(args.ref), read_csv(args.target), cfg)
+    write_csv(refined, args.out)
+    return _emit_diagnostics(diagnostics, args.report)
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    table = read_csv(args.input)
-    diagnostics = analyze_table(table, cfg)
-    write_report(diagnostics, args.report)
-    for name, diag in diagnostics.items():
-        print(f"channel {name!r}: {diag.status}", file=sys.stderr)
-    return 0
+    return _emit_diagnostics(analyze_table(read_csv(args.input), cfg), args.report)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

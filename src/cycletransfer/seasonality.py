@@ -63,6 +63,24 @@ def dominant_frequency(spectrum: np.ndarray) -> int:
     return int(np.argmax(spectrum[1:])) + 1
 
 
+def fisher_g(spectrum: np.ndarray, n: int) -> tuple[float, float]:
+    """Fisher's g test for one periodic component in a series of n samples.
+
+    g = max I_k / sum I_k over the bins k = 1..floor((n-1)/2) of the
+    power spectrum, so DC and Nyquist are left out. Returns g and the
+    p-value m * (1 - g)**(m - 1) for the m bins, capped at 1: the first
+    term of Fisher's exact series, which bounds the exact p-value from
+    above. A spectrum with no power in those bins gives g = 0 and p = 1.
+    """
+    power = spectrum[1 : (n - 1) // 2 + 1]
+    total = float(power.sum())
+    if not total > 0.0:
+        return 0.0, 1.0
+    m = power.size
+    g = float(power.max()) / total
+    return g, min(1.0, m * (1.0 - g) ** (m - 1))
+
+
 def reference_period(n: int, f: int) -> float:
     """Cycle length in frames for a series of n samples peaking at bin f."""
     return n / f

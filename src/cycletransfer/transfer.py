@@ -9,6 +9,7 @@ anchored at its own rising crossovers.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .decomposition import (
     validate_periods,
 )
 from .errors import ConstantSeriesError, CycleTransferError, DataError, SeasonalityNotFoundError
-from .seasonality import SeasonalityReport, analyze_series
+from .seasonality import SeasonalityReport, analyze_series, fisher_g
 from .series import (
     MIN_RANGE,
     ScaleParams,
@@ -45,6 +46,9 @@ STATUS_SKIPPED = "skipped_no_seasonality"
 STATUS_PASSTHROUGH = "passthrough"
 
 MIN_TRANSFER_LENGTH = 8
+# A sequence whose Fisher's g p-value exceeds this shows no significant
+# cycle and is skipped rather than segmented.
+MAX_SEASONALITY_P = 0.01
 
 
 @dataclass(eq=False)
@@ -221,9 +225,11 @@ def _analyze_sequence(
 
     The trend stays in normalized units; a caller that needs it in
     original units denormalizes it with the diagnostics' scale.
-    Segmentation failures (no crossovers, validation rejecting the
+    Segmentation failures (no significant cycle by Fisher's g test at
+    MAX_SEASONALITY_P, no crossovers, validation rejecting the
     candidates) are recorded on the diagnostics instead of raised, so the
-    caller can fall back to passing the channel through.
+    caller can fall back to passing the channel through. The gate runs
+    after the trend fit, so a skipped sequence keeps its trend.
 
     Cycle detection runs on ramp-removed values: a least-squares line is
     subtracted first, because a ramp's spectral leakage into the lowest
@@ -257,6 +263,11 @@ def _analyze_sequence(
     segmentation = None
     failure = None
     try:
+        g, p = fisher_g(report.spectrum, n)
+        if p > MAX_SEASONALITY_P:
+            raise SeasonalityNotFoundError(
+                f"no significant cycle: Fisher's g = {g:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
+            )
         crossovers = find_crossovers(smoothed, trend.values)
         rising = [c.index for c in crossovers if c.direction == RISING]
         segmentation = validate_periods(rising, report.reference_period, cfg.alpha)
@@ -385,6 +396,22 @@ def _side_probes(table: PoseTable, selected: set[str], cfg: RunConfig) -> dict[s
     return probes
 
 
+@contextmanager
+def _channel_step(name: str, diagnostics: dict[str, ChannelDiagnostics]):
+    """The outcome rule transfer_table and analyze_table share, per channel.
+
+    A constant series ends the step as "skipped_no_seasonality" with its
+    message; any other CycleTransferError is raised again as its own class,
+    prefixed with the channel's name.
+    """
+    try:
+        yield
+    except ConstantSeriesError as exc:
+        diagnostics[name] = ChannelDiagnostics(status=STATUS_SKIPPED, detail=str(exc))
+    except CycleTransferError as exc:
+        raise type(exc)(f"channel {name!r}: {exc}") from exc
+
+
 def _selected_channels(table: PoseTable, cfg: RunConfig) -> set[str]:
     if cfg.channel_filter is None:
         return set(table.channel_names)
@@ -399,12 +426,12 @@ def transfer_table(
 ) -> tuple[PoseTable, dict[str, ChannelDiagnostics]]:
     """Refine every selected target channel against its reference twin.
 
-    Channel sets must match exactly. Channels excluded by the config
-    filter pass through untouched with status "passthrough"; constant
-    channels pass through with status "skipped_no_seasonality". Output
-    channels keep the target table's order. Each table side gets one
-    batched trend probe (:func:`_side_probes`), which only chooses the
-    trend orders.
+    Channel sets must match exactly. The output is a copy of the target's
+    values into which each refined column is written. Filtered-out channels
+    keep their values as "passthrough", skipped ones (see
+    :func:`_channel_step` and :func:`transfer_channel`) as
+    "skipped_no_seasonality". Each table side gets one batched trend probe
+    (:func:`_side_probes`), which only chooses the trend orders.
     """
     cfg = config if config is not None else RunConfig()
     if set(ref_table.channel_names) != set(target_table.channel_names):
@@ -417,31 +444,18 @@ def transfer_table(
     ref_probes = _side_probes(ref_table, selected, cfg)
     tgt_probes = _side_probes(target_table, selected, cfg)
 
-    columns = []
+    values = target_table.values.copy()
     diagnostics: dict[str, ChannelDiagnostics] = {}
-    for name in target_table.channel_names:
-        tgt_col = target_table.channel(name)
+    for i, name in enumerate(target_table.channel_names):
         if name not in selected:
-            columns.append(tgt_col)
             diagnostics[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
             continue
-        try:
-            refined, diag = transfer_channel(
-                ref_table.channel(name), tgt_col, cfg, probes=(ref_probes.get(name), tgt_probes.get(name))
+        with _channel_step(name, diagnostics):
+            refined, diagnostics[name] = transfer_channel(
+                ref_table.channel(name), target_table.channel(name), cfg,
+                probes=(ref_probes.get(name), tgt_probes.get(name)),
             )
-        except ConstantSeriesError as exc:
-            columns.append(tgt_col)
-            diagnostics[name] = ChannelDiagnostics(status=STATUS_SKIPPED, detail=str(exc))
-            continue
-        except CycleTransferError as exc:
-            raise type(exc)(f"channel {name!r}: {exc}") from exc
-        columns.append(refined.values)
-        diagnostics[name] = diag
-
-    if columns:
-        values = np.column_stack(columns)
-    else:
-        values = np.empty((target_table.n_frames, 0))
+            values[:, i] = refined.values
     return PoseTable(list(target_table.channel_names), values), diagnostics
 
 
@@ -449,8 +463,9 @@ def analyze_table(table: PoseTable, config: RunConfig | None = None) -> dict[str
     """Run the per-sequence analysis on every selected channel of a table.
 
     Channels that segment cleanly get status "passthrough" (nothing is
-    modified by analysis); ones that fail segmentation or are constant get
-    "skipped_no_seasonality"; filtered-out channels get "passthrough" with
+    modified by analysis); constant ones and ones that fail segmentation get
+    "skipped_no_seasonality" with the reason in ``detail``, by the rule
+    :func:`transfer_table` uses; filtered-out channels get "passthrough" with
     empty diagnostics. The trend orders come from one batched probe of
     the selected channels (:func:`_side_probes`).
     """
@@ -462,13 +477,8 @@ def analyze_table(table: PoseTable, config: RunConfig | None = None) -> dict[str
         if name not in selected:
             out[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
             continue
-        try:
+        with _channel_step(name, out):
             seq = _analyze_sequence(table.channel(name), cfg, probes.get(name))
-        except ConstantSeriesError as exc:
-            out[name] = ChannelDiagnostics(status=STATUS_SKIPPED, detail=str(exc))
-            continue
-        except CycleTransferError as exc:
-            raise type(exc)(f"channel {name!r}: {exc}") from exc
-        status = STATUS_PASSTHROUGH if seq.segmentation is not None else STATUS_SKIPPED
-        out[name] = ChannelDiagnostics(status=status, target=seq, detail=seq.failure)
+            status = STATUS_PASSTHROUGH if seq.segmentation is not None else STATUS_SKIPPED
+            out[name] = ChannelDiagnostics(status=status, target=seq, detail=seq.failure)
     return out

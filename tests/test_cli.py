@@ -1,11 +1,13 @@
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
 
-from cycletransfer.cli import _config_from_args, build_parser, cli_main
+from cycletransfer.cli import _config_from_args, build_parser, cli_main, main
 from cycletransfer.config import MAX_TREND_ORDER, RunConfig
-from cycletransfer.tableio import read_csv
+from cycletransfer.tableio import PoseTable, read_csv, write_csv
 
 
 def run_synth(tmp_path, name, n, period, slope, sigma, seed, truth=None):
@@ -125,6 +127,44 @@ def test_analyze_respects_channel_filter(tmp_path, capsys):
     )
     assert code == 2
     assert "ghost" in capsys.readouterr().err
+
+
+def test_analyze_stderr_names_each_skip_reason(tmp_path, capsys):
+    t = np.arange(120, dtype=float)
+    rng = np.random.Generator(np.random.PCG64(6))
+    values = np.column_stack([np.sin(2.0 * np.pi * t / 16.0), rng.standard_normal(120), np.full(120, 2.0)])
+    src = tmp_path / "in.csv"
+    write_csv(PoseTable(["wave", "noise", "still"], values), src)
+    assert cli_main(["analyze", "--input", str(src), "--report", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "channel 'wave': passthrough",
+        "channel 'noise': skipped_no_seasonality "
+        "(no significant cycle: Fisher's g = 0.105, p = 0.0959 > 0.01)",
+        "channel 'still': skipped_no_seasonality (series range 0 is below 1e-12)",
+    ]
+
+
+def test_empty_channel_list_is_usage_error(tmp_path, capsys):
+    code = cli_main(
+        ["analyze", "--input", str(tmp_path / "none.csv"), "--report", str(tmp_path / "r.json"),
+         "--channels", ","]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "usage error: --channels got an empty list\n"
+
+
+@pytest.mark.parametrize("entry", ["main", "python -m"])
+def test_entry_points_exit_with_cli_main_code(tmp_path, monkeypatch, capsys, entry):
+    # A missing input file is a data error: exit code 2.
+    argv = ["analyze", "--input", str(tmp_path / "none.csv"), "--report", str(tmp_path / "r.json")]
+    monkeypatch.setattr(sys, "argv", ["cycletransfer", *argv])
+    with pytest.raises(SystemExit) as info:
+        if entry == "main":
+            main()
+        else:
+            runpy.run_module("cycletransfer", run_name="__main__")
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_help_exits_zero(capsys):

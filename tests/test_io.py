@@ -17,6 +17,7 @@ from cycletransfer.tableio import (
     SynthSpec,
     _read_csv_blocks,
     _read_csv_lines,
+    _write_text_atomic,
     read_csv,
     synth_generate,
     write_csv,
@@ -114,6 +115,20 @@ def test_write_csv_no_channels(tmp_path):
     back = read_csv(path)
     assert back.channel_names == []
     assert back.n_frames == 3
+
+
+def test_write_text_atomic_failure_keeps_the_old_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("old\n")
+
+    def chunks():
+        yield "new\n"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _write_text_atomic(path, chunks())
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 
 def test_write_csv_single_frame(tmp_path):

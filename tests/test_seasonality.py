@@ -8,6 +8,7 @@ from cycletransfer.seasonality import (
     analyze_series,
     autocorrelation,
     dominant_frequency,
+    fisher_g,
     power_spectrum,
     reference_period,
 )
@@ -55,6 +56,34 @@ def test_spectrum_pure_sinusoid_single_bin():
     assert int(np.argmax(s)) == 5
     others = np.delete(s, 5)
     assert np.all(others < 1e-20 * s[5])
+
+
+def test_fisher_g_pure_sinusoid_has_all_power_in_one_bin():
+    n = 80
+    g, p = fisher_g(power_spectrum(sinusoid(n, 5)), n)
+    assert g == pytest.approx(1.0, abs=1e-12)
+    assert p < 1e-300
+
+
+def test_fisher_g_hand_computed():
+    # n = 9: bins 1..4, m = 4; g = 3/4 and p = 4 * (1/4)**3.
+    assert fisher_g(np.array([0.0, 1.0, 3.0, 0.0, 0.0]), 9) == (0.75, 0.0625)
+
+
+@pytest.mark.parametrize("n", [10, 40])
+def test_fisher_g_zero_power_is_p_one(n):
+    # An alternating series puts all its power in the Nyquist bin, which
+    # the test leaves out, as it does DC.
+    x = np.array([1.0 if t % 2 == 0 else -1.0 for t in range(n)])
+    assert fisher_g(power_spectrum(x), n) == (0.0, 1.0)
+    assert fisher_g(np.zeros(n // 2 + 1), n) == (0.0, 1.0)
+
+
+def test_fisher_g_counts_the_last_bin_for_odd_n():
+    # For odd n the last bin is not Nyquist; for even n it is.
+    spectrum = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 2.0])
+    assert fisher_g(spectrum, 11) == (1.0, 0.0)
+    assert fisher_g(spectrum, 10) == (0.0, 1.0)
 
 
 def test_spectrum_too_short():

@@ -85,3 +85,19 @@ def test_package_never_asks_json_for_an_indent():
         if isinstance(node, ast.Call) and any(keyword.arg == "indent" for keyword in node.keywords)
     ]
     assert found == []
+
+
+def test_constant_series_caught_in_one_function_of_transfer():
+    # transfer_table and analyze_table share one outcome rule per channel;
+    # neither catches ConstantSeriesError on its own.
+    tree = ast.parse((PACKAGE / "transfer.py").read_text(encoding="utf-8"))
+    handlers = [
+        (function.name, handler.lineno)
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for handler in ast.walk(function)
+        if isinstance(handler, ast.ExceptHandler)
+        and handler.type is not None
+        and "ConstantSeriesError" in ast.unparse(handler.type)
+    ]
+    assert [name for name, _ in handlers] == ["_channel_step"], handlers

@@ -15,6 +15,7 @@ from cycletransfer.transfer import (
     STATUS_PASSTHROUGH,
     STATUS_SKIPPED,
     STATUS_TRANSFERRED,
+    MAX_SEASONALITY_P,
     _analyze_sequence,
     analyze_table,
     apply_transfer,
@@ -226,6 +227,51 @@ def test_transfer_channel_white_noise_falls_back():
     assert not refined.transferred.any()
 
 
+def test_white_noise_skips_at_the_significance_gate():
+    # Under white noise Fisher's p-value bound falls at or below
+    # MAX_SEASONALITY_P for at most that share of sequences, so nearly
+    # every noise target is skipped, and left as it was.
+    n, k = 300, 200
+    rng = np.random.Generator(np.random.PCG64(2024))
+    names = [f"noise_{i}" for i in range(k)]
+    reference = PoseTable(names, np.tile(phase_shifted_sin(n, 20)[:, None], k))
+    target = PoseTable(names, rng.standard_normal((n, k)))
+    out, diags = transfer_table(reference, target)
+    gated = [
+        name for name, d in diags.items()
+        if d.status == STATUS_SKIPPED and d.detail.startswith("target: no significant cycle: Fisher's g = ")
+    ]
+    assert len(gated) >= (1.0 - 3.0 * MAX_SEASONALITY_P) * k
+    for name in gated:
+        np.testing.assert_array_equal(out.channel(name), target.channel(name))
+
+
+def test_noisy_cycles_pass_the_significance_gate():
+    # Periods and noise as the benchmark draws them: every channel transfers.
+    n_ref, n_tgt, k = 200, 400, 40
+    rng = np.random.Generator(np.random.PCG64(2025))
+    periods = rng.uniform(12.0, 40.0, k)
+    phases = rng.uniform(0.0, 1.0, k)
+    names = [f"wave_{i}" for i in range(k)]
+
+    def side(n, sigma):
+        t = np.arange(n, dtype=float)[:, None]
+        waves = np.sin(2.0 * np.pi * (t / periods + phases))
+        return PoseTable(names, waves + sigma * rng.standard_normal((n, k)))
+
+    _, diags = transfer_table(side(n_ref, 0.05), side(n_tgt, 0.3))
+    assert [d.status for d in diags.values()] == [STATUS_TRANSFERRED] * k
+
+
+def test_gate_keeps_the_trend_of_a_skipped_sequence():
+    rng = np.random.Generator(np.random.PCG64(6))
+    seq = _analyze_sequence(0.01 * np.arange(200.0) + rng.standard_normal(200), RunConfig())
+    assert seq.segmentation is None
+    assert seq.failure.startswith("no significant cycle: Fisher's g = ")
+    assert seq.failure.endswith(" > 0.01")
+    assert seq.trend.values.shape == (200,)
+
+
 def test_transfer_channel_deterministic():
     reference = phase_shifted_sin(80, 16)
     rng = np.random.Generator(np.random.PCG64(12))
@@ -279,6 +325,15 @@ def test_transfer_table_empty_filter_is_identity():
     out, diags = transfer_table(ref_table, tgt_table, RunConfig(channel_filter=[]))
     np.testing.assert_array_equal(out.values, tgt_table.values)
     assert all(d.status == STATUS_PASSTHROUGH for d in diags.values())
+
+
+def test_transfer_table_zero_channels():
+    ref = PoseTable([], np.empty((50, 0)))
+    target = PoseTable([], np.empty((40, 0)))
+    out, diags = transfer_table(ref, target)
+    assert out.channel_names == []
+    assert out.values.shape == (40, 0)
+    assert diags == {}
 
 
 def test_transfer_table_channel_set_mismatch():
@@ -424,6 +479,11 @@ def test_run_config_rejects_exponential_zero_radius():
         RunConfig(smooth_kind="exponential", smooth_radius=0)
     assert RunConfig(smooth_kind="mean", smooth_radius=0).smooth_radius == 0
     assert RunConfig(smooth_kind="exponential", smooth_radius=None).smooth_radius is None
+
+
+def test_run_config_rejects_unknown_smooth_kind():
+    with pytest.raises(UsageError, match="unknown smooth_kind 'median'"):
+        RunConfig(smooth_kind="median")
 
 
 @pytest.mark.parametrize(
