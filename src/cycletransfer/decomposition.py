@@ -9,6 +9,7 @@ by a neighbor-spacing test around the detected cycle length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -71,12 +72,30 @@ def trend_probes(columns: np.ndarray, max_order: int) -> np.ndarray:
     return probes
 
 
+def ramp_lines(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``polyfit(t, row, 1)`` of each row of a (k, n) block, as a (k, 2)
+    coefficient matrix with the bits polyfit gives each row alone.
+
+    The scaled Vandermonde matrix, its column norms and rcond are built
+    once, exactly as polyfit builds them, and each row gets its own
+    one-column lstsq solve: a multi-column solve would change the last
+    bits, and so the trend and every crossover.
+    """
+    lhs = npoly.polyvander(t, 1).T
+    scl = np.sqrt(np.square(lhs).sum(1))
+    scl[scl == 0] = 1
+    design = lhs.T / scl
+    rcond = t.size * np.finfo(t.dtype).eps
+    lines = [np.linalg.lstsq(design, row, rcond)[0] for row in rows]
+    return np.reshape(lines, (-1, 2)) / scl
+
+
 def fit_trend(
     series: np.ndarray,
     max_order: int,
     f: int,
     probe: np.ndarray | None = None,
-    line: np.ndarray | None = None,
+    line: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TrendModel:
     """Fit the slow trend of a series by polynomial least squares.
 
@@ -94,15 +113,14 @@ def fit_trend(
 
     ``probe`` is this series' column of :func:`trend_probes` when the
     caller has probed a whole table side at once; it only chooses the
-    order. ``line`` is ``polyfit(t, series, 1)``, the ramp the caller has
-    already fitted; an order-1 trend, fallback included, reuses it, which
-    gives the same bits as a fresh fit. Without them the probe and the
-    line are fitted here.
+    order. ``line`` is the ramp the caller has already fitted, as the pair
+    of ``polyfit(t, series, 1)`` and its values; an order-1 trend,
+    fallback included, reuses both, which gives the same bits as a fresh
+    fit. Without them the probe and the line are fitted here.
 
     Coefficients live on the rescaled abscissa (frames mapped onto
     [-1, 1]). Needs 1 <= max_order < n and f >= 1.
     """
-    t = scaled_abscissa(series.size)
     if probe is None:
         probe = trend_probes(series, max_order)
     floor = max(MIN_LEAD_COEF, REL_COEF_FLOOR * float(np.max(np.abs(probe))))
@@ -111,9 +129,10 @@ def fit_trend(
     if fallback:
         order = 1
     if order == 1 and line is not None:
-        coef = line
-    else:
-        coef, _ = npoly.polyfit(t, series, order, full=True)
+        coef, values = line
+        return TrendModel(coef, 1, values, fallback=fallback)
+    t = scaled_abscissa(series.size)
+    coef, _ = npoly.polyfit(t, series, order, full=True)
     return TrendModel(coef, order, npoly.polyval(t, coef), fallback=fallback)
 
 
@@ -161,7 +180,8 @@ class PeriodSegmentation:
 
     ``periods`` holds half-open frame ranges [start, end) built from
     consecutive retained starts whose gap sits inside the validation
-    window around ``reference_period``.
+    window around ``reference_period``. It is not changed after
+    construction: :attr:`bounds` holds it as an array from the first use.
     """
 
     period_starts: np.ndarray
@@ -169,14 +189,15 @@ class PeriodSegmentation:
     reference_period: float
     alpha: float
 
-    def _bounds(self) -> np.ndarray:
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """(periods, 2) array of the [start, end) pairs, built once."""
         return np.asarray(self.periods, dtype=int).reshape(-1, 2)
 
     @property
     def period_lengths(self) -> np.ndarray:
         """Frames per period, in period order."""
-        bounds = self._bounds()
-        return bounds[:, 1] - bounds[:, 0]
+        return self.bounds[:, 1] - self.bounds[:, 0]
 
     def covered_frames(self) -> np.ndarray:
         """All frame indices inside any period, in increasing order.
@@ -184,10 +205,9 @@ class PeriodSegmentation:
         Each output position minus the position of its period's first
         frame, plus that period's start; O(frames) array code.
         """
-        bounds = self._bounds()
-        lengths = bounds[:, 1] - bounds[:, 0]
+        lengths = self.period_lengths
         firsts = np.cumsum(lengths) - lengths
-        return np.arange(lengths.sum()) + np.repeat(bounds[:, 0] - firsts, lengths)
+        return np.arange(lengths.sum()) + np.repeat(self.bounds[:, 0] - firsts, lengths)
 
 
 def _gap_range(l: float, window: float) -> tuple[int, int] | None:

@@ -23,9 +23,14 @@ class SeasonalityReport:
     reference_period: float
 
 
+def _acf_size(n: int) -> int:
+    """FFT length of the autocorrelation: a power of two of at least 2n."""
+    return 1 << (2 * n - 1).bit_length()
+
+
 def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
     """Biased sample autocorrelation for lags 0..max_lag, 1 <= max_lag < n,
-    of a non-constant series.
+    of a non-constant series, along the last axis.
 
     acf[k] = sum((x[t]-mean)*(x[t+k]-mean)) / sum((x[t]-mean)**2), with the
     denominator running over the full series. The lag sums come from one
@@ -35,32 +40,36 @@ def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
     Cost is O(n log n) whatever max_lag is. Each lag is divided by the lag-0
     sum taken from the same transform, so acf[0] is exactly 1; the other
     lags match the direct sums to rounding error (below 1e-15 on random
-    series).
+    series). Each row of a (k, n) block gets the bits the row gives alone.
     """
-    size = 1 << (2 * series.size - 1).bit_length()
-    f = np.fft.rfft(series - series.mean(), size)
-    r = np.fft.irfft(f.real**2 + f.imag**2, size)[: max_lag + 1]
-    return r / r[0]
+    size = _acf_size(series.shape[-1])
+    f = np.fft.rfft(series - series.mean(axis=-1, keepdims=True), size)
+    r = np.fft.irfft(f.real**2 + f.imag**2, size)[..., : max_lag + 1]
+    return r / r[..., :1]
 
 
 def power_spectrum(series: np.ndarray) -> np.ndarray:
-    """Power of the mean-removed DFT, |F[k]|**2 / n, for k = 0..floor(n/2).
+    """Power of the mean-removed DFT, |F[k]|**2 / n, for k = 0..floor(n/2),
+    along the last axis.
 
     The DC bin is forced to zero since the mean is removed before the
-    transform.
+    transform. Each row of a (k, n) block gets the bits the row gives
+    alone.
     """
-    f = np.fft.rfft(series - series.mean())
-    spectrum = (f.real**2 + f.imag**2) / series.size
-    spectrum[0] = 0.0
+    f = np.fft.rfft(series - series.mean(axis=-1, keepdims=True))
+    spectrum = (f.real**2 + f.imag**2) / series.shape[-1]
+    spectrum[..., 0] = 0.0
     return spectrum
 
 
-def dominant_frequency(spectrum: np.ndarray) -> int:
-    """Index of the strongest spectral bin, searched over bins 1..floor(n/2).
+def dominant_frequency(spectrum: np.ndarray) -> int | list[int]:
+    """Index of the strongest spectral bin, searched over bins 1..floor(n/2),
+    along the last axis: an int for one spectrum, a list of ints, one per
+    row, for a (k, n // 2 + 1) block of them.
 
     Ties resolve to the lowest index, i.e. the longest cycle.
     """
-    return int(np.argmax(spectrum[1:])) + 1
+    return (np.argmax(spectrum[..., 1:], axis=-1) + 1).tolist()
 
 
 def fisher_g(spectrum: np.ndarray, n: int) -> tuple[float, float]:
@@ -86,16 +95,32 @@ def reference_period(n: int, f: int) -> float:
     return n / f
 
 
+def analyze_rows(rows: np.ndarray, budget: int = 0) -> list[SeasonalityReport]:
+    """Run the full cycle analysis on each row of a (k, n) block of
+    non-constant series, n >= 4, with the autocorrelation up to lag
+    floor(n/2).
+
+    Each row's report holds the bits :func:`analyze_series` gives for
+    that row alone. The rows go through the transforms in chunks whose
+    largest transient, the autocorrelation's padded spectrum of
+    _acf_size(n) + 2 doubles per row, stays within ``budget`` doubles; a
+    chunk holds one row at least.
+    """
+    n = rows.shape[1]
+    step = max(1, budget // (_acf_size(n) + 2))
+    reports = []
+    for start in range(0, rows.shape[0], step):
+        chunk = rows[start : start + step]
+        acf = autocorrelation(chunk, n // 2)
+        spectrum = power_spectrum(chunk)
+        reports += [
+            SeasonalityReport(acf=a, spectrum=s, dominant_frequency=f, reference_period=reference_period(n, f))
+            for a, s, f in zip(acf, spectrum, dominant_frequency(spectrum))
+        ]
+    return reports
+
+
 def analyze_series(series: np.ndarray) -> SeasonalityReport:
     """Run the full cycle analysis on a non-constant series of n >= 4
     samples, with the autocorrelation up to lag floor(n/2)."""
-    n = series.size
-    acf = autocorrelation(series, n // 2)
-    spectrum = power_spectrum(series)
-    f = dominant_frequency(spectrum)
-    return SeasonalityReport(
-        acf=acf,
-        spectrum=spectrum,
-        dominant_frequency=f,
-        reference_period=reference_period(n, f),
-    )
+    return analyze_rows(series[np.newaxis])[0]

@@ -66,36 +66,40 @@ def denormalize(series: np.ndarray, params: ScaleParams) -> np.ndarray:
 
 
 def mean_smoothing(series: np.ndarray, radius: int) -> np.ndarray:
-    """Centered moving average with window 2*radius + 1.
+    """Centered moving average with window 2*radius + 1, along the last axis.
 
     Windows are clipped at the series ends, so boundary samples average
     whatever part of the window exists. ``radius`` must be smaller than
-    the series length; radius 0 returns a copy.
+    the series length; radius 0 returns a copy. Each row of a (k, n)
+    block comes out with the bits the row gives alone.
     """
-    n = series.size
+    n = series.shape[-1]
     if radius >= n:
         raise DataError(f"radius {radius} must be below the series length {n}")
     if radius == 0:
         return series.copy()
     # Center on the first sample so constant series come back bit-exact.
-    base = series[0]
-    csum = np.concatenate(([0.0], np.cumsum(series - base)))
+    base = series[..., :1]
+    csum = np.cumsum(series - base, axis=-1)
+    csum = np.concatenate((np.zeros(csum.shape[:-1] + (1,)), csum), axis=-1)
     idx = np.arange(n)
     lo = np.maximum(idx - radius, 0)
     hi = np.minimum(idx + radius, n - 1)
-    return base + (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+    return base + (csum[..., hi + 1] - csum[..., lo]) / (hi - lo + 1)
 
 
 def exponential_smoothing(series: np.ndarray, alpha: float, radius: int) -> np.ndarray:
-    """Weighted window smoother with center weight alpha in (0, 1].
+    """Weighted window smoother with center weight alpha in (0, 1], along
+    the last axis.
 
     Interior samples become ``alpha*s[i] + beta*sum(s[i-j] + s[i+j])`` for
     j in 1..radius with ``beta = (1 - alpha)/(2*radius)``, so the weights
     add up to one. The first and last ``radius`` samples are copied
     unchanged. ``radius`` must be at least 1 and smaller than the series
-    length.
+    length. Each row of a (k, n) block comes out with the bits the row
+    gives alone.
     """
-    n = series.size
+    n = series.shape[-1]
     if radius >= n:
         raise DataError(f"radius {radius} must be below the series length {n}")
     if alpha == 1.0 or 2 * radius >= n:
@@ -103,15 +107,16 @@ def exponential_smoothing(series: np.ndarray, alpha: float, radius: int) -> np.n
         # boundary-copy rule covers the whole series.
         return series.copy()
     # Center on the first sample so constant series come back bit-exact.
-    base = series[0]
+    base = series[..., :1]
     d = series - base
     beta = (1.0 - alpha) / (2.0 * radius)
-    csum = np.concatenate(([0.0], np.cumsum(d)))
-    center = d[radius : n - radius]
+    csum = np.cumsum(d, axis=-1)
+    csum = np.concatenate((np.zeros(csum.shape[:-1] + (1,)), csum), axis=-1)
+    center = d[..., radius : n - radius]
     # Each interior window sum of 2*radius + 1 samples, minus its center.
-    neighbours = csum[2 * radius + 1 :] - csum[: n - 2 * radius] - center
+    neighbours = csum[..., 2 * radius + 1 :] - csum[..., : n - 2 * radius] - center
     out = series.copy()
-    out[radius : n - radius] = base + (alpha * center + beta * neighbours)
+    out[..., radius : n - radius] = base + (alpha * center + beta * neighbours)
     return out
 
 

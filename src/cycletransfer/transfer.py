@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -22,12 +23,16 @@ from .decomposition import (
     TrendModel,
     find_crossovers,
     fit_trend,
+    ramp_lines,
     scaled_abscissa,
     trend_probes,
     validate_periods,
 )
 from .errors import ConstantSeriesError, CycleTransferError, DataError, SeasonalityNotFoundError
-from .seasonality import SeasonalityReport, analyze_series, fisher_g
+# analyze_series and normalize_minmax are not called here: the side step
+# runs their row-batched forms. They stay importable from this module, where
+# the benchmark's tracer (bench/tracing.py) looks them up.
+from .seasonality import SeasonalityReport, analyze_rows, analyze_series, fisher_g  # noqa: F401
 from .series import (
     MIN_RANGE,
     ScaleParams,
@@ -36,8 +41,7 @@ from .series import (
     denormalize,
     exponential_smoothing,
     mean_smoothing,
-    normalize_minmax,
-    require_length,
+    normalize_minmax,  # noqa: F401
 )
 from .tableio import PoseTable
 
@@ -102,6 +106,38 @@ class SequenceDiagnostics:
     scale: ScaleParams
     smooth_radius: int
     failure: str | None = None
+
+
+@dataclass(eq=False)
+class SequenceFront:
+    """One sequence's share of its table side's analysis front end.
+
+    Everything the sequence's analysis needs before its trend fit, in
+    normalized units: the series and its bounds, the least-squares line
+    and its values, the cycle report of the line-removed values, the
+    smoothed series and its radius, and the trend probe. The normalized
+    series and the line values are the sequence's own; the other arrays
+    are rows of blocks shared across the side.
+    """
+
+    normalized: np.ndarray
+    scale: ScaleParams
+    line: np.ndarray
+    ramp: np.ndarray
+    report: SeasonalityReport
+    smoothed: np.ndarray
+    smooth_radius: int
+    probe: np.ndarray
+
+
+class FrontFailure(NamedTuple):
+    """The check a sequence failed in its table side's front end, with the
+    message the one-series stages give for it. ``constant`` marks a series
+    with no range or no cyclic part to analyze (ConstantSeriesError); any
+    other failure is a DataError."""
+
+    constant: bool
+    message: str
 
 
 @dataclass(eq=False)
@@ -194,8 +230,8 @@ def apply_transfer(
     transferred[frames] = True
 
     l_int = max(1, int(round(reference_period)))
-    ends = np.array([end for _, end in segmentation.periods])
-    first_start = segmentation.periods[0][0]
+    ends = segmentation.bounds[:, 1]
+    first_start = segmentation.bounds[0, 0]
     outside = np.nonzero(~transferred)[0]
     if outside.size:
         # Anchor each uncovered frame at the nearest boundary on its left:
@@ -210,18 +246,114 @@ def apply_transfer(
     return RefinedSeries(values=values, trend=trend.copy(), applied_factor=applied, transferred=transferred)
 
 
-def _analyze_sequence(
-    x: np.ndarray, cfg: RunConfig, probe: np.ndarray | None = None
-) -> SequenceDiagnostics:
-    """Normalize, detect the cycle, fit the trend, segment into periods.
+def _range_failure(lo: float, hi: float) -> FrontFailure | None:
+    """The check :func:`normalize_minmax` fails on a series with these
+    bounds, or None."""
+    if hi - lo < MIN_RANGE:
+        return FrontFailure(True, f"series range {hi - lo:g} is below {MIN_RANGE:g}")
+    if hi - lo == np.inf:
+        return FrontFailure(False, f"series range from min {lo:g} to max {hi:g} overflows float64")
+    return None
 
-    ``x`` is a finite 1-D float64 array, as a PoseTable column or
-    :func:`transfer_channel` provides it. The conditions on the sequence
-    are checked here, in this order: at least 2 samples; a range of at
-    least MIN_RANGE and a cyclic part left after ramp removal (both
-    ConstantSeriesError); at least 4 samples. The smoother then checks
-    its radius against n. The stages take what this function built
-    without checking it again.
+
+def _side_fronts(rows: np.ndarray, cfg: RunConfig) -> list[SequenceFront | FrontFailure]:
+    """The analysis front end of one table side: a front per row of a
+    (k, n) block of series, or the check that row fails. The block is the
+    caller's copy: it is normalized in place.
+
+    Each stage runs as array code along the last axis on every row that
+    still needs it, and gives each row the bits it gives the row alone:
+    min-max normalization; the least-squares line, one lstsq per row
+    (:func:`ramp_lines`), and its values; the power spectrum and the
+    autocorrelation of the line-removed values, with the dominant bin and
+    the reference period (:func:`analyze_rows`); the smoothed series, one
+    smoother call per distinct radius. The trend probes
+    (:func:`trend_probes`) take the normalized rows in blocks of at most
+    max_order + 1, so the right-hand sides never outgrow the Vandermonde
+    matrix polyfit builds anyway, and the transforms stay within that
+    block's n * (max_order + 1) doubles.
+
+    Raises nothing. A row fails the first check it meets, in this order,
+    and its entry is then a FrontFailure with the message the one-series
+    stage gives: at least 2 samples (:func:`require_length`); a range of
+    at least MIN_RANGE that does not overflow (:func:`normalize_minmax`);
+    a cyclic part left after the line is removed (a range of at least
+    MIN_RANGE again); at least 4 samples; a smoothing radius below n (the
+    smoothers). The row's analysis raises it, in table order.
+
+    Each front owns its normalized series and line values, copied out of
+    the side's blocks, so a caller that drops a front once the sequence
+    is analyzed frees them rather than keeping those blocks alive; its
+    smoothed series is a row of the block its radius group shares.
+    """
+    k, n = rows.shape
+    if n < 2:
+        return [FrontFailure(False, f"series has {n} samples, need at least 2")] * k
+    lo, hi = rows.min(axis=1), rows.max(axis=1)
+    fronts: list = [_range_failure(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    ok = [j for j, front in enumerate(fronts) if front is None]
+    normalized = rows if len(ok) == k else rows[ok]
+    normalized -= lo[ok, np.newaxis]
+    normalized /= (hi[ok] - lo[ok])[:, np.newaxis]
+    t = scaled_abscissa(n)
+    lines = ramp_lines(t, normalized)
+    ramp = npoly.polyval(t, lines.T)
+    cyclic = normalized - ramp
+    flat = (np.ptp(cyclic, axis=1) < MIN_RANGE).tolist()
+    for i, j in enumerate(ok):
+        if flat[i]:
+            fronts[j] = FrontFailure(True, "series is a plain ramp, no cyclic part to analyze")
+        elif n < 4:
+            fronts[j] = FrontFailure(False, f"series has {n} samples, need at least 4")
+    live = [i for i, j in enumerate(ok) if fronts[j] is None]
+    if not live:
+        return fronts
+
+    max_order = min(cfg.max_order, n - 1)
+    probes = [
+        column
+        for start in range(0, len(ok), max_order + 1)
+        for column in trend_probes(normalized[start : start + max_order + 1].T, max_order).T
+    ]
+    reports = analyze_rows(cyclic[live] if len(live) < len(ok) else cyclic, n * (max_order + 1))
+    del cyclic  # only the transforms read the line-removed rows
+    radii = [
+        default_smooth_radius(report.reference_period) if cfg.smooth_radius is None else cfg.smooth_radius
+        for report in reports
+    ]
+    # i numbers the normalized rows, ok[i] the input rows, g the live ones.
+    for radius in sorted(set(radii)):
+        group = [g for g, r in enumerate(radii) if r == radius]
+        if radius >= n:
+            for g in group:
+                fronts[ok[live[g]]] = FrontFailure(False, f"radius {radius} must be below the series length {n}")
+            continue
+        block = normalized[[live[g] for g in group]]
+        if cfg.smooth_kind == SMOOTH_EXPONENTIAL:
+            smoothed = exponential_smoothing(block, cfg.exp_alpha, radius)
+        else:
+            smoothed = mean_smoothing(block, radius)
+        for g, row in zip(group, smoothed):
+            i = live[g]
+            fronts[ok[i]] = SequenceFront(
+                normalized=normalized[i].copy(),
+                scale=ScaleParams(float(lo[ok[i]]), float(hi[ok[i]])),
+                line=lines[i],
+                ramp=ramp[i].copy(),
+                report=reports[g],
+                smoothed=row,
+                smooth_radius=radius,
+                probe=probes[i],
+            )
+    return fronts
+
+
+def _analyze_sequence(front: SequenceFront | FrontFailure, cfg: RunConfig) -> SequenceDiagnostics:
+    """Fit the trend of one sequence and segment it into periods.
+
+    ``front`` is the sequence's entry from its side step
+    (:func:`_side_fronts`); a failed check is raised here, so each
+    sequence's error comes from its own analysis.
 
     The trend stays in normalized units; a caller that needs it in
     original units denormalizes it with the diagnostics' scale.
@@ -231,33 +363,24 @@ def _analyze_sequence(
     caller can fall back to passing the channel through. The gate runs
     after the trend fit, so a skipped sequence keeps its trend.
 
-    Cycle detection runs on ramp-removed values: a least-squares line is
-    subtracted first, because a ramp's spectral leakage into the lowest
-    bins can outweigh a genuine cycle whose frequency falls between bins.
-    That line is also the order-1 trend. ``probe`` is the sequence's trend
-    probe from its table side (see :func:`_side_probes`); without it
-    :func:`fit_trend` probes the sequence alone.
+    Cycle detection ran on ramp-removed values in the side step: a
+    least-squares line is subtracted first, because a ramp's spectral
+    leakage into the lowest bins can outweigh a genuine cycle whose
+    frequency falls between bins. That line and its values are also the
+    order-1 trend.
     """
-    n = x.size
-    require_length(x, 2)
-    normalized, scale = normalize_minmax(x)
-    t_axis = scaled_abscissa(n)
-    line = npoly.polyfit(t_axis, normalized, 1)
-    ramp = npoly.polyval(t_axis, line)
-    cyclic = normalized - ramp
-    if float(np.ptp(cyclic)) < MIN_RANGE:
-        raise ConstantSeriesError("series is a plain ramp, no cyclic part to analyze")
-    require_length(x, 4)
-    report = analyze_series(cyclic)
-    radius = cfg.smooth_radius
-    if radius is None:
-        radius = default_smooth_radius(report.reference_period)
-    if cfg.smooth_kind == SMOOTH_EXPONENTIAL:
-        smoothed = exponential_smoothing(normalized, cfg.exp_alpha, radius)
-    else:
-        smoothed = mean_smoothing(normalized, radius)
+    if isinstance(front, FrontFailure):
+        if front.constant:
+            raise ConstantSeriesError(front.message)
+        raise DataError(front.message)
+    n = front.normalized.size
+    report = front.report
     trend = fit_trend(
-        normalized, min(cfg.max_order, n - 1), report.dominant_frequency, probe=probe, line=line
+        front.normalized,
+        min(cfg.max_order, n - 1),
+        report.dominant_frequency,
+        probe=front.probe,
+        line=(front.line, front.ramp),
     )
 
     segmentation = None
@@ -268,7 +391,7 @@ def _analyze_sequence(
             raise SeasonalityNotFoundError(
                 f"no significant cycle: Fisher's g = {g:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
             )
-        crossovers = find_crossovers(smoothed, trend.values)
+        crossovers = find_crossovers(front.smoothed, trend.values)
         rising = [c.index for c in crossovers if c.direction == RISING]
         segmentation = validate_periods(rising, report.reference_period, cfg.alpha)
     except SeasonalityNotFoundError as exc:
@@ -278,14 +401,14 @@ def _analyze_sequence(
         report=report,
         trend=trend,
         segmentation=segmentation,
-        scale=scale,
-        smooth_radius=radius,
+        scale=front.scale,
+        smooth_radius=front.smooth_radius,
         failure=failure,
     )
 
 
 def transfer_channel(
-    reference, target, config: RunConfig | None = None, *, probes=(None, None)
+    reference, target, config: RunConfig | None = None, *, fronts=None
 ) -> tuple[RefinedSeries, ChannelDiagnostics]:
     """Refine one target channel using one reference channel.
 
@@ -300,9 +423,11 @@ def transfer_channel(
     overflows float64, which a range near its limit can cause, raises
     DataError.
 
-    ``probes`` holds the reference's and the target's trend probes when
-    :func:`transfer_table` has probed each table side at once; None
-    probes the sequence alone.
+    ``fronts`` holds the reference's and the target's entries from their
+    table sides' front ends (:func:`_side_fronts`), as
+    :func:`transfer_table` passes them; without it each sequence is a
+    side of one row. Errors come in the order the analysis meets them:
+    the length check here, then the reference's, then the target's.
     """
     cfg = config if config is not None else RunConfig()
     ref_x = as_series(reference)
@@ -313,8 +438,10 @@ def transfer_channel(
             f"got {ref_x.size} and {tgt_x.size}"
         )
 
-    ref = _analyze_sequence(ref_x, cfg, probes[0])
-    tgt = _analyze_sequence(tgt_x, cfg, probes[1])
+    if fronts is None:
+        fronts = [_side_fronts(x[np.newaxis].copy(), cfg)[0] for x in (ref_x, tgt_x)]
+    ref = _analyze_sequence(fronts[0], cfg)
+    tgt = _analyze_sequence(fronts[1], cfg)
     # Back in original units a range near float64's limit can overflow;
     # the finiteness check below reports that instead of numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -367,33 +494,14 @@ def transfer_channel(
     return refined, diag
 
 
-def _side_probes(table: PoseTable, selected: set[str], cfg: RunConfig) -> dict[str, np.ndarray]:
-    """Trend probes of the selected channels of one table side, by name.
-
-    Each channel is normalized as :func:`normalize_minmax` does it, with
-    the same bits, and the columns go through :func:`trend_probes` in
-    blocks of at most max_order + 1, so the right-hand sides never
-    outgrow the Vandermonde matrix polyfit builds anyway. Raises nothing:
-    channels that normalize_minmax rejects (range below MIN_RANGE or
-    overflowing) get no probe, and neither does a table too short to
-    transfer, so every error still comes from the channel's own analysis,
-    in table order.
-    """
-    n = table.n_frames
-    if n < MIN_TRANSFER_LENGTH:
-        return {}
-    names = table.channel_names
-    lo = table.values.min(axis=0)
-    with np.errstate(over="ignore"):
-        span = table.values.max(axis=0) - lo
-    columns = [i for i, name in enumerate(names) if name in selected and MIN_RANGE <= span[i] < np.inf]
-    max_order = min(cfg.max_order, n - 1)
-    probes = {}
-    for start in range(0, len(columns), max_order + 1):
-        block = columns[start : start + max_order + 1]
-        normalized = (table.values[:, block] - lo[block]) / span[block]
-        probes.update(zip([names[i] for i in block], trend_probes(normalized, max_order).T))
-    return probes
+def _table_fronts(
+    table: PoseTable, selected: set[str], cfg: RunConfig
+) -> dict[str, SequenceFront | FrontFailure]:
+    """The side step (:func:`_side_fronts`) on the selected columns of a
+    table, taken once as a row-contiguous (k, n) block, by channel name."""
+    columns = [i for i, name in enumerate(table.channel_names) if name in selected]
+    fronts = _side_fronts(table.values.T[columns], cfg)
+    return {table.channel_names[i]: front for i, front in zip(columns, fronts)}
 
 
 @contextmanager
@@ -430,8 +538,9 @@ def transfer_table(
     values into which each refined column is written. Filtered-out channels
     keep their values as "passthrough", skipped ones (see
     :func:`_channel_step` and :func:`transfer_channel`) as
-    "skipped_no_seasonality". Each table side gets one batched trend probe
-    (:func:`_side_probes`), which only chooses the trend orders.
+    "skipped_no_seasonality". Each table side's front end runs once, on
+    all its selected channels (:func:`_table_fronts`), with the bits each
+    channel gets alone.
     """
     cfg = config if config is not None else RunConfig()
     if set(ref_table.channel_names) != set(target_table.channel_names):
@@ -441,8 +550,8 @@ def transfer_table(
             f"channel sets differ; only in reference: {only_ref}, only in target: {only_tgt}"
         )
     selected = _selected_channels(target_table, cfg)
-    ref_probes = _side_probes(ref_table, selected, cfg)
-    tgt_probes = _side_probes(target_table, selected, cfg)
+    ref_fronts = _table_fronts(ref_table, selected, cfg)
+    tgt_fronts = _table_fronts(target_table, selected, cfg)
 
     values = target_table.values.copy()
     diagnostics: dict[str, ChannelDiagnostics] = {}
@@ -453,7 +562,7 @@ def transfer_table(
         with _channel_step(name, diagnostics):
             refined, diagnostics[name] = transfer_channel(
                 ref_table.channel(name), target_table.channel(name), cfg,
-                probes=(ref_probes.get(name), tgt_probes.get(name)),
+                fronts=(ref_fronts.pop(name), tgt_fronts.pop(name)),
             )
             values[:, i] = refined.values
     return PoseTable(list(target_table.channel_names), values), diagnostics
@@ -466,19 +575,19 @@ def analyze_table(table: PoseTable, config: RunConfig | None = None) -> dict[str
     modified by analysis); constant ones and ones that fail segmentation get
     "skipped_no_seasonality" with the reason in ``detail``, by the rule
     :func:`transfer_table` uses; filtered-out channels get "passthrough" with
-    empty diagnostics. The trend orders come from one batched probe of
-    the selected channels (:func:`_side_probes`).
+    empty diagnostics. The front end runs once on the selected channels
+    (:func:`_table_fronts`).
     """
     cfg = config if config is not None else RunConfig()
     selected = _selected_channels(table, cfg)
-    probes = _side_probes(table, selected, cfg)
+    fronts = _table_fronts(table, selected, cfg)
     out: dict[str, ChannelDiagnostics] = {}
     for name in table.channel_names:
         if name not in selected:
             out[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
             continue
         with _channel_step(name, out):
-            seq = _analyze_sequence(table.channel(name), cfg, probes.get(name))
+            seq = _analyze_sequence(fronts.pop(name), cfg)
             status = STATUS_PASSTHROUGH if seq.segmentation is not None else STATUS_SKIPPED
             out[name] = ChannelDiagnostics(status=status, target=seq, detail=seq.failure)
     return out

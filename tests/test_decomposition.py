@@ -115,7 +115,8 @@ def test_fit_trend_with_own_probe_and_ramp_is_bit_identical(n, seed, f, data):
     x = trend_columns(np.random.Generator(np.random.PCG64(seed)), n, 1)[:, 0]
     t = scaled_abscissa(n)
     alone = fit_trend(x, max_order, f)
-    given_parts = fit_trend(x, max_order, f, probe=trend_probes(x, max_order), line=npoly.polyfit(t, x, 1))
+    line = npoly.polyfit(t, x, 1)
+    given_parts = fit_trend(x, max_order, f, probe=trend_probes(x, max_order), line=(line, npoly.polyval(t, line)))
     assert (given_parts.order, given_parts.fallback) == (alone.order, alone.fallback)
     np.testing.assert_array_equal(given_parts.coefficients, alone.coefficients)
     np.testing.assert_array_equal(given_parts.values, alone.values)
@@ -132,10 +133,10 @@ def test_fit_trend_reads_the_probe_it_is_given():
     assert (model.order, model.fallback) == (2, False)
     np.testing.assert_array_equal(model.coefficients, npoly.polyfit(t, x, 2))
     line = np.array([0.25, 0.5])
-    model = fit_trend(x, 10, 5, probe=np.zeros(11), line=line)
+    ramp = npoly.polyval(t, line)
+    model = fit_trend(x, 10, 5, probe=np.zeros(11), line=(line, ramp))
     assert (model.order, model.fallback) == (1, True)
-    assert model.coefficients is line
-    np.testing.assert_array_equal(model.values, npoly.polyval(t, line))
+    assert model.coefficients is line and model.values is ramp
 
 
 def test_fit_trend_validation():

@@ -1,0 +1,282 @@
+"""The analysis front end of a table side against the one-series stages.
+
+The side step runs normalization, the least-squares line, the spectrum,
+the autocorrelation and the smoother once over all rows of a side. Each
+row must come out with the bits the one-series stages give it, and must
+fail the same check with the same message, in the same order.
+"""
+
+import numpy as np
+import numpy.polynomial.polynomial as npoly
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cycletransfer.seasonality
+from cycletransfer.config import RunConfig
+from cycletransfer.decomposition import scaled_abscissa
+from cycletransfer.errors import ConstantSeriesError, CycleTransferError, DataError
+from cycletransfer.seasonality import analyze_rows, autocorrelation, dominant_frequency, power_spectrum
+from cycletransfer.series import (
+    default_smooth_radius,
+    exponential_smoothing,
+    mean_smoothing,
+    normalize_minmax,
+    require_length,
+)
+from cycletransfer.tableio import PoseTable
+from cycletransfer.transfer import (
+    STATUS_PASSTHROUGH,
+    STATUS_SKIPPED,
+    STATUS_TRANSFERRED,
+    FrontFailure,
+    _side_fronts,
+    analyze_table,
+    transfer_table,
+)
+
+
+def front_alone(x, cfg):
+    """One series through the one-series stages, in the order the
+    analysis checks them; the error it meets instead, if any."""
+    n = x.size
+    try:
+        require_length(x, 2)
+        normalized, scale = normalize_minmax(x)
+        t = scaled_abscissa(n)
+        line = npoly.polyfit(t, normalized, 1)
+        ramp = npoly.polyval(t, line)
+        cyclic = normalized - ramp
+        if float(np.ptp(cyclic)) < 1e-12:
+            raise ConstantSeriesError("series is a plain ramp, no cyclic part to analyze")
+        require_length(x, 4)
+        spectrum = power_spectrum(cyclic)
+        f = dominant_frequency(spectrum)
+        radius = cfg.smooth_radius
+        if radius is None:
+            radius = default_smooth_radius(n / f)
+        if cfg.smooth_kind == "exponential":
+            smoothed = exponential_smoothing(normalized, cfg.exp_alpha, radius)
+        else:
+            smoothed = mean_smoothing(normalized, radius)
+    except CycleTransferError as exc:
+        return exc
+    return {
+        "normalized": normalized,
+        "scale": scale,
+        "line": line,
+        "ramp": ramp,
+        "acf": autocorrelation(cyclic, n // 2),
+        "spectrum": spectrum,
+        "dominant_frequency": f,
+        "reference_period": n / f,
+        "smoothed": smoothed,
+        "smooth_radius": radius,
+    }
+
+
+@st.composite
+def side_rows(draw):
+    """A (k, n) block of series of one side: cycles of different periods
+    (so the default radii differ between rows), white noise, constants,
+    plain ramps and offsets of either sign."""
+    n = draw(st.sampled_from([2, 3, 4, 5, 8, 8, 13, 32, 61, 200]))
+    k = draw(st.integers(1, 7))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    t = np.arange(n, dtype=float)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["cycle", "cycle", "noise", "flat", "ramp"]), min_size=k, max_size=k)):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        if kind == "cycle":
+            period = rng.uniform(2.5, max(3.0, n / 1.5))
+            row = np.sin(2 * np.pi * t / period + rng.uniform(0, 6)) + rng.uniform(-0.01, 0.01) * t
+            row = row + 0.2 * rng.standard_normal(n)
+        elif kind == "noise":
+            row = rng.standard_normal(n)
+        elif kind == "flat":
+            row = np.zeros(n)
+        else:
+            row = t.copy()
+        rows.append(scale * row + rng.uniform(-100, 100))
+    return np.array(rows)
+
+
+configs = st.builds(
+    dict,
+    smooth_kind=st.sampled_from(["mean", "exponential"]),
+    smooth_radius=st.sampled_from([None, None, 1, 3, 250]),
+    exp_alpha=st.sampled_from([0.5, 0.2]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(side_rows(), configs)
+def test_side_fronts_equal_the_one_series_stages_row_by_row(rows, config):
+    if config["smooth_kind"] == "exponential" and config["smooth_radius"] == 0:
+        config = dict(config, smooth_radius=1)
+    cfg = RunConfig(**config)
+    fronts = _side_fronts(rows.copy(), cfg)
+    assert len(fronts) == rows.shape[0]
+    for row, front in zip(rows, fronts):
+        alone = front_alone(row, cfg)
+        if isinstance(alone, CycleTransferError):
+            assert type(alone) in (ConstantSeriesError, DataError)
+            assert front == FrontFailure(type(alone) is ConstantSeriesError, str(alone))
+            continue
+        assert not isinstance(front, FrontFailure), front
+        for name in ("normalized", "line", "ramp", "smoothed"):
+            np.testing.assert_array_equal(getattr(front, name), alone[name], err_msg=name)
+        np.testing.assert_array_equal(front.report.acf, alone["acf"])
+        np.testing.assert_array_equal(front.report.spectrum, alone["spectrum"])
+        assert front.scale == alone["scale"]
+        assert front.report.dominant_frequency == alone["dominant_frequency"]
+        assert type(front.report.dominant_frequency) is int
+        assert front.report.reference_period == alone["reference_period"]
+        assert front.smooth_radius == alone["smooth_radius"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.sampled_from([8, 9, 16, 45, 128, 301]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 1.0),
+)
+def test_stages_along_the_last_axis_equal_their_one_row_calls(k, n, seed, alpha):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    block = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+    radius = int(rng.integers(1, n))
+    got = {
+        "spectrum": power_spectrum(block),
+        "acf": autocorrelation(block, n // 2),
+        "mean": mean_smoothing(block, radius),
+        "mean_0": mean_smoothing(block, 0),
+        "exponential": exponential_smoothing(block, alpha, radius),
+    }
+    for i, row in enumerate(block):
+        alone = {
+            "spectrum": power_spectrum(row),
+            "acf": autocorrelation(row, n // 2),
+            "mean": mean_smoothing(row, radius),
+            "mean_0": mean_smoothing(row, 0),
+            "exponential": exponential_smoothing(row, alpha, radius),
+        }
+        for name, value in alone.items():
+            np.testing.assert_array_equal(got[name][i], value, err_msg=name)
+    frequencies = [dominant_frequency(s) for s in got["spectrum"]]
+    assert {type(f) for f in frequencies} == {int}
+    assert dominant_frequency(got["spectrum"]) == frequencies
+
+
+def test_transforms_stay_within_the_budget(monkeypatch):
+    # 40 rows of 300 frames pad to 1024 for the autocorrelation; with the
+    # probe block's 300 * 31 doubles as budget, 9 rows go in each chunk.
+    shapes = []
+    recorded = cycletransfer.seasonality.autocorrelation
+
+    def recording(series, max_lag):
+        shapes.append(series.shape)
+        return recorded(series, max_lag)
+
+    monkeypatch.setattr(cycletransfer.seasonality, "autocorrelation", recording)
+    rows = np.random.Generator(np.random.PCG64(4)).standard_normal((40, 300))
+    reports = analyze_rows(rows, 300 * 31)
+    assert shapes == [(9, 300)] * 4 + [(4, 300)]
+    assert max(k for k, _ in shapes) * (1024 + 2) <= 300 * 31
+    assert len(reports) == 40
+    assert analyze_rows(rows[:2])[1].reference_period == reports[1].reference_period
+
+
+def _columns(n, t):
+    wave = np.sin(2.0 * np.pi * (t + 0.5) / 16.0)
+    return {
+        "wave": wave + 0.003 * t,
+        "flat": np.full(n, 4.0),
+        "ramp": np.linspace(-2.0, 5.0, n),
+        "big": 1.5e308 * wave,
+        "wave2": 2.0 * np.sin(2.0 * np.pi * t / 24.0),
+    }
+
+
+def _table(columns, names):
+    return PoseTable(names, np.column_stack([columns[name] for name in names]))
+
+
+def _message(fn, *args):
+    with pytest.raises(CycleTransferError) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+def test_error_and_skip_precedence_in_table_order():
+    n = 240
+    t = np.arange(n, dtype=float)
+    cols = _columns(n, t)
+    overflow = _message(normalize_minmax, cols["big"])
+    assert overflow[0] is DataError
+
+    # Constant and plain-ramp channels are skipped with their own reason;
+    # the first channel in table order that fails otherwise names the error.
+    diags = analyze_table(_table(cols, ["flat", "wave", "ramp", "wave2"]))
+    assert [d.status for d in diags.values()] == [STATUS_SKIPPED, STATUS_PASSTHROUGH, STATUS_SKIPPED, STATUS_PASSTHROUGH]
+    assert diags["flat"].detail == "series range 0 is below 1e-12"
+    assert diags["ramp"].detail == "series is a plain ramp, no cyclic part to analyze"
+    for names, culprit in ((["flat", "ramp", "big", "wave"], "big"), (["wave", "big", "flat"], "big")):
+        with pytest.raises(DataError) as info:
+            analyze_table(_table(cols, names))
+        assert str(info.value) == f"channel '{culprit}': {overflow[1]}"
+        table = _table(cols, names)
+        with pytest.raises(DataError) as info:
+            transfer_table(table, table)
+        assert str(info.value) == f"channel '{culprit}': {overflow[1]}"
+
+    # A fixed radius >= n fails after the range and ramp checks: skipped
+    # channels before it stay skipped, an overflowing range comes first.
+    wide = RunConfig(smooth_radius=n)
+    radius = f"radius {n} must be below the series length {n}"
+    for names, culprit, text in (
+        (["flat", "ramp", "wave2", "big"], "wave2", radius),
+        (["flat", "big", "wave"], "big", overflow[1]),
+    ):
+        for run in (lambda tab: analyze_table(tab, wide), lambda tab: transfer_table(tab, tab, wide)):
+            with pytest.raises(DataError) as info:
+                run(_table(cols, names))
+            assert str(info.value) == f"channel '{culprit}': {text}"
+
+
+def test_reference_fails_before_target():
+    n = 240
+    t = np.arange(n, dtype=float)
+    cols = _columns(n, t)
+    names = ["a", "b", "c"]
+    # a: constant reference, overflowing target -> skipped, reference's reason.
+    # b: plain-ramp reference, constant target -> skipped, reference's reason.
+    # c: overflowing reference, constant target -> the reference's error.
+    ref = PoseTable(names, np.column_stack([cols["flat"], cols["ramp"], cols["big"]]))
+    tgt = PoseTable(names, np.column_stack([cols["big"], cols["flat"], cols["flat"]]))
+    with pytest.raises(DataError) as info:
+        transfer_table(ref, tgt)
+    assert str(info.value) == f"channel 'c': {_message(normalize_minmax, cols['big'])[1]}"
+    out, diags = transfer_table(ref, tgt, RunConfig(channel_filter=["a", "b"]))
+    assert diags["a"].detail == "series range 0 is below 1e-12"
+    assert diags["b"].detail == "series is a plain ramp, no cyclic part to analyze"
+    np.testing.assert_array_equal(out.values, tgt.values)
+    # The target's error shows once the reference passes.
+    tgt = PoseTable(["w"], cols["big"][:, None])
+    with pytest.raises(DataError, match="channel 'w': series range from min"):
+        transfer_table(PoseTable(["w"], cols["wave"][:, None]), tgt)
+    out, diags = transfer_table(PoseTable(["w"], cols["wave"][:, None]), PoseTable(["w"], cols["wave2"][:, None]))
+    assert diags["w"].status == STATUS_TRANSFERRED
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: cycle detection removes only a straight line, so a curved trend's "
+    "leakage into bin 1 hides the cycle and the channel is skipped",
+)
+def test_cycle_on_a_curved_trend_is_found():
+    t = np.arange(400, dtype=float)
+    x = 1e-4 * (t - 200.0) ** 2 + np.sin(2.0 * np.pi * t / 16.0)
+    diag = analyze_table(PoseTable(["c"], x[:, None]))["c"]
+    assert diag.target.report.reference_period == 16.0
+    assert diag.status == STATUS_PASSTHROUGH

@@ -10,13 +10,15 @@ from cycletransfer.config import RunConfig
 from cycletransfer.decomposition import PeriodSegmentation, trend_probes, validate_periods
 from cycletransfer.errors import ConstantSeriesError, DataError, UsageError
 from cycletransfer.series import normalize_minmax
-from cycletransfer.tableio import PoseTable
+from cycletransfer.tableio import PoseTable, write_report
 from cycletransfer.transfer import (
     STATUS_PASSTHROUGH,
     STATUS_SKIPPED,
     STATUS_TRANSFERRED,
     MAX_SEASONALITY_P,
+    ChannelDiagnostics,
     _analyze_sequence,
+    _side_fronts,
     analyze_table,
     apply_transfer,
     build_phi,
@@ -26,6 +28,11 @@ from cycletransfer.transfer import (
     transfer_channel,
     transfer_table,
 )
+
+
+def analyze_alone(x, cfg):
+    """One sequence's analysis, the sequence being a table side of one row."""
+    return _analyze_sequence(_side_fronts(x[np.newaxis].copy(), cfg)[0], cfg)
 
 
 def seg_from_lengths(lengths, reference_period, start=0):
@@ -265,7 +272,7 @@ def test_noisy_cycles_pass_the_significance_gate():
 
 def test_gate_keeps_the_trend_of_a_skipped_sequence():
     rng = np.random.Generator(np.random.PCG64(6))
-    seq = _analyze_sequence(0.01 * np.arange(200.0) + rng.standard_normal(200), RunConfig())
+    seq = analyze_alone(0.01 * np.arange(200.0) + rng.standard_normal(200), RunConfig())
     assert seq.segmentation is None
     assert seq.failure.startswith("no significant cycle: Fisher's g = ")
     assert seq.failure.endswith(" > 0.01")
@@ -604,22 +611,37 @@ def _orders(diag):
     ]
 
 
-def assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg):
+def assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg, tmp_path):
+    """transfer_table's output, statuses, trend orders and report bytes
+    equal those of transfer_channel run on each channel alone."""
+    selected = set(tgt.channel_names if cfg.channel_filter is None else cfg.channel_filter)
+    alone_diags = {}
     for name in tgt.channel_names:
+        if name not in selected:
+            alone_diags[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
+            assert diags[name].status == STATUS_PASSTHROUGH, name
+            np.testing.assert_array_equal(out.channel(name), tgt.channel(name))
+            continue
         try:
             alone, diag = transfer_channel(ref.channel(name), tgt.channel(name), cfg)
         except ConstantSeriesError as exc:
+            alone_diags[name] = ChannelDiagnostics(status=STATUS_SKIPPED, detail=str(exc))
             assert (diags[name].status, diags[name].detail) == (STATUS_SKIPPED, str(exc))
             np.testing.assert_array_equal(out.channel(name), tgt.channel(name))
             continue
+        alone_diags[name] = diag
         assert diags[name].status == diag.status, name
+        assert diags[name].detail == diag.detail, name
         assert _orders(diags[name]) == _orders(diag), name
         np.testing.assert_array_equal(out.channel(name), alone.values)
+    write_report(diags, tmp_path / "table.json")
+    write_report(alone_diags, tmp_path / "alone.json")
+    assert (tmp_path / "table.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
 
 
 @pytest.mark.parametrize("max_order", [30, 12])
 @pytest.mark.parametrize("seed", range(1, 11))
-def test_side_probes_choose_the_per_channel_trend_orders(seed, max_order):
+def test_side_probes_choose_the_per_channel_trend_orders(seed, max_order, tmp_path):
     # The batched probe of each table side differs from one-channel
     # probes in rounding only; every channel keeps its trend order, its
     # status and the bits of its refined values. At max_order 30 every
@@ -628,10 +650,39 @@ def test_side_probes_choose_the_per_channel_trend_orders(seed, max_order):
     _, ref, tgt = wide_tables(seed)
     cfg = RunConfig(max_order=max_order)
     out, diags = transfer_table(ref, tgt, cfg)
-    assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg)
+    assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg, tmp_path)
 
 
-def test_side_probes_split_into_blocks_of_max_order_plus_one(monkeypatch):
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"smooth_kind": "exponential"},
+        {"smooth_kind": "exponential", "smooth_radius": 3, "exp_alpha": 0.3},
+        {"smooth_radius": 0},
+        {"smooth_radius": 3},
+        {"alpha": 0.6},
+        {"channel_filter": "every third"},
+        {"channel_filter": "odd", "smooth_kind": "exponential", "max_order": 5},
+    ],
+    ids=["exponential", "exponential_r3", "radius_0", "radius_3", "alpha_0.6", "filter_thirds", "filter_odd"],
+)
+@pytest.mark.parametrize("seed", [2, 7])
+def test_side_front_end_gives_each_channel_its_own_bits(seed, settings, tmp_path):
+    # The side step batches normalization, the line, the transforms and
+    # the smoother over all selected channels of a side; each channel
+    # still ends exactly as it does alone, under every smoother setting
+    # and channel subset.
+    names, ref, tgt = wide_tables(seed)
+    subsets = {"every third": names[::3], "odd": names[1::2]}
+    if "channel_filter" in settings:
+        settings = dict(settings, channel_filter=subsets[settings["channel_filter"]])
+    cfg = RunConfig(**settings)
+    out, diags = transfer_table(ref, tgt, cfg)
+    assert {d.status for d in diags.values()} >= {STATUS_TRANSFERRED, STATUS_SKIPPED}
+    assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg, tmp_path)
+
+
+def test_side_probes_split_into_blocks_of_max_order_plus_one(monkeypatch, tmp_path):
     # 57 of the 60 channels have a range to normalize; with max_order 5
     # each side is probed in blocks of at most 6 columns.
     widths = []
@@ -646,7 +697,7 @@ def test_side_probes_split_into_blocks_of_max_order_plus_one(monkeypatch):
     out, diags = transfer_table(ref, tgt, cfg)
     assert widths == ([6] * 9 + [3]) * 2
     assert {_orders(d)[1][0] for d in diags.values() if d.target is not None} - {1}
-    assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg)
+    assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg, tmp_path)
 
 
 def test_analyze_table_side_probe_leaves_errors_to_the_channels():
@@ -667,7 +718,7 @@ def test_analyze_table_side_probe_leaves_errors_to_the_channels():
     assert diags["flat"].detail == "series range 0 is below 1e-12"
     assert diags["ramp"].detail == "series is a plain ramp, no cyclic part to analyze"
     for name in ("wave", "slow"):
-        alone = _analyze_sequence(table.channel(name), RunConfig())
+        alone = analyze_alone(table.channel(name), RunConfig())
         got = diags[name].target
         assert (got.trend.order, got.trend.fallback) == (alone.trend.order, alone.trend.fallback)
         np.testing.assert_array_equal(got.trend.values, alone.trend.values)
