@@ -45,12 +45,16 @@ class RunConfig:
         if self.smooth_radius == float("inf"):
             raise UsageError("smooth_radius must be finite, got inf")
         # The stages count and slice with these, so they are held as ints.
-        object.__setattr__(self, "max_order", int(self.max_order))
-        if self.smooth_radius is not None:
-            object.__setattr__(self, "smooth_radius", int(self.smooth_radius))
+        for name in ("max_order", "smooth_radius"):
+            value = getattr(self, name)
+            if value is not None and value % 1:
+                raise UsageError(f"{name} must be a whole number, got {value}")
+            object.__setattr__(self, name, None if value is None else int(value))
         if self.smooth_kind not in (SMOOTH_MEAN, SMOOTH_EXPONENTIAL):
             raise UsageError(f"unknown smooth_kind {self.smooth_kind!r}")
         if self.smooth_kind == SMOOTH_EXPONENTIAL and self.smooth_radius == 0:
             raise UsageError("smooth_radius must be >= 1 for exponential smoothing, got 0")
         if not 0.0 < self.exp_alpha <= 1.0:
             raise UsageError(f"exp_alpha must lie in (0, 1], got {self.exp_alpha}")
+        if isinstance(self.channel_filter, str):
+            raise UsageError(f"channel_filter must be a list of channel names, got {self.channel_filter!r}")

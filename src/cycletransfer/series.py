@@ -2,8 +2,10 @@
 
 A series is held as a plain 1-D float64 numpy array. Raw input is checked
 once, where it enters the pipeline, by :func:`as_series` (one dimension,
-enough samples, all values finite); the stages below take the arrays the
-pipeline built and do not check them again.
+enough samples, all values finite). Each check that depends on a series'
+length, range or smoothing radius is stated once, as a function that
+returns its error: the one-series stages raise it, and a table side's
+analysis records it for the row.
 """
 
 from __future__ import annotations
@@ -23,16 +25,43 @@ def as_series(values, min_len: int = 1) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DataError(f"expected a 1-D series, got shape {arr.shape}")
-    require_length(arr, min_len)
+    raise_if_error(length_error(arr.size, min_len))
     if not np.all(np.isfinite(arr)):
         raise DataError("series contains NaN or infinite samples")
     return arr
 
 
-def require_length(series: np.ndarray, min_len: int) -> None:
-    """Raise DataError when the series holds fewer than min_len samples."""
-    if series.size < min_len:
-        raise DataError(f"series has {series.size} samples, need at least {min_len}")
+def length_error(n: int, min_len: int) -> DataError | None:
+    """The error of a series of n samples where min_len are needed, or None."""
+    return DataError(f"series has {n} samples, need at least {min_len}") if n < min_len else None
+
+
+def range_error(lo: float, hi: float) -> DataError | None:
+    """The error of a series with these bounds in :func:`normalize_minmax`,
+    or None: a range below MIN_RANGE is constant (ConstantSeriesError), and
+    one that overflows float64 would make every sample NaN (DataError)."""
+    if hi - lo < MIN_RANGE:
+        error, what = ConstantSeriesError, f"{hi - lo:g} is below {MIN_RANGE:g}"
+    elif hi - lo == np.inf:
+        error, what = DataError, f"from min {lo:g} to max {hi:g} overflows float64"
+    else:
+        return None
+    return error(f"series range {what}")
+
+
+def radius_error(radius: int, n: int) -> DataError | None:
+    """The error of a smoothing radius on a series of n samples, or None."""
+    return DataError(f"radius {radius} must be below the series length {n}") if radius >= n else None
+
+
+def raise_if_error(entry) -> None:
+    """Raise ``entry`` when it is a check's error, as a fresh copy since the
+    rows of a table side may share one; anything else passes. The checks
+    store only ConstantSeriesError and DataError."""
+    if isinstance(entry, ConstantSeriesError):
+        raise ConstantSeriesError(*entry.args)
+    if isinstance(entry, DataError):
+        raise DataError(*entry.args)
 
 
 @dataclass(frozen=True)
@@ -53,10 +82,7 @@ def normalize_minmax(series: np.ndarray) -> tuple[np.ndarray, ScaleParams]:
     """
     lo = float(series.min())
     hi = float(series.max())
-    if hi - lo < MIN_RANGE:
-        raise ConstantSeriesError(f"series range {hi - lo:g} is below {MIN_RANGE:g}")
-    if hi - lo == np.inf:
-        raise DataError(f"series range from min {lo:g} to max {hi:g} overflows float64")
+    raise_if_error(range_error(lo, hi))
     return (series - lo) / (hi - lo), ScaleParams(lo, hi)
 
 
@@ -74,8 +100,7 @@ def mean_smoothing(series: np.ndarray, radius: int) -> np.ndarray:
     block comes out with the bits the row gives alone.
     """
     n = series.shape[-1]
-    if radius >= n:
-        raise DataError(f"radius {radius} must be below the series length {n}")
+    raise_if_error(radius_error(radius, n))
     if radius == 0:
         return series.copy()
     # Center on the first sample so constant series come back bit-exact.
@@ -85,7 +110,7 @@ def mean_smoothing(series: np.ndarray, radius: int) -> np.ndarray:
     idx = np.arange(n)
     lo = np.maximum(idx - radius, 0)
     hi = np.minimum(idx + radius, n - 1)
-    return base + (csum[..., hi + 1] - csum[..., lo]) / (hi - lo + 1)
+    return _clip_to_rows(base + (csum[..., hi + 1] - csum[..., lo]) / (hi - lo + 1), series)
 
 
 def exponential_smoothing(series: np.ndarray, alpha: float, radius: int) -> np.ndarray:
@@ -100,8 +125,7 @@ def exponential_smoothing(series: np.ndarray, alpha: float, radius: int) -> np.n
     gives alone.
     """
     n = series.shape[-1]
-    if radius >= n:
-        raise DataError(f"radius {radius} must be below the series length {n}")
+    raise_if_error(radius_error(radius, n))
     if alpha == 1.0 or 2 * radius >= n:
         # No interior sample is further than radius from both ends, so the
         # boundary-copy rule covers the whole series.
@@ -117,7 +141,13 @@ def exponential_smoothing(series: np.ndarray, alpha: float, radius: int) -> np.n
     neighbours = csum[..., 2 * radius + 1 :] - csum[..., : n - 2 * radius] - center
     out = series.copy()
     out[..., radius : n - radius] = base + (alpha * center + beta * neighbours)
-    return out
+    return _clip_to_rows(out, series)
+
+
+def _clip_to_rows(out: np.ndarray, series: np.ndarray) -> np.ndarray:
+    """``out`` clipped in place to each row's [min, max] of ``series``: the
+    running sums' rounding can leave that range by about n * eps * max|x - x[0]|."""
+    return np.clip(out, series.min(axis=-1, keepdims=True), series.max(axis=-1, keepdims=True), out=out)
 
 
 def default_smooth_radius(reference_period: float) -> int:

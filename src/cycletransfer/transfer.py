@@ -5,13 +5,16 @@ residual around its trend is averaged per within-period interval, and
 that mean pattern is added onto the target's trend, interval by
 interval. No cross-sequence phase search takes place: each sequence is
 anchored at its own rising crossovers.
+
+Each sequence's analysis (cycle, trend, periods) runs in its table
+side's step (:func:`_analyze_side`), over all the side's selected
+channels at once, with the bits each channel gets alone.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -40,8 +43,12 @@ from .series import (
     default_smooth_radius,
     denormalize,
     exponential_smoothing,
+    length_error,
     mean_smoothing,
     normalize_minmax,  # noqa: F401
+    radius_error,
+    raise_if_error,
+    range_error,
 )
 from .tableio import PoseTable
 
@@ -98,7 +105,9 @@ class RefinedSeries:
 
 @dataclass(eq=False)
 class SequenceDiagnostics:
-    """Per-sequence analysis artifacts gathered during a transfer."""
+    """One sequence's analysis: its cycle report, its trend in normalized
+    units, its periods, and the bounds and radius it was analyzed with.
+    ``failure`` says why a sequence that was analyzed has no periods."""
 
     report: SeasonalityReport
     trend: TrendModel
@@ -106,38 +115,6 @@ class SequenceDiagnostics:
     scale: ScaleParams
     smooth_radius: int
     failure: str | None = None
-
-
-@dataclass(eq=False)
-class SequenceFront:
-    """One sequence's share of its table side's analysis front end.
-
-    Everything the sequence's analysis needs before its trend fit, in
-    normalized units: the series and its bounds, the least-squares line
-    and its values, the cycle report of the line-removed values, the
-    smoothed series and its radius, and the trend probe. The normalized
-    series and the line values are the sequence's own; the other arrays
-    are rows of blocks shared across the side.
-    """
-
-    normalized: np.ndarray
-    scale: ScaleParams
-    line: np.ndarray
-    ramp: np.ndarray
-    report: SeasonalityReport
-    smoothed: np.ndarray
-    smooth_radius: int
-    probe: np.ndarray
-
-
-class FrontFailure(NamedTuple):
-    """The check a sequence failed in its table side's front end, with the
-    message the one-series stages give for it. ``constant`` marks a series
-    with no range or no cyclic part to analyze (ConstantSeriesError); any
-    other failure is a DataError."""
-
-    constant: bool
-    message: str
 
 
 @dataclass(eq=False)
@@ -246,52 +223,38 @@ def apply_transfer(
     return RefinedSeries(values=values, trend=trend.copy(), applied_factor=applied, transferred=transferred)
 
 
-def _range_failure(lo: float, hi: float) -> FrontFailure | None:
-    """The check :func:`normalize_minmax` fails on a series with these
-    bounds, or None."""
-    if hi - lo < MIN_RANGE:
-        return FrontFailure(True, f"series range {hi - lo:g} is below {MIN_RANGE:g}")
-    if hi - lo == np.inf:
-        return FrontFailure(False, f"series range from min {lo:g} to max {hi:g} overflows float64")
-    return None
-
-
-def _side_fronts(rows: np.ndarray, cfg: RunConfig) -> list[SequenceFront | FrontFailure]:
-    """The analysis front end of one table side: a front per row of a
-    (k, n) block of series, or the check that row fails. The block is the
-    caller's copy: it is normalized in place.
+def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics | DataError]:
+    """The analysis of one table side: a SequenceDiagnostics per row of a
+    (k, n) block of series, or the error of the first check the row fails.
+    The block is the caller's copy: it is normalized in place.
 
     Each stage runs as array code along the last axis on every row that
     still needs it, and gives each row the bits it gives the row alone:
     min-max normalization; the least-squares line, one lstsq per row
-    (:func:`ramp_lines`), and its values; the power spectrum and the
-    autocorrelation of the line-removed values, with the dominant bin and
-    the reference period (:func:`analyze_rows`); the smoothed series, one
-    smoother call per distinct radius. The trend probes
-    (:func:`trend_probes`) take the normalized rows in blocks of at most
-    max_order + 1, so the right-hand sides never outgrow the Vandermonde
-    matrix polyfit builds anyway, and the transforms stay within that
-    block's n * (max_order + 1) doubles.
+    (:func:`ramp_lines`), and its values; the spectrum and autocorrelation
+    of the line-removed values, since a ramp's leakage into the lowest bins
+    can outweigh a cycle between bins (:func:`analyze_rows`); the smoother,
+    once per distinct radius. The trend probes (:func:`trend_probes`) take
+    the normalized rows in blocks of at most max_order + 1, so the
+    right-hand sides never outgrow the Vandermonde matrix polyfit builds
+    anyway, and the transforms stay within that block's
+    n * (max_order + 1) doubles. Each row of a radius group then gets its
+    trend (:func:`fit_trend`, the line at order 1), Fisher's g gate at
+    MAX_SEASONALITY_P, its rising crossovers and its periods; a row that
+    fails there keeps its trend and names the reason in ``failure``.
 
-    Raises nothing. A row fails the first check it meets, in this order,
-    and its entry is then a FrontFailure with the message the one-series
-    stage gives: at least 2 samples (:func:`require_length`); a range of
-    at least MIN_RANGE that does not overflow (:func:`normalize_minmax`);
-    a cyclic part left after the line is removed (a range of at least
-    MIN_RANGE again); at least 4 samples; a smoothing radius below n (the
-    smoothers). The row's analysis raises it, in table order.
-
-    Each front owns its normalized series and line values, copied out of
-    the side's blocks, so a caller that drops a front once the sequence
-    is analyzed frees them rather than keeping those blocks alive; its
-    smoothed series is a row of the block its radius group shares.
+    Raises nothing. The checks, in the order a row meets them, are at
+    least 2 samples, a range (:func:`range_error`), a cyclic part left
+    after the line is removed, at least 4 samples and a radius below n
+    (:func:`radius_error`). The caller raises a row's error in table
+    order (:func:`raise_if_error`). The side's blocks die with this step.
     """
     k, n = rows.shape
     if n < 2:
-        return [FrontFailure(False, f"series has {n} samples, need at least 2")] * k
+        return [length_error(n, 2)] * k
     lo, hi = rows.min(axis=1), rows.max(axis=1)
-    fronts: list = [_range_failure(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-    ok = [j for j, front in enumerate(fronts) if front is None]
+    out: list = [range_error(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    ok = [j for j, entry in enumerate(out) if entry is None]
     normalized = rows if len(ok) == k else rows[ok]
     normalized -= lo[ok, np.newaxis]
     normalized /= (hi[ok] - lo[ok])[:, np.newaxis]
@@ -300,14 +263,12 @@ def _side_fronts(rows: np.ndarray, cfg: RunConfig) -> list[SequenceFront | Front
     ramp = npoly.polyval(t, lines.T)
     cyclic = normalized - ramp
     flat = (np.ptp(cyclic, axis=1) < MIN_RANGE).tolist()
+    plain_ramp = ConstantSeriesError("series is a plain ramp, no cyclic part to analyze")
     for i, j in enumerate(ok):
-        if flat[i]:
-            fronts[j] = FrontFailure(True, "series is a plain ramp, no cyclic part to analyze")
-        elif n < 4:
-            fronts[j] = FrontFailure(False, f"series has {n} samples, need at least 4")
-    live = [i for i, j in enumerate(ok) if fronts[j] is None]
+        out[j] = plain_ramp if flat[i] else length_error(n, 4)
+    live = [i for i, j in enumerate(ok) if out[j] is None]
     if not live:
-        return fronts
+        return out
 
     max_order = min(cfg.max_order, n - 1)
     probes = [
@@ -324,9 +285,10 @@ def _side_fronts(rows: np.ndarray, cfg: RunConfig) -> list[SequenceFront | Front
     # i numbers the normalized rows, ok[i] the input rows, g the live ones.
     for radius in sorted(set(radii)):
         group = [g for g, r in enumerate(radii) if r == radius]
-        if radius >= n:
+        error = radius_error(radius, n)
+        if error is not None:
             for g in group:
-                fronts[ok[live[g]]] = FrontFailure(False, f"radius {radius} must be below the series length {n}")
+                out[ok[live[g]]] = error
             continue
         block = normalized[[live[g] for g in group]]
         if cfg.smooth_kind == SMOOTH_EXPONENTIAL:
@@ -334,81 +296,28 @@ def _side_fronts(rows: np.ndarray, cfg: RunConfig) -> list[SequenceFront | Front
         else:
             smoothed = mean_smoothing(block, radius)
         for g, row in zip(group, smoothed):
-            i = live[g]
-            fronts[ok[i]] = SequenceFront(
-                normalized=normalized[i].copy(),
-                scale=ScaleParams(float(lo[ok[i]]), float(hi[ok[i]])),
-                line=lines[i],
-                ramp=ramp[i].copy(),
-                report=reports[g],
-                smoothed=row,
-                smooth_radius=radius,
-                probe=probes[i],
-            )
-    return fronts
-
-
-def _analyze_sequence(front: SequenceFront | FrontFailure, cfg: RunConfig) -> SequenceDiagnostics:
-    """Fit the trend of one sequence and segment it into periods.
-
-    ``front`` is the sequence's entry from its side step
-    (:func:`_side_fronts`); a failed check is raised here, so each
-    sequence's error comes from its own analysis.
-
-    The trend stays in normalized units; a caller that needs it in
-    original units denormalizes it with the diagnostics' scale.
-    Segmentation failures (no significant cycle by Fisher's g test at
-    MAX_SEASONALITY_P, no crossovers, validation rejecting the
-    candidates) are recorded on the diagnostics instead of raised, so the
-    caller can fall back to passing the channel through. The gate runs
-    after the trend fit, so a skipped sequence keeps its trend.
-
-    Cycle detection ran on ramp-removed values in the side step: a
-    least-squares line is subtracted first, because a ramp's spectral
-    leakage into the lowest bins can outweigh a genuine cycle whose
-    frequency falls between bins. That line and its values are also the
-    order-1 trend.
-    """
-    if isinstance(front, FrontFailure):
-        if front.constant:
-            raise ConstantSeriesError(front.message)
-        raise DataError(front.message)
-    n = front.normalized.size
-    report = front.report
-    trend = fit_trend(
-        front.normalized,
-        min(cfg.max_order, n - 1),
-        report.dominant_frequency,
-        probe=front.probe,
-        line=(front.line, front.ramp),
-    )
-
-    segmentation = None
-    failure = None
-    try:
-        g, p = fisher_g(report.spectrum, n)
-        if p > MAX_SEASONALITY_P:
-            raise SeasonalityNotFoundError(
-                f"no significant cycle: Fisher's g = {g:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
-            )
-        crossovers = find_crossovers(front.smoothed, trend.values)
-        rising = [c.index for c in crossovers if c.direction == RISING]
-        segmentation = validate_periods(rising, report.reference_period, cfg.alpha)
-    except SeasonalityNotFoundError as exc:
-        failure = str(exc)
-
-    return SequenceDiagnostics(
-        report=report,
-        trend=trend,
-        segmentation=segmentation,
-        scale=front.scale,
-        smooth_radius=front.smooth_radius,
-        failure=failure,
-    )
+            i, report = live[g], reports[g]
+            # The ramp row is copied so that the trend does not keep the block alive.
+            line = (lines[i], ramp[i].copy())
+            trend = fit_trend(normalized[i], max_order, report.dominant_frequency, probe=probes[i], line=line)
+            segmentation = failure = None
+            try:
+                g_stat, p = fisher_g(report.spectrum, n)
+                if p > MAX_SEASONALITY_P:
+                    raise SeasonalityNotFoundError(
+                        f"no significant cycle: Fisher's g = {g_stat:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
+                    )
+                rising = [c.index for c in find_crossovers(row, trend.values) if c.direction == RISING]
+                segmentation = validate_periods(rising, report.reference_period, cfg.alpha)
+            except SeasonalityNotFoundError as exc:
+                failure = str(exc)
+            scale = ScaleParams(float(lo[ok[i]]), float(hi[ok[i]]))
+            out[ok[i]] = SequenceDiagnostics(report, trend, segmentation, scale, radius, failure)
+    return out
 
 
 def transfer_channel(
-    reference, target, config: RunConfig | None = None, *, fronts=None
+    reference, target, config: RunConfig | None = None, *, sides=None
 ) -> tuple[RefinedSeries, ChannelDiagnostics]:
     """Refine one target channel using one reference channel.
 
@@ -423,8 +332,8 @@ def transfer_channel(
     overflows float64, which a range near its limit can cause, raises
     DataError.
 
-    ``fronts`` holds the reference's and the target's entries from their
-    table sides' front ends (:func:`_side_fronts`), as
+    ``sides`` holds the reference's and the target's entries from their
+    table sides' analyses (:func:`_analyze_side`), as
     :func:`transfer_table` passes them; without it each sequence is a
     side of one row. Errors come in the order the analysis meets them:
     the length check here, then the reference's, then the target's.
@@ -438,21 +347,18 @@ def transfer_channel(
             f"got {ref_x.size} and {tgt_x.size}"
         )
 
-    if fronts is None:
-        fronts = [_side_fronts(x[np.newaxis].copy(), cfg)[0] for x in (ref_x, tgt_x)]
-    ref = _analyze_sequence(fronts[0], cfg)
-    tgt = _analyze_sequence(fronts[1], cfg)
+    if sides is None:
+        sides = [_analyze_side(x[np.newaxis].copy(), cfg)[0] for x in (ref_x, tgt_x)]
+    for entry in sides:
+        raise_if_error(entry)
+    ref, tgt = sides
     # Back in original units a range near float64's limit can overflow;
     # the finiteness check below reports that instead of numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         tgt_trend = denormalize(tgt.trend.values, tgt.scale)
 
     if ref.segmentation is None or tgt.segmentation is None:
-        reasons = []
-        if ref.failure:
-            reasons.append(f"reference: {ref.failure}")
-        if tgt.failure:
-            reasons.append(f"target: {tgt.failure}")
+        reasons = [f"{side}: {seq.failure}" for side, seq in (("reference", ref), ("target", tgt)) if seq.failure]
         refined = RefinedSeries(
             values=tgt_x.copy(),
             trend=tgt_trend,
@@ -467,19 +373,17 @@ def transfer_channel(
         )
         return refined, diag
 
-    ref_seg = ref.segmentation
-    tgt_seg = tgt.segmentation
-    l_min = compute_lmin(ref_seg, tgt_seg)
-    ref_map = build_phi(ref_seg, l_min)
-    tgt_map = build_phi(tgt_seg, l_min)
+    l_min = compute_lmin(ref.segmentation, tgt.segmentation)
+    ref_map = build_phi(ref.segmentation, l_min)
+    tgt_map = build_phi(tgt.segmentation, l_min)
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = extract_additive(ref_x, denormalize(ref.trend.values, ref.scale), ref_seg)
+        raw = extract_additive(ref_x, denormalize(ref.trend.values, ref.scale), ref.segmentation)
         mean_factor = mean_additive_factor(raw, ref_map)
         refined = apply_transfer(
             tgt_trend,
             mean_factor,
             tgt_map,
-            tgt_seg,
+            tgt.segmentation,
             tgt.report.reference_period,
         )
     if not np.all(np.isfinite(refined.values)):
@@ -494,14 +398,12 @@ def transfer_channel(
     return refined, diag
 
 
-def _table_fronts(
-    table: PoseTable, selected: set[str], cfg: RunConfig
-) -> dict[str, SequenceFront | FrontFailure]:
-    """The side step (:func:`_side_fronts`) on the selected columns of a
+def _table_side(table: PoseTable, selected: set[str], cfg: RunConfig) -> dict[str, SequenceDiagnostics | DataError]:
+    """The side step (:func:`_analyze_side`) on the selected columns of a
     table, taken once as a row-contiguous (k, n) block, by channel name."""
     columns = [i for i, name in enumerate(table.channel_names) if name in selected]
-    fronts = _side_fronts(table.values.T[columns], cfg)
-    return {table.channel_names[i]: front for i, front in zip(columns, fronts)}
+    entries = _analyze_side(table.values.T[columns], cfg)
+    return {table.channel_names[i]: entry for i, entry in zip(columns, entries)}
 
 
 @contextmanager
@@ -538,8 +440,8 @@ def transfer_table(
     values into which each refined column is written. Filtered-out channels
     keep their values as "passthrough", skipped ones (see
     :func:`_channel_step` and :func:`transfer_channel`) as
-    "skipped_no_seasonality". Each table side's front end runs once, on
-    all its selected channels (:func:`_table_fronts`), with the bits each
+    "skipped_no_seasonality". Each table side's analysis runs once, on
+    all its selected channels (:func:`_table_side`), with the bits each
     channel gets alone.
     """
     cfg = config if config is not None else RunConfig()
@@ -550,8 +452,8 @@ def transfer_table(
             f"channel sets differ; only in reference: {only_ref}, only in target: {only_tgt}"
         )
     selected = _selected_channels(target_table, cfg)
-    ref_fronts = _table_fronts(ref_table, selected, cfg)
-    tgt_fronts = _table_fronts(target_table, selected, cfg)
+    ref_side = _table_side(ref_table, selected, cfg)
+    tgt_side = _table_side(target_table, selected, cfg)
 
     values = target_table.values.copy()
     diagnostics: dict[str, ChannelDiagnostics] = {}
@@ -562,7 +464,7 @@ def transfer_table(
         with _channel_step(name, diagnostics):
             refined, diagnostics[name] = transfer_channel(
                 ref_table.channel(name), target_table.channel(name), cfg,
-                fronts=(ref_fronts.pop(name), tgt_fronts.pop(name)),
+                sides=(ref_side.pop(name), tgt_side.pop(name)),
             )
             values[:, i] = refined.values
     return PoseTable(list(target_table.channel_names), values), diagnostics
@@ -575,19 +477,20 @@ def analyze_table(table: PoseTable, config: RunConfig | None = None) -> dict[str
     modified by analysis); constant ones and ones that fail segmentation get
     "skipped_no_seasonality" with the reason in ``detail``, by the rule
     :func:`transfer_table` uses; filtered-out channels get "passthrough" with
-    empty diagnostics. The front end runs once on the selected channels
-    (:func:`_table_fronts`).
+    empty diagnostics. The analysis runs once on the selected channels
+    (:func:`_table_side`).
     """
     cfg = config if config is not None else RunConfig()
     selected = _selected_channels(table, cfg)
-    fronts = _table_fronts(table, selected, cfg)
+    side = _table_side(table, selected, cfg)
     out: dict[str, ChannelDiagnostics] = {}
     for name in table.channel_names:
         if name not in selected:
             out[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
             continue
         with _channel_step(name, out):
-            seq = _analyze_sequence(fronts.pop(name), cfg)
+            seq = side.pop(name)
+            raise_if_error(seq)
             status = STATUS_PASSTHROUGH if seq.segmentation is not None else STATUS_SKIPPED
             out[name] = ChannelDiagnostics(status=status, target=seq, detail=seq.failure)
     return out

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -101,10 +101,25 @@ def test_mean_smoothing_radius_validation():
         mean_smoothing(np.array([1.0, 2.0, 3.0]), 3)
 
 
+# The running sums' rounding left this row's range by 1.5e-9 (mean) and
+# 1.05e-9 (exponential) before the smoothers clipped their output.
+SPIKE = np.r_[999999.1, np.zeros(31)]
+
+
 @given(varied_series(min_size=3), st.integers(0, 5))
+@example(SPIKE, 1)
 def test_mean_smoothing_stays_in_range(x, radius):
     radius = min(radius, x.size - 1)
     out = mean_smoothing(x, radius)
+    assert out.min() >= x.min() - 1e-9 * max(1.0, abs(x.min()))
+    assert out.max() <= x.max() + 1e-9 * max(1.0, abs(x.max()))
+
+
+@given(varied_series(min_size=3), st.floats(0.05, 1.0), st.integers(1, 5))
+@example(SPIKE, 0.5, 1)
+def test_exponential_smoothing_stays_in_range(x, alpha, radius):
+    radius = min(radius, x.size - 1)
+    out = exponential_smoothing(x, alpha, radius)
     assert out.min() >= x.min() - 1e-9 * max(1.0, abs(x.min()))
     assert out.max() <= x.max() + 1e-9 * max(1.0, abs(x.max()))
 

@@ -1,9 +1,10 @@
-"""The analysis front end of a table side against the one-series stages.
+"""The analysis of a table side against the one-series stages.
 
 The side step runs normalization, the least-squares line, the spectrum,
-the autocorrelation and the smoother once over all rows of a side. Each
-row must come out with the bits the one-series stages give it, and must
-fail the same check with the same message, in the same order.
+the autocorrelation and the smoother once over all rows of a side, then
+each row's trend fit, seasonality gate, crossovers and period validation.
+Each row must come out with the bits the one-series stages give it, and
+must fail the same check with the same message, in the same order.
 """
 
 import numpy as np
@@ -14,42 +15,50 @@ from hypothesis import strategies as st
 
 import cycletransfer.seasonality
 from cycletransfer.config import RunConfig
-from cycletransfer.decomposition import scaled_abscissa
-from cycletransfer.errors import ConstantSeriesError, CycleTransferError, DataError
-from cycletransfer.seasonality import analyze_rows, autocorrelation, dominant_frequency, power_spectrum
+from cycletransfer.decomposition import (
+    RISING,
+    find_crossovers,
+    fit_trend,
+    scaled_abscissa,
+    trend_probes,
+    validate_periods,
+)
+from cycletransfer.errors import ConstantSeriesError, CycleTransferError, DataError, SeasonalityNotFoundError
+from cycletransfer.seasonality import analyze_rows, autocorrelation, dominant_frequency, fisher_g, power_spectrum
 from cycletransfer.series import (
     default_smooth_radius,
     exponential_smoothing,
+    length_error,
     mean_smoothing,
     normalize_minmax,
-    require_length,
+    raise_if_error,
 )
 from cycletransfer.tableio import PoseTable
 from cycletransfer.transfer import (
+    MAX_SEASONALITY_P,
     STATUS_PASSTHROUGH,
     STATUS_SKIPPED,
     STATUS_TRANSFERRED,
-    FrontFailure,
-    _side_fronts,
+    SequenceDiagnostics,
+    _analyze_side,
     analyze_table,
     transfer_table,
 )
 
 
-def front_alone(x, cfg):
+def analysis_alone(x, cfg, probe):
     """One series through the one-series stages, in the order the
-    analysis checks them; the error it meets instead, if any."""
+    analysis checks them; the error it meets instead, if any. ``probe`` is
+    the series' column of its side's trend probes."""
     n = x.size
     try:
-        require_length(x, 2)
+        raise_if_error(length_error(n, 2))
         normalized, scale = normalize_minmax(x)
         t = scaled_abscissa(n)
-        line = npoly.polyfit(t, normalized, 1)
-        ramp = npoly.polyval(t, line)
-        cyclic = normalized - ramp
+        cyclic = normalized - npoly.polyval(t, npoly.polyfit(t, normalized, 1))
         if float(np.ptp(cyclic)) < 1e-12:
             raise ConstantSeriesError("series is a plain ramp, no cyclic part to analyze")
-        require_length(x, 4)
+        raise_if_error(length_error(n, 4))
         spectrum = power_spectrum(cyclic)
         f = dominant_frequency(spectrum)
         radius = cfg.smooth_radius
@@ -61,18 +70,55 @@ def front_alone(x, cfg):
             smoothed = mean_smoothing(normalized, radius)
     except CycleTransferError as exc:
         return exc
+    # No line is passed: the order-1 trend is fitted afresh, and must equal
+    # the side step's line bit for bit.
+    trend = fit_trend(normalized, min(cfg.max_order, n - 1), f, probe=probe)
+    segmentation = failure = None
+    try:
+        g, p = fisher_g(spectrum, n)
+        if p > MAX_SEASONALITY_P:
+            raise SeasonalityNotFoundError(
+                f"no significant cycle: Fisher's g = {g:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
+            )
+        rising = [c.index for c in find_crossovers(smoothed, trend.values) if c.direction == RISING]
+        segmentation = validate_periods(rising, n / f, cfg.alpha)
+    except SeasonalityNotFoundError as exc:
+        failure = str(exc)
     return {
-        "normalized": normalized,
         "scale": scale,
-        "line": line,
-        "ramp": ramp,
         "acf": autocorrelation(cyclic, n // 2),
         "spectrum": spectrum,
         "dominant_frequency": f,
         "reference_period": n / f,
-        "smoothed": smoothed,
         "smooth_radius": radius,
+        "trend": trend,
+        "segmentation": segmentation,
+        "failure": failure,
     }
+
+
+def side_probes(rows, cfg):
+    """Each row's column of its side's trend probes, or None: the rows whose
+    range normalizes, in blocks of max_order + 1, as the side step takes
+    them. How the blocks are cut is test_transfer.py's concern; this gives
+    each row the probe bits the side step gives it."""
+    n = rows.shape[1]
+    probes = [None] * len(rows)
+    if n < 4:
+        return probes
+    ok = []
+    for j, row in enumerate(rows):
+        try:
+            ok.append((j, normalize_minmax(row)[0]))
+        except CycleTransferError:
+            pass
+    step = min(cfg.max_order, n - 1) + 1
+    for start in range(0, len(ok), step):
+        chunk = ok[start : start + step]
+        block = trend_probes(np.array([row for _, row in chunk]).T, step - 1)
+        for (j, _), column in zip(chunk, block.T):
+            probes[j] = column
+    return probes
 
 
 @st.composite
@@ -106,33 +152,41 @@ configs = st.builds(
     smooth_kind=st.sampled_from(["mean", "exponential"]),
     smooth_radius=st.sampled_from([None, None, 1, 3, 250]),
     exp_alpha=st.sampled_from([0.5, 0.2]),
+    max_order=st.sampled_from([30, 30, 1, 3, 12]),
+    alpha=st.sampled_from([0.8, 0.5]),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(side_rows(), configs)
-def test_side_fronts_equal_the_one_series_stages_row_by_row(rows, config):
-    if config["smooth_kind"] == "exponential" and config["smooth_radius"] == 0:
-        config = dict(config, smooth_radius=1)
+def test_side_analysis_equals_the_one_series_analysis_row_by_row(rows, config):
     cfg = RunConfig(**config)
-    fronts = _side_fronts(rows.copy(), cfg)
-    assert len(fronts) == rows.shape[0]
-    for row, front in zip(rows, fronts):
-        alone = front_alone(row, cfg)
+    entries = _analyze_side(rows.copy(), cfg)
+    assert len(entries) == rows.shape[0]
+    for row, entry, probe in zip(rows, entries, side_probes(rows, cfg)):
+        alone = analysis_alone(row, cfg, probe)
         if isinstance(alone, CycleTransferError):
             assert type(alone) in (ConstantSeriesError, DataError)
-            assert front == FrontFailure(type(alone) is ConstantSeriesError, str(alone))
+            assert (type(entry), str(entry)) == (type(alone), str(alone))
             continue
-        assert not isinstance(front, FrontFailure), front
-        for name in ("normalized", "line", "ramp", "smoothed"):
-            np.testing.assert_array_equal(getattr(front, name), alone[name], err_msg=name)
-        np.testing.assert_array_equal(front.report.acf, alone["acf"])
-        np.testing.assert_array_equal(front.report.spectrum, alone["spectrum"])
-        assert front.scale == alone["scale"]
-        assert front.report.dominant_frequency == alone["dominant_frequency"]
-        assert type(front.report.dominant_frequency) is int
-        assert front.report.reference_period == alone["reference_period"]
-        assert front.smooth_radius == alone["smooth_radius"]
+        assert isinstance(entry, SequenceDiagnostics), entry
+        np.testing.assert_array_equal(entry.report.acf, alone["acf"])
+        np.testing.assert_array_equal(entry.report.spectrum, alone["spectrum"])
+        assert entry.scale == alone["scale"]
+        assert entry.report.dominant_frequency == alone["dominant_frequency"]
+        assert type(entry.report.dominant_frequency) is int
+        assert entry.report.reference_period == alone["reference_period"]
+        assert entry.smooth_radius == alone["smooth_radius"]
+        trend = alone["trend"]
+        assert (entry.trend.order, entry.trend.fallback) == (trend.order, trend.fallback)
+        np.testing.assert_array_equal(entry.trend.coefficients, trend.coefficients)
+        np.testing.assert_array_equal(entry.trend.values, trend.values)
+        assert entry.failure == alone["failure"]
+        if alone["segmentation"] is None:
+            assert entry.segmentation is None
+        else:
+            np.testing.assert_array_equal(entry.segmentation.period_starts, alone["segmentation"].period_starts)
+            assert entry.segmentation.periods == alone["segmentation"].periods
 
 
 @settings(max_examples=200, deadline=None)

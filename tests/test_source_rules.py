@@ -101,3 +101,18 @@ def test_constant_series_caught_in_one_function_of_transfer():
         and "ConstantSeriesError" in ast.unparse(handler.type)
     ]
     assert [name for name, _ in handlers] == ["_channel_step"], handlers
+
+
+# Each series check is worded once, in the one-series form that returns its
+# error (series.length_error, range_error, radius_error) or, for the plain
+# ramp, in the side step; every other caller records or raises that error.
+CHECK_MESSAGES = ["series has ", "series range ", "must be below the series length", "plain ramp"]
+
+
+def test_each_series_check_message_is_worded_once():
+    sources = sorted(PACKAGE.glob("*.py"))
+    counts = {
+        message: sum(path.read_text(encoding="utf-8").count(message) for path in sources)
+        for message in CHECK_MESSAGES
+    }
+    assert counts == dict.fromkeys(CHECK_MESSAGES, 1)

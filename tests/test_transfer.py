@@ -9,7 +9,7 @@ import cycletransfer.transfer
 from cycletransfer.config import RunConfig
 from cycletransfer.decomposition import PeriodSegmentation, trend_probes, validate_periods
 from cycletransfer.errors import ConstantSeriesError, DataError, UsageError
-from cycletransfer.series import normalize_minmax
+from cycletransfer.series import normalize_minmax, raise_if_error
 from cycletransfer.tableio import PoseTable, write_report
 from cycletransfer.transfer import (
     STATUS_PASSTHROUGH,
@@ -17,8 +17,7 @@ from cycletransfer.transfer import (
     STATUS_TRANSFERRED,
     MAX_SEASONALITY_P,
     ChannelDiagnostics,
-    _analyze_sequence,
-    _side_fronts,
+    _analyze_side,
     analyze_table,
     apply_transfer,
     build_phi,
@@ -32,7 +31,9 @@ from cycletransfer.transfer import (
 
 def analyze_alone(x, cfg):
     """One sequence's analysis, the sequence being a table side of one row."""
-    return _analyze_sequence(_side_fronts(x[np.newaxis].copy(), cfg)[0], cfg)
+    entry = _analyze_side(x[np.newaxis].copy(), cfg)[0]
+    raise_if_error(entry)
+    return entry
 
 
 def seg_from_lengths(lengths, reference_period, start=0):
@@ -504,6 +505,28 @@ def test_run_config_rejects_infinite_settings(kwargs, message):
     with pytest.raises(UsageError) as info:
         RunConfig(**kwargs)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"max_order": 2.9}, "max_order must be a whole number, got 2.9"),
+     ({"smooth_radius": 2.5}, "smooth_radius must be a whole number, got 2.5")],
+    ids=["max_order", "smooth_radius"],
+)
+def test_run_config_rejects_fractional_settings(kwargs, message):
+    # int() would round them down without a word.
+    with pytest.raises(UsageError) as info:
+        RunConfig(**kwargs)
+    assert str(info.value) == message
+    whole = RunConfig(max_order=3.0, smooth_radius=2.0)
+    assert (type(whole.max_order), type(whole.smooth_radius)) == (int, int)
+
+
+def test_run_config_rejects_a_bare_channel_string():
+    # A string is a sequence of characters, so "abc" would select 'a', 'b' and 'c'.
+    with pytest.raises(UsageError, match="channel_filter must be a list of channel names, got 'abc'"):
+        RunConfig(channel_filter="abc")
+    assert RunConfig(channel_filter=["abc"]).channel_filter == ["abc"]
 
 
 DYADIC_STEP = 2.0 ** -10
