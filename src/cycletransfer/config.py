@@ -8,9 +8,8 @@ from .errors import UsageError
 
 SMOOTH_MEAN = "mean"
 SMOOTH_EXPONENTIAL = "exponential"
-# Largest accepted max_order. The probe fit's numerical rank stops growing
-# below this (at degree 100 it is 50 for n=200 and 44 for n=60k), so
-# higher orders add nothing but an n x (max_order + 1) matrix.
+# Largest accepted max_order. A monomial least-squares fit's numerical rank
+# stops growing below it (at degree 100: 50 for n=200, 44 for n=60k).
 MAX_TREND_ORDER = 50
 
 

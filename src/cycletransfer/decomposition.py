@@ -1,19 +1,19 @@
 """Trend fitting and period segmentation.
 
 A series is viewed additively: repeating cycle + slow trend + noise. The
-trend is a least-squares polynomial in the frame index; period starts are
-the rising crossovers between the smoothed series and that trend, pruned
-by a neighbor-spacing test around the detected cycle length.
+trend is a least-squares polynomial in the frame index, fitted in the
+orthogonal polynomials of the frame grid (Forsythe, 1957); period starts
+are the rising crossovers between the smoothed series and that trend,
+pruned by a neighbor-spacing test around the detected cycle length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import SeasonalityNotFoundError
 
@@ -22,14 +22,10 @@ FALLING = "falling"
 
 # Fitted leading coefficients below this are treated as numerically zero.
 MIN_LEAD_COEF = 1e-10
-# Coefficients this far below the probe fit's largest one are rounding
-# noise, no matter how far above the absolute floor they sit. A degree-30
-# least-squares fit carries relative coefficient noise up to a few 1e-6
-# even on exactly representable data (measured on exact cubics and on a
-# pure sinusoid whose symmetry zeroes every even power), so an absolute
-# floor alone cannot separate "numerically zero" from "small but real".
-# A coefficient five decades below the largest one contributes nothing
-# visible to the trend values, so rejecting it is always safe.
+# Coefficients this far below the largest one are rounding noise, however
+# far above the absolute floor: a fit's conversion to powers of x sums
+# terms that grow with the degree. Five decades below the largest one a
+# coefficient adds nothing visible to the trend, so rejecting it is safe.
 REL_COEF_FLOOR = 1e-5
 
 
@@ -54,86 +50,105 @@ def scaled_abscissa(n: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, n)
 
 
-def trend_probes(columns: np.ndarray, max_order: int) -> np.ndarray:
-    """Degree-max_order least-squares probe fits of the columns of an
-    (n, k) matrix, as a (max_order + 1, k) coefficient matrix.
+@dataclass(frozen=True, eq=False)
+class GramFit:
+    """Degree-d least-squares fits of the rows of a (k, n) block, or of one
+    row (:meth:`row`), in the monic polynomials P_0..P_d orthogonal over
+    :func:`scaled_abscissa` (the Gram polynomials), held as their
+    recurrence P_{j+1} = (x - shifts[j]) P_j - ratios[j] P_{j-1}, P_0 = 1.
+    Row j of ``powers`` is P_j in powers of x. ``orthogonal`` holds the
+    coefficients of P_0..P_d, ``monomial`` the fit in ascending powers of
+    x less the terms that hold only rounding, ``ramp`` c_0 + c_1 P_1."""
 
-    The columns are the right-hand sides of one polyfit solve over the
-    shared Vandermonde matrix of :func:`scaled_abscissa`, so k channels of
-    a table side cost one solve instead of k. A (n,) series gives
-    its (max_order + 1,) probe, the same bits as an (n, 1) column. The
-    probe only chooses each channel's trend order in :func:`fit_trend`,
-    which refits at that order, so a batched probe leaves the trend values
-    unchanged wherever it picks the same order. ``full=True`` keeps polyfit
-    from warning on the rank deficiency a degree-30 probe usually has.
+    shifts: np.ndarray
+    ratios: np.ndarray
+    powers: np.ndarray
+    orthogonal: np.ndarray
+    monomial: np.ndarray
+    ramp: np.ndarray
+
+    def row(self, i: int) -> GramFit:
+        """Row i's fit; its ramp is a copy, so that a trend does not keep the block alive."""
+        return replace(self, orthogonal=self.orthogonal[i], monomial=self.monomial[i], ramp=self.ramp[i].copy())
+
+    def trend(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """A row's fit of an order up to d, its first order + 1 terms: the
+        coefficients in powers of x and the values, the ramp plus the terms
+        of P_2..P_order from the recurrence stepped again."""
+        t = scaled_abscissa(self.ramp.size)
+        p_prev, p, values = np.ones(t.size), t - self.shifts[0], self.ramp
+        for j in range(1, order):
+            p_prev, p = p, (t - self.shifts[j]) * p - self.ratios[j] * p_prev
+            values = values + self.orthogonal[j + 1] * p
+        return np.sum(self.orthogonal[: order + 1] * self.powers[: order + 1, : order + 1].T, axis=-1), values
+
+
+def gram_fits(rows: np.ndarray, max_order: int) -> GramFit:
+    """The :class:`GramFit` of degree d = min(max_order, n - 1) of every
+    row of a (k, n) block, n >= 2, by Forsythe's recurrence (G. E.
+    Forsythe, 1957, J. SIAM 5(2):74-88).
+
+    One pass steps P_0..P_d once, keeping only the last two (at 200k
+    frames 31 of them would take 50 MB), and takes each coefficient
+    c_j = <row, P_j> / <P_j, P_j> as an np.sum along the row (numpy's
+    pairwise sum, no BLAS), so the bits depend neither on the thread count
+    nor on which rows share the block. The fits are nested: the first
+    j + 1 coefficients are the degree-j fit. Before the conversion to
+    powers of x, a term whose share |c_j| * ||P_j|| is at most n * eps
+    times the norm of the row's shares is zeroed, as polyfit's rcond
+    drops what holds only rounding.
     """
-    t = scaled_abscissa(columns.shape[0])
-    probes, _ = npoly.polyfit(t, columns, max_order, full=True)
-    return probes
+    k, n = rows.shape
+    d = min(max_order, n - 1)
+    t = scaled_abscissa(n)
+    shifts, ratios, norms = np.zeros(d), np.zeros(d), np.empty(d + 1)
+    powers = np.eye(d + 1)  # row j becomes P_j; ratios[0] = 0 keeps row -1 out
+    orthogonal = np.empty((k, d + 1))
+    product = np.empty_like(rows)
+    p_prev, p = np.zeros(n), np.ones(n)
+    for j in range(d + 1):
+        norms[j] = np.sum(p * p)
+        orthogonal[:, j] = np.sum(np.multiply(rows, p, out=product), axis=1) / norms[j]
+        if j < d:
+            shifts[j] = np.sum(t * p * p) / norms[j]
+            ratios[j] = norms[j] / norms[j - 1] if j else 0.0
+            p_prev, p = p, (t - shifts[j]) * p - ratios[j] * p_prev
+            powers[j + 1, 1:] = powers[j, :-1]
+            powers[j + 1] -= shifts[j] * powers[j] + ratios[j] * powers[j - 1]
+    ramp = orthogonal[:, :1] + orthogonal[:, 1:2] * (t - shifts[0])  # c_0 P_0 + c_1 P_1, bit for bit
+    weights = np.abs(orthogonal) * np.sqrt(norms)
+    cut = n * np.finfo(float).eps * np.sqrt(np.sum(weights * weights, axis=1, keepdims=True))
+    monomial = np.sum(np.where(weights > cut, orthogonal, 0.0)[:, np.newaxis, :] * powers.T, axis=-1)
+    return GramFit(shifts, ratios, powers, orthogonal, monomial, ramp)
 
 
-def ramp_lines(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``polyfit(t, row, 1)`` of each row of a (k, n) block, as a (k, 2)
-    coefficient matrix with the bits polyfit gives each row alone.
-
-    The scaled Vandermonde matrix, its column norms and rcond are built
-    once, exactly as polyfit builds them, and each row gets its own
-    one-column lstsq solve: a multi-column solve would change the last
-    bits, and so the trend and every crossover.
-    """
-    lhs = npoly.polyvander(t, 1).T
-    scl = np.sqrt(np.square(lhs).sum(1))
-    scl[scl == 0] = 1
-    design = lhs.T / scl
-    rcond = t.size * np.finfo(t.dtype).eps
-    lines = [np.linalg.lstsq(design, row, rcond)[0] for row in rows]
-    return np.reshape(lines, (-1, 2)) / scl
-
-
-def fit_trend(
-    series: np.ndarray,
-    max_order: int,
-    f: int,
-    probe: np.ndarray | None = None,
-    line: tuple[np.ndarray, np.ndarray] | None = None,
-) -> TrendModel:
+def fit_trend(series: np.ndarray, max_order: int, f: int, fit: GramFit | None = None) -> TrendModel:
     """Fit the slow trend of a series by polynomial least squares.
 
-    One probe fit at max_order supplies the coefficient sequence; the
-    trend order is the highest power whose probe coefficient c_k clears
-    the noise floor while staying under f, and the returned model is a
-    fresh fit at that order. The floor, max(MIN_LEAD_COEF,
-    REL_COEF_FLOOR * max|c|), skips powers that only hold rounding noise;
-    the upper bound, with f the number of cycles in the series, rejects
-    powers steep enough to belong to the cyclic component rather than the
-    trend. When every power fails the test the order-1 fit is returned
-    with ``fallback`` set, which is the common outcome on strongly cyclic
-    data: every power is busy tracking the cycle, so the trend reduces to
-    a plain line.
-
-    ``probe`` is this series' column of :func:`trend_probes` when the
-    caller has probed a whole table side at once; it only chooses the
-    order. ``line`` is the ramp the caller has already fitted, as the pair
-    of ``polyfit(t, series, 1)`` and its values; an order-1 trend,
-    fallback included, reuses both, which gives the same bits as a fresh
-    fit. Without them the probe and the line are fitted here.
-
-    Coefficients live on the rescaled abscissa (frames mapped onto
-    [-1, 1]). Needs 1 <= max_order < n and f >= 1.
+    The degree-max_order fit (:func:`gram_fits`) in powers of x supplies
+    the coefficient sequence; the trend order is the highest power whose
+    coefficient c_k clears the noise floor while staying under f, and the
+    model is the nested fit's first terms up to that order. The floor,
+    max(MIN_LEAD_COEF, REL_COEF_FLOOR * max|c|), skips powers that only
+    hold rounding noise; the upper bound, with f the number of cycles in
+    the series, rejects powers steep enough to belong to the cyclic
+    component rather than the trend. When every power fails the test the
+    order-1 fit, the ramp, is returned with ``fallback`` set, the common
+    outcome on strongly cyclic data: every power is busy tracking the
+    cycle, so the trend reduces to a plain line. ``fit`` is the series'
+    row of its table side's :func:`gram_fits`; without it the series is
+    fitted here. Needs max_order >= 1, n >= 2 and f >= 1.
     """
-    if probe is None:
-        probe = trend_probes(series, max_order)
-    floor = max(MIN_LEAD_COEF, REL_COEF_FLOOR * float(np.max(np.abs(probe))))
-    order = next((k for k in range(max_order, 0, -1) if floor < abs(probe[k]) < f), None)
+    if fit is None:
+        fit = gram_fits(series[np.newaxis], max_order).row(0)
+    magnitudes = np.abs(fit.monomial).tolist()
+    floor = max(MIN_LEAD_COEF, REL_COEF_FLOOR * max(magnitudes))
+    order = next((k for k in range(len(magnitudes) - 1, 0, -1) if floor < magnitudes[k] < f), None)
     fallback = order is None
     if fallback:
         order = 1
-    if order == 1 and line is not None:
-        coef, values = line
-        return TrendModel(coef, 1, values, fallback=fallback)
-    t = scaled_abscissa(series.size)
-    coef, _ = npoly.polyfit(t, series, order, full=True)
-    return TrendModel(coef, order, npoly.polyval(t, coef), fallback=fallback)
+    coefficients, values = fit.trend(order)
+    return TrendModel(coefficients, order, values, fallback=fallback)
 
 
 class Crossover(NamedTuple):

@@ -17,7 +17,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .config import SMOOTH_EXPONENTIAL, RunConfig
 from .decomposition import (
@@ -26,9 +25,7 @@ from .decomposition import (
     TrendModel,
     find_crossovers,
     fit_trend,
-    ramp_lines,
-    scaled_abscissa,
-    trend_probes,
+    gram_fits,
     validate_periods,
 )
 from .errors import ConstantSeriesError, CycleTransferError, DataError, SeasonalityNotFoundError
@@ -230,22 +227,20 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
 
     Each stage runs as array code along the last axis on every row that
     still needs it, and gives each row the bits it gives the row alone:
-    min-max normalization; the least-squares line, one lstsq per row
-    (:func:`ramp_lines`), and its values; the spectrum and autocorrelation
-    of the line-removed values, since a ramp's leakage into the lowest bins
-    can outweigh a cycle between bins (:func:`analyze_rows`); the smoother,
-    once per distinct radius. The trend probes (:func:`trend_probes`) take
-    the normalized rows in blocks of at most max_order + 1, so the
-    right-hand sides never outgrow the Vandermonde matrix polyfit builds
-    anyway, and the transforms stay within that block's
-    n * (max_order + 1) doubles. Each row of a radius group then gets its
-    trend (:func:`fit_trend`, the line at order 1), Fisher's g gate at
-    MAX_SEASONALITY_P, its rising crossovers and its periods; a row that
-    fails there keeps its trend and names the reason in ``failure``.
+    min-max normalization; one fitting pass of degree max_order
+    (:func:`gram_fits`), whose first two terms are each row's ramp; the
+    spectrum and autocorrelation of the ramp-removed values, since a
+    ramp's leakage into the lowest bins can outweigh a cycle between bins
+    (:func:`analyze_rows`, in chunks within the n * (max_order + 1)
+    doubles a stored basis would take); the smoother, once per radius.
+    Each row of a radius group then gets its trend (:func:`fit_trend` on
+    its row of the pass), Fisher's g gate at MAX_SEASONALITY_P, its rising
+    crossovers and its periods; a row that fails there keeps its trend and
+    names the reason in ``failure``.
 
     Raises nothing. The checks, in the order a row meets them, are at
     least 2 samples, a range (:func:`range_error`), a cyclic part left
-    after the line is removed, at least 4 samples and a radius below n
+    after the ramp is removed, at least 4 samples and a radius below n
     (:func:`radius_error`). The caller raises a row's error in table
     order (:func:`raise_if_error`). The side's blocks die with this step.
     """
@@ -258,10 +253,8 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
     normalized = rows if len(ok) == k else rows[ok]
     normalized -= lo[ok, np.newaxis]
     normalized /= (hi[ok] - lo[ok])[:, np.newaxis]
-    t = scaled_abscissa(n)
-    lines = ramp_lines(t, normalized)
-    ramp = npoly.polyval(t, lines.T)
-    cyclic = normalized - ramp
+    fits = gram_fits(normalized, cfg.max_order)
+    cyclic = normalized - fits.ramp
     flat = (np.ptp(cyclic, axis=1) < MIN_RANGE).tolist()
     plain_ramp = ConstantSeriesError("series is a plain ramp, no cyclic part to analyze")
     for i, j in enumerate(ok):
@@ -270,14 +263,8 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
     if not live:
         return out
 
-    max_order = min(cfg.max_order, n - 1)
-    probes = [
-        column
-        for start in range(0, len(ok), max_order + 1)
-        for column in trend_probes(normalized[start : start + max_order + 1].T, max_order).T
-    ]
-    reports = analyze_rows(cyclic[live] if len(live) < len(ok) else cyclic, n * (max_order + 1))
-    del cyclic  # only the transforms read the line-removed rows
+    reports = analyze_rows(cyclic[live] if len(live) < len(ok) else cyclic, n * (cfg.max_order + 1))
+    del cyclic  # only the transforms read the ramp-removed rows
     radii = [
         default_smooth_radius(report.reference_period) if cfg.smooth_radius is None else cfg.smooth_radius
         for report in reports
@@ -297,9 +284,7 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
             smoothed = mean_smoothing(block, radius)
         for g, row in zip(group, smoothed):
             i, report = live[g], reports[g]
-            # The ramp row is copied so that the trend does not keep the block alive.
-            line = (lines[i], ramp[i].copy())
-            trend = fit_trend(normalized[i], max_order, report.dominant_frequency, probe=probes[i], line=line)
+            trend = fit_trend(normalized[i], cfg.max_order, report.dominant_frequency, fit=fits.row(i))
             segmentation = failure = None
             try:
                 g_stat, p = fisher_g(report.spectrum, n)

@@ -1,6 +1,9 @@
 import json
+import os
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,3 +266,39 @@ def test_max_order_cap_rejected_before_reading(tmp_path, capsys):
 )
 def test_tuning_flag_defaults_are_run_config_defaults(argv):
     assert _config_from_args(build_parser().parse_args(argv)) == RunConfig()
+
+
+def periodic_tables(seed, n_ref, n_tgt, channels):
+    """A reference and a target table of periodic channels: a cycle with a
+    second harmonic, a slow drift and noise, as recordings of one motion."""
+    rng = np.random.default_rng(seed)
+    ref, tgt = [], []
+    for _ in range(channels):
+        period, amplitude, harmonic = rng.uniform(12.0, 40.0), rng.uniform(0.5, 2.0), rng.uniform(0.0, 0.3)
+        for cols, n, noise in ((ref, n_ref, 0.05), (tgt, n_tgt, 0.3)):
+            t = np.arange(n, dtype=float)
+            w = 2.0 * np.pi * t / period + rng.uniform(0.0, 2.0 * np.pi)
+            drift = rng.uniform(-0.5, 0.5) * t / (n - 1)
+            cols.append(amplitude * (np.sin(w) + harmonic * np.sin(2.0 * w) + drift + noise * rng.standard_normal(n)))
+    names = [f"c{i}" for i in range(channels)]
+    return PoseTable(names, np.column_stack(ref)), PoseTable(names, np.column_stack(tgt))
+
+
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # At 40k frames and --max-order 12 a LAPACK least-squares trend fit
+    # would run on OpenBLAS's threads and change with their number.
+    ref, tgt = periodic_tables(0, 4_000, 40_000, 2)
+    write_csv(ref, tmp_path / "ref.csv")
+    write_csv(tgt, tmp_path / "tgt.csv")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        out, report = tmp_path / f"out{threads}.csv", tmp_path / f"report{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["transfer", "--ref", str(tmp_path / "ref.csv"), "--target", str(tmp_path / "tgt.csv"),
+                "--out", str(out), "--report", str(report), "--max-order", "12"]
+        done = subprocess.run([sys.executable, "-m", "cycletransfer", *argv], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr
+        outputs.append((out.read_bytes(), report.read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -10,8 +10,8 @@ from cycletransfer.decomposition import (
     Crossover,
     find_crossovers,
     fit_trend,
+    gram_fits,
     scaled_abscissa,
-    trend_probes,
     validate_periods,
 )
 from cycletransfer.config import MAX_TREND_ORDER, RunConfig
@@ -87,56 +87,88 @@ def trend_columns(rng, n, k):
     return np.column_stack(cols)
 
 
-@given(st.integers(8, 400), st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.data())
+@given(st.integers(2, 400), st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.data())
 @settings(max_examples=60, deadline=None)
-def test_trend_probes_columns_match_one_column_probes(n, k, seed, data):
-    # One solve over a shared design matrix (so a shared SVD and rank)
-    # gives each column the probe it gets alone, up to rounding. The
-    # monomial design's conditioning grows about 2.3x per degree, and so
-    # does that rounding: the worst relative difference measured over
-    # n = 8..600 was 1e-11 at degree 12, 3e-10 at 16 and 1e-4 at 30. High
-    # degrees are why the probe only chooses the order; the pipeline's
-    # differential tests check that the chosen orders agree.
-    max_order = data.draw(st.integers(1, min(12, n - 1)))
-    columns = trend_columns(np.random.Generator(np.random.PCG64(seed)), n, k)
-    probes = trend_probes(columns, max_order)
-    assert probes.shape == (max_order + 1, k)
-    for j in range(k):
-        alone = trend_probes(columns[:, j], max_order)
-        np.testing.assert_allclose(probes[:, j], alone, rtol=0, atol=1e-9 * np.max(np.abs(alone)))
-        # A one-column matrix gives the bits of the series itself.
-        np.testing.assert_array_equal(trend_probes(columns[:, j : j + 1], max_order)[:, 0], alone)
+def test_gram_fits_give_each_row_its_one_row_fit(n, k, seed, data):
+    # Every coefficient is an np.sum along the row, so sharing a block
+    # with other rows changes no bit, at any degree.
+    max_order = data.draw(st.integers(1, 30))
+    f = data.draw(st.integers(1, 60))
+    rows = np.ascontiguousarray(trend_columns(np.random.Generator(np.random.PCG64(seed)), n, k).T)
+    fits = gram_fits(rows, max_order)
+    d = min(max_order, n - 1)
+    assert fits.orthogonal.shape == fits.monomial.shape == (k, d + 1) and fits.ramp.shape == (k, n)
+    for i, row in enumerate(rows):
+        batched, alone = fits.row(i), gram_fits(row[np.newaxis].copy(), max_order).row(0)
+        for name in ("shifts", "ratios", "powers", "orthogonal", "monomial", "ramp"):
+            np.testing.assert_array_equal(getattr(batched, name), getattr(alone, name))
+        for order in range(1, d + 1):
+            for got, expected in zip(batched.trend(order), alone.trend(order)):
+                np.testing.assert_array_equal(got, expected)
+        batched_trend, alone_trend = fit_trend(row, max_order, f, fit=batched), fit_trend(row, max_order, f)
+        assert (batched_trend.order, batched_trend.fallback) == (alone_trend.order, alone_trend.fallback)
+        np.testing.assert_array_equal(batched_trend.coefficients, alone_trend.coefficients)
+        np.testing.assert_array_equal(batched_trend.values, alone_trend.values)
 
 
-@given(st.integers(8, 400), st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.data())
-@settings(max_examples=60, deadline=None)
-def test_fit_trend_with_own_probe_and_ramp_is_bit_identical(n, seed, f, data):
-    max_order = data.draw(st.integers(1, min(30, n - 1)))
-    x = trend_columns(np.random.Generator(np.random.PCG64(seed)), n, 1)[:, 0]
+def gram_polynomials(fit, n):
+    """P_0..P_d of a fit at the n points, by its recurrence, as the pass steps it."""
     t = scaled_abscissa(n)
-    alone = fit_trend(x, max_order, f)
-    line = npoly.polyfit(t, x, 1)
-    given_parts = fit_trend(x, max_order, f, probe=trend_probes(x, max_order), line=(line, npoly.polyval(t, line)))
-    assert (given_parts.order, given_parts.fallback) == (alone.order, alone.fallback)
-    np.testing.assert_array_equal(given_parts.coefficients, alone.coefficients)
-    np.testing.assert_array_equal(given_parts.values, alone.values)
+    polynomials = [np.ones(n), t - fit.shifts[0]]
+    for shift, ratio in zip(fit.shifts[1:], fit.ratios[1:]):
+        polynomials.append((t - shift) * polynomials[-1] - ratio * polynomials[-2])
+    return np.array(polynomials)
 
 
-def test_fit_trend_reads_the_probe_it_is_given():
-    # The probe alone chooses the order; the refit at that order, or the
-    # given line at order 1, supplies the coefficients.
-    t = scaled_abscissa(100)
-    x = 1.0 + 0.5 * t - 2.0 * t ** 3
-    probe = np.zeros(11)
-    probe[2] = 1.0
-    model = fit_trend(x, 10, 5, probe=probe)
-    assert (model.order, model.fallback) == (2, False)
-    np.testing.assert_array_equal(model.coefficients, npoly.polyfit(t, x, 2))
-    line = np.array([0.25, 0.5])
-    ramp = npoly.polyval(t, line)
-    model = fit_trend(x, 10, 5, probe=np.zeros(11), line=(line, ramp))
-    assert (model.order, model.fallback) == (1, True)
-    assert model.coefficients is line and model.values is ramp
+@given(st.integers(2, 400), st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.data())
+@settings(max_examples=60, deadline=None)
+def test_gram_fits_are_nested_and_the_order_1_trend_is_the_ramp(n, seed, f, data):
+    max_order = data.draw(st.integers(1, 30))
+    x = trend_columns(np.random.Generator(np.random.PCG64(seed)), n, 1)[:, 0]
+    fit = gram_fits(x[np.newaxis], max_order).row(0)
+    # The order-1 trend is the ramp; the ramp is the first two terms.
+    assert fit.trend(1)[1] is fit.ramp
+    polynomials = gram_polynomials(fit, n)
+    np.testing.assert_array_equal(fit.ramp, fit.orthogonal[0] * polynomials[0] + fit.orthogonal[1] * polynomials[1])
+    # A lower degree is the first terms of the same fit.
+    low = gram_fits(x[np.newaxis], data.draw(st.integers(1, max_order))).row(0)
+    np.testing.assert_array_equal(low.orthogonal, fit.orthogonal[: low.orthogonal.size])
+    np.testing.assert_array_equal(low.ramp, fit.ramp)
+    model = fit_trend(x, max_order, f)
+    for got, expected in zip((model.coefficients, model.values), fit.trend(model.order)):
+        np.testing.assert_array_equal(got, expected)
+    if model.order == 1:
+        np.testing.assert_array_equal(model.values, fit.ramp)
+
+
+@given(st.integers(8, 400), st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=100, deadline=None)
+def test_gram_fits_agree_with_polyfit(n, seed, data):
+    max_order = data.draw(st.integers(1, min(12, n - 1)))
+    x = trend_columns(np.random.Generator(np.random.PCG64(seed)), n, 1)[:, 0]
+    coefficients, values = gram_fits(x[np.newaxis], max_order).row(0).trend(max_order)
+    t = scaled_abscissa(n)
+    expected = npoly.polyval(t, npoly.polyfit(t, x, max_order))
+    atol = 1e-9 * max(float(np.max(np.abs(x))), np.finfo(float).tiny)
+    np.testing.assert_allclose(values, expected, rtol=0, atol=atol)
+    np.testing.assert_allclose(npoly.polyval(t, coefficients), expected, rtol=0, atol=atol)
+
+
+def test_gram_basis_stays_orthogonal():
+    # The worst cosine between two basis polynomials measured over
+    # n = 8..400 is 5e-9, at n = 31 and d = 30.
+    worst = 0.0
+    for n in range(8, 401):
+        fit = gram_fits(np.zeros((1, n)), 30)
+        polynomials = gram_polynomials(fit, n)
+        assert polynomials.shape == (min(30, n - 1) + 1, n)
+        # Row j of powers is P_j in powers of x.
+        np.testing.assert_allclose(npoly.polyval(scaled_abscissa(n), fit.powers.T), polynomials, rtol=0, atol=1e-9)
+        gram = polynomials @ polynomials.T
+        norms = np.sqrt(np.diag(gram))
+        cosines = np.abs(gram / np.outer(norms, norms)) - np.eye(norms.size)
+        worst = max(worst, float(cosines.max()))
+    assert worst < 1e-7
 
 
 def test_fit_trend_validation():

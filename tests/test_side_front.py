@@ -1,6 +1,6 @@
 """The analysis of a table side against the one-series stages.
 
-The side step runs normalization, the least-squares line, the spectrum,
+The side step runs normalization, the least-squares ramp, the spectrum,
 the autocorrelation and the smoother once over all rows of a side, then
 each row's trend fit, seasonality gate, crossovers and period validation.
 Each row must come out with the bits the one-series stages give it, and
@@ -8,7 +8,6 @@ must fail the same check with the same message, in the same order.
 """
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +18,7 @@ from cycletransfer.decomposition import (
     RISING,
     find_crossovers,
     fit_trend,
-    scaled_abscissa,
-    trend_probes,
+    gram_fits,
     validate_periods,
 )
 from cycletransfer.errors import ConstantSeriesError, CycleTransferError, DataError, SeasonalityNotFoundError
@@ -46,16 +44,14 @@ from cycletransfer.transfer import (
 )
 
 
-def analysis_alone(x, cfg, probe):
+def analysis_alone(x, cfg):
     """One series through the one-series stages, in the order the
-    analysis checks them; the error it meets instead, if any. ``probe`` is
-    the series' column of its side's trend probes."""
+    analysis checks them; the error it meets instead, if any."""
     n = x.size
     try:
         raise_if_error(length_error(n, 2))
         normalized, scale = normalize_minmax(x)
-        t = scaled_abscissa(n)
-        cyclic = normalized - npoly.polyval(t, npoly.polyfit(t, normalized, 1))
+        cyclic = normalized - gram_fits(normalized[np.newaxis], 1).ramp[0]
         if float(np.ptp(cyclic)) < 1e-12:
             raise ConstantSeriesError("series is a plain ramp, no cyclic part to analyze")
         raise_if_error(length_error(n, 4))
@@ -70,9 +66,9 @@ def analysis_alone(x, cfg, probe):
             smoothed = mean_smoothing(normalized, radius)
     except CycleTransferError as exc:
         return exc
-    # No line is passed: the order-1 trend is fitted afresh, and must equal
-    # the side step's line bit for bit.
-    trend = fit_trend(normalized, min(cfg.max_order, n - 1), f, probe=probe)
+    # The trend is fitted afresh, by a one-row pass, and must equal the
+    # side step's bit for bit.
+    trend = fit_trend(normalized, min(cfg.max_order, n - 1), f)
     segmentation = failure = None
     try:
         g, p = fisher_g(spectrum, n)
@@ -95,30 +91,6 @@ def analysis_alone(x, cfg, probe):
         "segmentation": segmentation,
         "failure": failure,
     }
-
-
-def side_probes(rows, cfg):
-    """Each row's column of its side's trend probes, or None: the rows whose
-    range normalizes, in blocks of max_order + 1, as the side step takes
-    them. How the blocks are cut is test_transfer.py's concern; this gives
-    each row the probe bits the side step gives it."""
-    n = rows.shape[1]
-    probes = [None] * len(rows)
-    if n < 4:
-        return probes
-    ok = []
-    for j, row in enumerate(rows):
-        try:
-            ok.append((j, normalize_minmax(row)[0]))
-        except CycleTransferError:
-            pass
-    step = min(cfg.max_order, n - 1) + 1
-    for start in range(0, len(ok), step):
-        chunk = ok[start : start + step]
-        block = trend_probes(np.array([row for _, row in chunk]).T, step - 1)
-        for (j, _), column in zip(chunk, block.T):
-            probes[j] = column
-    return probes
 
 
 @st.composite
@@ -163,8 +135,8 @@ def test_side_analysis_equals_the_one_series_analysis_row_by_row(rows, config):
     cfg = RunConfig(**config)
     entries = _analyze_side(rows.copy(), cfg)
     assert len(entries) == rows.shape[0]
-    for row, entry, probe in zip(rows, entries, side_probes(rows, cfg)):
-        alone = analysis_alone(row, cfg, probe)
+    for row, entry in zip(rows, entries):
+        alone = analysis_alone(row, cfg)
         if isinstance(alone, CycleTransferError):
             assert type(alone) in (ConstantSeriesError, DataError)
             assert (type(entry), str(entry)) == (type(alone), str(alone))
@@ -223,8 +195,9 @@ def test_stages_along_the_last_axis_equal_their_one_row_calls(k, n, seed, alpha)
 
 
 def test_transforms_stay_within_the_budget(monkeypatch):
-    # 40 rows of 300 frames pad to 1024 for the autocorrelation; with the
-    # probe block's 300 * 31 doubles as budget, 9 rows go in each chunk.
+    # 40 rows of 300 frames pad to 1024 for the autocorrelation; with a
+    # stored degree-30 basis's 300 * 31 doubles as budget, 9 rows go in
+    # each chunk.
     shapes = []
     recorded = cycletransfer.seasonality.autocorrelation
 

@@ -116,3 +116,21 @@ def test_each_series_check_message_is_worded_once():
         for message in CHECK_MESSAGES
     }
     assert counts == dict.fromkeys(CHECK_MESSAGES, 1)
+
+
+# Trend fits are inner products taken with np.sum (numpy's pairwise sum), so
+# the output bits do not depend on the BLAS library or its thread count.
+BLAS_NAMES = {"lstsq", "polyfit", "polyvander", "linalg", "dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
+
+
+def test_package_calls_no_blas():
+    sources = sorted(PACKAGE.glob("*.py"))
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name in BLAS_NAMES:
+                found.append(f"{path.name}:{node.lineno} uses {name}")
+            if isinstance(getattr(node, "op", None), ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} uses @")
+    assert found == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import cycletransfer.transfer
 from cycletransfer.config import RunConfig
-from cycletransfer.decomposition import PeriodSegmentation, trend_probes, validate_periods
+from cycletransfer.decomposition import PeriodSegmentation, gram_fits, validate_periods
 from cycletransfer.errors import ConstantSeriesError, DataError, UsageError
 from cycletransfer.series import normalize_minmax, raise_if_error
 from cycletransfer.tableio import PoseTable, write_report
@@ -665,11 +665,10 @@ def assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg, tmp_path):
 @pytest.mark.parametrize("max_order", [30, 12])
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_side_probes_choose_the_per_channel_trend_orders(seed, max_order, tmp_path):
-    # The batched probe of each table side differs from one-channel
-    # probes in rounding only; every channel keeps its trend order, its
-    # status and the bits of its refined values. At max_order 30 every
-    # sequence here falls back to order 1; at 12 the orders run from 2
-    # to 12.
+    # Each table side's fits come from one pass over all its channels;
+    # every channel keeps the trend order, the status and the bits of
+    # refined values it gets alone. At max_order 30 every sequence here
+    # falls back to order 1; at 12 the orders run from 2 to 12.
     _, ref, tgt = wide_tables(seed)
     cfg = RunConfig(max_order=max_order)
     out, diags = transfer_table(ref, tgt, cfg)
@@ -705,26 +704,27 @@ def test_side_front_end_gives_each_channel_its_own_bits(seed, settings, tmp_path
     assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg, tmp_path)
 
 
-def test_side_probes_split_into_blocks_of_max_order_plus_one(monkeypatch, tmp_path):
-    # 57 of the 60 channels have a range to normalize; with max_order 5
-    # each side is probed in blocks of at most 6 columns.
-    widths = []
+def test_each_side_is_fitted_in_one_pass(monkeypatch, tmp_path):
+    # 57 of the 60 channels have a range to normalize; each side fits
+    # them all in one orthogonal-polynomial pass, and with max_order 5
+    # some of them still take trends above order 1.
+    shapes = []
 
-    def recording(columns, max_order):
-        widths.append(columns.shape[1])
-        return trend_probes(columns, max_order)
+    def recording(rows, max_order):
+        shapes.append((rows.shape, max_order))
+        return gram_fits(rows, max_order)
 
-    monkeypatch.setattr(cycletransfer.transfer, "trend_probes", recording)
+    monkeypatch.setattr(cycletransfer.transfer, "gram_fits", recording)
     _, ref, tgt = wide_tables(11)
     cfg = RunConfig(max_order=5)
     out, diags = transfer_table(ref, tgt, cfg)
-    assert widths == ([6] * 9 + [3]) * 2
+    assert shapes == [((57, 300), 5), ((57, 600), 5)]
     assert {_orders(d)[1][0] for d in diags.values() if d.target is not None} - {1}
     assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg, tmp_path)
 
 
 def test_analyze_table_side_probe_leaves_errors_to_the_channels():
-    # Constant and overflowing columns get no probe, a plain ramp gets one
+    # Constant and overflowing columns get no fit, a plain ramp gets one
     # it never uses; each channel still ends as its own analysis says.
     n = 240
     t = np.arange(n, dtype=float)
