@@ -6,18 +6,23 @@ other cell is a finite float. Values are written with 9 significant
 digits, which keeps a write/read round trip well below pipeline
 tolerances for pose-scale values.
 
-``read_csv`` first tries a block parser that splits about 64 KiB of lines
-at a time on commas and converts every value cell with ``float``. It
-takes a file only when the file holds no ``"``, every line (the last one
-too) ends in the header's line end, ``\n`` or ``\r\n``, with no other
-``\r`` anywhere, the header starts with ``frame`` and names no channel
-twice or blank, every row has exactly one comma per channel (counted for
-all lines of a block by array code), every frame cell is written as
-``str(i)`` for its row i, no cell is longer than
-``csv.field_size_limit()``, every value cell parses and every value is
-finite. Any other file, valid or not, goes to the line-precise
-``csv.reader`` parser, which is the one source of every error message, so
-both paths give the same table or the same error.
+``read_csv`` first tries one ``np.loadtxt`` parse. The header record is
+read with ``csv.reader`` and checked as the line parser checks it. A
+check pass over the body bytes, in blocks of about 64 KiB, then takes the
+body only when it is printable ASCII other than ``"``, every line (the
+last one too) ends in the header's line end, ``\n`` or ``\r\n``, with no
+other ``\r``, and no cell is longer than ``csv.field_size_limit()``. On
+such a body numpy's reader splits the same cells as ``csv.reader``, and
+every cell it takes, ``int`` and ``float`` take to the same bits: its
+float reader ends in ``PyOS_string_to_double`` as ``float`` does, its
+int64 reader takes only a sign and digits, and in ASCII the only
+whitespace any of them strips is the space. A cell only Python takes,
+such as ``1_0``, fails the parse. After the parse, which runs with
+warnings as errors, the table is taken only when every line gave a row,
+the frames are 0, 1, 2, ... and every value is finite. Any other file,
+valid or not, every zero-channel table among them, goes to the
+line-precise ``csv.reader`` parser, which is the one source of every
+error message, so both paths give the same table or the same error.
 
 Both writers give the bytes of the plain per-row and per-value
 formatting they replace, with the per-value work in C: ``write_csv``
@@ -34,7 +39,7 @@ import io
 import itertools
 import json
 import os
-import tempfile
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +50,14 @@ SYNTH_CHANNEL = "synth"
 # Largest synthetic table, in frames; far past what fits in memory, but
 # below sizes numpy rejects with an error of its own.
 MAX_SYNTH_FRAMES = 2**31
-# Characters of lines per read_csv block and cells per write_csv block:
-# large enough that the per-block Python work is small, small enough that
-# every transient stays a small fraction of the table.
-READ_BLOCK_CHARS = 1 << 16
+# Bytes per read_csv check block and cells per write_csv block: large
+# enough that the per-block Python work is small, small enough that every
+# transient stays a small fraction of the table.
+READ_BLOCK_BYTES = 1 << 16
 WRITE_BLOCK_CELLS = 1 << 14
+# Bytes a body line of the read_csv fast path may hold besides its line
+# end: printable ASCII but the quote.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"")
 
 
 @dataclass(eq=False)
@@ -97,7 +105,10 @@ def _write_text_atomic(path, chunks) -> None:
     directory, then rename over path."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix="~")
+    tmp = os.path.join(directory, f".tmp.{os.urandom(8).hex()}~")
+    # Mode 0o666 lets the umask set the permissions, as for any new file.
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
@@ -113,104 +124,96 @@ def read_csv(path) -> PoseTable:
 
     Every malformed file raises DataError, including one holding bytes
     that are not UTF-8 or a cell the csv module refuses (over its field
-    size limit, for example). Plain files take the block parser; the
-    module docstring lists what it declines.
+    size limit, for example). A file whose rows are plain ASCII takes one
+    ``np.loadtxt`` parse; the module docstring lists what that path
+    declines, and every declined file is parsed one line at a time with
+    csv.reader.
     """
     table = _read_csv_blocks(path)
     return table if table is not None else _read_csv_lines(path)
 
 
 def _read_csv_blocks(path) -> PoseTable | None:
-    """The table, parsed a block of lines at a time; None for any file the
-    block parser declines, including every malformed one."""
-    limit = csv.field_size_limit()
-    blocks = []
-    n_frames = 0
+    """The table from a check pass over the body bytes and one np.loadtxt
+    parse; None for any file this path declines, including every
+    malformed one."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            header = fh.readline()
-            crlf = header.endswith("\r\n")
-            names = _plain_header(header, crlf, limit)
-            if names is None:
-                return None
-            while lines := fh.readlines(READ_BLOCK_CHARS):
-                block = _parse_block(lines, crlf, n_frames, len(names), limit)
-                if block is None:
-                    return None
-                blocks.append(block)
-                n_frames += len(lines)
-    except (OSError, UnicodeDecodeError):
-        return None
-    values = np.concatenate(blocks) if blocks else np.empty(0)
-    values = values.reshape(n_frames, len(names))
-    if not np.isfinite(values).all():
-        return None
-    return PoseTable(names, values)
-
-
-def _plain_text(text: str, crlf: bool) -> str | None:
-    r"""text with ``\n`` line ends if it is whole lines that csv.reader
-    splits on commas alone, else None: no quote, and every line ended by
-    ``\r\n`` (crlf) or ``\n`` (not crlf), with no other carriage return.
-    """
-    if crlf:
-        # With every \r\n made \n and no \r left, each \r stood before a
-        # \n; equal counts make each \n stand after a \r.
-        if text.count("\r") != text.count("\n"):
+            reader = csv.reader(fh)
+            names = _channel_names(next(reader, []), path)
+            # The physical lines of the header record, as the line parser
+            # reads them and numpy skips them.
+            header_lines = reader.line_num
+            fh.seek(0)
+            header = "".join(itertools.islice(fh, header_lines))
+        crlf = header.endswith("\r\n")
+        if not names or not header.endswith("\n"):
             return None
-        text = text.replace("\r\n", "\n")
-    if text.endswith("\n") and '"' not in text and "\r" not in text:
-        return text
-    return None
-
-
-def _plain_header(line: str, crlf: bool, limit: int) -> list[str] | None:
-    """Channel names of a header line the block parser takes, else None."""
-    line = _plain_text(line, crlf)
-    if line is None:
+        with open(path, "rb") as fh:
+            fh.seek(len(header.encode("utf-8")))
+            n_lines = _plain_line_count(fh, crlf)
+        if n_lines is None:
+            return None
+        # Warnings as errors: an empty body and, in older numpy, an integer
+        # read through a float only warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # numpy's opener fetches a path that parses as a URL; an
+            # absolute path never does.
+            rows = np.loadtxt(
+                os.path.abspath(path), delimiter=",", comments=None, skiprows=header_lines,
+                encoding="utf-8", ndmin=1,
+                dtype=[("frame", np.int64), ("values", float, (len(names),))],
+            )
+    except (OSError, ValueError, Warning, csv.Error):
         return None
-    cells = line[:-1].split(",")
-    names = cells[1:]
+    # loadtxt skips blank lines, so equal counts give one row per line.
+    values = rows["values"]
     if (
-        cells[0] != "frame"
-        or max(map(len, cells)) > limit
-        or not all(name.strip() for name in names)
-        or len(set(names)) != len(names)
+        len(rows) != n_lines
+        or not np.array_equal(rows["frame"], np.arange(n_lines))
+        or not np.isfinite(values).all()
     ):
         return None
-    return names
+    return PoseTable(names, np.ascontiguousarray(values))
 
 
-def _parse_block(lines: list[str], crlf: bool, first_frame: int, n_channels: int, limit: int):
-    """Values of consecutive body lines as one flat array, else None.
+def _plain_line_count(fh, crlf: bool) -> int | None:
+    r"""Number of lines in the rest of the binary file fh if they are all
+    plain, else None.
 
-    With plain text and exactly n_channels commas per line, the cells
-    below are the cells csv.reader would give and ``float`` gives its
-    values.
+    Plain lines hold printable ASCII other than ``"`` and each ends in
+    ``\r\n`` (crlf) or ``\n`` (not crlf), with no other ``\r``; no cell
+    is longer than ``csv.field_size_limit()``. Such lines split on commas
+    into the cells csv.reader gives, and each cell numpy's reader takes,
+    ``int`` and ``float`` take to the same number. The rest of fh is
+    checked in blocks of about READ_BLOCK_BYTES, each cut after its last
+    ``\n``.
     """
-    text = _plain_text("".join(lines), crlf)
-    if text is None:
-        return None
-    # Every line holds n_channels commas exactly when the k-th newline has
-    # k * n_channels commas before it. In UTF-8 no byte of a multi-byte
-    # character is a comma or a newline.
-    raw = np.frombuffer(text.encode(), np.uint8)
-    newlines = np.flatnonzero(raw == 10)
-    commas_before = np.searchsorted(np.flatnonzero(raw == 44), newlines)
-    if not np.array_equal(commas_before, n_channels * np.arange(1, newlines.size + 1)):
-        return None
-    cells = text[:-1].replace("\n", ",").split(",")
-    # No cell is longer than its line, so cells are measured only when a
-    # line is long.
-    if max(map(len, lines)) > limit and max(map(len, cells)) > limit:
-        return None
-    if cells[:: n_channels + 1] != list(map(str, range(first_frame, first_frame + len(lines)))):
-        return None
-    del cells[:: n_channels + 1]
-    try:
-        return np.fromiter(map(float, cells), float, len(cells))
-    except ValueError:
-        return None
+    limit = csv.field_size_limit()
+    n_lines = 0
+    pieces = []  # the start of a line that is still open
+    while chunk := fh.read(READ_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            pieces.append(chunk)
+            continue
+        block = b"".join([*pieces, chunk[:cut]])
+        pieces = [chunk[cut:]]
+        size = len(block)
+        if crlf:
+            block = block.replace(b"\r\n", b"\n")
+        # Without its plain bytes a block of plain lines is its line ends,
+        # and in a CRLF block the replace dropped one byte from each.
+        ends = block.translate(None, _PLAIN_BYTES)
+        if ends != b"\n" * len(ends) or (crlf and size - len(block) != len(ends)):
+            return None
+        # No cell is longer than its block, so cells are measured only
+        # when a block is long.
+        if len(block) > limit and max(map(len, block.replace(b"\n", b",").split(b","))) > limit:
+            return None
+        n_lines += len(ends)
+    return None if any(pieces) else n_lines
 
 
 def _read_csv_lines(path) -> PoseTable:
@@ -237,18 +240,7 @@ def _parse_rows(reader, path) -> tuple[list[str], list[list[float]]]:
         header = next(reader)
     except StopIteration:
         raise DataError(f"{path}: file is empty, expected a header line") from None
-    if not header or header[0] != "frame":
-        raise DataError(f"{path}: line 1: header must start with 'frame'")
-    names = header[1:]
-    for name in names:
-        if not name.strip():
-            raise DataError(f"{path}: line 1: empty channel name in header")
-    seen = set()
-    for name in names:
-        if name in seen:
-            raise DataError(f"{path}: line 1: duplicate channel {name!r}")
-        seen.add(name)
-
+    names = _channel_names(header, path)
     rows = []
     expected_frame = 0
     for row in reader:
@@ -279,6 +271,23 @@ def _parse_rows(reader, path) -> tuple[list[str], list[list[float]]]:
             parsed.append(value)
         rows.append(parsed)
     return names, rows
+
+
+def _channel_names(header: list[str], path) -> list[str]:
+    """The channel names a header row declares; DataError if it is not a
+    pose table header."""
+    if not header or header[0] != "frame":
+        raise DataError(f"{path}: line 1: header must start with 'frame'")
+    names = header[1:]
+    for name in names:
+        if not name.strip():
+            raise DataError(f"{path}: line 1: empty channel name in header")
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DataError(f"{path}: line 1: duplicate channel {name!r}")
+        seen.add(name)
+    return names
 
 
 def _first_non_utf8_line(path) -> int | None:
