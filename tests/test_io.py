@@ -511,7 +511,6 @@ FAST_PATH_TAKES = {
     "quoted_header_cr": b'frame,"a\rb",c\n0,1,2\n',
     "quoted_header_lf_in_crlf": b'frame,"a\nb"\r\n0,1\r\n1,2\r\n',
     "quoted_header_crlf_in_lf": b'frame,"a\r\nb"\n0,1\n',
-    "one_row": b"frame,a,b\n0,1,2\n",
 }
 
 
@@ -661,7 +660,7 @@ def test_read_csv_of_a_short_file_warns_nothing(tmp_path, data):
         warnings.simplefilter("always")
         table = read_csv(path)
     assert caught == []
-    assert table.n_frames == data.count(b"\n") - 1
+    assert parse_outcome(lambda _: table, path) == parse_outcome(_read_csv_lines, path)
     assert (_read_csv_blocks(path) is None) == (table.n_frames == 0)
 
 
