@@ -20,12 +20,13 @@ from .errors import ConstantSeriesError, DataError
 MIN_RANGE = 1e-12
 
 
-def as_series(values, min_len: int = 1) -> np.ndarray:
-    """Coerce ``values`` to a 1-D float64 array and check basic sanity."""
+def as_series(values) -> np.ndarray:
+    """Coerce ``values`` to a 1-D float64 array of at least one sample,
+    all finite."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DataError(f"expected a 1-D series, got shape {arr.shape}")
-    raise_if_error(length_error(arr.size, min_len))
+    raise_if_error(length_error(arr.size, 1))
     if not np.all(np.isfinite(arr)):
         raise DataError("series contains NaN or infinite samples")
     return arr

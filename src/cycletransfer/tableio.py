@@ -303,17 +303,19 @@ def _first_non_utf8_line(path) -> int | None:
 
 
 def write_csv(table: PoseTable, path) -> None:
-    """Write a pose table atomically, 9 significant digits per value.
+    r"""Write a pose table atomically, 9 significant digits per value.
 
-    csv.writer writes the header, so names holding a comma or a quote
-    come out quoted. The body rows ``i,v1,...,vC`` are formatted a block
-    at a time with one ``%`` format string that holds the frame numbers
-    as literals, which gives the same bytes as writing ``str(i)`` and
+    csv.writer writes the header, so names holding a comma, a quote or a
+    line break come out quoted. Its record ends in ``\r\n``, which makes
+    it quote a name holding a lone ``\r`` too, and that end is then cut
+    to ``\n``. The body rows ``i,v1,...,vC`` are formatted a block at a
+    time with one ``%`` format string that holds the frame numbers as
+    literals, which gives the same bytes as writing ``str(i)`` and
     formatting each value with ``f"{v:.9g}"`` row by row.
     """
     header = io.StringIO()
-    csv.writer(header, lineterminator="\n").writerow(["frame"] + list(table.channel_names))
-    _write_text_atomic(path, itertools.chain([header.getvalue()], _csv_body(table.values)))
+    csv.writer(header, lineterminator="\r\n").writerow(["frame"] + list(table.channel_names))
+    _write_text_atomic(path, itertools.chain([header.getvalue()[:-2] + "\n"], _csv_body(table.values)))
 
 
 def _csv_body(values: np.ndarray):
@@ -367,8 +369,8 @@ def write_report(diagnostics, path) -> None:
                 entry["period_starts"] = seq.segmentation.period_starts.tolist()
         if diag.l_min is not None:
             entry["l_min"] = int(diag.l_min)
-        if diag.factor is not None:
-            entry["mean_factor"] = diag.factor.mean_factor.tolist()
+        if diag.mean_factor is not None:
+            entry["mean_factor"] = diag.mean_factor.tolist()
         out[name] = entry
     _write_text_atomic(path, _report_text(out))
 

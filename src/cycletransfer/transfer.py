@@ -77,15 +77,6 @@ class IntervalMap:
 
 
 @dataclass(eq=False)
-class AdditiveFactor:
-    """Reference residual (values minus trend) and its per-interval means."""
-
-    frames: np.ndarray
-    raw: np.ndarray
-    mean_factor: np.ndarray
-
-
-@dataclass(eq=False)
 class RefinedSeries:
     """Transfer output: values = trend + applied_factor, frame by frame.
 
@@ -122,7 +113,7 @@ class ChannelDiagnostics:
     reference: SequenceDiagnostics | None = None
     target: SequenceDiagnostics | None = None
     l_min: int | None = None
-    factor: AdditiveFactor | None = None
+    mean_factor: np.ndarray | None = None
     detail: str | None = None
 
 
@@ -148,21 +139,43 @@ def _interval_of(offsets, length, l_min: int) -> np.ndarray:
     return np.where(offsets < head, offsets // (q + 1), r + (offsets - head) // np.maximum(q, 1))
 
 
+def _frame_intervals(segmentation: PeriodSegmentation, n: int, l_min: int, reference_period: float):
+    """0-based interval and inside-a-period flag of every frame 0..n-1.
+
+    The frames form alternating segments: gap, period, gap, ..., gap (any
+    of them may be empty). A period is cut into l_min intervals from its
+    own start and length (:func:`_interval_of`). A gap reuses the grid
+    periodically with the reference period rounded to a whole frame
+    (at least 1), counted from the end of the period before it, or from
+    the first start for the leading gap. Array code, O(n): each segment's
+    anchor and length are expanded with np.repeat.
+    """
+    bounds = segmentation.bounds
+    sizes = np.diff(np.concatenate([[0], bounds.ravel(), [n]]))
+    # The leading gap counts back from the first start; with no period
+    # the only segment is that gap, and any anchor will do.
+    anchors = np.concatenate([bounds[:1, 0] if bounds.size else [0], bounds.ravel()])
+    lengths = np.full(sizes.size, max(1, int(round(reference_period))))
+    lengths[1::2] = segmentation.period_lengths
+    frame_lengths = np.repeat(lengths, sizes)
+    offsets = (np.arange(n) - np.repeat(anchors, sizes)) % frame_lengths
+    inside = np.repeat(np.arange(sizes.size) % 2 == 1, sizes)
+    return _interval_of(offsets, frame_lengths, l_min), inside
+
+
 def build_phi(segmentation: PeriodSegmentation, l_min: int) -> IntervalMap:
     """Map every segmented frame to its within-period interval.
 
-    ``l_min`` is at most the shortest period, as :func:`compute_lmin`
-    makes it, so every interval holds at least one frame of each period.
-    Array code, O(frames): each frame's offset from its period start comes
-    from np.repeat and :func:`_interval_of` turns it into the interval, so
-    there is no loop over periods or frames.
+    Takes the frames inside periods from :func:`_frame_intervals`, the one
+    rule that also places every target frame in :func:`apply_transfer`.
+    ``l_min`` is at most the shortest period, as :func:`compute_lmin` makes
+    it, so every interval holds at least one frame of each period.
     """
-    lengths = segmentation.period_lengths
-    frames = segmentation.covered_frames()
-    starts = np.repeat(frames[np.cumsum(lengths) - lengths], lengths)
-    interval = _interval_of(frames - starts, np.repeat(lengths, lengths), l_min) + 1
+    n = int(segmentation.bounds[:, 1].max(initial=0))
+    interval, inside = _frame_intervals(segmentation, n, l_min, segmentation.reference_period)
+    interval = interval[inside] + 1
     counts = np.bincount(interval - 1, minlength=l_min)
-    return IntervalMap(l_min=l_min, frames=frames, interval=interval, counts=counts)
+    return IntervalMap(l_min=l_min, frames=np.flatnonzero(inside), interval=interval, counts=counts)
 
 
 def extract_additive(
@@ -181,43 +194,19 @@ def mean_additive_factor(residual: np.ndarray, interval_map: IntervalMap) -> np.
 
 
 def apply_transfer(
-    trend: np.ndarray,
-    mean_factor: np.ndarray,
-    interval_map: IntervalMap,
-    segmentation: PeriodSegmentation,
-    reference_period: float,
+    trend: np.ndarray, mean_factor: np.ndarray, segmentation: PeriodSegmentation, reference_period: float
 ) -> RefinedSeries:
     """Add the mean pattern (l_min values) onto a trend, interval by interval.
 
-    Inside detected periods the interval map decides which mean-factor
-    entry lands on each frame. Frames outside the segmented region reuse
-    the grid periodically with the reference period rounded to the
-    nearest whole frame, anchored at the nearest period boundary; those
-    frames are flagged as extension rather than genuine transfer.
+    Every frame takes the mean-factor entry of its interval under
+    :func:`_frame_intervals`: inside a detected period from the period's
+    own grid, outside from the grid repeated with ``reference_period``
+    rounded to a whole frame. Frames outside the periods are flagged as
+    extension rather than genuine transfer.
     """
-    n = trend.size
-    applied = np.empty(n)
-    transferred = np.zeros(n, dtype=bool)
-
-    frames = interval_map.frames
-    applied[frames] = mean_factor[interval_map.interval - 1]
-    transferred[frames] = True
-
-    l_int = max(1, int(round(reference_period)))
-    ends = segmentation.bounds[:, 1]
-    first_start = segmentation.bounds[0, 0]
-    outside = np.nonzero(~transferred)[0]
-    if outside.size:
-        # Anchor each uncovered frame at the nearest boundary on its left:
-        # the first period start for the leading gap, otherwise the end of
-        # the preceding period. Python's modulo keeps offsets in range for
-        # frames left of the anchor.
-        anchor_idx = np.searchsorted(ends, outside, side="right") - 1
-        anchors = np.where(anchor_idx < 0, first_start, ends[np.maximum(anchor_idx, 0)])
-        offsets = (outside - anchors) % l_int
-        applied[outside] = mean_factor[_interval_of(offsets, l_int, interval_map.l_min)]
-    values = trend + applied
-    return RefinedSeries(values=values, trend=trend.copy(), applied_factor=applied, transferred=transferred)
+    interval, transferred = _frame_intervals(segmentation, trend.size, mean_factor.size, reference_period)
+    applied = mean_factor[interval]
+    return RefinedSeries(values=trend + applied, trend=trend, applied_factor=applied, transferred=transferred)
 
 
 def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics | DataError]:
@@ -231,8 +220,9 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
     (:func:`gram_fits`), whose first two terms are each row's ramp; the
     spectrum and autocorrelation of the ramp-removed values, since a
     ramp's leakage into the lowest bins can outweigh a cycle between bins
-    (:func:`analyze_rows`, in chunks within the n * (max_order + 1)
-    doubles a stored basis would take); the smoother, once per radius.
+    (:func:`analyze_rows`, in chunks whose largest transient, the padded
+    autocorrelation spectrum, stays within n * (max_order + 1) doubles,
+    the size of max_order + 1 rows); the smoother, once per radius.
     Each row of a radius group then gets its trend (:func:`fit_trend` on
     its row of the pass), Fisher's g gate at MAX_SEASONALITY_P, its rising
     crossovers and its periods; a row that fails there keeps its trend and
@@ -308,9 +298,11 @@ def transfer_channel(
 
     Both series are analyzed independently (scale-free steps run on
     normalized values). The reference residual is taken against its trend
-    in original units and its per-interval means are added onto the
-    target's trend, also in original units, so patterns keep their
-    physical amplitude across differently scaled sequences.
+    in original units and averaged per interval of its periods (the one
+    :func:`build_phi` map), and the means are added onto the target's trend,
+    also in original units, by the same interval rule over every target
+    frame (:func:`apply_transfer`), so patterns keep their physical
+    amplitude across differently scaled sequences.
 
     When either sequence fails segmentation the target comes back
     unchanged with status "skipped_no_seasonality". A refined series that
@@ -359,18 +351,10 @@ def transfer_channel(
         return refined, diag
 
     l_min = compute_lmin(ref.segmentation, tgt.segmentation)
-    ref_map = build_phi(ref.segmentation, l_min)
-    tgt_map = build_phi(tgt.segmentation, l_min)
     with np.errstate(over="ignore", invalid="ignore"):
         raw = extract_additive(ref_x, denormalize(ref.trend.values, ref.scale), ref.segmentation)
-        mean_factor = mean_additive_factor(raw, ref_map)
-        refined = apply_transfer(
-            tgt_trend,
-            mean_factor,
-            tgt_map,
-            tgt.segmentation,
-            tgt.report.reference_period,
-        )
+        mean_factor = mean_additive_factor(raw, build_phi(ref.segmentation, l_min))
+        refined = apply_transfer(tgt_trend, mean_factor, tgt.segmentation, tgt.report.reference_period)
     if not np.all(np.isfinite(refined.values)):
         raise DataError("trend plus transferred pattern overflows float64")
     diag = ChannelDiagnostics(
@@ -378,7 +362,7 @@ def transfer_channel(
         reference=ref,
         target=tgt,
         l_min=l_min,
-        factor=AdditiveFactor(frames=ref_map.frames, raw=raw, mean_factor=mean_factor),
+        mean_factor=mean_factor,
     )
     return refined, diag
 

@@ -111,6 +111,19 @@ def test_write_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back.values, table.values, atol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "names, header", [(["a\rb"], b'frame,"a\rb"\n'), (["x", "c\r"], b'frame,x,"c\r"\n')]
+)
+def test_write_csv_quotes_a_name_with_a_carriage_return(tmp_path, names, header):
+    table = PoseTable(names, np.arange(2.0 * len(names)).reshape(2, -1))
+    path = tmp_path / "t.csv"
+    write_csv(table, path)
+    assert path.read_bytes().startswith(header)
+    for back in (read_csv(path), _read_csv_blocks(path)):
+        assert back.channel_names == names
+        np.testing.assert_array_equal(back.values, table.values)
+
+
 def test_write_csv_no_channels(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(PoseTable([], np.empty((3, 0))), path)
@@ -191,16 +204,16 @@ def _transfer_report(tmp_path):
     t = np.arange(200, dtype=float)
     ref = np.sin(2.0 * np.pi * (np.arange(80) + 0.5) / 16.0)
     tgt = 0.01 * t + np.sin(2.0 * np.pi * (t + 0.5) / 16.0) + 0.2 * rng.standard_normal(200)
-    _, diags = transfer_table(
+    out, diags = transfer_table(
         PoseTable(["m"], ref.reshape(-1, 1)), PoseTable(["m"], tgt.reshape(-1, 1))
     )
     path = tmp_path / "report.json"
     write_report(diags, path)
-    return diags, path
+    return out, diags, path
 
 
 def test_write_report_transfer_includes_factor(tmp_path):
-    _, path = _transfer_report(tmp_path)
+    _, _, path = _transfer_report(tmp_path)
     data = json.loads(path.read_text())
     entry = data["m"]
     assert entry["status"] == "transferred"
@@ -213,7 +226,7 @@ def test_write_report_bytes_are_pinned(tmp_path):
     # data/report_transfer.json is this report as written when every list
     # was built with per-element float()/int() (numpy 2.4.6, x86-64), so
     # report.json stays byte-compatible.
-    diags, path = _transfer_report(tmp_path)
+    _, diags, path = _transfer_report(tmp_path)
     assert path.read_bytes() == (DATA / "report_transfer.json").read_bytes()
     # The same check without numbers that depend on the machine's
     # floating point: the old per-element lists give the same text.
@@ -223,9 +236,23 @@ def test_write_report_bytes_are_pinned(tmp_path):
         acf=[float(v) for v in diag.target.report.acf],
         spectrum=[float(v) for v in diag.target.report.spectrum],
         period_starts=[int(p) for p in diag.target.segmentation.period_starts],
-        mean_factor=[float(v) for v in diag.factor.mean_factor],
+        mean_factor=[float(v) for v in diag.mean_factor],
     )
     assert path.read_text() == json.dumps(old, indent=2) + "\n"
+
+
+def test_refined_csv_bytes_are_pinned(tmp_path):
+    # data/refined_transfer.csv is the refined table of the report's pair
+    # as the two-phase fill wrote it (numpy 2.4.6, x86-64); that fill is
+    # kept in test_loop_oracles.py as apply_transfer's reference form. The
+    # target has 16 leading and 8 trailing frames outside its periods, so
+    # both ends of the extension grid are pinned with the periods.
+    out, diags, _ = _transfer_report(tmp_path)
+    bounds = diags["m"].target.segmentation.bounds
+    assert bounds[0, 0] == 16 and out.n_frames - bounds[-1, 1] == 8
+    path = tmp_path / "refined.csv"
+    write_csv(out, path)
+    assert path.read_bytes() == (DATA / "refined_transfer.csv").read_bytes()
 
 
 REPORT_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308]
@@ -258,7 +285,7 @@ def report_diagnostics(draw):
             status=draw(st.sampled_from(["transferred", "passthrough"]) | st.text()),
             target=target,
             l_min=draw(st.none() | st.integers(1, 2**40)),
-            factor=draw(st.none() | report_arrays.map(lambda a: SimpleNamespace(mean_factor=a))),
+            mean_factor=draw(st.none() | report_arrays),
         )
     return diagnostics
 
@@ -279,7 +306,7 @@ def report_oracle(diagnostics) -> bytes:
                 None if segmentation is None else [int(p) for p in segmentation.period_starts]
             ),
             "l_min": diag.l_min,
-            "mean_factor": None if diag.factor is None else [float(v) for v in diag.factor.mean_factor],
+            "mean_factor": None if diag.mean_factor is None else [float(v) for v in diag.mean_factor],
             "status": diag.status,
         }
     return (json.dumps(out, indent=2) + "\n").encode("utf-8")
@@ -405,10 +432,14 @@ def test_read_csv_returns_table_or_data_error(tmp_path_factory, data):
 
 
 def write_csv_oracle(table: PoseTable) -> bytes:
-    """The per-row csv.writer loop that write_csv's block formatting replaces."""
+    """The per-row csv.writer loop that write_csv's block formatting
+    replaces, after write_csv's header: csv.writer's record with its
+    ``\r\n`` end cut to ``\n``."""
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\r\n").writerow(["frame"] + list(table.channel_names))
     buf = io.StringIO()
+    buf.write(header.getvalue()[:-2] + "\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["frame"] + list(table.channel_names))
     for i in range(table.n_frames):
         writer.writerow([str(i)] + [f"{v:.9g}" for v in table.values[i]])
     return buf.getvalue().encode("utf-8")
@@ -616,12 +647,7 @@ def test_read_csv_matches_line_parser(tmp_path_factory, data):
     assert parse_outcome(read_csv, path) == parse_outcome(_read_csv_lines, path)
 
 
-# csv.writer leaves a "\r" in a name unquoted when no other character asks
-# for quotes, and csv.reader then ends the header there, so such a table
-# does not read back by either path; the fast path takes every other one.
-written_back = tables().filter(
-    lambda t: t.n_frames and t.channel_names and not any("\r" in n for n in t.channel_names)
-)
+written_back = tables().filter(lambda t: t.n_frames and t.channel_names)
 
 
 @settings(max_examples=300, deadline=None)

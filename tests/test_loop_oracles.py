@@ -20,7 +20,7 @@ from cycletransfer.decomposition import (
 from cycletransfer.errors import SeasonalityNotFoundError
 from cycletransfer.seasonality import autocorrelation
 from cycletransfer.series import exponential_smoothing
-from cycletransfer.transfer import _interval_of, build_phi
+from cycletransfer.transfer import _interval_of, apply_transfer, build_phi
 
 
 def acf_oracle(x, max_lag):
@@ -57,6 +57,30 @@ def phi_oracle(periods, l_min):
         for j, size in enumerate(sizes, start=1):
             interval.extend([j] * size)
     return frames, interval
+
+
+def two_phase_transfer_oracle(trend, mean_factor, periods, reference_period):
+    """The two-phase fill that apply_transfer's one interval rule replaces.
+
+    Frames inside periods take the per-period map first. Each frame left
+    over is then anchored at the end of the last period before it, found
+    with searchsorted, or at the first start for the leading gap, and
+    placed on a grid of the reference period rounded to a whole frame.
+    """
+    n, l_min = trend.size, mean_factor.size
+    applied = np.empty(n)
+    transferred = np.zeros(n, dtype=bool)
+    frames, interval = phi_oracle(periods, l_min)
+    applied[frames] = mean_factor[np.array(interval, dtype=int) - 1]
+    transferred[frames] = True
+    l_int = max(1, int(round(reference_period)))
+    ends = np.array([end for _, end in periods])
+    outside = np.nonzero(~transferred)[0]
+    anchor_idx = np.searchsorted(ends, outside, side="right") - 1
+    anchors = np.where(anchor_idx < 0, periods[0][0], ends[np.maximum(anchor_idx, 0)])
+    offsets = (outside - anchors) % l_int
+    applied[outside] = mean_factor[_interval_of(offsets, l_int, l_min)]
+    return trend + applied, applied, transferred
 
 
 def exponential_oracle(series, alpha, radius):
@@ -190,3 +214,39 @@ def test_interval_rule_matches_size_grid(length, l_min):
     _, grid = phi_oracle([(0, length)], l_min)
     got = _interval_of(np.arange(length), length, l_min) + 1
     assert got.tolist() == grid
+
+
+@given(
+    st.integers(1, 12),
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 20)), min_size=1, max_size=6),
+    st.integers(0, 30),
+    st.floats(0.5, 40.0),
+    st.integers(0, 2 ** 32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_apply_transfer_matches_two_phase_fill(l_min, layout, tail, reference_period, seed):
+    # layout holds (gap before, extra length) per period: a leading gap,
+    # gaps between periods or none, one period or several; tail is the
+    # trailing gap, and a reference period rounding below l_min leaves
+    # intervals of the extension grid empty.
+    periods, end = [], 0
+    for gap, extra in layout:
+        periods.append((end + gap, end + gap + l_min + extra))
+        end = periods[-1][1]
+    seg = PeriodSegmentation(
+        period_starts=np.unique(np.ravel(periods)),
+        periods=periods,
+        reference_period=reference_period,
+        alpha=0.8,
+    )
+    rng = np.random.Generator(np.random.PCG64(seed))
+    trend = rng.standard_normal(end + tail)
+    factor = rng.standard_normal(l_min)
+    refined = apply_transfer(trend, factor, seg, reference_period)
+    values, applied, transferred = two_phase_transfer_oracle(trend, factor, periods, reference_period)
+    np.testing.assert_array_equal(refined.applied_factor, applied)
+    np.testing.assert_array_equal(refined.transferred, transferred)
+    np.testing.assert_array_equal(refined.values, values)
+    frames, interval = phi_oracle(periods, l_min)
+    imap = build_phi(seg, l_min)
+    assert (imap.frames.tolist(), imap.interval.tolist()) == (frames, interval)

@@ -40,7 +40,7 @@ def test_as_series_rejects_bad_input():
     with pytest.raises(ValueError):
         as_series([1.0, np.inf])
     with pytest.raises(ValueError):
-        as_series([], min_len=1)
+        as_series([])
 
 
 def test_normalize_example():
