@@ -214,16 +214,6 @@ class PeriodSegmentation:
         """Frames per period, in period order."""
         return self.bounds[:, 1] - self.bounds[:, 0]
 
-    def covered_frames(self) -> np.ndarray:
-        """All frame indices inside any period, in increasing order.
-
-        Each output position minus the position of its period's first
-        frame, plus that period's start; O(frames) array code.
-        """
-        lengths = self.period_lengths
-        firsts = np.cumsum(lengths) - lengths
-        return np.arange(lengths.sum()) + np.repeat(self.bounds[:, 0] - firsts, lengths)
-
 
 def _gap_range(l: float, window: float) -> tuple[int, int] | None:
     """Smallest and largest integer gap g >= 1 with abs(g - l) < window.

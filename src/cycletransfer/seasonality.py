@@ -12,6 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Doubles the largest transient of one transform chunk may hold (128 KiB):
+# a few hundred-frame rows share a chunk, and long rows go one at a time.
+TRANSFORM_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True, eq=False)
 class SeasonalityReport:
@@ -95,7 +99,7 @@ def reference_period(n: int, f: int) -> float:
     return n / f
 
 
-def analyze_rows(rows: np.ndarray, budget: int = 0) -> list[SeasonalityReport]:
+def analyze_rows(rows: np.ndarray) -> list[SeasonalityReport]:
     """Run the full cycle analysis on each row of a (k, n) block of
     non-constant series, n >= 4, with the autocorrelation up to lag
     floor(n/2).
@@ -103,21 +107,20 @@ def analyze_rows(rows: np.ndarray, budget: int = 0) -> list[SeasonalityReport]:
     Each row's report holds the bits :func:`analyze_series` gives for
     that row alone. The rows go through the transforms in chunks whose
     largest transient, the autocorrelation's padded spectrum of
-    _acf_size(n) + 2 doubles per row, stays within ``budget`` doubles; a
-    chunk holds one row at least.
+    _acf_size(n) + 2 doubles per row, stays within TRANSFORM_CHUNK
+    doubles; a chunk holds one row at least. The chunks fill one block of
+    acf and spectrum rows, so each report's arrays are rows of that block.
     """
-    n = rows.shape[1]
-    step = max(1, budget // (_acf_size(n) + 2))
-    reports = []
-    for start in range(0, rows.shape[0], step):
-        chunk = rows[start : start + step]
-        acf = autocorrelation(chunk, n // 2)
-        spectrum = power_spectrum(chunk)
-        reports += [
-            SeasonalityReport(acf=a, spectrum=s, dominant_frequency=f, reference_period=reference_period(n, f))
-            for a, s, f in zip(acf, spectrum, dominant_frequency(spectrum))
-        ]
-    return reports
+    k, n = rows.shape
+    step = max(1, TRANSFORM_CHUNK // (_acf_size(n) + 2))
+    acf, spectrum = np.empty((2, k, n // 2 + 1))
+    for start in range(0, k, step):
+        acf[start : start + step] = autocorrelation(rows[start : start + step], n // 2)
+        spectrum[start : start + step] = power_spectrum(rows[start : start + step])
+    return [
+        SeasonalityReport(acf=a, spectrum=s, dominant_frequency=f, reference_period=reference_period(n, f))
+        for a, s, f in zip(acf, spectrum, dominant_frequency(spectrum))
+    ]
 
 
 def analyze_series(series: np.ndarray) -> SeasonalityReport:

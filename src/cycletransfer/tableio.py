@@ -2,9 +2,10 @@ r"""Multi-channel tables, CSV and JSON serialization, synthetic data.
 
 CSV grammar: a header line ``frame,<name1>,<name2>,...`` followed by one
 row per frame. The frame column counts 0, 1, 2, ... without gaps; every
-other cell is a finite float. Values are written with 9 significant
-digits, which keeps a write/read round trip well below pipeline
-tolerances for pose-scale values.
+other cell is a finite float. One UTF-8 byte-order mark before the
+header, as spreadsheet exports write, is skipped. Values are written
+with 9 significant digits, which keeps a write/read round trip well
+below pipeline tolerances for pose-scale values.
 
 ``read_csv`` first tries one ``np.loadtxt`` parse. The header record is
 read with ``csv.reader`` and checked as the line parser checks it. A
@@ -34,6 +35,7 @@ json's C encoder.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
@@ -138,7 +140,7 @@ def _read_csv_blocks(path) -> PoseTable | None:
     parse; None for any file this path declines, including every
     malformed one."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             names = _channel_names(next(reader, []), path)
             # The physical lines of the header record, as the line parser
@@ -150,7 +152,7 @@ def _read_csv_blocks(path) -> PoseTable | None:
         if not names or not header.endswith("\n"):
             return None
         with open(path, "rb") as fh:
-            fh.seek(len(header.encode("utf-8")))
+            fh.seek(len(header.encode("utf-8")) + 3 * (fh.read(3) == codecs.BOM_UTF8))
             n_lines = _plain_line_count(fh, crlf)
         if n_lines is None:
             return None
@@ -218,7 +220,7 @@ def _plain_line_count(fh, crlf: bool) -> int | None:
 
 def _read_csv_lines(path) -> PoseTable:
     """Parse a pose table with csv.reader, one line at a time."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             names, rows = _parse_rows(reader, path)

@@ -139,23 +139,23 @@ def _interval_of(offsets, length, l_min: int) -> np.ndarray:
     return np.where(offsets < head, offsets // (q + 1), r + (offsets - head) // np.maximum(q, 1))
 
 
-def _frame_intervals(segmentation: PeriodSegmentation, n: int, l_min: int, reference_period: float):
+def _frame_intervals(segmentation: PeriodSegmentation, n: int, l_min: int):
     """0-based interval and inside-a-period flag of every frame 0..n-1.
 
     The frames form alternating segments: gap, period, gap, ..., gap (any
     of them may be empty). A period is cut into l_min intervals from its
     own start and length (:func:`_interval_of`). A gap reuses the grid
-    periodically with the reference period rounded to a whole frame
-    (at least 1), counted from the end of the period before it, or from
-    the first start for the leading gap. Array code, O(n): each segment's
-    anchor and length are expanded with np.repeat.
+    periodically with the segmentation's reference period rounded to a
+    whole frame (at least 1), counted from the end of the period before
+    it, or from the first start for the leading gap. Array code, O(n):
+    each segment's anchor and length are expanded with np.repeat.
     """
     bounds = segmentation.bounds
     sizes = np.diff(np.concatenate([[0], bounds.ravel(), [n]]))
     # The leading gap counts back from the first start; with no period
     # the only segment is that gap, and any anchor will do.
     anchors = np.concatenate([bounds[:1, 0] if bounds.size else [0], bounds.ravel()])
-    lengths = np.full(sizes.size, max(1, int(round(reference_period))))
+    lengths = np.full(sizes.size, max(1, int(round(segmentation.reference_period))))
     lengths[1::2] = segmentation.period_lengths
     frame_lengths = np.repeat(lengths, sizes)
     offsets = (np.arange(n) - np.repeat(anchors, sizes)) % frame_lengths
@@ -172,17 +172,16 @@ def build_phi(segmentation: PeriodSegmentation, l_min: int) -> IntervalMap:
     it, so every interval holds at least one frame of each period.
     """
     n = int(segmentation.bounds[:, 1].max(initial=0))
-    interval, inside = _frame_intervals(segmentation, n, l_min, segmentation.reference_period)
+    interval, inside = _frame_intervals(segmentation, n, l_min)
     interval = interval[inside] + 1
     counts = np.bincount(interval - 1, minlength=l_min)
     return IntervalMap(l_min=l_min, frames=np.flatnonzero(inside), interval=interval, counts=counts)
 
 
-def extract_additive(
-    values: np.ndarray, trend: np.ndarray, segmentation: PeriodSegmentation
-) -> np.ndarray:
-    """Residual values minus trend over the segmented frames only."""
-    frames = segmentation.covered_frames()
+def extract_additive(values: np.ndarray, trend: np.ndarray, interval_map: IntervalMap) -> np.ndarray:
+    """Residual values minus trend over the map's frames only, one value
+    per mapped frame, in the map's order."""
+    frames = interval_map.frames
     return values[frames] - trend[frames]
 
 
@@ -193,18 +192,16 @@ def mean_additive_factor(residual: np.ndarray, interval_map: IntervalMap) -> np.
     return sums / interval_map.counts
 
 
-def apply_transfer(
-    trend: np.ndarray, mean_factor: np.ndarray, segmentation: PeriodSegmentation, reference_period: float
-) -> RefinedSeries:
+def apply_transfer(trend: np.ndarray, mean_factor: np.ndarray, segmentation: PeriodSegmentation) -> RefinedSeries:
     """Add the mean pattern (l_min values) onto a trend, interval by interval.
 
     Every frame takes the mean-factor entry of its interval under
     :func:`_frame_intervals`: inside a detected period from the period's
-    own grid, outside from the grid repeated with ``reference_period``
-    rounded to a whole frame. Frames outside the periods are flagged as
-    extension rather than genuine transfer.
+    own grid, outside from the grid repeated with the segmentation's
+    reference period rounded to a whole frame. Frames outside the periods
+    are flagged as extension rather than genuine transfer.
     """
-    interval, transferred = _frame_intervals(segmentation, trend.size, mean_factor.size, reference_period)
+    interval, transferred = _frame_intervals(segmentation, trend.size, mean_factor.size)
     applied = mean_factor[interval]
     return RefinedSeries(values=trend + applied, trend=trend, applied_factor=applied, transferred=transferred)
 
@@ -220,19 +217,20 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
     (:func:`gram_fits`), whose first two terms are each row's ramp; the
     spectrum and autocorrelation of the ramp-removed values, since a
     ramp's leakage into the lowest bins can outweigh a cycle between bins
-    (:func:`analyze_rows`, in chunks whose largest transient, the padded
-    autocorrelation spectrum, stays within n * (max_order + 1) doubles,
-    the size of max_order + 1 rows); the smoother, once per radius.
-    Each row of a radius group then gets its trend (:func:`fit_trend` on
-    its row of the pass), Fisher's g gate at MAX_SEASONALITY_P, its rising
-    crossovers and its periods; a row that fails there keeps its trend and
-    names the reason in ``failure``.
+    (:func:`analyze_rows`, in chunks of at most TRANSFORM_CHUNK doubles);
+    the smoother, once per radius. Each row of a radius group then gets
+    its trend (:func:`fit_trend` on its row of the pass), Fisher's g gate
+    at MAX_SEASONALITY_P, its rising crossovers and its periods; a row
+    that fails there keeps its trend and names the reason in ``failure``.
 
     Raises nothing. The checks, in the order a row meets them, are at
     least 2 samples, a range (:func:`range_error`), a cyclic part left
-    after the ramp is removed, at least 4 samples and a radius below n
-    (:func:`radius_error`). The caller raises a row's error in table
-    order (:func:`raise_if_error`). The side's blocks die with this step.
+    after the ramp is removed, then the two the whole side shares: at
+    least 4 samples and a set radius below n (:func:`radius_error`). A
+    default radius, max(1, round(n / (8 f))) with f >= 1, is below every
+    n >= 4 (:func:`default_smooth_radius`). The caller raises a row's
+    error in table order (:func:`raise_if_error`). The side's blocks die
+    with this step.
     """
     k, n = rows.shape
     if n < 2:
@@ -247,13 +245,14 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
     cyclic = normalized - fits.ramp
     flat = (np.ptp(cyclic, axis=1) < MIN_RANGE).tolist()
     plain_ramp = ConstantSeriesError("series is a plain ramp, no cyclic part to analyze")
+    late = length_error(n, 4) or (None if cfg.smooth_radius is None else radius_error(cfg.smooth_radius, n))
     for i, j in enumerate(ok):
-        out[j] = plain_ramp if flat[i] else length_error(n, 4)
+        out[j] = plain_ramp if flat[i] else late
     live = [i for i, j in enumerate(ok) if out[j] is None]
     if not live:
         return out
 
-    reports = analyze_rows(cyclic[live] if len(live) < len(ok) else cyclic, n * (cfg.max_order + 1))
+    reports = analyze_rows(cyclic[live] if len(live) < len(ok) else cyclic)
     del cyclic  # only the transforms read the ramp-removed rows
     radii = [
         default_smooth_radius(report.reference_period) if cfg.smooth_radius is None else cfg.smooth_radius
@@ -262,11 +261,6 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
     # i numbers the normalized rows, ok[i] the input rows, g the live ones.
     for radius in sorted(set(radii)):
         group = [g for g, r in enumerate(radii) if r == radius]
-        error = radius_error(radius, n)
-        if error is not None:
-            for g in group:
-                out[ok[live[g]]] = error
-            continue
         block = normalized[[live[g] for g in group]]
         if cfg.smooth_kind == SMOOTH_EXPONENTIAL:
             smoothed = exponential_smoothing(block, cfg.exp_alpha, radius)
@@ -298,11 +292,11 @@ def transfer_channel(
 
     Both series are analyzed independently (scale-free steps run on
     normalized values). The reference residual is taken against its trend
-    in original units and averaged per interval of its periods (the one
-    :func:`build_phi` map), and the means are added onto the target's trend,
-    also in original units, by the same interval rule over every target
-    frame (:func:`apply_transfer`), so patterns keep their physical
-    amplitude across differently scaled sequences.
+    in original units over the frames of the one :func:`build_phi` map and
+    averaged per interval of that map. The means are added onto the
+    target's trend, also in original units, by the same interval rule over
+    every target frame (:func:`apply_transfer`), so patterns keep their
+    physical amplitude across differently scaled sequences.
 
     When either sequence fails segmentation the target comes back
     unchanged with status "skipped_no_seasonality". A refined series that
@@ -350,18 +344,18 @@ def transfer_channel(
         )
         return refined, diag
 
-    l_min = compute_lmin(ref.segmentation, tgt.segmentation)
+    interval_map = build_phi(ref.segmentation, compute_lmin(ref.segmentation, tgt.segmentation))
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = extract_additive(ref_x, denormalize(ref.trend.values, ref.scale), ref.segmentation)
-        mean_factor = mean_additive_factor(raw, build_phi(ref.segmentation, l_min))
-        refined = apply_transfer(tgt_trend, mean_factor, tgt.segmentation, tgt.report.reference_period)
+        raw = extract_additive(ref_x, denormalize(ref.trend.values, ref.scale), interval_map)
+        mean_factor = mean_additive_factor(raw, interval_map)
+        refined = apply_transfer(tgt_trend, mean_factor, tgt.segmentation)
     if not np.all(np.isfinite(refined.values)):
         raise DataError("trend plus transferred pattern overflows float64")
     diag = ChannelDiagnostics(
         status=STATUS_TRANSFERRED,
         reference=ref,
         target=tgt,
-        l_min=l_min,
+        l_min=interval_map.l_min,
         mean_factor=mean_factor,
     )
     return refined, diag

@@ -12,6 +12,8 @@ from cycletransfer.cli import _config_from_args, build_parser, cli_main, main
 from cycletransfer.config import MAX_TREND_ORDER, RunConfig
 from cycletransfer.tableio import PoseTable, read_csv, write_csv
 
+DATA = Path(__file__).resolve().parent / "data"
+
 
 def run_synth(tmp_path, name, n, period, slope, sigma, seed, truth=None):
     out = tmp_path / name
@@ -145,6 +147,23 @@ def test_analyze_stderr_names_each_skip_reason(tmp_path, capsys):
         "(no significant cycle: Fisher's g = 0.105, p = 0.0959 > 0.01)",
         "channel 'still': skipped_no_seasonality (series range 0 is below 1e-12)",
     ]
+
+
+@pytest.mark.parametrize("flags", [[], ["--smooth-radius", "120"]], ids=["default", "radius_at_n"])
+def test_analyze_outputs_are_pinned(tmp_path, capsys, flags):
+    # data/analyze_input.csv holds 120 frames of a periodic, a white-noise,
+    # a constant and a plain-ramp channel. The stderr files and the report
+    # are what analyze wrote for it (numpy 2.4.6, x86-64). A radius of n
+    # fails the periodic channel, the first one that reaches the check.
+    report = tmp_path / "report.json"
+    code = cli_main(["analyze", "--input", str(DATA / "analyze_input.csv"), "--report", str(report)] + flags)
+    tag = "_radius" if flags else ""
+    assert capsys.readouterr().err == (DATA / f"analyze{tag}_stderr.txt").read_text()
+    assert code == (2 if flags else 0)
+    if not flags:
+        assert report.read_bytes() == (DATA / "analyze_report.json").read_bytes()
+    else:
+        assert not report.exists()
 
 
 def test_empty_channel_list_is_usage_error(tmp_path, capsys):

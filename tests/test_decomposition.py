@@ -273,8 +273,3 @@ def test_validate_periods_validation():
     for alpha in (0.0, 1.0, 1.5):
         with pytest.raises(UsageError, match=rf"alpha must lie in \(0, 1\), got {alpha}"):
             RunConfig(alpha=alpha)
-
-
-def test_covered_frames_concatenates_periods():
-    seg = validate_periods([0, 15, 31], 16.0, 0.8)
-    np.testing.assert_array_equal(seg.covered_frames(), np.arange(31))

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import json
@@ -580,6 +581,25 @@ def test_read_csv_block_parser_takes_crlf_files(tmp_path, data):
     table = _read_csv_blocks(path)
     assert table is not None
     assert parse_outcome(lambda _: table, path) == parse_outcome(_read_csv_lines, path)
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_read_csv_skips_one_byte_order_mark(tmp_path, end):
+    # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark.
+    data = b'frame,a,"b,c"\n0,1.5,-2\n1,0.25,3\n'.replace(b"\n", end)
+    plain, marked, doubled = (tmp_path / name for name in ("plain.csv", "marked.csv", "doubled.csv"))
+    plain.write_bytes(data)
+    marked.write_bytes(codecs.BOM_UTF8 + data)
+    doubled.write_bytes(codecs.BOM_UTF8 * 2 + data)
+    expected = parse_outcome(_read_csv_lines, plain)
+    assert expected[0] == ["a", "b,c"]
+    assert _read_csv_blocks(marked) is not None
+    for parse in (_read_csv_blocks, _read_csv_lines, read_csv):
+        assert parse_outcome(parse, marked) == expected
+    # Only one mark is skipped: a second one is part of the first cell.
+    assert _read_csv_blocks(doubled) is None
+    with pytest.raises(DataError, match="line 1: header must start with 'frame'"):
+        read_csv(doubled)
 
 
 @pytest.mark.parametrize(

@@ -182,3 +182,9 @@ def test_exponential_smoothing_copies_boundaries():
 )
 def test_default_smooth_radius(period, expected):
     assert default_smooth_radius(period) == expected
+
+
+def test_default_radius_is_below_every_series_length():
+    # The side step checks only a set radius against n: a default radius
+    # is largest at f = 1, where the reference period is n itself.
+    assert all(default_smooth_radius(n / 1) < n for n in range(4, 100_001))

@@ -22,7 +22,14 @@ from cycletransfer.decomposition import (
     validate_periods,
 )
 from cycletransfer.errors import ConstantSeriesError, CycleTransferError, DataError, SeasonalityNotFoundError
-from cycletransfer.seasonality import analyze_rows, autocorrelation, dominant_frequency, fisher_g, power_spectrum
+from cycletransfer.seasonality import (
+    TRANSFORM_CHUNK,
+    analyze_rows,
+    autocorrelation,
+    dominant_frequency,
+    fisher_g,
+    power_spectrum,
+)
 from cycletransfer.series import (
     default_smooth_radius,
     exponential_smoothing,
@@ -195,9 +202,8 @@ def test_stages_along_the_last_axis_equal_their_one_row_calls(k, n, seed, alpha)
 
 
 def test_transforms_stay_within_the_budget(monkeypatch):
-    # 40 rows of 300 frames pad to 1024 for the autocorrelation; with a
-    # stored degree-30 basis's 300 * 31 doubles as budget, 9 rows go in
-    # each chunk.
+    # 40 rows of 300 frames pad to 1024 for the autocorrelation, so 15 rows
+    # of 1024 + 2 doubles go in each chunk of TRANSFORM_CHUNK = 2**14.
     shapes = []
     recorded = cycletransfer.seasonality.autocorrelation
 
@@ -207,9 +213,9 @@ def test_transforms_stay_within_the_budget(monkeypatch):
 
     monkeypatch.setattr(cycletransfer.seasonality, "autocorrelation", recording)
     rows = np.random.Generator(np.random.PCG64(4)).standard_normal((40, 300))
-    reports = analyze_rows(rows, 300 * 31)
-    assert shapes == [(9, 300)] * 4 + [(4, 300)]
-    assert max(k for k, _ in shapes) * (1024 + 2) <= 300 * 31
+    reports = analyze_rows(rows)
+    assert shapes == [(15, 300)] * 2 + [(10, 300)]
+    assert max(k for k, _ in shapes) * (1024 + 2) <= TRANSFORM_CHUNK
     assert len(reports) == 40
     assert analyze_rows(rows[:2])[1].reference_period == reports[1].reference_period
 
