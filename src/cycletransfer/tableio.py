@@ -26,17 +26,24 @@ line-precise ``csv.reader`` parser, which is the one source of every
 error message, so both paths give the same table or the same error.
 
 Both writers give the bytes of the plain per-row and per-value
-formatting they replace, with the per-value work in C: ``write_csv``
-formats a block of rows with one ``%`` format string that holds the frame
-numbers as literals, and ``write_report`` lays out the two object levels
-of ``json.dumps(..., indent=2)`` itself and encodes each array with
-json's C encoder.
+formatting they replace. ``write_csv`` formats a block of rows with array
+code. A value's 9-digit mantissa is r = rint(|x|*10**k), for the k in
+0..12 that puts the product in [1e8, 1e9). ``10**k`` is exact, so the
+one rounded product is within 2**-24 of the exact one, and r is the
+mantissa ``%.9g`` rounds to whenever that product is more than 1e-6 from
+a half-integer. Such a value is laid out as an integer part and a
+12-digit fraction in 4-digit ASCII words from lookup tables. Every other
+value is formatted with ``%.9g`` itself: below 1e-4 or from 1e9 up, a
+mantissa that rounds up to 1e9, or a near tie. ``write_report`` lays out
+the two object levels of ``json.dumps(..., indent=2)`` itself and
+encodes each array with json's C encoder.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import functools
 import io
 import itertools
 import json
@@ -56,7 +63,7 @@ MAX_SYNTH_FRAMES = 2**31
 # enough that the per-block Python work is small, small enough that every
 # transient stays a small fraction of the table.
 READ_BLOCK_BYTES = 1 << 16
-WRITE_BLOCK_CELLS = 1 << 14
+WRITE_BLOCK_CELLS = 1 << 13
 # Bytes a body line of the read_csv fast path may hold besides its line
 # end: printable ASCII but the quote.
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"")
@@ -103,16 +110,16 @@ class PoseTable:
 
 
 def _write_text_atomic(path, chunks) -> None:
-    """Write the strings ``chunks`` yields via a temp file in the same
+    """Write the bytes ``chunks`` yields via a temp file in the same
     directory, then rename over path."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp.{os.urandom(8).hex()}~")
-    # Mode 0o666 lets the umask set the permissions, as for any new file.
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp, flags, 0o666)
+    # "x" creates the file with mode 0o666, so the umask sets its
+    # permissions as for any new file.
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -310,27 +317,132 @@ def write_csv(table: PoseTable, path) -> None:
     csv.writer writes the header, so names holding a comma, a quote or a
     line break come out quoted. Its record ends in ``\r\n``, which makes
     it quote a name holding a lone ``\r`` too, and that end is then cut
-    to ``\n``. The body rows ``i,v1,...,vC`` are formatted a block at a
-    time with one ``%`` format string that holds the frame numbers as
-    literals, which gives the same bytes as writing ``str(i)`` and
-    formatting each value with ``f"{v:.9g}"`` row by row.
+    to ``\n``. The body rows ``i,v1,...,vC`` are the bytes of writing
+    ``str(i)`` and formatting each value with ``f"{v:.9g}"`` row by row.
+    They are built a block of rows at a time in a fixed-width byte buffer:
+    a value whose ``%.9g`` text is plain decimal, neither exponent form
+    nor within 1e-6 of a rounding tie in its 9th digit, is laid out from
+    4-digit word tables (the module docstring gives the exactness bound);
+    every other value is formatted with ``%.9g`` into its slot. Runs of
+    NUL padding are then deleted from the buffer.
     """
     header = io.StringIO()
     csv.writer(header, lineterminator="\r\n").writerow(["frame"] + list(table.channel_names))
-    _write_text_atomic(path, itertools.chain([header.getvalue()[:-2] + "\n"], _csv_body(table.values)))
+    head = (header.getvalue()[:-2] + "\n").encode("utf-8")
+    _write_text_atomic(path, itertools.chain([head], _csv_body(table.values)))
+
+
+# A body cell: separator, sign, integer part (three words), dot and
+# 12-digit fraction (three words), NUL where nothing is printed. "text"
+# overlays the sign to the fraction for the cells formatted with %.9g.
+_CELL = np.dtype({
+    "names": ["sep", "sign", "int", "dot", "frac", "text"],
+    "formats": [np.uint8, np.uint8, (np.uint32, 3), np.uint8, (np.uint32, 3), "S26"],
+    "offsets": [0, 1, 2, 14, 15, 1],
+    "itemsize": 27,
+})
+_POW10 = 10 ** np.arange(13)
+# Offsets of the three tables in _digit_words(): all four digits; leading
+# zeros blanked but for the last digit; trailing zeros blanked, which
+# makes _TRAIL + 0 the word that prints nothing.
+_FULL, _LEAD, _TRAIL = 0, 10_000, 20_000
 
 
 def _csv_body(values: np.ndarray):
-    """Yield the body rows of a table, about WRITE_BLOCK_CELLS cells per string."""
+    """Yield the body rows of a table as ASCII bytearrays, about
+    WRITE_BLOCK_CELLS cells per block."""
     n, c = values.shape
-    row_end = ",%.9g" * c + "\n"
     step = max(1, WRITE_BLOCK_CELLS // (c + 1))
+    row = np.dtype([("frame", np.uint32, 3), ("cells", _CELL, (c,)), ("end", np.uint8)])
     for start in range(0, n, step):
         stop = min(start + step, n)
-        # "0" + row_end + "1" + row_end + ...: each frame number, then the
-        # formats of its values and the newline.
-        fmt = row_end.join(itertools.chain(map(str, range(start, stop)), [""]))
-        yield fmt % tuple(values[start:stop].ravel().tolist())
+        # Built in a bytearray, which translate reads in place.
+        buf = bytearray((stop - start) * row.itemsize)
+        block = np.frombuffer(buf, row)
+        _int_words(np.arange(start, stop), block["frame"])
+        _format_cells(values[start:stop], block["cells"])
+        block["end"] = ord("\n")
+        yield buf.translate(None, b"\0")
+
+
+def _format_cells(x: np.ndarray, cells: np.ndarray) -> None:
+    """Write ``",%.9g" % v`` for each value v in x into its _CELL slot."""
+    decided, whole, frac = _decimal_parts(x)
+    cells["sep"] = ord(",")
+    cells["sign"] = np.signbit(x) * np.uint8(ord("-"))
+    _int_words(whole, cells["int"])
+    cells["dot"] = (frac > 0) * np.uint8(ord("."))
+    _frac_words(frac, cells["frac"])
+    undecided = ~decided
+    if undecided.any():
+        cells["text"][undecided] = [b"%.9g" % v for v in x[undecided].tolist()]
+
+
+def _decimal_parts(x: np.ndarray):
+    """Which values of x have a plain-decimal %.9g text that array code
+    decides exactly, and that text's integer part and 12-digit fraction as
+    integers (0 for the other values)."""
+    a = np.abs(x)
+    with np.errstate(divide="ignore"):
+        k = (8 - np.clip(np.floor(np.log10(a)), -4, 8)).astype(np.intp)
+    m = a * _POW10[k]
+    # log10 can round across a power of ten; one step puts m in range.
+    off = np.nonzero((m < 1e8) | (m >= 1e9))
+    k[off] = np.clip(k[off] + np.where(m[off] < 1e8, 1, -1), 0, 12)
+    m[off] = a[off] * _POW10[k[off]]
+    r = np.rint(m)
+    # m is within 2**-24 of the exact |x|*10**k, so away from a tie r is
+    # the 9-digit mantissa %.9g rounds to, and its exponent 8 - k is one
+    # %.9g prints in plain decimal with k places.
+    decided = ((m >= 1e8) & (r < 1e9) & (np.abs(m - r) < 0.5 - 1e-6)) | (a == 0)
+    r = np.where(decided, r, 0).astype(np.int64)
+    whole = r // _POW10[k]
+    return decided, whole, (r - whole * _POW10[k]) * _POW10[12 - k]
+
+
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """The _FULL, _LEAD and _TRAIL tables, one after another: the ASCII
+    digits of 0..9999 as uint32 words, NUL for each blanked digit."""
+    place = np.array([1000, 100, 10, 1], dtype=np.int16)
+    digits = (np.arange(10_000, dtype=np.int16)[:, None] // place % 10).astype(np.uint8)
+    full = digits + np.uint8(ord("0"))
+    # A digit prints unless every digit before it (lead) or after it
+    # (trail) in its word is a zero too.
+    lead = np.where(np.maximum.accumulate(digits, axis=1) > 0, full, 0)
+    lead[:, 3] = full[:, 3]
+    trail = np.where(np.maximum.accumulate(digits[:, ::-1], axis=1)[:, ::-1] > 0, full, 0)
+    words = np.concatenate([full, lead, trail]).view(np.uint32).ravel()
+    words.flags.writeable = False
+    return words
+
+
+def _digit_groups(n: np.ndarray):
+    """The 4-digit groups of the integers 0 <= n < 10**12, most
+    significant first."""
+    q = n // 10**4
+    hi = q // 10**4
+    return hi, q - hi * 10**4, n - q * 10**4
+
+
+def _int_words(n: np.ndarray, out: np.ndarray) -> None:
+    """Write the integers 0 <= n < 10**12 into the three words of out's
+    last axis, with no leading zeros."""
+    words = _digit_words()
+    hi, mid, lo = _digit_groups(n)
+    out[..., 0] = words.take(hi + np.where(hi > 0, _LEAD, _TRAIL))
+    out[..., 1] = words.take(mid + np.where(hi > 0, _FULL, np.where(mid > 0, _LEAD, _TRAIL)))
+    out[..., 2] = words.take(lo + np.where(n >= 10**4, _FULL, _LEAD))
+
+
+def _frac_words(f: np.ndarray, out: np.ndarray) -> None:
+    """Write the 12-digit fractions f (0 <= f < 10**12) into the three
+    words of out's last axis, with no trailing zeros."""
+    words = _digit_words()
+    hi, mid, lo = _digit_groups(f)
+    out[..., 0] = words.take(hi + np.where((mid > 0) | (lo > 0), _FULL, _TRAIL))
+    out[..., 1] = words.take(mid + np.where(lo > 0, _FULL, _TRAIL))
+    out[..., 2] = words.take(lo + _TRAIL)
 
 
 def write_report(diagnostics, path) -> None:
@@ -383,18 +495,22 @@ _LIST_ENCODER = json.JSONEncoder(separators=(",\n" + " " * 6, ": "))
 
 
 def _report_text(out: dict):
-    r"""Yield the text of ``json.dumps(out, indent=2) + "\n"`` for a mapping
+    r"""Yield the bytes of ``json.dumps(out, indent=2) + "\n"`` for a mapping
     of channel name to entry, an entry being a non-empty dict of scalars,
-    None and lists of scalars; one string per channel."""
+    None and lists of scalars; one chunk per entry field. json.dumps
+    escapes every non-ASCII character, so each chunk is ASCII."""
     if not out:
-        yield "{}\n"
+        yield b"{}\n"
         return
     head = "{\n  "
     for name, entry in out.items():
-        fields = ",\n    ".join(f"{json.dumps(key)}: {_json_field(v)}" for key, v in entry.items())
-        yield f"{head}{json.dumps(name)}: {{\n    {fields}\n  }}"
+        sep = f"{head}{json.dumps(name)}: {{\n    "
+        for key, value in entry.items():
+            yield f"{sep}{json.dumps(key)}: {_json_field(value)}".encode()
+            sep = ",\n    "
+        yield b"\n  }"
         head = ",\n  "
-    yield "\n}\n"
+    yield b"\n}\n"
 
 
 def _json_field(value) -> str:

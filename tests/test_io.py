@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 from cycletransfer.config import RunConfig
 from cycletransfer.errors import CycleTransferError, DataError, UsageError
 from cycletransfer.tableio import (
+    MAX_SYNTH_FRAMES,
     READ_BLOCK_BYTES,
     PoseTable,
     SynthSpec,
+    _int_words,
     _read_csv_blocks,
     _read_csv_lines,
     _write_text_atomic,
@@ -139,7 +141,7 @@ def test_write_text_atomic_failure_keeps_the_old_file(tmp_path):
     path.write_text("old\n")
 
     def chunks():
-        yield "new\n"
+        yield b"new\n"
         raise RuntimeError("chunk failed")
 
     with pytest.raises(RuntimeError, match="chunk failed"):
@@ -482,12 +484,71 @@ def test_write_csv_matches_per_row_oracle(tmp_path_factory, table):
 
 def test_write_csv_matches_oracle_across_blocks(tmp_path):
     rng = np.random.Generator(np.random.PCG64(4))
-    # (8_193, 1) and (16_385, 0) end one row into a second block, whose
-    # frame numbers must carry on from the first.
+    # (8_193, 1) and (16_385, 0) end one row into a new block, whose
+    # frame numbers must carry on from the block before.
     for shape in [(40_000, 1), (700, 61), (3, 20_000), (8_193, 1), (16_385, 0)]:
         table = PoseTable([f"c{j}" for j in range(shape[1])], rng.standard_normal(shape) * 1e3)
         write_csv(table, tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == write_csv_oracle(table)
+
+
+def _ulp_neighbours(x, steps=3):
+    """x and the floats up to steps ulps either side of it."""
+    x = np.asarray(x, dtype=float)
+    out = [x]
+    for direction in (np.inf, -np.inf):
+        y = x
+        for _ in range(steps):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return np.concatenate([v.ravel() for v in out])
+
+
+def _boundary_values():
+    """Values at the edges of write_csv's plain-decimal rule, with both
+    signs: the powers of ten around its exponent range, the rounding ties
+    of the 9th digit at every scale it lays out, and the band just below
+    1e-4 where the 9-digit mantissa decides between 0.0001 and exponent
+    form."""
+    powers = 10.0 ** np.arange(-6, 11)
+    d = np.array([1e-16, 1e-12, 5e-10, 1e-9, 4.99e-9, 5e-9, 5.01e-9, 1e-8, 5e-8, 1e-3])
+    near_powers = np.concatenate([
+        (powers[:, None] * (1 + d)).ravel(),
+        (powers[:, None] * (1 - d)).ravel(),
+        _ulp_neighbours(powers),
+    ])
+    mantissas = np.array([1e8, 100_000_001, 123_456_789, 499_999_999, 5e8, 999_999_998, 999_999_999])
+    ties = np.concatenate([_ulp_neighbours((mantissas + 0.5) / 10.0**k, 1) for k in range(13)])
+    band = np.concatenate([
+        np.linspace(1e-4 - 5e-13, 1e-4, 101),
+        _ulp_neighbours([1e-4 - 5e-13, 1e-4 - 5e-14, 1e-4]),
+    ])
+    extremes = np.array([0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308])
+    values = np.concatenate([near_powers, ties, band, extremes])
+    return np.concatenate([values, -values])
+
+
+def test_write_csv_matches_oracle_at_format_boundaries(tmp_path):
+    values = _boundary_values()
+    tables = [
+        PoseTable([f"c{j}" for j in range(width)],
+                  np.concatenate([values, np.zeros(-len(values) % width)]).reshape(-1, width))
+        for width in (1, 7)
+    ]
+    # Blocks in which every value takes the %.9g path.
+    rng = np.random.Generator(np.random.PCG64(9))
+    scale = np.where(rng.uniform(size=(3_000, 5)) < 0.5, 1e-7, 1e12)
+    tables.append(PoseTable([f"c{j}" for j in range(5)], rng.uniform(1.0, 9.0, size=(3_000, 5)) * scale))
+    for table in tables:
+        write_csv(table, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == write_csv_oracle(table)
+
+
+def test_int_words_match_str():
+    n = np.array([0, 9, 10, 9_999, 10_000, 99_999_999, 10**8, MAX_SYNTH_FRAMES - 1])
+    words = np.zeros((len(n), 3), np.uint32)
+    _int_words(n, words)
+    assert [row.tobytes() for row in words] == [str(v).rjust(12, "\0").encode() for v in n.tolist()]
 
 
 # Files the block parser must decline, each a way in which splitting on
