@@ -9,13 +9,15 @@ pruned by a neighbor-spacing test around the detected cycle length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SeasonalityNotFoundError
+from .series import raise_if_error
 
 RISING = "rising"
 FALLING = "falling"
@@ -58,24 +60,31 @@ class GramFit:
     recurrence P_{j+1} = (x - shifts[j]) P_j - ratios[j] P_{j-1}, P_0 = 1.
     Row j of ``powers`` is P_j in powers of x. ``orthogonal`` holds the
     coefficients of P_0..P_d, ``monomial`` the fit in ascending powers of
-    x less the terms that hold only rounding, ``ramp`` c_0 + c_1 P_1."""
+    x less the terms that hold only rounding, and ``abscissa`` the grid
+    itself, shared by every row."""
 
     shifts: np.ndarray
     ratios: np.ndarray
     powers: np.ndarray
     orthogonal: np.ndarray
     monomial: np.ndarray
-    ramp: np.ndarray
+    abscissa: np.ndarray
 
     def row(self, i: int) -> GramFit:
-        """Row i's fit; its ramp is a copy, so that a trend does not keep the block alive."""
-        return replace(self, orthogonal=self.orthogonal[i], monomial=self.monomial[i], ramp=self.ramp[i].copy())
+        """Row i's fit."""
+        return GramFit(self.shifts, self.ratios, self.powers, self.orthogonal[i], self.monomial[i], self.abscissa)
+
+    @property
+    def ramp(self) -> np.ndarray:
+        """c_0 P_0 + c_1 P_1 of each row, built on each use, so that neither
+        the block nor a trend keeps a (k, n) array of ramps alive."""
+        return self.orthogonal[..., :1] + self.orthogonal[..., 1:2] * (self.abscissa - self.shifts[0])
 
     def trend(self, order: int) -> tuple[np.ndarray, np.ndarray]:
         """A row's fit of an order up to d, its first order + 1 terms: the
         coefficients in powers of x and the values, the ramp plus the terms
         of P_2..P_order from the recurrence stepped again."""
-        t = scaled_abscissa(self.ramp.size)
+        t = self.abscissa
         p_prev, p, values = np.ones(t.size), t - self.shifts[0], self.ramp
         for j in range(1, order):
             p_prev, p = p, (t - self.shifts[j]) * p - self.ratios[j] * p_prev
@@ -115,11 +124,10 @@ def gram_fits(rows: np.ndarray, max_order: int) -> GramFit:
             p_prev, p = p, (t - shifts[j]) * p - ratios[j] * p_prev
             powers[j + 1, 1:] = powers[j, :-1]
             powers[j + 1] -= shifts[j] * powers[j] + ratios[j] * powers[j - 1]
-    ramp = orthogonal[:, :1] + orthogonal[:, 1:2] * (t - shifts[0])  # c_0 P_0 + c_1 P_1, bit for bit
     weights = np.abs(orthogonal) * np.sqrt(norms)
     cut = n * np.finfo(float).eps * np.sqrt(np.sum(weights * weights, axis=1, keepdims=True))
     monomial = np.sum(np.where(weights > cut, orthogonal, 0.0)[:, np.newaxis, :] * powers.T, axis=-1)
-    return GramFit(shifts, ratios, powers, orthogonal, monomial, ramp)
+    return GramFit(shifts, ratios, powers, orthogonal, monomial, t)
 
 
 def fit_trend(series: np.ndarray, max_order: int, f: int, fit: GramFit | None = None) -> TrendModel:
@@ -156,37 +164,58 @@ class Crossover(NamedTuple):
     direction: str
 
 
+def sign_changes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every sign change along the rows of a (k, n) block d, in row-major
+    order: the row, the index, and whether d rises there.
+
+    A zero sample first takes the sign of the next nonzero sample of its
+    row, or stays 0 when there is none. A change then sits at every index
+    i >= 1 whose sign and the one at i - 1 are opposite, so a run of exact
+    zeros between two signs yields one change, at its first zero, and
+    trailing zeros none. d rises at a change from the negative to the
+    positive side.
+
+    Array code, O(kn), one byte per sample: the signs are held as int8,
+    and only the zeros, which are rare, are filled, each from the end of
+    its run, found by one search among the run ends. Python touches none
+    of the samples.
+    """
+    n = d.shape[1]
+    sign = np.subtract(d > 0, d < 0, dtype=np.int8, order="C")  # so that flat is a view
+    flat = sign.reshape(-1)
+    zeros = np.flatnonzero(flat == 0)
+    # The sample after a zero run, where a row's last zero ends a run too.
+    after = zeros[(np.diff(zeros, append=-1) != 1) | ((zeros + 1) % n == 0)] + 1
+    after = after[np.searchsorted(after, zeros, "right")]
+    flat[zeros] = np.where(after % n != 0, flat[after % flat.size], 0)
+    row, index = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    index += 1
+    return row, index, sign[row, index] > 0
+
+
+def crossing_error(changes: int) -> SeasonalityNotFoundError | None:
+    """The error of a series whose distance from its trend changes sign
+    ``changes`` times, or None."""
+    return None if changes else SeasonalityNotFoundError("series never crosses its trend")
+
+
 def find_crossovers(smoothed: np.ndarray, trend: np.ndarray) -> list[Crossover]:
     """Indices where the smoothed series crosses its trend, both given as
-    arrays of one length.
+    arrays of one length: the sign changes of d = smoothed - trend as one
+    row of :func:`sign_changes`, in index order, with direction RISING
+    where d rises and FALLING where it falls.
 
-    The scan looks at the sign of d = smoothed - trend. A crossover sits at
-    the smallest index i >= 1 where the sign changes; a zero sample takes
-    the side of its successor, so a run of exact zeros yields one
-    crossover at the first zero. Direction is RISING when d moves from the
-    negative to the positive side.
-
-    Array code, O(n): each zero takes the sign at the index of the next
-    nonzero sample, found by a running minimum over the reversed index
-    array, and one comparison of neighbours marks the changes. Python only
-    touches the crossovers themselves.
+    This is the one-series form of the rule. The side step
+    (``transfer._analyze_side``) takes the rising changes of every row
+    that shares a smoothing radius from one :func:`sign_changes` pass
+    instead, as index arrays: a call and a list of Crossover tuples per
+    row cost more there than the pass itself.
 
     Raises SeasonalityNotFoundError when d never changes sign.
     """
-    sign = np.sign(smoothed - trend)
-    n = sign.size
-    # Index n points at an appended 0, so trailing zeros keep sign 0 and
-    # can never register a change.
-    nonzero_at = np.where(sign != 0.0, np.arange(n), n)
-    next_nonzero = np.minimum.accumulate(nonzero_at[::-1])[::-1]
-    filled = np.append(sign, 0.0)[next_nonzero]
-    changed = np.nonzero(filled[:-1] * filled[1:] < 0.0)[0] + 1
-    if not changed.size:
-        raise SeasonalityNotFoundError("series never crosses its trend")
-    return [
-        Crossover(i, RISING if up else FALLING)
-        for i, up in zip(changed.tolist(), (filled[changed] > 0.0).tolist())
-    ]
+    _, index, rising = sign_changes((smoothed - trend)[np.newaxis])
+    raise_if_error(crossing_error(index.size))
+    return [Crossover(i, RISING if up else FALLING) for i, up in zip(index.tolist(), rising.tolist())]
 
 
 @dataclass(eq=False)
@@ -224,14 +253,14 @@ def _gap_range(l: float, window: float) -> tuple[int, int] | None:
     around them, exactly as the pairwise scan evaluates it, so gaps on a
     window boundary get the same verdict. None when no gap passes.
     """
-    if not np.isfinite(l):
+    l, window = float(l), float(window)
+    if not math.isfinite(l):
         return None  # abs(g - inf) < inf holds for no g
-    edges = np.array([np.ceil(l - window), np.floor(l + window)])
-    probe = np.maximum(edges[:, None] + np.arange(-2.0, 3.0), 1.0)
-    passing = probe[np.abs(probe - l) < window]
-    if not passing.size:
+    edges = (math.ceil(l - window), math.floor(l + window))
+    passing = [g for g in {max(e + step, 1) for e in edges for step in range(-2, 3)} if abs(g - l) < window]
+    if not passing:
         return None
-    return int(passing.min()), int(passing.max())
+    return min(passing), max(passing)
 
 
 def validate_periods(candidates, reference_period: float, alpha: float) -> PeriodSegmentation:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantSeriesError, DataError
+from .errors import ConstantSeriesError, DataError, SeasonalityNotFoundError
 
 # Ranges below this are treated as constant (zero variance).
 MIN_RANGE = 1e-12
@@ -58,9 +58,11 @@ def radius_error(radius: int, n: int) -> DataError | None:
 def raise_if_error(entry) -> None:
     """Raise ``entry`` when it is a check's error, as a fresh copy since the
     rows of a table side may share one; anything else passes. The checks
-    store only ConstantSeriesError and DataError."""
+    store only ConstantSeriesError, SeasonalityNotFoundError and DataError."""
     if isinstance(entry, ConstantSeriesError):
         raise ConstantSeriesError(*entry.args)
+    if isinstance(entry, SeasonalityNotFoundError):
+        raise SeasonalityNotFoundError(*entry.args)
     if isinstance(entry, DataError):
         raise DataError(*entry.args)
 

@@ -20,18 +20,19 @@ import numpy as np
 
 from .config import SMOOTH_EXPONENTIAL, RunConfig
 from .decomposition import (
-    RISING,
     PeriodSegmentation,
     TrendModel,
-    find_crossovers,
+    crossing_error,
     fit_trend,
     gram_fits,
+    sign_changes,
     validate_periods,
 )
 from .errors import ConstantSeriesError, CycleTransferError, DataError, SeasonalityNotFoundError
-# analyze_series and normalize_minmax are not called here: the side step
-# runs their row-batched forms. They stay importable from this module, where
-# the benchmark's tracer (bench/tracing.py) looks them up.
+# analyze_series, normalize_minmax and find_crossovers are not called here:
+# the side step runs their row-batched forms. They stay importable from this
+# module, where the benchmark's tracer (bench/tracing.py) looks them up.
+from .decomposition import find_crossovers  # noqa: F401
 from .seasonality import SeasonalityReport, analyze_rows, analyze_series, fisher_g  # noqa: F401
 from .series import (
     MIN_RANGE,
@@ -95,7 +96,10 @@ class RefinedSeries:
 class SequenceDiagnostics:
     """One sequence's analysis: its cycle report, its trend in normalized
     units, its periods, and the bounds and radius it was analyzed with.
-    ``failure`` says why a sequence that was analyzed has no periods."""
+    ``failure`` says why a sequence that was analyzed has no periods.
+    ``rising_candidates`` counts the rising crossovers that period
+    validation started from; it is None when the seasonality gate stopped
+    the sequence first."""
 
     report: SeasonalityReport
     trend: TrendModel
@@ -103,6 +107,7 @@ class SequenceDiagnostics:
     scale: ScaleParams
     smooth_radius: int
     failure: str | None = None
+    rising_candidates: int | None = None
 
 
 @dataclass(eq=False)
@@ -218,10 +223,16 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
     spectrum and autocorrelation of the ramp-removed values, since a
     ramp's leakage into the lowest bins can outweigh a cycle between bins
     (:func:`analyze_rows`, in chunks of at most TRANSFORM_CHUNK doubles);
-    the smoother, once per radius. Each row of a radius group then gets
-    its trend (:func:`fit_trend` on its row of the pass), Fisher's g gate
-    at MAX_SEASONALITY_P, its rising crossovers and its periods; a row
-    that fails there keeps its trend and names the reason in ``failure``.
+    the smoother, once per radius; and, per radius group, one
+    :func:`sign_changes` pass over the smoothed rows less their trends,
+    which gives every row its rising crossovers as an index array. The
+    trend (:func:`fit_trend` on its row of the fitting pass), Fisher's g
+    gate at MAX_SEASONALITY_P and the periods (:func:`validate_periods`)
+    still run row by row: each row has its own trend order and its own
+    number of candidates, so these are ragged, and the Python they run
+    is per row, not per sample. A row that fails the gate, never crosses
+    its trend or keeps no period holds its trend and names the reason in
+    ``failure``; ``rising_candidates`` is set once the row passes the gate.
 
     Raises nothing. The checks, in the order a row meets them, are at
     least 2 samples, a range (:func:`range_error`), a cyclic part left
@@ -263,25 +274,36 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
         group = [g for g, r in enumerate(radii) if r == radius]
         block = normalized[[live[g] for g in group]]
         if cfg.smooth_kind == SMOOTH_EXPONENTIAL:
-            smoothed = exponential_smoothing(block, cfg.exp_alpha, radius)
+            d = exponential_smoothing(block, cfg.exp_alpha, radius)
         else:
-            smoothed = mean_smoothing(block, radius)
-        for g, row in zip(group, smoothed):
+            d = mean_smoothing(block, radius)
+        del block
+        trends = []
+        for row, g in zip(d, group):
+            i = live[g]
+            trends.append(fit_trend(normalized[i], cfg.max_order, reports[g].dominant_frequency, fit=fits.row(i)))
+            row -= trends[-1].values  # the smoothed row becomes its distance from the trend
+        row_of, index, rises = sign_changes(d)
+        del d
+        changes = np.bincount(row_of, minlength=len(group)).tolist()
+        cuts = np.searchsorted(row_of[rises], np.arange(len(group) + 1)).tolist()
+        rising = index[rises]
+        for m, (g, trend) in enumerate(zip(group, trends)):
             i, report = live[g], reports[g]
-            trend = fit_trend(normalized[i], cfg.max_order, report.dominant_frequency, fit=fits.row(i))
-            segmentation = failure = None
+            segmentation = failure = rising_candidates = None
             try:
                 g_stat, p = fisher_g(report.spectrum, n)
                 if p > MAX_SEASONALITY_P:
                     raise SeasonalityNotFoundError(
                         f"no significant cycle: Fisher's g = {g_stat:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
                     )
-                rising = [c.index for c in find_crossovers(row, trend.values) if c.direction == RISING]
-                segmentation = validate_periods(rising, report.reference_period, cfg.alpha)
+                rising_candidates = cuts[m + 1] - cuts[m]
+                raise_if_error(crossing_error(changes[m]))
+                segmentation = validate_periods(rising[cuts[m] : cuts[m + 1]], report.reference_period, cfg.alpha)
             except SeasonalityNotFoundError as exc:
                 failure = str(exc)
             scale = ScaleParams(float(lo[ok[i]]), float(hi[ok[i]]))
-            out[ok[i]] = SequenceDiagnostics(report, trend, segmentation, scale, radius, failure)
+            out[ok[i]] = SequenceDiagnostics(report, trend, segmentation, scale, radius, failure, rising_candidates)
     return out
 
 

@@ -127,7 +127,7 @@ def test_gram_fits_are_nested_and_the_order_1_trend_is_the_ramp(n, seed, f, data
     x = trend_columns(np.random.Generator(np.random.PCG64(seed)), n, 1)[:, 0]
     fit = gram_fits(x[np.newaxis], max_order).row(0)
     # The order-1 trend is the ramp; the ramp is the first two terms.
-    assert fit.trend(1)[1] is fit.ramp
+    np.testing.assert_array_equal(fit.trend(1)[1], fit.ramp)
     polynomials = gram_polynomials(fit, n)
     np.testing.assert_array_equal(fit.ramp, fit.orthogonal[0] * polynomials[0] + fit.orthogonal[1] * polynomials[1])
     # A lower degree is the first terms of the same fit.

@@ -14,7 +14,9 @@ from cycletransfer.decomposition import (
     FALLING,
     RISING,
     PeriodSegmentation,
+    crossing_error,
     find_crossovers,
+    sign_changes,
     validate_periods,
 )
 from cycletransfer.errors import SeasonalityNotFoundError
@@ -155,6 +157,54 @@ def test_find_crossovers_matches_loop(sign, zero_tail, level):
     got = find_crossovers(smoothed, trend)
     assert [(c.index, c.direction) for c in got] == expected
     assert all(type(c.index) is int for c in got)
+
+
+@st.composite
+def sign_blocks(draw):
+    """A (k, n) block of differences from a trend: rows of any signs, rows
+    of one sign, rows that fall once, each with leading and trailing runs
+    of exact zeros and zeros inside, at magnitudes from 1e-300 to 1e300."""
+    n = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["any", "one sign", "falls once"]))
+        if kind == "any":
+            row = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=n, max_size=n))
+        elif kind == "one sign":
+            side = draw(st.sampled_from([-1.0, 1.0]))
+            row = draw(st.lists(st.sampled_from([side, 0.0]), min_size=n, max_size=n))
+        else:
+            cut = draw(st.integers(0, n))
+            row = [draw(st.sampled_from([1.0 if i < cut else -1.0, 0.0])) for i in range(n)]
+        row = np.array(row)
+        row[: draw(st.integers(0, n))] = 0.0
+        row[n - draw(st.integers(0, n)) :] = 0.0
+        magnitudes = draw(st.lists(st.sampled_from([1e-300, 1e-12, 0.5, 3.0, 1e300]), min_size=n, max_size=n))
+        rows.append(row * magnitudes)
+    return np.array(rows)
+
+
+@given(sign_blocks())
+@settings(max_examples=300, deadline=None)
+def test_sign_changes_match_loop_row_by_row(d):
+    row_of, index, rising = sign_changes(d)
+    # A smoother may hand over its rows in column-major order.
+    for got, expected in zip(sign_changes(np.asfortranarray(d)), (row_of, index, rising)):
+        np.testing.assert_array_equal(got, expected)
+    assert np.all(np.diff(row_of * d.shape[1] + index) > 0)  # row-major order
+    for r, row in enumerate(d):
+        expected = crossovers_oracle(np.sign(row))
+        mine = row_of == r
+        assert list(zip(index[mine].tolist(), [RISING if up else FALLING for up in rising[mine]])) == expected
+        error = crossing_error(int(mine.sum()))
+        assert (error is None) == bool(expected)
+        if error is not None:
+            assert str(error) == "series never crosses its trend"
+            with pytest.raises(SeasonalityNotFoundError, match="never crosses its trend"):
+                find_crossovers(row, np.zeros(row.size))
+        else:
+            # find_crossovers is the one-row form of the block pass.
+            assert [(c.index, c.direction) for c in find_crossovers(row, np.zeros(row.size))] == expected
 
 
 @given(

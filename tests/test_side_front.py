@@ -1,8 +1,9 @@
 """The analysis of a table side against the one-series stages.
 
 The side step runs normalization, the least-squares ramp, the spectrum,
-the autocorrelation and the smoother once over all rows of a side, then
-each row's trend fit, seasonality gate, crossovers and period validation.
+the autocorrelation and the smoother once over all rows of a side, the
+crossovers once per smoothing radius, and each row's trend fit,
+seasonality gate and period validation.
 Each row must come out with the bits the one-series stages give it, and
 must fail the same check with the same message, in the same order.
 """
@@ -76,14 +77,16 @@ def analysis_alone(x, cfg):
     # The trend is fitted afresh, by a one-row pass, and must equal the
     # side step's bit for bit.
     trend = fit_trend(normalized, min(cfg.max_order, n - 1), f)
-    segmentation = failure = None
+    segmentation = failure = rising_candidates = None
     try:
         g, p = fisher_g(spectrum, n)
         if p > MAX_SEASONALITY_P:
             raise SeasonalityNotFoundError(
                 f"no significant cycle: Fisher's g = {g:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
             )
+        rising_candidates = 0
         rising = [c.index for c in find_crossovers(smoothed, trend.values) if c.direction == RISING]
+        rising_candidates = len(rising)
         segmentation = validate_periods(rising, n / f, cfg.alpha)
     except SeasonalityNotFoundError as exc:
         failure = str(exc)
@@ -97,6 +100,7 @@ def analysis_alone(x, cfg):
         "trend": trend,
         "segmentation": segmentation,
         "failure": failure,
+        "rising_candidates": rising_candidates,
     }
 
 
@@ -161,6 +165,7 @@ def test_side_analysis_equals_the_one_series_analysis_row_by_row(rows, config):
         np.testing.assert_array_equal(entry.trend.coefficients, trend.coefficients)
         np.testing.assert_array_equal(entry.trend.values, trend.values)
         assert entry.failure == alone["failure"]
+        assert entry.rising_candidates == alone["rising_candidates"]
         if alone["segmentation"] is None:
             assert entry.segmentation is None
         else:
