@@ -12,15 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SeasonalityNotFoundError
 from .series import raise_if_error
 
+# The benchmark's tracer (bench/tracing.py) imports this name.
 RISING = "rising"
-FALLING = "falling"
 
 # Fitted leading coefficients below this are treated as numerically zero.
 MIN_LEAD_COEF = 1e-10
@@ -33,15 +32,11 @@ REL_COEF_FLOOR = 1e-5
 
 @dataclass(eq=False)
 class TrendModel:
-    """Polynomial trend in the rescaled frame coordinate.
-
-    ``coefficients`` are ascending powers of x where x maps frames 0..n-1
-    linearly onto [-1, 1]. ``values`` is the trend evaluated at every
-    frame. ``fallback`` marks the order-1 fit used when no candidate order
-    passed the leading-coefficient band.
+    """Polynomial trend of a series: its ``order`` in the frame index and
+    its ``values`` at every frame. ``fallback`` marks the order-1 fit used
+    when no candidate order passed the leading-coefficient band.
     """
 
-    coefficients: np.ndarray
     order: int
     values: np.ndarray
     fallback: bool = False
@@ -58,21 +53,20 @@ class GramFit:
     row (:meth:`row`), in the monic polynomials P_0..P_d orthogonal over
     :func:`scaled_abscissa` (the Gram polynomials), held as their
     recurrence P_{j+1} = (x - shifts[j]) P_j - ratios[j] P_{j-1}, P_0 = 1.
-    Row j of ``powers`` is P_j in powers of x. ``orthogonal`` holds the
-    coefficients of P_0..P_d, ``monomial`` the fit in ascending powers of
-    x less the terms that hold only rounding, and ``abscissa`` the grid
-    itself, shared by every row."""
+    ``orthogonal`` holds the coefficients of P_0..P_d, ``monomial`` the
+    fit in ascending powers of x less the terms that hold only rounding,
+    which the trend order rule reads, and ``abscissa`` the grid itself,
+    shared by every row."""
 
     shifts: np.ndarray
     ratios: np.ndarray
-    powers: np.ndarray
     orthogonal: np.ndarray
     monomial: np.ndarray
     abscissa: np.ndarray
 
     def row(self, i: int) -> GramFit:
         """Row i's fit."""
-        return GramFit(self.shifts, self.ratios, self.powers, self.orthogonal[i], self.monomial[i], self.abscissa)
+        return GramFit(self.shifts, self.ratios, self.orthogonal[i], self.monomial[i], self.abscissa)
 
     @property
     def ramp(self) -> np.ndarray:
@@ -80,16 +74,16 @@ class GramFit:
         the block nor a trend keeps a (k, n) array of ramps alive."""
         return self.orthogonal[..., :1] + self.orthogonal[..., 1:2] * (self.abscissa - self.shifts[0])
 
-    def trend(self, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """A row's fit of an order up to d, its first order + 1 terms: the
-        coefficients in powers of x and the values, the ramp plus the terms
-        of P_2..P_order from the recurrence stepped again."""
+    def trend(self, order: int) -> np.ndarray:
+        """The values of a row's fit of an order up to d, its first
+        order + 1 terms: the ramp plus the terms of P_2..P_order from the
+        recurrence stepped again."""
         t = self.abscissa
         p_prev, p, values = np.ones(t.size), t - self.shifts[0], self.ramp
         for j in range(1, order):
             p_prev, p = p, (t - self.shifts[j]) * p - self.ratios[j] * p_prev
             values = values + self.orthogonal[j + 1] * p
-        return np.sum(self.orthogonal[: order + 1] * self.powers[: order + 1, : order + 1].T, axis=-1), values
+        return values
 
 
 def gram_fits(rows: np.ndarray, max_order: int) -> GramFit:
@@ -103,9 +97,10 @@ def gram_fits(rows: np.ndarray, max_order: int) -> GramFit:
     pairwise sum, no BLAS), so the bits depend neither on the thread count
     nor on which rows share the block. The fits are nested: the first
     j + 1 coefficients are the degree-j fit. Before the conversion to
-    powers of x, a term whose share |c_j| * ||P_j|| is at most n * eps
-    times the norm of the row's shares is zeroed, as polyfit's rcond
-    drops what holds only rounding.
+    powers of x (``monomial``, which only the trend order rule reads), a
+    term whose share |c_j| * ||P_j|| is at most n * eps times the norm of
+    the row's shares is zeroed, as polyfit's rcond drops what holds only
+    rounding.
     """
     k, n = rows.shape
     d = min(max_order, n - 1)
@@ -127,7 +122,7 @@ def gram_fits(rows: np.ndarray, max_order: int) -> GramFit:
     weights = np.abs(orthogonal) * np.sqrt(norms)
     cut = n * np.finfo(float).eps * np.sqrt(np.sum(weights * weights, axis=1, keepdims=True))
     monomial = np.sum(np.where(weights > cut, orthogonal, 0.0)[:, np.newaxis, :] * powers.T, axis=-1)
-    return GramFit(shifts, ratios, powers, orthogonal, monomial, t)
+    return GramFit(shifts, ratios, orthogonal, monomial, t)
 
 
 def fit_trend(series: np.ndarray, max_order: int, f: int, fit: GramFit | None = None) -> TrendModel:
@@ -136,7 +131,8 @@ def fit_trend(series: np.ndarray, max_order: int, f: int, fit: GramFit | None = 
     The degree-max_order fit (:func:`gram_fits`) in powers of x supplies
     the coefficient sequence; the trend order is the highest power whose
     coefficient c_k clears the noise floor while staying under f, and the
-    model is the nested fit's first terms up to that order. The floor,
+    model holds that order and the values of the nested fit's first terms
+    up to it (:meth:`GramFit.trend`). The floor,
     max(MIN_LEAD_COEF, REL_COEF_FLOOR * max|c|), skips powers that only
     hold rounding noise; the upper bound, with f the number of cycles in
     the series, rejects powers steep enough to belong to the cyclic
@@ -155,13 +151,7 @@ def fit_trend(series: np.ndarray, max_order: int, f: int, fit: GramFit | None = 
     fallback = order is None
     if fallback:
         order = 1
-    coefficients, values = fit.trend(order)
-    return TrendModel(coefficients, order, values, fallback=fallback)
-
-
-class Crossover(NamedTuple):
-    index: int
-    direction: str
+    return TrendModel(order, fit.trend(order), fallback=fallback)
 
 
 def sign_changes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,23 +189,23 @@ def crossing_error(changes: int) -> SeasonalityNotFoundError | None:
     return None if changes else SeasonalityNotFoundError("series never crosses its trend")
 
 
-def find_crossovers(smoothed: np.ndarray, trend: np.ndarray) -> list[Crossover]:
-    """Indices where the smoothed series crosses its trend, both given as
-    arrays of one length: the sign changes of d = smoothed - trend as one
-    row of :func:`sign_changes`, in index order, with direction RISING
-    where d rises and FALLING where it falls.
+def find_crossovers(smoothed: np.ndarray, trend: np.ndarray) -> np.ndarray:
+    """Period start candidates of one series: the indices, as an int array
+    in increasing order, where the smoothed series rises through its trend,
+    both given as arrays of one length. They are the rising sign changes
+    of d = smoothed - trend as one row of :func:`sign_changes`.
 
     This is the one-series form of the rule. The side step
     (``transfer._analyze_side``) takes the rising changes of every row
     that shares a smoothing radius from one :func:`sign_changes` pass
-    instead, as index arrays: a call and a list of Crossover tuples per
-    row cost more there than the pass itself.
+    instead, and hands the same arrays to :func:`validate_periods`.
 
-    Raises SeasonalityNotFoundError when d never changes sign.
+    Raises SeasonalityNotFoundError when d never changes sign, rising or
+    falling.
     """
     _, index, rising = sign_changes((smoothed - trend)[np.newaxis])
     raise_if_error(crossing_error(index.size))
-    return [Crossover(i, RISING if up else FALLING) for i, up in zip(index.tolist(), rising.tolist())]
+    return index[rising]
 
 
 @dataclass(eq=False)

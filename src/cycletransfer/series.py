@@ -99,8 +99,8 @@ def mean_smoothing(series: np.ndarray, radius: int) -> np.ndarray:
 
     Windows are clipped at the series ends, so boundary samples average
     whatever part of the window exists. ``radius`` must be smaller than
-    the series length; radius 0 returns a copy. Each row of a (k, n)
-    block comes out with the bits the row gives alone.
+    the series length; radius 0 returns a copy. A (k, n) block comes out
+    row-major, each row with the bits the row gives alone.
     """
     n = series.shape[-1]
     raise_if_error(radius_error(radius, n))
@@ -113,7 +113,8 @@ def mean_smoothing(series: np.ndarray, radius: int) -> np.ndarray:
     idx = np.arange(n)
     lo = np.maximum(idx - radius, 0)
     hi = np.minimum(idx + radius, n - 1)
-    return _clip_to_rows(base + (csum[..., hi + 1] - csum[..., lo]) / (hi - lo + 1), series)
+    # take, not csum[..., idx], which lays a block out column-major.
+    return _clip_to_rows(base + (csum.take(hi + 1, axis=-1) - csum.take(lo, axis=-1)) / (hi - lo + 1), series)
 
 
 def exponential_smoothing(series: np.ndarray, alpha: float, radius: int) -> np.ndarray:
@@ -124,8 +125,8 @@ def exponential_smoothing(series: np.ndarray, alpha: float, radius: int) -> np.n
     j in 1..radius with ``beta = (1 - alpha)/(2*radius)``, so the weights
     add up to one. The first and last ``radius`` samples are copied
     unchanged. ``radius`` must be at least 1 and smaller than the series
-    length. Each row of a (k, n) block comes out with the bits the row
-    gives alone.
+    length. A (k, n) block comes out row-major, each row with the bits
+    the row gives alone.
     """
     n = series.shape[-1]
     raise_if_error(radius_error(radius, n))

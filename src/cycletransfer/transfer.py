@@ -112,7 +112,9 @@ class SequenceDiagnostics:
 
 @dataclass(eq=False)
 class ChannelDiagnostics:
-    """What happened to one channel, and every intermediate worth plotting."""
+    """What happened to one channel: its status, the analysis of each
+    sequence that was analyzed, a transferred channel's l_min and mean
+    pattern, and in ``detail`` why a channel was skipped."""
 
     status: str
     reference: SequenceDiagnostics | None = None

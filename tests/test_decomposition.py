@@ -5,13 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycletransfer.decomposition import (
-    FALLING,
-    RISING,
-    Crossover,
     find_crossovers,
     fit_trend,
     gram_fits,
     scaled_abscissa,
+    sign_changes,
     validate_periods,
 )
 from cycletransfer.config import MAX_TREND_ORDER, RunConfig
@@ -100,14 +98,12 @@ def test_gram_fits_give_each_row_its_one_row_fit(n, k, seed, data):
     assert fits.orthogonal.shape == fits.monomial.shape == (k, d + 1) and fits.ramp.shape == (k, n)
     for i, row in enumerate(rows):
         batched, alone = fits.row(i), gram_fits(row[np.newaxis].copy(), max_order).row(0)
-        for name in ("shifts", "ratios", "powers", "orthogonal", "monomial", "ramp"):
+        for name in ("shifts", "ratios", "orthogonal", "monomial", "ramp"):
             np.testing.assert_array_equal(getattr(batched, name), getattr(alone, name))
         for order in range(1, d + 1):
-            for got, expected in zip(batched.trend(order), alone.trend(order)):
-                np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(batched.trend(order), alone.trend(order))
         batched_trend, alone_trend = fit_trend(row, max_order, f, fit=batched), fit_trend(row, max_order, f)
         assert (batched_trend.order, batched_trend.fallback) == (alone_trend.order, alone_trend.fallback)
-        np.testing.assert_array_equal(batched_trend.coefficients, alone_trend.coefficients)
         np.testing.assert_array_equal(batched_trend.values, alone_trend.values)
 
 
@@ -127,7 +123,7 @@ def test_gram_fits_are_nested_and_the_order_1_trend_is_the_ramp(n, seed, f, data
     x = trend_columns(np.random.Generator(np.random.PCG64(seed)), n, 1)[:, 0]
     fit = gram_fits(x[np.newaxis], max_order).row(0)
     # The order-1 trend is the ramp; the ramp is the first two terms.
-    np.testing.assert_array_equal(fit.trend(1)[1], fit.ramp)
+    np.testing.assert_array_equal(fit.trend(1), fit.ramp)
     polynomials = gram_polynomials(fit, n)
     np.testing.assert_array_equal(fit.ramp, fit.orthogonal[0] * polynomials[0] + fit.orthogonal[1] * polynomials[1])
     # A lower degree is the first terms of the same fit.
@@ -135,8 +131,7 @@ def test_gram_fits_are_nested_and_the_order_1_trend_is_the_ramp(n, seed, f, data
     np.testing.assert_array_equal(low.orthogonal, fit.orthogonal[: low.orthogonal.size])
     np.testing.assert_array_equal(low.ramp, fit.ramp)
     model = fit_trend(x, max_order, f)
-    for got, expected in zip((model.coefficients, model.values), fit.trend(model.order)):
-        np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(model.values, fit.trend(model.order))
     if model.order == 1:
         np.testing.assert_array_equal(model.values, fit.ramp)
 
@@ -146,12 +141,13 @@ def test_gram_fits_are_nested_and_the_order_1_trend_is_the_ramp(n, seed, f, data
 def test_gram_fits_agree_with_polyfit(n, seed, data):
     max_order = data.draw(st.integers(1, min(12, n - 1)))
     x = trend_columns(np.random.Generator(np.random.PCG64(seed)), n, 1)[:, 0]
-    coefficients, values = gram_fits(x[np.newaxis], max_order).row(0).trend(max_order)
+    fit = gram_fits(x[np.newaxis], max_order).row(0)
     t = scaled_abscissa(n)
     expected = npoly.polyval(t, npoly.polyfit(t, x, max_order))
     atol = 1e-9 * max(float(np.max(np.abs(x))), np.finfo(float).tiny)
-    np.testing.assert_allclose(values, expected, rtol=0, atol=atol)
-    np.testing.assert_allclose(npoly.polyval(t, coefficients), expected, rtol=0, atol=atol)
+    np.testing.assert_allclose(fit.trend(max_order), expected, rtol=0, atol=atol)
+    # The fit in powers of x, which the trend order rule reads.
+    np.testing.assert_allclose(npoly.polyval(t, fit.monomial), expected, rtol=0, atol=atol)
 
 
 def test_gram_basis_stays_orthogonal():
@@ -162,8 +158,11 @@ def test_gram_basis_stays_orthogonal():
         fit = gram_fits(np.zeros((1, n)), 30)
         polynomials = gram_polynomials(fit, n)
         assert polynomials.shape == (min(30, n - 1) + 1, n)
-        # Row j of powers is P_j in powers of x.
-        np.testing.assert_allclose(npoly.polyval(scaled_abscissa(n), fit.powers.T), polynomials, rtol=0, atol=1e-9)
+        # The basis fitted on itself: each row's fit converted to powers of
+        # x takes the values the recurrence gives the same coefficients.
+        fits = gram_fits(polynomials, 30)
+        values = [fits.row(j).trend(polynomials.shape[0] - 1) for j in range(polynomials.shape[0])]
+        np.testing.assert_allclose(npoly.polyval(scaled_abscissa(n), fits.monomial.T), values, rtol=0, atol=1e-9)
         gram = polynomials @ polynomials.T
         norms = np.sqrt(np.diag(gram))
         cosines = np.abs(gram / np.outer(norms, norms)) - np.eye(norms.size)
@@ -184,18 +183,18 @@ def test_fit_trend_validation():
 def test_find_crossovers_hand_example():
     smoothed = np.array([1.0, 1.0, -1.0, -1.0, 1.0])
     trend = np.zeros(5)
-    assert find_crossovers(smoothed, trend) == [
-        Crossover(2, FALLING),
-        Crossover(4, RISING),
-    ]
+    # d falls at 2 and rises at 4; only the rising change starts a period.
+    np.testing.assert_array_equal(find_crossovers(smoothed, trend), [4])
 
 
 def test_find_crossovers_zero_run_single_crossover():
     # Zeros side with their successor, so the run [0, 0] crossing from
-    # positive to negative registers once, at the first zero.
+    # positive to negative registers once, at the first zero. It falls, so
+    # no period starts there, but the series does cross its trend.
     smoothed = np.array([1.0, 0.0, 0.0, -1.0])
     trend = np.zeros(4)
-    assert find_crossovers(smoothed, trend) == [Crossover(1, FALLING)]
+    assert sign_changes((smoothed - trend)[np.newaxis])[1].tolist() == [1]
+    assert find_crossovers(smoothed, trend).size == 0
 
 
 def test_find_crossovers_identical_inputs_error():
@@ -213,22 +212,20 @@ def test_find_crossovers_sin_with_trend_spacing():
     t = np.arange(80, dtype=float)
     x = np.sin(2.0 * np.pi * t / 16.0) + 0.01 * t
     model = fit_trend(x, 30, 5)
-    cross = find_crossovers(x, model.values)
-    rising = [c.index for c in cross if c.direction == RISING]
-    gaps = np.diff(rising)
+    gaps = np.diff(find_crossovers(x, model.values))
     assert gaps.size >= 3
     assert np.all(np.abs(gaps - 16) <= 2)
 
 
-def test_find_crossovers_alternating_directions():
+def test_sign_changes_alternate_directions():
     rng = np.random.Generator(np.random.PCG64(5))
     x = np.sin(2.0 * np.pi * np.arange(60) / 12.0) + 0.05 * rng.standard_normal(60)
-    cross = find_crossovers(x, np.zeros(60))
-    indices = [c.index for c in cross]
-    assert indices == sorted(indices)
-    directions = [c.direction for c in cross]
-    for a, b in zip(directions, directions[1:]):
-        assert a != b
+    row_of, index, rising = sign_changes(np.array([x, -x, x[::-1]]))
+    for r in range(3):
+        mine = row_of == r
+        assert mine.sum() >= 8
+        assert np.all(np.diff(index[mine]) > 0)
+        assert np.all(rising[mine][1:] != rising[mine][:-1])
 
 
 def test_validate_periods_example():

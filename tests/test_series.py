@@ -176,6 +176,23 @@ def test_exponential_smoothing_copies_boundaries():
     assert out[-1] == x[-1]
 
 
+@pytest.mark.parametrize("n", [4, 9, 45])
+@pytest.mark.parametrize("radius", [1, 3, "n - 1"])
+def test_smoothers_return_row_major_blocks_of_one_row_results(n, radius):
+    # The side step subtracts each row's trend from the smoothed block in
+    # place and hands it to sign_changes; both smoothers give it one layout.
+    radius = n - 1 if radius == "n - 1" else radius
+    block = np.random.Generator(np.random.PCG64(n)).standard_normal((5, n)) * [[1e-3], [1.0], [7.0], [1e3], [0.5]]
+    for name, smooth in (
+        ("mean", lambda x: mean_smoothing(x, radius)),
+        ("exponential", lambda x: exponential_smoothing(x, 0.4, radius)),
+    ):
+        out = smooth(block)
+        assert out.shape == block.shape and out.flags.c_contiguous, name
+        for row, got in zip(block, out):
+            np.testing.assert_array_equal(got, smooth(row), err_msg=name)
+
+
 @pytest.mark.parametrize(
     "period,expected",
     [(16.0, 2), (8.0, 1), (3.0, 1), (40.0, 5), (12.5, 2)],

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import cycletransfer.seasonality
 from cycletransfer.config import RunConfig
 from cycletransfer.decomposition import (
-    RISING,
     find_crossovers,
     fit_trend,
     gram_fits,
@@ -85,8 +84,8 @@ def analysis_alone(x, cfg):
                 f"no significant cycle: Fisher's g = {g:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
             )
         rising_candidates = 0
-        rising = [c.index for c in find_crossovers(smoothed, trend.values) if c.direction == RISING]
-        rising_candidates = len(rising)
+        rising = find_crossovers(smoothed, trend.values)
+        rising_candidates = rising.size
         segmentation = validate_periods(rising, n / f, cfg.alpha)
     except SeasonalityNotFoundError as exc:
         failure = str(exc)
@@ -162,7 +161,6 @@ def test_side_analysis_equals_the_one_series_analysis_row_by_row(rows, config):
         assert entry.smooth_radius == alone["smooth_radius"]
         trend = alone["trend"]
         assert (entry.trend.order, entry.trend.fallback) == (trend.order, trend.fallback)
-        np.testing.assert_array_equal(entry.trend.coefficients, trend.coefficients)
         np.testing.assert_array_equal(entry.trend.values, trend.values)
         assert entry.failure == alone["failure"]
         assert entry.rising_candidates == alone["rising_candidates"]
