@@ -9,7 +9,6 @@ pruned by a neighbor-spacing test around the detected cycle length.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -234,23 +233,86 @@ class PeriodSegmentation:
         return self.bounds[:, 1] - self.bounds[:, 0]
 
 
-def _gap_range(l: float, window: float) -> tuple[int, int] | None:
-    """Smallest and largest integer gap g >= 1 with abs(g - l) < window.
+def _gap_ranges(ls: np.ndarray, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of reference periods l and windows, the smallest and largest
+    integer gap g >= 1 with abs(g - l) < window, as two int arrays; the
+    empty range [1, 0] where no gap passes.
 
     abs(g - l) falls and then rises as g grows, rounding included, so the
     gaps passing the test form one run of integers. Its ends lie within a
     frame of l -/+ window; the test itself is evaluated on the integers
     around them, exactly as the pairwise scan evaluates it, so gaps on a
-    window boundary get the same verdict. None when no gap passes.
+    window boundary get the same verdict.
     """
-    l, window = float(l), float(window)
-    if not math.isfinite(l):
-        return None  # abs(g - inf) < inf holds for no g
-    edges = (math.ceil(l - window), math.floor(l + window))
-    passing = [g for g in {max(e + step, 1) for e in edges for step in range(-2, 3)} if abs(g - l) < window]
-    if not passing:
-        return None
-    return min(passing), max(passing)
+    with np.errstate(invalid="ignore"):
+        edges = np.stack([np.ceil(ls - windows), np.floor(ls + windows)], axis=-1)
+    # abs(g - inf) < inf holds for no g, so any edge will do there.
+    edges[~np.isfinite(edges)] = 0.0
+    gaps = np.maximum(edges[..., np.newaxis] + np.arange(-2.0, 3.0), 1.0).reshape(ls.size, -1)
+    passing = np.abs(gaps - ls[:, np.newaxis]) < windows[:, np.newaxis]
+    gmin = np.where(passing, gaps, np.inf).min(axis=1)
+    gmax = np.where(passing, gaps, 0.0).max(axis=1)
+    none = ~passing.any(axis=1)
+    gmin[none] = 1.0
+    return gmin.astype(int), gmax.astype(int)
+
+
+def validate_period_rows(candidates, cuts, reference_periods, alpha: float) -> list:
+    """Prune the candidate period starts of k rows by neighbor spacing, as
+    :func:`validate_periods` does for one row: row m holds the strictly
+    increasing ``candidates[cuts[m]:cuts[m + 1]]`` and its own reference
+    period ``reference_periods[m]``. Returns per row its
+    PeriodSegmentation, or the SeasonalityNotFoundError the one-row form
+    raises.
+
+    Each row's passing gaps form one integer range [gmin, gmax]
+    (:func:`_gap_ranges`), capped at the row's candidate span. The
+    candidates are keyed by row, each row's keys spaced past any probe of
+    the rows beside it, so one set of searchsorted probes serves every
+    row: O(c log c) for c candidates in all instead of the O(k**2) pairwise
+    scan per row, with the same verdicts.
+    """
+    cand = np.asarray(candidates, dtype=int)
+    cuts = np.asarray(cuts)
+    sizes = np.diff(cuts)
+    ls = np.asarray(reference_periods, dtype=float)
+    windows = (1.0 - alpha) * ls
+    row = np.repeat(np.arange(sizes.size), sizes)
+    retained = cand
+    if cand.size:
+        # A row whose shortest passing gap exceeds its candidate span keeps
+        # no start, nor does one of fewer than two candidates (span 0).
+        spans = np.zeros(sizes.size, dtype=int)
+        several = sizes > 1
+        spans[several] = cand[cuts[1:][several] - 1] - cand[cuts[:-1][several]]
+        gmin, gmax = _gap_ranges(ls, windows)
+        gmax = np.minimum(gmax, spans)
+        # Row m's keys lie in [mK, mK + W] for the width W of all the
+        # candidates, and its probes, at most a span away, in [mK - W,
+        # mK + 2W]: K = 2W + 1 keeps them clear of the other rows' keys.
+        width = int(cand.max() - cand.min())
+        key = cand - cand.min() + row * (2 * width + 1)
+        lo, hi = np.repeat(gmin, sizes), np.repeat(gmax, sizes)
+        right = np.searchsorted(key, key + hi, "right") > np.searchsorted(key, key + lo, "left")
+        left = np.searchsorted(key, key - lo, "right") > np.searchsorted(key, key - hi, "left")
+        retained, row = cand[right | left], row[right | left]
+    pair = row[:-1]
+    ok = (pair == row[1:]) & (np.abs(np.diff(retained) - ls[pair]) < windows[pair])
+    starts, ends, pair = retained[:-1][ok].tolist(), retained[1:][ok].tolist(), pair[ok]
+    rows = np.arange(sizes.size + 1)
+    kept_cuts, pair_cuts = np.searchsorted(row, rows).tolist(), np.searchsorted(pair, rows).tolist()
+    out = []
+    for m, l in enumerate(reference_periods):
+        kept = retained[kept_cuts[m] : kept_cuts[m + 1]]
+        periods = list(zip(starts[pair_cuts[m] : pair_cuts[m + 1]], ends[pair_cuts[m] : pair_cuts[m + 1]]))
+        if kept.size < 2 or not periods:
+            out.append(SeasonalityNotFoundError(
+                f"{kept.size} retained starts and {len(periods)} periods; "
+                "need at least 2 starts forming 1 period"
+            ))
+        else:
+            out.append(PeriodSegmentation(period_starts=kept, periods=periods, reference_period=l, alpha=alpha))
+    return out
 
 
 def validate_periods(candidates, reference_period: float, alpha: float) -> PeriodSegmentation:
@@ -262,37 +324,14 @@ def validate_periods(candidates, reference_period: float, alpha: float) -> Perio
     and alpha in (0, 1). Retained consecutive pairs whose own gap passes
     the same test become periods.
 
-    The passing gaps form one integer range [gmin, gmax], so each
-    candidate needs only two searchsorted probes per side into the sorted
-    candidates: O(k log k) for k candidates instead of the O(k**2)
-    pairwise scan, with the same verdicts.
+    This is the one-row form of :func:`validate_period_rows`, which the
+    side step (``transfer._analyze_side``) runs once per smoothing radius
+    group on the rising crossovers it already holds.
 
     Raises SeasonalityNotFoundError when fewer than two starts survive or
     no consecutive pair forms a period.
     """
     cand = np.asarray(candidates, dtype=int)
-    l = reference_period
-    window = (1.0 - alpha) * l
-
-    gaps = _gap_range(l, window) if cand.size > 1 else None
-    if gaps is None or gaps[0] > cand[-1] - cand[0]:
-        retained = cand[:0]
-    else:
-        # Capping gmax at the candidate span keeps the probes in range.
-        gmin, gmax = gaps[0], min(gaps[1], int(cand[-1] - cand[0]))
-        right = np.searchsorted(cand, cand + gmax, "right") > np.searchsorted(cand, cand + gmin, "left")
-        left = np.searchsorted(cand, cand - gmin, "right") > np.searchsorted(cand, cand - gmax, "left")
-        retained = cand[right | left]
-    ok = np.abs(np.diff(retained) - l) < window
-    periods = list(zip(retained[:-1][ok].tolist(), retained[1:][ok].tolist()))
-    if retained.size < 2 or not periods:
-        raise SeasonalityNotFoundError(
-            f"{retained.size} retained starts and {len(periods)} periods; "
-            "need at least 2 starts forming 1 period"
-        )
-    return PeriodSegmentation(
-        period_starts=retained,
-        periods=periods,
-        reference_period=l,
-        alpha=alpha,
-    )
+    (out,) = validate_period_rows(cand, [0, cand.size], [reference_period], alpha)
+    raise_if_error(out)
+    return out

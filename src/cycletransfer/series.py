@@ -89,9 +89,12 @@ def normalize_minmax(series: np.ndarray) -> tuple[np.ndarray, ScaleParams]:
     return (series - lo) / (hi - lo), ScaleParams(lo, hi)
 
 
-def denormalize(series: np.ndarray, params: ScaleParams) -> np.ndarray:
-    """Undo :func:`normalize_minmax` using the stored bounds."""
-    return series * (params.max - params.min) + params.min
+def denormalize(series: np.ndarray, params: ScaleParams, out: np.ndarray | None = None) -> np.ndarray:
+    """Undo :func:`normalize_minmax` using the stored bounds, into ``out``
+    when it is given."""
+    out = np.multiply(series, params.max - params.min, out=out)
+    out += params.min
+    return out
 
 
 def mean_smoothing(series: np.ndarray, radius: int) -> np.ndarray:

@@ -497,7 +497,7 @@ _LIST_ENCODER = json.JSONEncoder(separators=(",\n" + " " * 6, ": "))
 def _report_text(out: dict):
     r"""Yield the bytes of ``json.dumps(out, indent=2) + "\n"`` for a mapping
     of channel name to entry, an entry being a non-empty dict of scalars,
-    None and lists of scalars; one chunk per entry field. json.dumps
+    None and lists of scalars; a few chunks per entry field. json.dumps
     escapes every non-ASCII character, so each chunk is ASCII."""
     if not out:
         yield b"{}\n"
@@ -506,21 +506,26 @@ def _report_text(out: dict):
     for name, entry in out.items():
         sep = f"{head}{json.dumps(name)}: {{\n    "
         for key, value in entry.items():
-            yield f"{sep}{json.dumps(key)}: {_json_field(value)}".encode()
+            yield f"{sep}{json.dumps(key)}: ".encode()
+            yield from _json_field(value)
             sep = ",\n    "
         yield b"\n  }"
         head = ",\n  "
     yield b"\n}\n"
 
 
-def _json_field(value) -> str:
-    """One entry value as ``json.dumps(..., indent=2)`` lays it out inside
-    an entry."""
-    if not isinstance(value, list):
-        return json.dumps(value)
-    if not value:
-        return "[]"
-    return "[\n      " + _LIST_ENCODER.encode(value)[1:-1] + "\n    ]"
+def _json_field(value):
+    """Yield one entry value as ``json.dumps(..., indent=2)`` lays it out
+    inside an entry, as bytes. A non-empty list's text is built once: the
+    C encoder's output, encoded once, its brackets sliced off through a
+    memoryview, so no copy of it is made."""
+    if not isinstance(value, list) or not value:
+        yield json.dumps(value).encode()
+        return
+    text = _LIST_ENCODER.encode(value).encode()
+    yield b"[\n      "
+    yield memoryview(text)[1:-1]
+    yield b"\n    ]"
 
 
 @dataclass(frozen=True)

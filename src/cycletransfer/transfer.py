@@ -6,15 +6,24 @@ that mean pattern is added onto the target's trend, interval by
 interval. No cross-sequence phase search takes place: each sequence is
 anchored at its own rising crossovers.
 
-Each sequence's analysis (cycle, trend, periods) runs in its table
-side's step (:func:`_analyze_side`), over all the side's selected
-channels at once, with the bits each channel gets alone.
+A table runs two kinds of pass, each over many channels at once with
+the bits each channel gets alone. Each sequence's analysis (cycle,
+trend, periods) runs in its table side's step (:func:`_analyze_side`),
+over all the side's selected channels. The transfer runs in one step
+(:func:`_transfer_rows`) over all the channels whose sequences both
+have periods: one interval map of all the references
+(:func:`_interval_map`), their mean patterns (:func:`_mean_patterns`),
+and one walk over every target frame (:func:`_applied_factors`).
+:func:`transfer_channel`, :func:`build_phi`, :func:`extract_additive`,
+:func:`mean_additive_factor` and :func:`apply_transfer` are the
+one-channel forms of these passes.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -26,13 +35,14 @@ from .decomposition import (
     fit_trend,
     gram_fits,
     sign_changes,
-    validate_periods,
+    validate_period_rows,
 )
 from .errors import ConstantSeriesError, CycleTransferError, DataError, SeasonalityNotFoundError
-# analyze_series, normalize_minmax and find_crossovers are not called here:
-# the side step runs their row-batched forms. They stay importable from this
-# module, where the benchmark's tracer (bench/tracing.py) looks them up.
-from .decomposition import find_crossovers  # noqa: F401
+# analyze_series, normalize_minmax, find_crossovers and validate_periods are
+# not called here: the side step runs their row-batched forms. They stay
+# importable from this module, where the benchmark's tracer
+# (bench/tracing.py) looks them up.
+from .decomposition import find_crossovers, validate_periods  # noqa: F401
 from .seasonality import SeasonalityReport, analyze_rows, analyze_series, fisher_g  # noqa: F401
 from .series import (
     MIN_RANGE,
@@ -58,20 +68,25 @@ MIN_TRANSFER_LENGTH = 8
 # A sequence whose Fisher's g p-value exceeds this shows no significant
 # cycle and is skipped rather than segmented.
 MAX_SEASONALITY_P = 0.01
+# The error of a channel whose refined values overflow float64, which a
+# range near its limit can cause.
+OVERFLOW = "trend plus transferred pattern overflows float64"
 
 
 @dataclass(eq=False)
 class IntervalMap:
-    """Assignment of segmented frames to within-period intervals.
+    """Assignment of the frames inside periods to within-period intervals,
+    for one row or for k rows laid end to end.
 
-    Each period of length L is cut into ``l_min`` contiguous intervals
-    whose sizes differ by at most one, larger ones first. ``frames`` holds
-    the covered frame indices in order and ``interval`` the 1-based
-    interval index of each. ``counts`` totals the frames per interval over
+    Each period of length L is cut into its row's l_min contiguous
+    intervals whose sizes differ by at most one, larger ones first.
+    ``frames`` holds the covered frames in order, as flat indices, and
+    ``interval`` the 1-based interval of each. A row's intervals are
+    numbered on from the last one of the row before it, so each row has
+    intervals of its own. ``counts`` totals the frames per interval over
     all periods.
     """
 
-    l_min: int
     frames: np.ndarray
     interval: np.ndarray
     counts: np.ndarray
@@ -83,13 +98,18 @@ class RefinedSeries:
 
     ``transferred`` is True where the frame sat inside a detected target
     period; False marks frames filled by periodic extension of the
-    interval grid (trend-only frames outside the segmented region).
+    interval grid (trend-only frames outside the segmented region). The
+    transfer step holds the refined series of all its channels as one
+    such record of (k, n) blocks; :meth:`row` gives one of them.
     """
 
     values: np.ndarray
     trend: np.ndarray
     applied_factor: np.ndarray
     transferred: np.ndarray
+
+    def row(self, i: int) -> RefinedSeries:
+        return RefinedSeries(self.values[i], self.trend[i], self.applied_factor[i], self.transferred[i])
 
 
 @dataclass(eq=False)
@@ -124,92 +144,162 @@ class ChannelDiagnostics:
     detail: str | None = None
 
 
+def _periods(segmentations, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """The periods of k segmentations whose rows are laid end to end,
+    ``stride`` frames apart: each period's [start, end) as flat frame
+    indices, an (m, 2) array in row order, and each row's number of
+    periods."""
+    counts = np.array([len(seg.periods) for seg in segmentations], dtype=int)
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(seg.periods for seg in segmentations)), dtype=int)
+    flat = flat.reshape(-1, 2)
+    flat += np.repeat(np.arange(counts.size) * stride, counts)[:, np.newaxis]
+    return flat, counts
+
+
+def _lmins(ref_periods, target_periods) -> np.ndarray:
+    """Each row's shortest period across its reference's and its target's
+    periods, both given as :func:`_periods` gives them, with at least one
+    period per row."""
+    return np.minimum(*(
+        np.minimum.reduceat(bounds[:, 1] - bounds[:, 0], np.cumsum(counts) - counts)
+        for bounds, counts in (ref_periods, target_periods)
+    ))
+
+
 def compute_lmin(ref_seg: PeriodSegmentation, target_seg: PeriodSegmentation) -> int:
-    """Shortest period length across both segmentations."""
-    return int(min(ref_seg.period_lengths.min(), target_seg.period_lengths.min()))
+    """Shortest period length across both segmentations: the one-pair form
+    of the transfer step's l_min rule (:func:`_lmins`)."""
+    return int(_lmins(_periods([ref_seg], 0), _periods([target_seg], 0))[0])
 
 
-def _interval_of(offsets, length, l_min: int) -> np.ndarray:
-    """0-based interval of each within-period offset, in closed form.
+def _frame_intervals(sizes, anchors, lengths, l_mins, per_row) -> np.ndarray:
+    """Interval bin of every frame of a walk over the segments of k rows
+    laid end to end, per_row[i] segments for row i.
 
-    A period of ``length`` frames is cut into l_min contiguous intervals:
-    the first r = length % l_min hold q + 1 = length // l_min + 1 frames,
-    the rest q. Offsets below r * (q + 1) fall in interval o // (q + 1),
-    later ones in r + (o - r * (q + 1)) // q. ``length`` is one value or
-    one per offset. Lengths below l_min (q = 0) leave trailing intervals
-    empty, which only ever happens on the periodic extension grid.
+    Segment s holds sizes[s] frames on a grid of lengths[s]-frame periods
+    anchored at walk position anchors[s]. Each grid period is cut into its
+    row's l_min contiguous intervals: the first r = length % l_min hold
+    q + 1 = length // l_min + 1 frames, the rest q. A frame at offset o
+    from its grid period's start falls in o // (q + 1) while o < r (q + 1)
+    and in r + (o - r (q + 1)) // q = (o - r) // q after, and each of the
+    two forms is the larger one where it holds. A length below l_min
+    (q = 0, only ever on the extension grid) puts every offset below
+    r (q + 1) = r; with its divisor raised to 1 the second form gives
+    o - r there, the first wins, and trailing intervals stay empty. The
+    rows' intervals are numbered one after another, so a frame's bin is
+    its interval plus the l_min of every row before its own.
+
+    Array code, O(frames): each segment's constants are worked out once
+    and spread over its frames with np.repeat, so a frame costs three
+    integer divisions. The constants of the rule are at most a segment's
+    length, so they are spread as int32, which keeps the walk at 20 bytes
+    a frame.
     """
-    q, r = np.divmod(length, l_min)
-    head = r * (q + 1)
-    # Where q is 0 every offset lies below head, so the divisor guard
-    # only keeps the unused branch free of a division by zero.
-    return np.where(offsets < head, offsets // (q + 1), r + (offsets - head) // np.maximum(q, 1))
+    bases = np.repeat(np.cumsum(l_mins) - l_mins, per_row)
+    lengths = np.asarray(lengths, dtype=np.int32)
+    q, r = np.divmod(lengths, np.repeat(l_mins, per_row).astype(np.int32))
+    offsets = np.arange(np.sum(sizes))
+    offsets -= np.repeat(anchors, sizes)
+    offsets %= np.repeat(lengths, sizes)
+    bins = offsets // np.repeat(q + 1, sizes)
+    offsets -= np.repeat(r, sizes)
+    offsets //= np.repeat(np.maximum(q, 1), sizes)
+    np.maximum(bins, offsets, out=bins)
+    del offsets
+    bins += np.repeat(bases, sizes)
+    return bins
 
 
-def _frame_intervals(segmentation: PeriodSegmentation, n: int, l_min: int):
-    """0-based interval and inside-a-period flag of every frame 0..n-1.
-
-    The frames form alternating segments: gap, period, gap, ..., gap (any
-    of them may be empty). A period is cut into l_min intervals from its
-    own start and length (:func:`_interval_of`). A gap reuses the grid
-    periodically with the segmentation's reference period rounded to a
-    whole frame (at least 1), counted from the end of the period before
-    it, or from the first start for the leading gap. Array code, O(n):
-    each segment's anchor and length are expanded with np.repeat.
-    """
-    bounds = segmentation.bounds
-    sizes = np.diff(np.concatenate([[0], bounds.ravel(), [n]]))
-    # The leading gap counts back from the first start; with no period
-    # the only segment is that gap, and any anchor will do.
-    anchors = np.concatenate([bounds[:1, 0] if bounds.size else [0], bounds.ravel()])
-    lengths = np.full(sizes.size, max(1, int(round(segmentation.reference_period))))
-    lengths[1::2] = segmentation.period_lengths
-    frame_lengths = np.repeat(lengths, sizes)
-    offsets = (np.arange(n) - np.repeat(anchors, sizes)) % frame_lengths
-    inside = np.repeat(np.arange(sizes.size) % 2 == 1, sizes)
-    return _interval_of(offsets, frame_lengths, l_min), inside
+def _interval_map(periods, l_mins: np.ndarray) -> IntervalMap:
+    """The IntervalMap of k rows' periods, given as :func:`_periods` gives
+    them, row i's periods cut into l_mins[i] intervals. Only the period
+    frames are walked (:func:`_frame_intervals`), each period on its own
+    grid."""
+    bounds, per_row = periods
+    lengths = bounds[:, 1] - bounds[:, 0]
+    starts = np.cumsum(lengths) - lengths  # each period's place in the walk
+    bins = _frame_intervals(lengths, starts, lengths, l_mins, per_row)
+    frames = np.arange(bins.size) + np.repeat(bounds[:, 0] - starts, lengths)
+    counts = np.bincount(bins, minlength=int(np.sum(l_mins)))
+    bins += 1
+    return IntervalMap(frames=frames, interval=bins, counts=counts)
 
 
 def build_phi(segmentation: PeriodSegmentation, l_min: int) -> IntervalMap:
-    """Map every segmented frame to its within-period interval.
+    """Map every frame inside a period to its within-period interval.
 
-    Takes the frames inside periods from :func:`_frame_intervals`, the one
-    rule that also places every target frame in :func:`apply_transfer`.
-    ``l_min`` is at most the shortest period, as :func:`compute_lmin` makes
-    it, so every interval holds at least one frame of each period.
+    The one-row form of the map the transfer step builds for all its
+    reference rows at once (:func:`_interval_map`). ``l_min`` is at most
+    the shortest period, as :func:`compute_lmin` makes it, so every
+    interval holds at least one frame of each period.
     """
-    n = int(segmentation.bounds[:, 1].max(initial=0))
-    interval, inside = _frame_intervals(segmentation, n, l_min)
-    interval = interval[inside] + 1
-    counts = np.bincount(interval - 1, minlength=l_min)
-    return IntervalMap(l_min=l_min, frames=np.flatnonzero(inside), interval=interval, counts=counts)
+    return _interval_map(_periods([segmentation], 0), np.array([l_min]))
 
 
 def extract_additive(values: np.ndarray, trend: np.ndarray, interval_map: IntervalMap) -> np.ndarray:
     """Residual values minus trend over the map's frames only, one value
-    per mapped frame, in the map's order."""
+    per mapped frame, in the map's order. For a map of k rows, values and
+    trend are the flat (k, n) blocks its frames index."""
     frames = interval_map.frames
     return values[frames] - trend[frames]
 
 
 def mean_additive_factor(residual: np.ndarray, interval_map: IntervalMap) -> np.ndarray:
-    """Per-interval means of the residual (one value per mapped frame),
-    length l_min."""
-    sums = np.bincount(interval_map.interval - 1, weights=residual, minlength=interval_map.l_min)
+    """Per-interval means of the residual (one value per mapped frame): l_min
+    values for a one-row map, every row's l_min after each other for a map
+    of k rows. np.bincount adds each interval's residuals in input order,
+    so a row's means have the bits they have on a map of that row alone."""
+    sums = np.bincount(interval_map.interval - 1, weights=residual, minlength=interval_map.counts.size)
     return sums / interval_map.counts
+
+
+def _applied_factors(means: np.ndarray, periods, n: int, reference_periods, l_mins: np.ndarray):
+    """The applied factor and the inside-a-period flag of every frame of k
+    target rows of n frames, as two (k, n) blocks: each frame takes the
+    entry of ``means``, the rows' l_min means after each other, of its
+    interval.
+
+    A row's frames form alternating segments: gap, period, gap, ..., gap
+    (any of them may be empty), with the periods as :func:`_periods` gives
+    them. A period is cut into its row's l_min intervals from its own start
+    and length. A gap reuses the grid periodically with the row's reference
+    period rounded to a whole frame (at least 1), counted from the end of
+    the period before it, or from the row's first start for the leading
+    gap; with no period the only segment is that gap, and any anchor will
+    do. One walk over all the rows' segments (:func:`_frame_intervals`)
+    gives every frame its interval.
+    """
+    bounds, per_row = periods
+    k = per_row.size
+    # Each period and the gap after it are two segments; a row's leading
+    # gap goes before its first period's pair.
+    first = 2 * (np.cumsum(per_row) - per_row)
+    starts = np.insert(bounds.ravel(), first, np.arange(k) * n)
+    sizes = np.diff(starts, append=k * n)
+    lead = first + np.arange(k)  # the leading gaps' places among the segments
+    anchors = starts.copy()
+    anchors[lead] = np.append(starts, k * n)[lead + 1]
+    grids = np.maximum(np.rint(np.asarray(reference_periods, dtype=float)), 1).astype(int)
+    pairs = np.column_stack([bounds[:, 1] - bounds[:, 0], np.repeat(grids, per_row)])
+    lengths = np.insert(pairs.ravel(), first, grids)
+    in_period = np.insert(np.tile([True, False], bounds.shape[0]), first, False)
+    bins = _frame_intervals(sizes, anchors, lengths, l_mins, 2 * per_row + 1)
+    return means[bins].reshape(k, n), np.repeat(in_period, sizes).reshape(k, n)
 
 
 def apply_transfer(trend: np.ndarray, mean_factor: np.ndarray, segmentation: PeriodSegmentation) -> RefinedSeries:
     """Add the mean pattern (l_min values) onto a trend, interval by interval.
 
-    Every frame takes the mean-factor entry of its interval under
-    :func:`_frame_intervals`: inside a detected period from the period's
-    own grid, outside from the grid repeated with the segmentation's
-    reference period rounded to a whole frame. Frames outside the periods
-    are flagged as extension rather than genuine transfer.
+    Every frame takes the mean-factor entry of its interval: inside a
+    detected period from the period's own grid, outside from the grid
+    repeated with the segmentation's reference period rounded to a whole
+    frame. Frames outside the periods are flagged as extension rather than
+    genuine transfer. The one-row form of the transfer step's pass over
+    all its target rows (:func:`_applied_factors`).
     """
-    interval, transferred = _frame_intervals(segmentation, trend.size, mean_factor.size)
-    applied = mean_factor[interval]
+    (applied,), (transferred,) = _applied_factors(
+        mean_factor, _periods([segmentation], 0), trend.size, [segmentation.reference_period], np.array([mean_factor.size])
+    )
     return RefinedSeries(values=trend + applied, trend=trend, applied_factor=applied, transferred=transferred)
 
 
@@ -227,13 +317,14 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
     (:func:`analyze_rows`, in chunks of at most TRANSFORM_CHUNK doubles);
     the smoother, once per radius; and, per radius group, one
     :func:`sign_changes` pass over the smoothed rows less their trends,
-    which gives every row its rising crossovers as an index array. The
-    trend (:func:`fit_trend` on its row of the fitting pass), Fisher's g
-    gate at MAX_SEASONALITY_P and the periods (:func:`validate_periods`)
-    still run row by row: each row has its own trend order and its own
-    number of candidates, so these are ragged, and the Python they run
-    is per row, not per sample. A row that fails the gate, never crosses
-    its trend or keeps no period holds its trend and names the reason in
+    which gives every row its rising crossovers as an index array, and
+    one :func:`validate_period_rows` pass that turns them into each row's
+    periods. The trend (:func:`fit_trend` on its row of the fitting pass)
+    and Fisher's g gate at MAX_SEASONALITY_P still run row by row: each
+    row has its own trend order, so these are ragged, and the Python they
+    run is per row, not per sample. A row that fails the gate, never
+    crosses its trend or keeps no period holds its trend and names the
+    reason in
     ``failure``; ``rising_candidates`` is set once the row passes the gate.
 
     Raises nothing. The checks, in the order a row meets them, are at
@@ -288,8 +379,9 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
         row_of, index, rises = sign_changes(d)
         del d
         changes = np.bincount(row_of, minlength=len(group)).tolist()
-        cuts = np.searchsorted(row_of[rises], np.arange(len(group) + 1)).tolist()
-        rising = index[rises]
+        cuts = np.searchsorted(row_of[rises], np.arange(len(group) + 1))
+        periods = validate_period_rows(index[rises], cuts, [reports[g].reference_period for g in group], cfg.alpha)
+        cuts = cuts.tolist()
         for m, (g, trend) in enumerate(zip(group, trends)):
             i, report = live[g], reports[g]
             segmentation = failure = rising_candidates = None
@@ -300,8 +392,8 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
                         f"no significant cycle: Fisher's g = {g_stat:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
                     )
                 rising_candidates = cuts[m + 1] - cuts[m]
-                raise_if_error(crossing_error(changes[m]))
-                segmentation = validate_periods(rising[cuts[m] : cuts[m + 1]], report.reference_period, cfg.alpha)
+                raise_if_error(crossing_error(changes[m]) or periods[m])
+                segmentation = periods[m]
             except SeasonalityNotFoundError as exc:
                 failure = str(exc)
             scale = ScaleParams(float(lo[ok[i]]), float(hi[ok[i]]))
@@ -309,80 +401,109 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
     return out
 
 
-def transfer_channel(
-    reference, target, config: RunConfig | None = None, *, sides=None
-) -> tuple[RefinedSeries, ChannelDiagnostics]:
+def _transfer_rows(ref_rows: np.ndarray, refs, targets):
+    """The transfer step of k channels whose sequences all have periods, at
+    once: ``ref_rows`` holds their reference values as a (k, n_ref) block in
+    original units, ``refs`` and ``targets`` their sequences' analyses.
+
+    Returns the refined targets as a RefinedSeries of (k, n) blocks, each
+    channel's l_min and mean pattern, and whether each refined row is
+    finite: back in original units a range near float64's limit can
+    overflow, which the caller reports instead of numpy warnings.
+
+    The mean patterns come from the reference rows
+    (:func:`_mean_patterns`); they are added onto the targets' trends, also
+    in original units, by the same interval rule over every target frame
+    (:func:`_applied_factors`), so patterns keep their physical amplitude
+    across differently scaled sequences. Each channel gets the bits it
+    gets alone. The target walk runs before the trends block is built, so
+    that its transient blocks and the trends are never alive together.
+    """
+    n = targets[0].trend.values.size
+    ref_periods = _periods([seq.segmentation for seq in refs], ref_rows.shape[1])
+    target_periods = _periods([seq.segmentation for seq in targets], n)
+    l_mins = _lmins(ref_periods, target_periods)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = _mean_patterns(ref_rows, refs, ref_periods, l_mins)
+        del ref_rows  # the caller hands the block over, so it is freed here
+        reference_periods = [seq.segmentation.reference_period for seq in targets]
+        applied, transferred = _applied_factors(means, target_periods, n, reference_periods, l_mins)
+        trends = _trends(targets)
+        refined = RefinedSeries(values=trends + applied, trend=trends, applied_factor=applied, transferred=transferred)
+    finite = np.isfinite(refined.values).all(axis=1)
+    return refined, l_mins.tolist(), np.split(means, np.cumsum(l_mins)[:-1]), finite.tolist()
+
+
+def _mean_patterns(ref_rows: np.ndarray, refs, periods, l_mins: np.ndarray) -> np.ndarray:
+    """The reference side of the transfer step: every row's residual against
+    its trend in original units, taken over the frames of one interval map
+    of all the rows (:func:`_interval_map`), averaged per interval in one
+    np.bincount. Returns the rows' l_min means after each other."""
+    interval_map = _interval_map(periods, l_mins)
+    return mean_additive_factor(extract_additive(ref_rows.ravel(), _trends(refs).ravel(), interval_map), interval_map)
+
+
+def _trends(seqs) -> np.ndarray:
+    """The trends of analyzed sequences of one length in original units, as a
+    (k, n) block, each row denormalized in place."""
+    block = np.empty((len(seqs), seqs[0].trend.values.size))
+    for row, seq in zip(block, seqs):
+        denormalize(seq.trend.values, seq.scale, out=row)
+    return block
+
+
+def _skipped(ref: SequenceDiagnostics, tgt: SequenceDiagnostics) -> ChannelDiagnostics:
+    """The diagnostics of a channel one of whose sequences has no periods."""
+    reasons = [f"{side}: {seq.failure}" for side, seq in (("reference", ref), ("target", tgt)) if seq.failure]
+    return ChannelDiagnostics(status=STATUS_SKIPPED, reference=ref, target=tgt, detail="; ".join(reasons))
+
+
+def _pair_length_error(n_ref: int, n_tgt: int) -> DataError | None:
+    """The error of a reference and a target too short to transfer, or None."""
+    if min(n_ref, n_tgt) < MIN_TRANSFER_LENGTH:
+        return DataError(
+            f"transfer needs at least {MIN_TRANSFER_LENGTH} frames per sequence, got {n_ref} and {n_tgt}"
+        )
+    return None
+
+
+def transfer_channel(reference, target, config: RunConfig | None = None) -> tuple[RefinedSeries, ChannelDiagnostics]:
     """Refine one target channel using one reference channel.
 
     Both series are analyzed independently (scale-free steps run on
-    normalized values). The reference residual is taken against its trend
-    in original units over the frames of the one :func:`build_phi` map and
-    averaged per interval of that map. The means are added onto the
-    target's trend, also in original units, by the same interval rule over
-    every target frame (:func:`apply_transfer`), so patterns keep their
-    physical amplitude across differently scaled sequences.
+    normalized values), each as a table side of one row
+    (:func:`_analyze_side`); the transfer is the one-channel form of the
+    step :func:`transfer_table` runs on all its channels at once
+    (:func:`_transfer_rows`).
 
     When either sequence fails segmentation the target comes back
     unchanged with status "skipped_no_seasonality". A refined series that
     overflows float64, which a range near its limit can cause, raises
-    DataError.
-
-    ``sides`` holds the reference's and the target's entries from their
-    table sides' analyses (:func:`_analyze_side`), as
-    :func:`transfer_table` passes them; without it each sequence is a
-    side of one row. Errors come in the order the analysis meets them:
-    the length check here, then the reference's, then the target's.
+    DataError. Errors come in the order the analysis meets them: the
+    checks of each series as it enters (:func:`as_series`), the length
+    check, then the reference's analysis, then the target's.
     """
     cfg = config if config is not None else RunConfig()
     ref_x = as_series(reference)
     tgt_x = as_series(target)
-    if ref_x.size < MIN_TRANSFER_LENGTH or tgt_x.size < MIN_TRANSFER_LENGTH:
-        raise DataError(
-            f"transfer needs at least {MIN_TRANSFER_LENGTH} frames per sequence, "
-            f"got {ref_x.size} and {tgt_x.size}"
-        )
-
-    if sides is None:
-        sides = [_analyze_side(x[np.newaxis].copy(), cfg)[0] for x in (ref_x, tgt_x)]
+    raise_if_error(_pair_length_error(ref_x.size, tgt_x.size))
+    ref, tgt = sides = [_analyze_side(x[np.newaxis].copy(), cfg)[0] for x in (ref_x, tgt_x)]
     for entry in sides:
         raise_if_error(entry)
-    ref, tgt = sides
-    # Back in original units a range near float64's limit can overflow;
-    # the finiteness check below reports that instead of numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        tgt_trend = denormalize(tgt.trend.values, tgt.scale)
-
     if ref.segmentation is None or tgt.segmentation is None:
-        reasons = [f"{side}: {seq.failure}" for side, seq in (("reference", ref), ("target", tgt)) if seq.failure]
+        with np.errstate(over="ignore", invalid="ignore"):
+            tgt_trend = denormalize(tgt.trend.values, tgt.scale)
         refined = RefinedSeries(
             values=tgt_x.copy(),
             trend=tgt_trend,
             applied_factor=np.zeros(tgt_x.size),
             transferred=np.zeros(tgt_x.size, dtype=bool),
         )
-        diag = ChannelDiagnostics(
-            status=STATUS_SKIPPED,
-            reference=ref,
-            target=tgt,
-            detail="; ".join(reasons),
-        )
-        return refined, diag
-
-    interval_map = build_phi(ref.segmentation, compute_lmin(ref.segmentation, tgt.segmentation))
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw = extract_additive(ref_x, denormalize(ref.trend.values, ref.scale), interval_map)
-        mean_factor = mean_additive_factor(raw, interval_map)
-        refined = apply_transfer(tgt_trend, mean_factor, tgt.segmentation)
-    if not np.all(np.isfinite(refined.values)):
-        raise DataError("trend plus transferred pattern overflows float64")
-    diag = ChannelDiagnostics(
-        status=STATUS_TRANSFERRED,
-        reference=ref,
-        target=tgt,
-        l_min=interval_map.l_min,
-        mean_factor=mean_factor,
-    )
-    return refined, diag
+        return refined, _skipped(ref, tgt)
+    refined, (l_min,), (mean_factor,), (finite,) = _transfer_rows(ref_x[np.newaxis], [ref], [tgt])
+    if not finite:
+        raise DataError(OVERFLOW)
+    return refined.row(0), ChannelDiagnostics(STATUS_TRANSFERRED, ref, tgt, l_min, mean_factor)
 
 
 def _table_side(table: PoseTable, selected: set[str], cfg: RunConfig) -> dict[str, SequenceDiagnostics | DataError]:
@@ -424,12 +545,16 @@ def transfer_table(
     """Refine every selected target channel against its reference twin.
 
     Channel sets must match exactly. The output is a copy of the target's
-    values into which each refined column is written. Filtered-out channels
-    keep their values as "passthrough", skipped ones (see
+    values into which the refined columns are written. Filtered-out
+    channels keep their values as "passthrough", skipped ones (see
     :func:`_channel_step` and :func:`transfer_channel`) as
     "skipped_no_seasonality". Each table side's analysis runs once, on
-    all its selected channels (:func:`_table_side`), with the bits each
-    channel gets alone.
+    all its selected channels (:func:`_table_side`), and the transfer step
+    once, on all the channels whose sequences both have periods
+    (:func:`_transfer_rows`), with the bits each channel gets alone
+    (:func:`transfer_channel`). Errors come in table order, each channel's
+    in the order transfer_channel meets them; an overflow of the transfer
+    step is that channel's last error.
     """
     cfg = config if config is not None else RunConfig()
     if set(ref_table.channel_names) != set(target_table.channel_names):
@@ -441,20 +566,60 @@ def transfer_table(
     selected = _selected_channels(target_table, cfg)
     ref_side = _table_side(ref_table, selected, cfg)
     tgt_side = _table_side(target_table, selected, cfg)
+    # Of the checks transfer_channel makes as a channel enters, only the
+    # lengths can fail on a table's finite columns.
+    n_ref, n_tgt = ref_table.n_frames, target_table.n_frames
+    short = length_error(n_ref, 1) or length_error(n_tgt, 1) or _pair_length_error(n_ref, n_tgt)
 
-    values = target_table.values.copy()
     diagnostics: dict[str, ChannelDiagnostics] = {}
+    jobs: list[tuple[int, ChannelDiagnostics]] = []
     for i, name in enumerate(target_table.channel_names):
         if name not in selected:
             diagnostics[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
             continue
-        with _channel_step(name, diagnostics):
-            refined, diagnostics[name] = transfer_channel(
-                ref_table.channel(name), target_table.channel(name), cfg,
-                sides=(ref_side.pop(name), tgt_side.pop(name)),
-            )
-            values[:, i] = refined.values
+        try:
+            with _channel_step(name, diagnostics):
+                ref, tgt = ref_side.pop(name), tgt_side.pop(name)
+                for entry in (short, ref, tgt):
+                    raise_if_error(entry)
+                if ref.segmentation is None or tgt.segmentation is None:
+                    diagnostics[name] = _skipped(ref, tgt)
+                else:
+                    diagnostics[name] = ChannelDiagnostics(STATUS_TRANSFERRED, ref, tgt)
+                    jobs.append((i, diagnostics[name]))
+        except CycleTransferError:
+            # An overflow of a channel before this one comes first.
+            _transfer_columns(ref_table, target_table, jobs, diagnostics)
+            raise
+    values = _transfer_columns(ref_table, target_table, jobs, diagnostics)
     return PoseTable(list(target_table.channel_names), values), diagnostics
+
+
+def _transfer_columns(ref_table: PoseTable, target_table: PoseTable, jobs, diagnostics) -> np.ndarray:
+    """The transfer step of :func:`transfer_table` (:func:`_transfer_rows`)
+    on its jobs, each a target column and its channel's diagnostics: fills
+    in each channel's l_min and mean pattern and returns a copy of the
+    target's values with the refined columns written in at once. The first
+    channel, in table order, whose refined values overflow raises."""
+    if not jobs:
+        return target_table.values.copy()
+    columns, diags = zip(*jobs)
+    names = [target_table.channel_names[i] for i in columns]
+    ref_column = {name: j for j, name in enumerate(ref_table.channel_names)}
+    refined, l_mins, means, finite = _transfer_rows(
+        ref_table.values.T[[ref_column[name] for name in names]],
+        [diag.reference for diag in diags],
+        [diag.target for diag in diags],
+    )
+    for name, diag, l_min, mean_factor, ok in zip(names, diags, l_mins, means, finite):
+        with _channel_step(name, diagnostics):
+            if not ok:
+                raise DataError(OVERFLOW)
+        diag.l_min, diag.mean_factor = l_min, mean_factor
+    refined = refined.values  # the other blocks are not needed here
+    values = target_table.values.copy()
+    values[:, columns] = refined.T
+    return values
 
 
 def analyze_table(table: PoseTable, config: RunConfig | None = None) -> dict[str, ChannelDiagnostics]:

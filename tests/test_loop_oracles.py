@@ -15,12 +15,13 @@ from cycletransfer.decomposition import (
     crossing_error,
     find_crossovers,
     sign_changes,
+    validate_period_rows,
     validate_periods,
 )
 from cycletransfer.errors import SeasonalityNotFoundError
 from cycletransfer.seasonality import autocorrelation
 from cycletransfer.series import exponential_smoothing
-from cycletransfer.transfer import _interval_of, apply_transfer, build_phi
+from cycletransfer.transfer import _frame_intervals, apply_transfer, build_phi
 
 
 def acf_oracle(x, max_lag):
@@ -48,13 +49,16 @@ def validate_oracle(cand, l, alpha):
     return retained, periods
 
 
+def interval_sizes(length, l_min):
+    q, r = divmod(length, l_min)
+    return [q + 1] * r + [q] * (l_min - r)
+
+
 def phi_oracle(periods, l_min):
     frames, interval = [], []
     for start, end in periods:
-        q, r = divmod(end - start, l_min)
-        sizes = [q + 1] * r + [q] * (l_min - r)
         frames.extend(range(start, end))
-        for j, size in enumerate(sizes, start=1):
+        for j, size in enumerate(interval_sizes(end - start, l_min), start=1):
             interval.extend([j] * size)
     return frames, interval
 
@@ -79,7 +83,8 @@ def two_phase_transfer_oracle(trend, mean_factor, periods, reference_period):
     anchor_idx = np.searchsorted(ends, outside, side="right") - 1
     anchors = np.where(anchor_idx < 0, periods[0][0], ends[np.maximum(anchor_idx, 0)])
     offsets = (outside - anchors) % l_int
-    applied[outside] = mean_factor[_interval_of(offsets, l_int, l_min)]
+    ends_of_intervals = np.cumsum(interval_sizes(l_int, l_min))
+    applied[outside] = mean_factor[np.searchsorted(ends_of_intervals, offsets, side="right")]
     return trend + applied, applied, transferred
 
 
@@ -228,6 +233,49 @@ def test_validate_periods_matches_pairwise_scan(l, alpha, start, data):
     assert seg.periods == periods
 
 
+@st.composite
+def candidate_rows(draw, alpha):
+    """One row of a validation block: its reference period and its strictly
+    increasing candidate starts. Rows may hold no candidate or one, may
+    have a reference period no integer gap passes (0.5, whose window stays
+    below half a frame), and draw half their gaps from the integers on and
+    beside the window's edges."""
+    l = draw(st.one_of(st.integers(1, 40).map(float), st.floats(0.5, 40.0), st.just(0.5)))
+    window = (1.0 - alpha) * l
+    edges = sorted({max(1, g) for e in (l - window, l + window) for g in range(int(e) - 1, int(e) + 3)})
+    gap = st.one_of(st.integers(1, int(2.5 * l) + 2), st.sampled_from(edges))
+    start = draw(st.integers(0, 50))
+    size = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 25)))
+    cand = np.cumsum([start] + draw(st.lists(gap, min_size=size - 1, max_size=size - 1))) if size else []
+    return l, list(cand)
+
+
+@given(st.one_of(st.sampled_from([0.5, 0.75, 0.8, 0.9]), st.floats(0.01, 0.99)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_validate_period_rows_match_one_row_form_and_pairwise_scan(alpha, data):
+    # One set of probes over a block of rows gives every row what the
+    # one-row form and the pairwise scan give it alone: the same starts,
+    # periods and error message.
+    rows = data.draw(st.lists(candidate_rows(alpha), min_size=1, max_size=8))
+    cand = np.array([c for _, row in rows for c in row], dtype=int)
+    cuts = np.cumsum([0] + [len(row) for _, row in rows])
+    got = validate_period_rows(cand, cuts, [l for l, _ in rows], alpha)
+    assert len(got) == len(rows)
+    for (l, row), entry in zip(rows, got):
+        retained, periods = validate_oracle(row, l, alpha)
+        if len(retained) < 2 or not periods:
+            message = f"{len(retained)} retained starts and {len(periods)} periods; need at least 2 starts forming 1 period"
+            assert isinstance(entry, SeasonalityNotFoundError) and str(entry) == message
+            with pytest.raises(SeasonalityNotFoundError) as alone:
+                validate_periods(row, l, alpha)
+            assert str(alone.value) == message
+            continue
+        alone = validate_periods(row, l, alpha)
+        assert entry.period_starts.tolist() == alone.period_starts.tolist() == retained
+        assert entry.periods == alone.periods == periods
+        assert entry.reference_period == alone.reference_period == l
+
+
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.8, 0.9])
 def test_validate_periods_window_edges(alpha):
     # The last start's only neighbour sits on or next to a window edge, so
@@ -260,7 +308,7 @@ def test_build_phi_matches_per_period_loop(l_min, extra, start):
 def test_interval_rule_matches_size_grid(length, l_min):
     # Lengths below l_min occur only on the periodic extension grid.
     _, grid = phi_oracle([(0, length)], l_min)
-    got = _interval_of(np.arange(length), length, l_min) + 1
+    got = _frame_intervals(*np.array([[length], [0], [length], [l_min], [1]])) + 1
     assert got.tolist() == grid
 
 

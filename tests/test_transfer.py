@@ -64,7 +64,7 @@ def test_compute_lmin_examples():
 def test_build_phi_one_frame_per_interval():
     seg = seg_from_lengths([16, 16], 16)
     imap = build_phi(seg, 16)
-    assert imap.l_min == 16
+    assert imap.counts.size == 16
     np.testing.assert_array_equal(imap.frames, np.arange(32))
     np.testing.assert_array_equal(imap.interval, np.tile(np.arange(1, 17), 2))
     np.testing.assert_array_equal(imap.counts, np.full(16, 2))
@@ -622,6 +622,10 @@ def wide_tables(seed, n_ref=300, n_tgt=600):
     return names, PoseTable(names, np.column_stack(ref)), PoseTable(names, np.column_stack(tgt))
 
 
+def _starts(seq):
+    return None if seq is None or seq.segmentation is None else seq.segmentation.period_starts
+
+
 def _orders(diag):
     return [
         None if seq is None else (seq.trend.order, seq.trend.fallback)
@@ -629,9 +633,16 @@ def _orders(diag):
     ]
 
 
+def assert_same_array(got, want, name):
+    assert (got is None) == (want is None), name
+    if want is not None:
+        assert np.array_equal(got, want), name
+
+
 def assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg, tmp_path):
-    """transfer_table's output, statuses, trend orders and report bytes
-    equal those of transfer_channel run on each channel alone."""
+    """transfer_table's output, statuses, trend orders, l_min, mean
+    patterns, target period starts and report bytes equal those of
+    transfer_channel run on each channel alone."""
     selected = set(tgt.channel_names if cfg.channel_filter is None else cfg.channel_filter)
     alone_diags = {}
     for name in tgt.channel_names:
@@ -651,6 +662,9 @@ def assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg, tmp_path):
         assert diags[name].status == diag.status, name
         assert diags[name].detail == diag.detail, name
         assert _orders(diags[name]) == _orders(diag), name
+        assert_same_array(diags[name].l_min, diag.l_min, name)
+        assert_same_array(diags[name].mean_factor, diag.mean_factor, name)
+        assert_same_array(*(_starts(d.target) for d in (diags[name], diag)), name)
         np.testing.assert_array_equal(out.channel(name), alone.values)
     write_report(diags, tmp_path / "table.json")
     write_report(alone_diags, tmp_path / "alone.json")
@@ -696,6 +710,45 @@ def test_side_front_end_gives_each_channel_its_own_bits(seed, settings, tmp_path
     cfg = RunConfig(**settings)
     out, diags = transfer_table(ref, tgt, cfg)
     assert {d.status for d in diags.values()} >= {STATUS_TRANSFERRED, STATUS_SKIPPED}
+    assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg, tmp_path)
+
+
+def gapped_tables(seed, n_ref=300, n_tgt=600):
+    """Reference and target tables of 12 periodic channels, periods of
+    12-40 frames, whose cycles start late and stop early on both sides:
+    before and after them each side holds only faint noise, so every
+    segmentation has a long leading and trailing gap, and the channels
+    differ in l_min."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ref, tgt = [], []
+    for period in rng.uniform(12.0, 40.0, size=12):
+        for cols, n, noise in ((ref, n_ref, 0.05), (tgt, n_tgt, 0.3)):
+            t = np.arange(n, dtype=float)
+            lead, tail = rng.integers(n // 8, n // 4, size=2)
+            active = (t >= lead) & (t < n - tail)
+            wave = np.sin(2.0 * np.pi * t / period + rng.uniform(0.0, 2.0 * np.pi))
+            cols.append(np.where(active, wave + noise * rng.standard_normal(n), 0.01 * rng.standard_normal(n)))
+    names = [f"g{i:02d}" for i in range(12)]
+    return names, PoseTable(names, np.column_stack(ref)), PoseTable(names, np.column_stack(tgt))
+
+
+@pytest.mark.parametrize("channels", [None, "g09,g02,g05,g11"], ids=["all", "channels_option"])
+@pytest.mark.parametrize("seed", [4, 9])
+def test_transfer_pass_over_gapped_channels_of_their_own_l_min(seed, channels, tmp_path):
+    # The one transfer pass numbers each channel's intervals after the
+    # channels before it; channels with their own l_min and with frames
+    # before their first period and after their last still get the bits
+    # they get alone, also when a --channels list picks some of them.
+    _, ref, tgt = gapped_tables(seed)
+    cfg = RunConfig(channel_filter=None if channels is None else channels.split(","))
+    out, diags = transfer_table(ref, tgt, cfg)
+    transferred = [d for d in diags.values() if d.status == STATUS_TRANSFERRED]
+    assert len(transferred) == len(cfg.channel_filter or diags)
+    assert len({d.l_min for d in transferred}) > 1
+    for d in transferred:
+        for seq, n in ((d.reference, ref.n_frames), (d.target, tgt.n_frames)):
+            bounds = seq.segmentation.bounds
+            assert bounds[0, 0] >= 20 and n - bounds[-1, 1] >= 20
     assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg, tmp_path)
 
 
