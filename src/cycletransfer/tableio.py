@@ -34,9 +34,20 @@ mantissa ``%.9g`` rounds to whenever that product is more than 1e-6 from
 a half-integer. Such a value is laid out as an integer part and a
 12-digit fraction in 4-digit ASCII words from lookup tables. Every other
 value is formatted with ``%.9g`` itself: below 1e-4 or from 1e9 up, a
-mantissa that rounds up to 1e9, or a near tie. ``write_report`` lays out
-the two object levels of ``json.dumps(..., indent=2)`` itself and
-encodes each array with json's C encoder.
+mantissa that rounds up to 1e9, or a near tie.
+
+``write_report`` lays out the two object levels of ``json.dumps(...,
+indent=2)`` itself. It joins the float arrays of every entry into one
+array and writes each value as the shortest text that reads back to it,
+which is the text ``float.__repr__`` and so json give, with array code
+after Ryū (U. Adams, PLDI 2018). Ryū's general case gives the digits of a
+normal value below 2**54; its text is gathered from a layout per
+notation, decimal point and digit count, in blocks of WRITE_BLOCK_CELLS
+values, and translate deletes the NUL padding. The
+values that case does not decide, ±0, subnormals, 2**54 and up, NaN and
+±inf, and those where Ryū would flag trailing zeros (mostly integers and
+other values with a short binary mantissa), are formatted by json itself.
+Int lists and scalars go through json.
 """
 
 from __future__ import annotations
@@ -456,8 +467,11 @@ def write_report(diagnostics, path) -> None:
     The text is the bytes of ``json.dumps(entries, indent=2) + "\n"``.
     That call would run json's pure-Python encoder, which ``indent``
     selects, over every float; here the two object levels are laid out
-    directly and each array goes through the C encoder, with the list
-    indent as its item separator.
+    directly. The float arrays of every entry (acf, spectrum and
+    mean_factor) are joined into one array, which ``_float_texts``
+    formats in one array pass, and each is written as a slice of that
+    text. Int lists go through json's C encoder and scalars through
+    ``json.dumps``.
     """
     out = {}
     for name, diag in diagnostics.items():
@@ -476,56 +490,299 @@ def write_report(diagnostics, path) -> None:
         if seq is not None:
             entry["dominant_frequency"] = int(seq.report.dominant_frequency)
             entry["reference_period"] = float(seq.report.reference_period)
-            entry["acf"] = seq.report.acf.tolist()
-            entry["spectrum"] = seq.report.spectrum.tolist()
+            entry["acf"] = seq.report.acf
+            entry["spectrum"] = seq.report.spectrum
             entry["trend_order"] = int(seq.trend.order)
             if seq.segmentation is not None:
                 entry["period_starts"] = seq.segmentation.period_starts.tolist()
         if diag.l_min is not None:
             entry["l_min"] = int(diag.l_min)
         if diag.mean_factor is not None:
-            entry["mean_factor"] = diag.mean_factor.tolist()
+            entry["mean_factor"] = diag.mean_factor
         out[name] = entry
     _write_text_atomic(path, _report_text(out))
 
 
-# Runs json's C encoder (it takes no indent); the separator puts each list
-# item on its own line at the depth of an entry's array items.
-_LIST_ENCODER = json.JSONEncoder(separators=(",\n" + " " * 6, ": "))
+# json.dumps(..., indent=2) puts each item of an entry's array on its own
+# line at this depth.
+_ITEM_SEP = b",\n      "
+# Runs json's C encoder (it takes no indent) with that separator.
+_LIST_ENCODER = json.JSONEncoder(separators=(_ITEM_SEP.decode(), ": "))
 
 
 def _report_text(out: dict):
     r"""Yield the bytes of ``json.dumps(out, indent=2) + "\n"`` for a mapping
     of channel name to entry, an entry being a non-empty dict of scalars,
-    None and lists of scalars; a few chunks per entry field. json.dumps
-    escapes every non-ASCII character, so each chunk is ASCII."""
+    None, lists of scalars and 1-D float arrays, which are dumped as lists;
+    a few chunks per entry field. json.dumps escapes every non-ASCII
+    character, so each chunk is ASCII."""
     if not out:
         yield b"{}\n"
         return
+    float_texts = _array_texts(
+        [v for entry in out.values() for v in entry.values() if isinstance(v, np.ndarray) and v.size]
+    )
     head = "{\n  "
     for name, entry in out.items():
         sep = f"{head}{json.dumps(name)}: {{\n    "
         for key, value in entry.items():
             yield f"{sep}{json.dumps(key)}: ".encode()
-            yield from _json_field(value)
+            yield from _json_field(value, float_texts)
             sep = ",\n    "
         yield b"\n  }"
         head = ",\n  "
     yield b"\n}\n"
 
 
-def _json_field(value):
+def _json_field(value, float_texts):
     """Yield one entry value as ``json.dumps(..., indent=2)`` lays it out
-    inside an entry, as bytes. A non-empty list's text is built once: the
-    C encoder's output, encoded once, its brackets sliced off through a
-    memoryview, so no copy of it is made."""
-    if not isinstance(value, list) or not value:
+    inside an entry, as bytes. A non-empty float array's items are the
+    next item of float_texts; a non-empty list's are the C encoder's
+    output, encoded once, its brackets sliced off through a memoryview."""
+    if isinstance(value, np.ndarray):
+        if not value.size:
+            yield b"[]"
+            return
+        items = next(float_texts)
+    elif isinstance(value, list) and value:
+        items = [memoryview(_LIST_ENCODER.encode(value).encode())[1:-1]]
+    else:
         yield json.dumps(value).encode()
         return
-    text = _LIST_ENCODER.encode(value).encode()
     yield b"[\n      "
-    yield memoryview(text)[1:-1]
+    yield from items
     yield b"\n    ]"
+
+
+def _array_texts(arrays):
+    """Yield, for each of the non-empty float arrays, the memoryviews whose
+    bytes, one after another, are its values' json texts joined by
+    _ITEM_SEP. All values are formatted in one _float_texts pass; a
+    view runs between per-value offsets of one block's text."""
+    if not arrays:
+        return
+    blocks = _float_texts(np.concatenate(arrays, dtype=float))
+    text, starts, at = memoryview(b""), [0], 0
+    for array in arrays:
+        left = array.size
+        views = []
+        while left:
+            if at == len(starts) - 1:
+                text, starts = next(blocks)
+                text, at = memoryview(text), 0
+            stop = min(at + left, len(starts) - 1)
+            left -= stop - at
+            # The last value of the array drops its separator.
+            views.append(text[starts[at]:starts[stop] - (0 if left else len(_ITEM_SEP))])
+            at = stop
+        yield views
+
+
+# Shortest round-trip float text with array code, after Ryū (U. Adams,
+# "Ryū: fast float-to-string conversion", PLDI 2018): the general case of
+# its float64 conversion, for normal values below 2**54, where its binary
+# exponent e2 is negative. A value is mv * 2**e2 with mv = 4 * m2 (m2 the
+# mantissa with its hidden bit), and the reals that round to it lie
+# between (mv - 2) * 2**e2 (mv - 1 for a power of two) and (mv + 2) * 2**e2.
+# vm, vr and vp are those three numbers times 2**e2 / 10**e10, e10 = q + e2,
+# rounded down: m * 5**(-e2 - q) // 2**q, a 125-bit multiplier and a shift.
+# The digits are vr with every low digit removed that vm and vp let go,
+# rounded.
+_POW5_BITS = 125
+_LIMB_MASK = np.uint64(0xFFFFFFFF)
+_LIMB_BITS = np.uint64(32)
+_POW10_U64 = np.array([10**t for t in range(20)], dtype=np.uint64)
+# Half of 10**t: the removed digits round up from there (t = 0 never does).
+_HALF_POW10 = np.array([1] + [5 * 10**t for t in range(19)], dtype=np.uint64)
+# A value's source row: a fixed head, where its sign and exponent sign go,
+# the 20 digits of its decimal mantissa right-aligned as five 4-digit
+# words, then its exponent as a 4-digit word. Text layouts are byte
+# positions in this row; position 0 is NUL, the padding translate deletes.
+_ROW_HEAD = b"\0\0\0.0e\0\0"
+_SIGN, _EXP_SIGN, _DOT, _ZERO, _E = 1, 2, 3, 4, 5
+_DIGITS_END, _ROW_BYTES = 28, 32
+# The longest text: sign, 17 digits, point and a 3-digit exponent form.
+_TEXT_BYTES = 24
+# Values per text gather, which keeps its byte index at 192 KiB.
+_GATHER_ROWS = 1 << 10
+# A report value: its text, then the item separator.
+_SLOT = np.dtype([("text", f"S{_TEXT_BYTES}"), ("sep", f"S{len(_ITEM_SEP)}")])
+
+
+@functools.cache
+def _ryu_tables():
+    """Ryū's constants per biased exponent 0..2047 of a float64: the 32-bit
+    limbs of the 5**i multiplier (4 rows), the shifts j - 96, 128 - j and
+    160 - j that take bits j and up of a product out of its limbs 3..5
+    (3 rows), e10, and the mask of the low q bits of mv. The mask is 0,
+    so the value is not decided, at exponents outside 1..1076 (subnormal,
+    zero, 2**54 and up, inf and NaN) and where q <= 1, the case Ryū flags
+    vr as having trailing zeros; the other trailing-zero case is mv
+    divisible by 2**q, which the mask tests."""
+    # 5**i as 125 bits: 5**i >> shift, rounded down where shift > 0.
+    pow5 = [5**i for i in range(326)]
+    pow5_shift = [p.bit_length() - _POW5_BITS for p in pow5]
+    multipliers = [p >> s if s >= 0 else p << -s for p, s in zip(pow5, pow5_shift)]
+    pow5_limbs = np.array([[w >> 32 * b & 0xFFFFFFFF for w in multipliers] for b in range(4)])
+    e = np.arange(1076, 0, -1)  # -e2 of the biased exponents 1..1076
+    q = ((e * 732923) >> 20) - 1  # floor(log10(5**e)) - 1
+    e, q = e[q > 1], q[q > 1]
+    biased, i = 1077 - e, e - q
+    # mv * 5**i / 2**q is mv times the multiplier over 2**j.
+    j = q - np.array(pow5_shift)[i]
+    limbs = np.zeros((4, 2048), np.uint64)
+    shifts = np.zeros((3, 2048), np.uint64)
+    e10 = np.zeros(2048, np.intp)
+    low_bits = np.zeros(2048, np.uint64)
+    limbs[:, biased] = pow5_limbs[:, i]
+    shifts[:, biased] = [j - 96, 128 - j, 160 - j]
+    e10[biased] = q - e
+    low_bits[biased] = (np.uint64(1) << np.minimum(q, 63).astype(np.uint64)) - np.uint64(1)
+    return limbs, shifts, e10, low_bits
+
+
+def _mul_shift(m, limbs, shifts):
+    """floor(m * w / 2**j) for m < 2**55 and 125-bit multipliers w given by
+    their 32-bit limbs, j given by _ryu_tables' shifts (j is 118..121, and
+    the result below 2**64). Each
+    product of a 32-bit half of m and a limb is exact in uint64; the
+    product is summed a 32-bit column at a time, so only one column's
+    products are held at once. Bits j and up lie in limbs 3..5 of the
+    product; the lower columns give only their carries."""
+    halves = (m & _LIMB_MASK, m >> _LIMB_BITS)
+    # uint64 zeros: numpy before 2.0 takes a Python int with a uint64
+    # scalar to float64.
+    column = high = np.uint64(0)
+    out = []
+    for k in range(6):
+        # Column k: the low halves of the products a_h * w_(k-h), the high
+        # halves of column k - 1's products, and its carry.
+        products = [halves[h] * limbs[k - h] for h in (0, 1) if 0 <= k - h < 4]
+        column = (column >> _LIMB_BITS) + high + sum(p & _LIMB_MASK for p in products)
+        high = sum(p >> _LIMB_BITS for p in products)
+        if k >= 3:
+            out.append(column & _LIMB_MASK)
+    return (out[0] >> shifts[0]) | (out[1] << shifts[1]) | (out[2] << shifts[2])
+
+
+def _shortest_digits(x: np.ndarray):
+    """Which values of the float64 array x Ryū's general case decides, and
+    for those the digits of their shortest round-trip text as an integer
+    and its power of ten: the text is of |x| = digits * 10**power."""
+    limbs, shifts, e10, low_bits = _ryu_tables()
+    bits = x.view(np.uint64)
+    biased = (bits >> np.uint64(52)).astype(np.intp) & 0x7FF
+    mv = ((bits & np.uint64(2**52 - 1)) | np.uint64(2**52)) << np.uint64(2)
+    # vm is mv - 2 but mv - 1 for a power of two, whose lower neighbour is
+    # half as far (the smallest normal excepted).
+    vm = mv - np.uint64(1) - ((mv != np.uint64(2**54)) | (biased == 1))
+    w, j = limbs.take(biased, axis=1), shifts.take(biased, axis=1)
+    vr, vp, vm = (_mul_shift(m, w, j) for m in (mv, mv + np.uint64(2), vm))
+    # Ryū removes digits while vp // 10 > vm // 10; the t for which
+    # vp // 10**t > vm // 10**t are 0..removed, so counting them gives it.
+    removed = np.zeros(len(x), np.intp)
+    for scale in _POW10_U64[1:19]:
+        removed += vp // scale * scale > vm
+    scale = _POW10_U64[removed]
+    digits = vr // scale
+    rest = vr - digits * scale
+    # Round half up, and up where vr's truncation is not above vm.
+    digits += (rest >= _HALF_POW10[removed]) | (vm >= vr - rest)
+    return (mv & low_bits[biased]) != 0, digits, e10[biased] + removed
+
+
+@functools.cache
+def _repr_layouts():
+    """The text layouts, as source-row positions padded with NUL to
+    _TEXT_BYTES, and each one's length without the sign. Layout
+    (point + 3) * 17 + count - 1 writes count digits as a plain decimal
+    with the point at ``point`` (-3..16, where repr writes no exponent);
+    layout 340 + 2 * (count - 1) + wide writes them in exponent form with
+    2 or (wide) 3 exponent digits. Each layout starts with the sign."""
+    texts = []
+    for point in range(-3, 17):
+        for count in range(1, 18):
+            digits = list(range(_DIGITS_END - count, _DIGITS_END))
+            if point <= 0:
+                texts.append([_ZERO, _DOT] + [_ZERO] * -point + digits)
+            elif point < count:
+                texts.append(digits[:point] + [_DOT] + digits[point:])
+            else:
+                texts.append(digits + [_ZERO] * (point - count) + [_DOT, _ZERO])
+    for count in range(1, 18):
+        digits = list(range(_DIGITS_END - count, _DIGITS_END))
+        mantissa = digits[:1] + ([_DOT] + digits[1:] if count > 1 else [])
+        for wide in (False, True):
+            texts.append(mantissa + [_E, _EXP_SIGN] + list(range(_ROW_BYTES - 2 - wide, _ROW_BYTES)))
+    layouts = np.zeros((len(texts), _TEXT_BYTES), np.intp)
+    for layout, text in zip(layouts, texts):
+        layout[: len(text) + 1] = [_SIGN, *text]
+    return layouts, np.array([len(text) for text in texts])
+
+
+def _float_texts(x: np.ndarray):
+    """Yield, a block of WRITE_BLOCK_CELLS values of the float64 array x at
+    a time, the ASCII bytes of ``json.dumps(v)`` followed by _ITEM_SEP for
+    each value v, and the offsets where each value's text starts, with the
+    end of the last as the final offset."""
+    for start in range(0, len(x), WRITE_BLOCK_CELLS):
+        yield _float_block(x[start : start + WRITE_BLOCK_CELLS])
+
+
+def _float_block(x: np.ndarray):
+    """The bytes and offsets _float_texts yields for one block.
+
+    A value _shortest_digits decides is gathered from the layout its
+    notation, point and digit count select. Every other value (±0, a
+    subnormal, 2**54 and up, NaN and ±inf, and those Ryū flags as having
+    trailing zeros) is formatted by json's encoder.
+    """
+    decided, digits, power = _shortest_digits(x)
+    count = np.searchsorted(_POW10_U64, digits, side="right")
+    # |x| = 0.DIGITS * 10**point; the exponent form writes point - 1.
+    point = count + power
+    exponent = point - 1
+    key = np.where(
+        (point >= -3) & (point <= 16),
+        (point + 3) * 17 + count - 1,
+        340 + 2 * (count - 1) + (np.abs(exponent) >= 100),
+    )
+    key[~decided] = 0
+    n = len(x)
+    words = _digit_words()
+    row_words = np.empty((n, _ROW_BYTES // 4), np.uint32)
+    row_words[:, :2] = np.frombuffer(_ROW_HEAD, np.uint32)
+    for column in range(6, 2, -1):
+        high = digits // np.uint64(10**4)
+        row_words[:, column] = words.take(digits - high * np.uint64(10**4))
+        digits = high
+    row_words[:, 2] = words.take(digits)
+    row_words[:, 7] = words.take(np.abs(exponent))
+    source = row_words.ravel().view(np.uint8)
+    negative = np.signbit(x)
+    source[_SIGN::_ROW_BYTES] = negative * np.uint8(ord("-"))
+    source[_EXP_SIGN::_ROW_BYTES] = np.where(exponent < 0, ord("-"), ord("+"))
+    buf = bytearray(n * _SLOT.itemsize)
+    slots = np.frombuffer(buf, _SLOT)
+    slots["sep"] = _ITEM_SEP
+    chars = np.frombuffer(buf, np.uint8).reshape(n, _SLOT.itemsize)
+    layouts, lengths = _repr_layouts()
+    row_start = np.arange(0, n * _ROW_BYTES, _ROW_BYTES)[:, None]
+    for first in range(0, n, _GATHER_ROWS):
+        part = slice(first, first + _GATHER_ROWS)
+        index = layouts[key[part]]
+        index += row_start[part]
+        chars[part, :_TEXT_BYTES] = source.take(index)
+    size = lengths[key] + negative
+    undecided = np.flatnonzero(~decided)
+    if undecided.size:
+        # The C encoder writes each value as json.dumps(value) does.
+        texts = json.dumps(x[undecided].tolist())[1:-1].encode().split(b", ")
+        slots["text"][undecided] = texts
+        size[undecided] = [len(text) for text in texts]
+    starts = np.zeros(n + 1, np.intp)
+    np.cumsum(size + len(_ITEM_SEP), out=starts[1:])
+    return buf.translate(None, b"\0"), starts
 
 
 @dataclass(frozen=True)

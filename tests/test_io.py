@@ -18,8 +18,11 @@ from cycletransfer.errors import CycleTransferError, DataError, UsageError
 from cycletransfer.tableio import (
     MAX_SYNTH_FRAMES,
     READ_BLOCK_BYTES,
+    WRITE_BLOCK_CELLS,
+    _ITEM_SEP,
     PoseTable,
     SynthSpec,
+    _float_texts,
     _int_words,
     _read_csv_blocks,
     _read_csv_lines,
@@ -324,6 +327,117 @@ def test_write_report_empty_mapping(tmp_path):
 @given(diagnostics=report_diagnostics())
 def test_write_report_matches_indent_oracle(tmp_path_factory, diagnostics):
     path = tmp_path_factory.getbasetemp() / "report.json"
+    write_report(diagnostics, path)
+    assert path.read_bytes() == report_oracle(diagnostics)
+
+
+def repr_texts(x: np.ndarray) -> list[str]:
+    """The per-value texts _float_texts gives for x, with its offsets checked
+    against them."""
+    chunks, sizes = [], []
+    for text, starts in _float_texts(x):
+        assert starts[0] == 0 and starts[-1] == len(text)
+        chunks.append(text)
+        sizes.append(np.diff(starts))
+    texts = b"".join(chunks).split(_ITEM_SEP)
+    assert texts.pop() == b""
+    assert np.array_equal(np.concatenate([[], *sizes]), [len(t) + len(_ITEM_SEP) for t in texts])
+    return [t.decode() for t in texts]
+
+
+def assert_json_texts(x: np.ndarray) -> None:
+    # json.dumps of the list is json.dumps(v) for each value v, ", " apart.
+    want = json.dumps(x.tolist())[1:-1].split(", ") if x.size else []
+    got = repr_texts(x)
+    assert len(got) == len(want)
+    wrong = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert not wrong, wrong[:10]
+
+
+def _neighbours(v: np.ndarray) -> np.ndarray:
+    """v and the floats one ulp below and above each value, both signs."""
+    v = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+    return np.concatenate([v, -v])
+
+
+def test_float_texts_match_json_on_random_bit_patterns():
+    # Every exponent and both signs, NaNs and infinities among them.
+    rng = np.random.Generator(np.random.PCG64(20))
+    assert_json_texts(rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64).view(np.float64))
+
+
+def test_float_texts_match_json_on_edge_values():
+    tiny = np.finfo(float).smallest_subnormal
+    edges = [
+        0.0, -0.0, tiny, -tiny, np.finfo(float).smallest_normal - tiny,
+        np.finfo(float).smallest_normal, np.finfo(float).max, -np.finfo(float).max,
+        np.nan, np.inf, -np.inf, 2.0**54, 2.0**53, 2.0**50,
+    ]
+    assert_json_texts(np.array(edges))
+    assert_json_texts(_neighbours(np.array([float(f"1e{k}") for k in range(-320, 309)])))
+    assert_json_texts(_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))))
+    rng = np.random.Generator(np.random.PCG64(21))
+    # Where repr switches notation: 1e-5 to 1e-4, and around 1e16.
+    for lo, hi in ((-5.5, -3.5), (15.5, 16.5)):
+        switch = 10.0 ** rng.uniform(lo, hi, 20_000)
+        assert_json_texts(_neighbours(np.concatenate([switch, [10.0**lo, 10.0**hi]])))
+    assert_json_texts(_neighbours(np.arange(-5_000.0, 5_000.0)))
+    for places in range(12):
+        assert_json_texts(np.round(rng.uniform(-1e3, 1e3, 10_000), places))
+
+
+def test_float_texts_of_nothing():
+    assert list(_float_texts(np.array([]))) == []
+    assert repr_texts(np.array([0.5])) == ["0.5"]
+
+
+def _float_field_diagnostics(sizes, nan_fields, seed):
+    """ChannelDiagnostics look-alikes whose acf, spectrum and mean_factor
+    fields, entry by entry, hold arrays of the given sizes; the fields
+    indexed in nan_fields hold NaN only."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    values = rng.standard_normal(sum(sizes)) * 10.0 ** rng.integers(-20, 20, sum(sizes))
+    arrays = np.split(values, np.cumsum(sizes)[:-1])
+    for index in nan_fields:
+        arrays[index][:] = np.nan
+    arrays += [np.array([])] * (-len(arrays) % 3)
+    diagnostics = {}
+    for k in range(0, len(arrays), 3):
+        report = SimpleNamespace(
+            dominant_frequency=np.int64(4), reference_period=np.float64(12.5),
+            acf=arrays[k], spectrum=arrays[k + 1],
+        )
+        target = SimpleNamespace(
+            report=report, trend=SimpleNamespace(order=2),
+            segmentation=SimpleNamespace(period_starts=np.array([3, 15, 28])),
+        )
+        diagnostics[f"c{k // 3}"] = SimpleNamespace(
+            status="transferred", target=target, l_min=12, mean_factor=arrays[k + 2]
+        )
+    return diagnostics
+
+
+BLOCK = WRITE_BLOCK_CELLS
+
+
+@pytest.mark.parametrize(
+    "sizes, nan_fields",
+    [
+        ([BLOCK - 1], []),
+        ([BLOCK], []),
+        ([BLOCK + 1], []),
+        ([BLOCK - 1, 1, 1], []),  # a block ends between two fields
+        ([BLOCK - 2, 3], []),  # a block ends inside the last field
+        ([1] * 4 + [BLOCK - 4, 0, 1, 2 * BLOCK + 1], []),
+        ([0, BLOCK, 0, 0, 1], []),
+        ([BLOCK - 100, 200, 5], [1]),  # a NaN-only field across the block end
+        ([0, 1, 0], [1]),
+    ],
+)
+def test_write_report_block_and_field_boundaries(tmp_path, sizes, nan_fields):
+    assert BLOCK == 8192
+    diagnostics = _float_field_diagnostics(sizes, nan_fields, seed=len(sizes))
+    path = tmp_path / "report.json"
     write_report(diagnostics, path)
     assert path.read_bytes() == report_oracle(diagnostics)
 
