@@ -9,7 +9,7 @@ pruned by a neighbor-spacing test around the detected cycle length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -63,8 +63,8 @@ class GramFit:
     monomial: np.ndarray
     abscissa: np.ndarray
 
-    def row(self, i: int) -> GramFit:
-        """Row i's fit."""
+    def row(self, i) -> GramFit:
+        """Row i's fit, or for an index array the block of those rows' fits."""
         return GramFit(self.shifts, self.ratios, self.orthogonal[i], self.monomial[i], self.abscissa)
 
     @property
@@ -73,16 +73,24 @@ class GramFit:
         the block nor a trend keeps a (k, n) array of ramps alive."""
         return self.orthogonal[..., :1] + self.orthogonal[..., 1:2] * (self.abscissa - self.shifts[0])
 
-    def trend(self, order: int) -> np.ndarray:
-        """The values of a row's fit of an order up to d, its first
-        order + 1 terms: the ramp plus the terms of P_2..P_order from the
-        recurrence stepped again."""
+    def trends(self, orders: np.ndarray) -> np.ndarray:
+        """The values of each row's fit of its own order, orders[i] from 1
+        to d, as a (k, n) block: the ramp, then for j = 1, 2, ... the term
+        c_{j+1} P_j, with P_j stepped once for all the rows, added to the
+        rows whose order is above j. So a row's values do not depend on the
+        other rows of the block."""
         t = self.abscissa
         p_prev, p, values = np.ones(t.size), t - self.shifts[0], self.ramp
-        for j in range(1, order):
+        for j in range(1, int(np.max(orders))):
             p_prev, p = p, (t - self.shifts[j]) * p - self.ratios[j] * p_prev
-            values = values + self.orthogonal[j + 1] * p
+            active = orders > j
+            rows = slice(None) if active.all() else np.flatnonzero(active)  # a slice adds in place
+            values[rows] += self.orthogonal[rows, j + 1, np.newaxis] * p
         return values
+
+    def trend(self, order: int) -> np.ndarray:
+        """A one-row fit's values up to ``order``: the one-row form of :meth:`trends`."""
+        return replace(self, orthogonal=self.orthogonal[np.newaxis]).trends(np.array([order]))[0]
 
 
 def gram_fits(rows: np.ndarray, max_order: int) -> GramFit:
@@ -124,33 +132,44 @@ def gram_fits(rows: np.ndarray, max_order: int) -> GramFit:
     return GramFit(shifts, ratios, orthogonal, monomial, t)
 
 
-def fit_trend(series: np.ndarray, max_order: int, f: int, fit: GramFit | None = None) -> TrendModel:
+def trend_orders(monomial: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
+    """The trend order rule of :func:`fit_trend` in one array step on every
+    row of a (k, d + 1) block of fits in powers of x (``GramFit.monomial``),
+    f[i] the cycle count of row i: each row's order, and whether it fell
+    back, as an int and a bool array."""
+    magnitudes = np.abs(monomial)
+    floor = np.maximum(MIN_LEAD_COEF, REL_COEF_FLOOR * magnitudes.max(axis=1))
+    passing = (magnitudes > floor[:, np.newaxis]) & (magnitudes < np.asarray(f)[:, np.newaxis])
+    passing[:, 0] = False
+    fallback = ~passing.any(axis=1)
+    highest = passing.shape[1] - 1 - np.argmax(passing[:, ::-1], axis=1)
+    return np.where(fallback, 1, highest), fallback
+
+
+def fit_trend(series: np.ndarray, max_order: int, f: int) -> TrendModel:
     """Fit the slow trend of a series by polynomial least squares.
 
     The degree-max_order fit (:func:`gram_fits`) in powers of x supplies
     the coefficient sequence; the trend order is the highest power whose
     coefficient c_k clears the noise floor while staying under f, and the
     model holds that order and the values of the nested fit's first terms
-    up to it (:meth:`GramFit.trend`). The floor,
+    up to it (:meth:`GramFit.trends`). The floor,
     max(MIN_LEAD_COEF, REL_COEF_FLOOR * max|c|), skips powers that only
     hold rounding noise; the upper bound, with f the number of cycles in
     the series, rejects powers steep enough to belong to the cyclic
     component rather than the trend. When every power fails the test the
     order-1 fit, the ramp, is returned with ``fallback`` set, the common
     outcome on strongly cyclic data: every power is busy tracking the
-    cycle, so the trend reduces to a plain line. ``fit`` is the series'
-    row of its table side's :func:`gram_fits`; without it the series is
-    fitted here. Needs max_order >= 1, n >= 2 and f >= 1.
+    cycle, so the trend reduces to a plain line. Needs max_order >= 1,
+    n >= 2 and f >= 1.
+
+    This is the one-row form of the order rule (:func:`trend_orders`) and
+    the trend walk (:meth:`GramFit.trends`), which the side step
+    (``transfer._analyze_side``) runs once on all its rows.
     """
-    if fit is None:
-        fit = gram_fits(series[np.newaxis], max_order).row(0)
-    magnitudes = np.abs(fit.monomial).tolist()
-    floor = max(MIN_LEAD_COEF, REL_COEF_FLOOR * max(magnitudes))
-    order = next((k for k in range(len(magnitudes) - 1, 0, -1) if floor < magnitudes[k] < f), None)
-    fallback = order is None
-    if fallback:
-        order = 1
-    return TrendModel(order, fit.trend(order), fallback=fallback)
+    fit = gram_fits(series[np.newaxis], max_order)
+    orders, fallbacks = trend_orders(fit.monomial, [f])
+    return TrendModel(int(orders[0]), fit.trends(orders)[0], fallback=bool(fallbacks[0]))
 
 
 def sign_changes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -195,9 +214,9 @@ def find_crossovers(smoothed: np.ndarray, trend: np.ndarray) -> np.ndarray:
     of d = smoothed - trend as one row of :func:`sign_changes`.
 
     This is the one-series form of the rule. The side step
-    (``transfer._analyze_side``) takes the rising changes of every row
-    that shares a smoothing radius from one :func:`sign_changes` pass
-    instead, and hands the same arrays to :func:`validate_periods`.
+    (``transfer._analyze_side``) takes the rising changes of all its gated
+    rows from one :func:`sign_changes` pass instead, and hands the same
+    arrays to :func:`validate_period_rows`.
 
     Raises SeasonalityNotFoundError when d never changes sign, rising or
     falling.
@@ -325,8 +344,8 @@ def validate_periods(candidates, reference_period: float, alpha: float) -> Perio
     the same test become periods.
 
     This is the one-row form of :func:`validate_period_rows`, which the
-    side step (``transfer._analyze_side``) runs once per smoothing radius
-    group on the rising crossovers it already holds.
+    side step (``transfer._analyze_side``) runs once on the rising
+    crossovers of all its rows that pass the seasonality gate.
 
     Raises SeasonalityNotFoundError when fewer than two starts survive or
     no consecutive pair forms a period.

@@ -76,22 +76,30 @@ def dominant_frequency(spectrum: np.ndarray) -> int | list[int]:
     return (np.argmax(spectrum[..., 1:], axis=-1) + 1).tolist()
 
 
-def fisher_g(spectrum: np.ndarray, n: int) -> tuple[float, float]:
-    """Fisher's g test for one periodic component in a series of n samples.
+def fisher_g_rows(spectra: np.ndarray, n: int) -> list[tuple[float, float]]:
+    """Fisher's g test for one periodic component (R. A. Fisher, 1929,
+    Proc. R. Soc. A 125:54-59) on each row of a (k, n // 2 + 1) block of
+    power spectra of n-sample series: a (g, p) pair of floats per row.
 
-    g = max I_k / sum I_k over the bins k = 1..floor((n-1)/2) of the
-    power spectrum, so DC and Nyquist are left out. Returns g and the
-    p-value m * (1 - g)**(m - 1) for the m bins, capped at 1: the first
-    term of Fisher's exact series, which bounds the exact p-value from
-    above. A spectrum with no power in those bins gives g = 0 and p = 1.
+    g = max I_k / sum I_k over the bins k = 1..floor((n-1)/2), so DC and
+    Nyquist are left out, from one sum and one max along the rows. p is
+    m * (1 - g)**(m - 1) for the m bins, capped at 1: the first term of
+    Fisher's exact series, which bounds the exact p-value from above. A
+    row with no power in those bins gives g = 0 and p = 1.
     """
-    power = spectrum[1 : (n - 1) // 2 + 1]
-    total = float(power.sum())
-    if not total > 0.0:
-        return 0.0, 1.0
-    m = power.size
-    g = float(power.max()) / total
-    return g, min(1.0, m * (1.0 - g) ** (m - 1))
+    power = spectra[:, 1 : (n - 1) // 2 + 1]
+    m = power.shape[1]
+    out = []
+    for total, top in zip(power.sum(axis=1).tolist(), power.max(axis=1, initial=0.0).tolist()):
+        g = top / total if total > 0.0 else 0.0
+        out.append((g, min(1.0, m * (1.0 - g) ** (m - 1)) if total > 0.0 else 1.0))
+    return out
+
+
+def fisher_g(spectrum: np.ndarray, n: int) -> tuple[float, float]:
+    """Fisher's g and its p-value for one power spectrum: the one-row form
+    of :func:`fisher_g_rows`."""
+    return fisher_g_rows(spectrum[np.newaxis], n)[0]
 
 
 def reference_period(n: int, f: int) -> float:

@@ -9,9 +9,9 @@ anchored at its own rising crossovers.
 A table runs two kinds of pass, each over many channels at once with
 the bits each channel gets alone. Each sequence's analysis (cycle,
 trend, periods) runs in its table side's step (:func:`_analyze_side`),
-over all the side's selected channels. The transfer runs in one step
-(:func:`_transfer_rows`) over all the channels whose sequences both
-have periods: one interval map of all the references
+each stage one pass over all the side's selected channels. The transfer
+runs in one step (:func:`_transfer_rows`) over all the channels whose
+sequences both have periods: one interval map of all the references
 (:func:`_interval_map`), their mean patterns (:func:`_mean_patterns`),
 and one walk over every target frame (:func:`_applied_factors`).
 :func:`transfer_channel`, :func:`build_phi`, :func:`extract_additive`,
@@ -32,18 +32,18 @@ from .decomposition import (
     PeriodSegmentation,
     TrendModel,
     crossing_error,
-    fit_trend,
     gram_fits,
     sign_changes,
+    trend_orders,
     validate_period_rows,
 )
 from .errors import ConstantSeriesError, CycleTransferError, DataError, SeasonalityNotFoundError
-# analyze_series, normalize_minmax, find_crossovers and validate_periods are
-# not called here: the side step runs their row-batched forms. They stay
-# importable from this module, where the benchmark's tracer
-# (bench/tracing.py) looks them up.
-from .decomposition import find_crossovers, validate_periods  # noqa: F401
-from .seasonality import SeasonalityReport, analyze_rows, analyze_series, fisher_g  # noqa: F401
+# analyze_series, normalize_minmax, fit_trend, find_crossovers and
+# validate_periods are not called here: the side step runs their
+# row-batched forms. They stay importable from this module, where the
+# benchmark's tracer (bench/tracing.py) looks them up.
+from .decomposition import find_crossovers, fit_trend, validate_periods  # noqa: F401
+from .seasonality import SeasonalityReport, analyze_rows, analyze_series, fisher_g_rows  # noqa: F401
 from .series import (
     MIN_RANGE,
     ScaleParams,
@@ -119,7 +119,7 @@ class SequenceDiagnostics:
     ``failure`` says why a sequence that was analyzed has no periods.
     ``rising_candidates`` counts the rising crossovers that period
     validation started from; it is None when the seasonality gate stopped
-    the sequence first."""
+    the sequence first. ``fisher_g`` and ``fisher_p`` are the gate's."""
 
     report: SeasonalityReport
     trend: TrendModel
@@ -128,6 +128,8 @@ class SequenceDiagnostics:
     smooth_radius: int
     failure: str | None = None
     rising_candidates: int | None = None
+    fisher_g: float | None = None
+    fisher_p: float | None = None
 
 
 @dataclass(eq=False)
@@ -308,24 +310,24 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
     (k, n) block of series, or the error of the first check the row fails.
     The block is the caller's copy: it is normalized in place.
 
-    Each stage runs as array code along the last axis on every row that
-    still needs it, and gives each row the bits it gives the row alone:
-    min-max normalization; one fitting pass of degree max_order
+    Each stage runs once, as array code on every row that still needs it,
+    and gives each row the bits it gives the row alone: min-max
+    normalization; one fitting pass of degree max_order
     (:func:`gram_fits`), whose first two terms are each row's ramp; the
     spectrum and autocorrelation of the ramp-removed values, since a
     ramp's leakage into the lowest bins can outweigh a cycle between bins
     (:func:`analyze_rows`, in chunks of at most TRANSFORM_CHUNK doubles);
-    the smoother, once per radius; and, per radius group, one
-    :func:`sign_changes` pass over the smoothed rows less their trends,
-    which gives every row its rising crossovers as an index array, and
-    one :func:`validate_period_rows` pass that turns them into each row's
-    periods. The trend (:func:`fit_trend` on its row of the fitting pass)
-    and Fisher's g gate at MAX_SEASONALITY_P still run row by row: each
-    row has its own trend order, so these are ragged, and the Python they
-    run is per row, not per sample. A row that fails the gate, never
-    crosses its trend or keeps no period holds its trend and names the
-    reason in
-    ``failure``; ``rising_candidates`` is set once the row passes the gate.
+    Fisher's g gate at MAX_SEASONALITY_P (:func:`fisher_g_rows`); the
+    trend order rule (:func:`trend_orders`) and one trend walk
+    (:meth:`GramFit.trends`) that adds each term only to the rows whose
+    order needs it; then, on the rows that pass the gate, the smoother,
+    once per radius, into one block of their distances from their trends;
+    one :func:`sign_changes` pass over that block, which gives every row
+    its rising crossovers as an index array; and one
+    :func:`validate_period_rows` pass that turns them into each row's
+    periods. A row that fails the gate, never crosses its trend or keeps
+    no period holds its trend and names the reason in ``failure``;
+    ``rising_candidates`` is set once the row passes the gate.
 
     Raises nothing. The checks, in the order a row meets them, are at
     least 2 samples, a range (:func:`range_error`), a cyclic part left
@@ -334,7 +336,7 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
     default radius, max(1, round(n / (8 f))) with f >= 1, is below every
     n >= 4 (:func:`default_smooth_radius`). The caller raises a row's
     error in table order (:func:`raise_if_error`). The side's blocks die
-    with this step.
+    with this step, except the trends, whose rows the diagnostics hold.
     """
     k, n = rows.shape
     if n < 2:
@@ -352,52 +354,57 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
     late = length_error(n, 4) or (None if cfg.smooth_radius is None else radius_error(cfg.smooth_radius, n))
     for i, j in enumerate(ok):
         out[j] = plain_ramp if flat[i] else late
+    # i numbers the normalized rows, ok[i] the input rows, g the live ones.
     live = [i for i, j in enumerate(ok) if out[j] is None]
     if not live:
         return out
 
     reports = analyze_rows(cyclic[live] if len(live) < len(ok) else cyclic)
     del cyclic  # only the transforms read the ramp-removed rows
-    radii = [
-        default_smooth_radius(report.reference_period) if cfg.smooth_radius is None else cfg.smooth_radius
-        for report in reports
-    ]
-    # i numbers the normalized rows, ok[i] the input rows, g the live ones.
-    for radius in sorted(set(radii)):
-        group = [g for g, r in enumerate(radii) if r == radius]
-        block = normalized[[live[g] for g in group]]
-        if cfg.smooth_kind == SMOOTH_EXPONENTIAL:
-            d = exponential_smoothing(block, cfg.exp_alpha, radius)
+    gates = fisher_g_rows(np.array([report.spectrum for report in reports]), n)
+    fits = fits.row(live)  # the live rows' fits, numbered by g
+    orders, fallbacks = trend_orders(fits.monomial, [report.dominant_frequency for report in reports])
+    trends = fits.trends(orders)
+    fixed = cfg.smooth_radius
+    radii = [default_smooth_radius(report.reference_period) if fixed is None else fixed for report in reports]
+    # Only the rows that pass the gate are segmented, numbered by m.
+    passing = [g for g, (_, p) in enumerate(gates) if not p > MAX_SEASONALITY_P]
+    groups = sorted({radii[g] for g in passing})
+    exponential = cfg.smooth_kind == SMOOTH_EXPONENTIAL
+    distance = None if len(groups) == 1 else np.empty((len(passing), n))
+    for radius in groups:
+        group = [m for m, g in enumerate(passing) if radii[g] == radius]
+        block = normalized[[live[passing[m]] for m in group]]
+        block = exponential_smoothing(block, cfg.exp_alpha, radius) if exponential else mean_smoothing(block, radius)
+        if distance is None:
+            distance = block  # one group's smoothed rows are the whole block
         else:
-            d = mean_smoothing(block, radius)
+            distance[group] = block
         del block
-        trends = []
-        for row, g in zip(d, group):
-            i = live[g]
-            trends.append(fit_trend(normalized[i], cfg.max_order, reports[g].dominant_frequency, fit=fits.row(i)))
-            row -= trends[-1].values  # the smoothed row becomes its distance from the trend
-        row_of, index, rises = sign_changes(d)
-        del d
-        changes = np.bincount(row_of, minlength=len(group)).tolist()
-        cuts = np.searchsorted(row_of[rises], np.arange(len(group) + 1))
-        periods = validate_period_rows(index[rises], cuts, [reports[g].reference_period for g in group], cfg.alpha)
-        cuts = cuts.tolist()
-        for m, (g, trend) in enumerate(zip(group, trends)):
-            i, report = live[g], reports[g]
-            segmentation = failure = rising_candidates = None
-            try:
-                g_stat, p = fisher_g(report.spectrum, n)
-                if p > MAX_SEASONALITY_P:
-                    raise SeasonalityNotFoundError(
-                        f"no significant cycle: Fisher's g = {g_stat:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
-                    )
-                rising_candidates = cuts[m + 1] - cuts[m]
-                raise_if_error(crossing_error(changes[m]) or periods[m])
-                segmentation = periods[m]
-            except SeasonalityNotFoundError as exc:
-                failure = str(exc)
-            scale = ScaleParams(float(lo[ok[i]]), float(hi[ok[i]]))
-            out[ok[i]] = SequenceDiagnostics(report, trend, segmentation, scale, radius, failure, rising_candidates)
+    # Each smoothed row becomes its distance from its trend.
+    distance -= trends if len(passing) == len(live) else trends[passing]
+    row_of, index, rises = sign_changes(distance)
+    del distance
+    changes = np.bincount(row_of, minlength=len(passing)).tolist()
+    cuts = np.searchsorted(row_of[rises], np.arange(len(passing) + 1))
+    periods = validate_period_rows(index[rises], cuts, [reports[g].reference_period for g in passing], cfg.alpha)
+    cuts, slots = cuts.tolist(), iter(range(len(passing)))
+    per_row = zip(live, reports, radii, gates, map(TrendModel, orders.tolist(), trends, fallbacks.tolist()))
+    for i, report, radius, (g_stat, p), trend in per_row:
+        segmentation = failure = rising_candidates = None
+        try:
+            if p > MAX_SEASONALITY_P:
+                raise SeasonalityNotFoundError(
+                    f"no significant cycle: Fisher's g = {g_stat:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
+                )
+            m = next(slots)
+            rising_candidates = cuts[m + 1] - cuts[m]
+            raise_if_error(crossing_error(changes[m]) or periods[m])
+            segmentation = periods[m]
+        except SeasonalityNotFoundError as exc:
+            failure = str(exc)
+        scale = ScaleParams(float(lo[ok[i]]), float(hi[ok[i]]))
+        out[ok[i]] = SequenceDiagnostics(report, trend, segmentation, scale, radius, failure, rising_candidates, g_stat, p)
     return out
 
 
@@ -445,10 +452,11 @@ def _mean_patterns(ref_rows: np.ndarray, refs, periods, l_mins: np.ndarray) -> n
 
 def _trends(seqs) -> np.ndarray:
     """The trends of analyzed sequences of one length in original units, as a
-    (k, n) block, each row denormalized in place."""
-    block = np.empty((len(seqs), seqs[0].trend.values.size))
-    for row, seq in zip(block, seqs):
-        denormalize(seq.trend.values, seq.scale, out=row)
+    (k, n) block: the rule of :func:`denormalize`, as one multiply-add on
+    the block of their normalized trends."""
+    block = np.array([seq.trend.values for seq in seqs])
+    block *= np.array([[seq.scale.max - seq.scale.min] for seq in seqs])
+    block += np.array([[seq.scale.min] for seq in seqs])
     return block
 
 

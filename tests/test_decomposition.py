@@ -10,6 +10,7 @@ from cycletransfer.decomposition import (
     gram_fits,
     scaled_abscissa,
     sign_changes,
+    trend_orders,
     validate_periods,
 )
 from cycletransfer.config import MAX_TREND_ORDER, RunConfig
@@ -90,21 +91,44 @@ def trend_columns(rng, n, k):
 def test_gram_fits_give_each_row_its_one_row_fit(n, k, seed, data):
     # Every coefficient is an np.sum along the row, so sharing a block
     # with other rows changes no bit, at any degree.
+    # The order rule and the trend walk on the block give each row its
+    # one-row fit_trend.
     max_order = data.draw(st.integers(1, 30))
-    f = data.draw(st.integers(1, 60))
+    f = data.draw(st.lists(st.integers(1, 60), min_size=k, max_size=k))
     rows = np.ascontiguousarray(trend_columns(np.random.Generator(np.random.PCG64(seed)), n, k).T)
     fits = gram_fits(rows, max_order)
     d = min(max_order, n - 1)
     assert fits.orthogonal.shape == fits.monomial.shape == (k, d + 1) and fits.ramp.shape == (k, n)
+    orders, fallbacks = trend_orders(fits.monomial, f)
+    trends = fits.trends(orders)
     for i, row in enumerate(rows):
         batched, alone = fits.row(i), gram_fits(row[np.newaxis].copy(), max_order).row(0)
         for name in ("shifts", "ratios", "orthogonal", "monomial", "ramp"):
             np.testing.assert_array_equal(getattr(batched, name), getattr(alone, name))
         for order in range(1, d + 1):
             np.testing.assert_array_equal(batched.trend(order), alone.trend(order))
-        batched_trend, alone_trend = fit_trend(row, max_order, f, fit=batched), fit_trend(row, max_order, f)
-        assert (batched_trend.order, batched_trend.fallback) == (alone_trend.order, alone_trend.fallback)
-        np.testing.assert_array_equal(batched_trend.values, alone_trend.values)
+        model = fit_trend(row, max_order, f[i])
+        assert (int(orders[i]), bool(fallbacks[i])) == (model.order, model.fallback)
+        np.testing.assert_array_equal(trends[i], model.values)
+
+
+@given(st.integers(2, 400), st.integers(2, 12), st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_trend_walk_gives_each_row_its_one_row_trend(n, k, seed, data):
+    # Mixed orders, 1 and d among them: each row's values are its own
+    # first terms, whatever orders the other rows of the block have.
+    rows = np.ascontiguousarray(trend_columns(np.random.Generator(np.random.PCG64(seed)), n, k).T)
+    fits = gram_fits(rows, data.draw(st.integers(1, 30)))
+    d = fits.orthogonal.shape[1] - 1
+    orders = np.array([1, d] + data.draw(st.lists(st.integers(1, d), min_size=k - 2, max_size=k - 2)))
+    orders = orders[np.random.Generator(np.random.PCG64(seed)).permutation(k)]
+    trends = fits.trends(orders)
+    assert trends.shape == (k, n)
+    for i, order in enumerate(orders.tolist()):
+        np.testing.assert_array_equal(trends[i], fits.row(i).trend(order))
+    # A row block taken out of the fits gives the same rows again.
+    subset = [k - 1, 0]
+    np.testing.assert_array_equal(fits.row(subset).trends(orders[subset]), trends[subset])
 
 
 def gram_polynomials(fit, n):

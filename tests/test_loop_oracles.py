@@ -11,15 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycletransfer.decomposition import (
+    MIN_LEAD_COEF,
+    REL_COEF_FLOOR,
     PeriodSegmentation,
     crossing_error,
     find_crossovers,
     sign_changes,
+    trend_orders,
     validate_period_rows,
     validate_periods,
 )
 from cycletransfer.errors import SeasonalityNotFoundError
-from cycletransfer.seasonality import autocorrelation
+from cycletransfer.seasonality import autocorrelation, fisher_g_rows
 from cycletransfer.series import exponential_smoothing
 from cycletransfer.transfer import _frame_intervals, apply_transfer, build_phi
 
@@ -97,6 +100,24 @@ def exponential_oracle(series, alpha, radius):
     for i in range(radius, n - radius):
         out[i] = alpha * series[i] + beta * sum(series[i - j] + series[i + j] for j in range(1, radius + 1))
     return out
+
+
+def trend_order_oracle(coefficients, f):
+    """The trend order rule as a scan down from the highest power."""
+    magnitudes = [abs(c) for c in coefficients]
+    floor = max(MIN_LEAD_COEF, REL_COEF_FLOOR * max(magnitudes))
+    order = next((k for k in range(len(magnitudes) - 1, 0, -1) if floor < magnitudes[k] < f), None)
+    return (1, True) if order is None else (order, False)
+
+
+def fisher_oracle(spectrum, n):
+    """Fisher's g and p of one spectrum, its bins summed as one 1-D array."""
+    power = spectrum[1 : (n - 1) // 2 + 1]
+    total = float(power.sum())
+    if not total > 0.0:
+        return 0.0, 1.0
+    g = float(power.max()) / total
+    return g, min(1.0, power.size * (1.0 - g) ** (power.size - 1))
 
 
 def segmentation(start, lengths):
@@ -288,6 +309,27 @@ def test_validate_periods_window_edges(alpha):
                 seg = validate_periods(cand, float(l), alpha)
                 retained, periods = validate_oracle(cand, float(l), alpha)
                 assert (seg.period_starts.tolist(), seg.periods) == (retained, periods), (l, g)
+
+
+@given(st.integers(1, 8), st.integers(1, 30), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_trend_orders_match_the_scan_row_by_row(k, d, seed):
+    # Magnitudes across the floor and the cycle count, exact zeros among them.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    block = rng.choice([-1.0, 1.0], (k, d + 1)) * 10.0 ** rng.uniform(-13.0, 2.5, (k, d + 1))
+    block[rng.random((k, d + 1)) < 0.2] = 0.0
+    f = rng.integers(1, 60, k).tolist()
+    orders, fallbacks = trend_orders(block, f)
+    assert list(zip(orders.tolist(), fallbacks.tolist())) == [trend_order_oracle(c, fc) for c, fc in zip(block, f)]
+
+
+@given(st.integers(1, 8), st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_fisher_g_rows_match_the_one_row_sums(k, n, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    spectra = rng.exponential(1.0, (k, n // 2 + 1)) * 10.0 ** rng.uniform(-5.0, 5.0, (k, 1))
+    spectra[rng.random(k) < 0.2] = 0.0
+    assert fisher_g_rows(spectra, n) == [fisher_oracle(row, n) for row in spectra]
 
 
 @given(st.integers(1, 12), st.lists(st.integers(0, 20), max_size=8), st.integers(0, 5))

@@ -1,11 +1,12 @@
 """The analysis of a table side against the one-series stages.
 
-The side step runs normalization, the least-squares ramp, the spectrum,
-the autocorrelation and the smoother once over all rows of a side, the
-crossovers once per smoothing radius, and each row's trend fit,
-seasonality gate and period validation.
-Each row must come out with the bits the one-series stages give it, and
-must fail the same check with the same message, in the same order.
+The side step runs every stage once over all rows of a side:
+normalization, the least-squares fits, the spectrum, the autocorrelation,
+Fisher's g gate, the trend order rule and trend walk, the smoother (once
+per smoothing radius, into one block), the crossovers and the period
+validation. Each row must come out with the bits the one-series stages
+give it, and must fail the same check with the same message, in the same
+order.
 """
 
 import numpy as np
@@ -77,8 +78,8 @@ def analysis_alone(x, cfg):
     # side step's bit for bit.
     trend = fit_trend(normalized, min(cfg.max_order, n - 1), f)
     segmentation = failure = rising_candidates = None
+    g, p = fisher_g(spectrum, n)
     try:
-        g, p = fisher_g(spectrum, n)
         if p > MAX_SEASONALITY_P:
             raise SeasonalityNotFoundError(
                 f"no significant cycle: Fisher's g = {g:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
@@ -100,7 +101,37 @@ def analysis_alone(x, cfg):
         "segmentation": segmentation,
         "failure": failure,
         "rising_candidates": rising_candidates,
+        "gate": (g, p),
     }
+
+
+def assert_same_as_alone(entry, alone):
+    """A side step's entry for a row against the row's analysis alone."""
+    if isinstance(alone, CycleTransferError):
+        assert type(alone) in (ConstantSeriesError, DataError)
+        assert (type(entry), str(entry)) == (type(alone), str(alone))
+        return
+    assert isinstance(entry, SequenceDiagnostics), entry
+    np.testing.assert_array_equal(entry.report.acf, alone["acf"])
+    np.testing.assert_array_equal(entry.report.spectrum, alone["spectrum"])
+    assert entry.scale == alone["scale"]
+    assert entry.report.dominant_frequency == alone["dominant_frequency"]
+    assert type(entry.report.dominant_frequency) is int
+    assert entry.report.reference_period == alone["reference_period"]
+    assert entry.smooth_radius == alone["smooth_radius"]
+    trend = alone["trend"]
+    assert (entry.trend.order, entry.trend.fallback) == (trend.order, trend.fallback)
+    assert (type(entry.trend.order), type(entry.trend.fallback)) == (int, bool)
+    np.testing.assert_array_equal(entry.trend.values, trend.values)
+    # The gate's g and p, kept for every analysed row, are fisher_g's.
+    assert (entry.fisher_g, entry.fisher_p) == alone["gate"]
+    assert entry.failure == alone["failure"]
+    assert entry.rising_candidates == alone["rising_candidates"]
+    if alone["segmentation"] is None:
+        assert entry.segmentation is None
+    else:
+        np.testing.assert_array_equal(entry.segmentation.period_starts, alone["segmentation"].period_starts)
+        assert entry.segmentation.periods == alone["segmentation"].periods
 
 
 @st.composite
@@ -146,29 +177,41 @@ def test_side_analysis_equals_the_one_series_analysis_row_by_row(rows, config):
     entries = _analyze_side(rows.copy(), cfg)
     assert len(entries) == rows.shape[0]
     for row, entry in zip(rows, entries):
-        alone = analysis_alone(row, cfg)
-        if isinstance(alone, CycleTransferError):
-            assert type(alone) in (ConstantSeriesError, DataError)
-            assert (type(entry), str(entry)) == (type(alone), str(alone))
-            continue
-        assert isinstance(entry, SequenceDiagnostics), entry
-        np.testing.assert_array_equal(entry.report.acf, alone["acf"])
-        np.testing.assert_array_equal(entry.report.spectrum, alone["spectrum"])
-        assert entry.scale == alone["scale"]
-        assert entry.report.dominant_frequency == alone["dominant_frequency"]
-        assert type(entry.report.dominant_frequency) is int
-        assert entry.report.reference_period == alone["reference_period"]
-        assert entry.smooth_radius == alone["smooth_radius"]
-        trend = alone["trend"]
-        assert (entry.trend.order, entry.trend.fallback) == (trend.order, trend.fallback)
-        np.testing.assert_array_equal(entry.trend.values, trend.values)
-        assert entry.failure == alone["failure"]
-        assert entry.rising_candidates == alone["rising_candidates"]
-        if alone["segmentation"] is None:
-            assert entry.segmentation is None
-        else:
-            np.testing.assert_array_equal(entry.segmentation.period_starts, alone["segmentation"].period_starts)
-            assert entry.segmentation.periods == alone["segmentation"].periods
+        assert_same_as_alone(entry, analysis_alone(row, cfg))
+
+
+def test_a_block_of_every_outcome_gives_each_row_its_analysis_alone():
+    # Rows in four smoothing radius groups (1, 2, 4 and 8 frames) that meet
+    # every outcome a row of a side can have.
+    cfg = RunConfig(smooth_kind="exponential")
+    n = 64
+    t = np.arange(n, dtype=float)
+    rng = np.random.Generator(np.random.PCG64(5))
+    rows = np.array([
+        np.sin(2 * np.pi * t / 32 + 0.3) + 0.01 * t,
+        3.0 * np.sin(2 * np.pi * t / 16 + 1.0) - 2.0,
+        np.sin(2 * np.pi * t / 8 + 0.5) + 0.05 * rng.standard_normal(n),
+        rng.standard_normal(n),
+        -((t / n) ** 2),  # the smoothed curve stays on one side of its trend
+        np.where(t < 20, 0.0, 1.0) + 0.1 * np.sin(2 * np.pi * t / 5),
+        np.full(n, 7.0),
+        0.5 * t - 3.0,
+    ])
+    entries = _analyze_side(rows.copy(), cfg)
+    for row, entry in zip(rows, entries):
+        assert_same_as_alone(entry, analysis_alone(row, cfg))
+    analysed = entries[:6]
+    assert [entry.smooth_radius for entry in analysed] == [4, 2, 1, 1, 8, 8]
+    assert [entry.segmentation is not None for entry in analysed] == [True] * 3 + [False] * 3
+    assert analysed[3].failure.startswith("no significant cycle: Fisher's g = ")
+    assert [entry.failure for entry in analysed[4:]] == [
+        "series never crosses its trend",
+        "0 retained starts and 0 periods; need at least 2 starts forming 1 period",
+    ]
+    assert [str(entry) for entry in entries[6:]] == [
+        "series range 0 is below 1e-12",
+        "series is a plain ramp, no cyclic part to analyze",
+    ]
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,6 @@
 import functools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,6 +478,59 @@ def test_transfer_table_invariant_to_channel_order_and_other_channels(
         else:
             np.testing.assert_array_equal(out.channel(name), tgt_cols[name])
             assert diags[name].status == STATUS_PASSTHROUGH
+
+
+@st.composite
+def mixed_table_pairs(draw):
+    """A reference and a target table of the same small mix of periodic,
+    white-noise, constant and plain-ramp channels; a periodic channel
+    shares its period between the two tables."""
+    n_ref, n_tgt = draw(st.sampled_from([16, 40, 97])), draw(st.sampled_from([16, 40, 97, 150]))
+    kinds = draw(st.lists(st.sampled_from(["cycle", "cycle", "noise", "flat", "ramp"]), min_size=2, max_size=7))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    tables = [np.empty((n_ref, len(kinds))), np.empty((n_tgt, len(kinds)))]
+    for c, kind in enumerate(kinds):
+        period = rng.uniform(3.0, 20.0)
+        for table in tables:
+            n = table.shape[0]
+            t = np.arange(n, dtype=float)
+            if kind == "cycle":
+                column = np.sin(2 * np.pi * t / period + rng.uniform(0, 6)) + rng.uniform(-0.02, 0.02) * t
+                column += 0.2 * rng.standard_normal(n)
+            elif kind == "noise":
+                column = rng.standard_normal(n)
+            elif kind == "flat":
+                column = np.full(n, rng.uniform(-5, 5))
+            else:
+                column = rng.uniform(-2, 2) * t
+            table[:, c] = 10.0 ** rng.uniform(-3, 3) * column + rng.uniform(-100, 100)
+    names = [f"c{c}" for c in range(len(kinds))]
+    return PoseTable(names, tables[0]), PoseTable(names, tables[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mixed_table_pairs(),
+    st.sampled_from([RunConfig(), RunConfig(smooth_kind="exponential"), RunConfig(max_order=3)]),
+    st.data(),
+)
+def test_permuting_the_channels_permutes_every_output_bit_for_bit(tables, cfg, data):
+    # Every row of a side step and of the transfer step gets the bits it
+    # gets alone, so the channels' order in both tables changes nothing
+    # but the order of the outputs.
+    ref, tgt = tables
+    perm = data.draw(st.permutations(range(len(ref.channel_names))))
+    names = [ref.channel_names[i] for i in perm]
+    out, diags = transfer_table(ref, tgt, cfg)
+    out_p, diags_p = transfer_table(PoseTable(names, ref.values[:, perm]), PoseTable(names, tgt.values[:, perm]), cfg)
+    assert out_p.channel_names == names and list(diags_p) == names
+    assert np.ascontiguousarray(out_p.values).tobytes() == np.ascontiguousarray(out.values[:, perm]).tobytes()
+    for name in names:
+        assert (diags_p[name].status, diags_p[name].detail) == (diags[name].status, diags[name].detail)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_report(diags_p, Path(tmp) / "permuted.json")
+        write_report({name: diags[name] for name in names}, Path(tmp) / "reordered.json")
+        assert (Path(tmp) / "permuted.json").read_bytes() == (Path(tmp) / "reordered.json").read_bytes()
 
 
 def test_run_config_rejects_exponential_zero_radius():
