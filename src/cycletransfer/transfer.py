@@ -79,12 +79,13 @@ class IntervalMap:
     for one row or for k rows laid end to end.
 
     Each period of length L is cut into its row's l_min contiguous
-    intervals whose sizes differ by at most one, larger ones first.
-    ``frames`` holds the covered frames in order, as flat indices, and
-    ``interval`` the 1-based interval of each. A row's intervals are
-    numbered on from the last one of the row before it, so each row has
-    intervals of its own. ``counts`` totals the frames per interval over
-    all periods.
+    intervals spread evenly (Bresenham's rule): offset o from the period's
+    start falls in interval j = floor(o l_min / L), which holds offsets
+    ceil(j L / l_min) to ceil((j + 1) L / l_min) - 1. ``frames`` holds the
+    covered frames in order, as flat indices, and ``interval`` the 1-based
+    interval of each. A row's intervals are numbered on from the last one
+    of the row before it, so each row has intervals of its own. ``counts``
+    totals the frames per interval over all periods.
     """
 
     frames: np.ndarray
@@ -179,37 +180,25 @@ def _frame_intervals(sizes, anchors, lengths, l_mins, per_row) -> np.ndarray:
     laid end to end, per_row[i] segments for row i.
 
     Segment s holds sizes[s] frames on a grid of lengths[s]-frame periods
-    anchored at walk position anchors[s]. Each grid period is cut into its
-    row's l_min contiguous intervals: the first r = length % l_min hold
-    q + 1 = length // l_min + 1 frames, the rest q. A frame at offset o
-    from its grid period's start falls in o // (q + 1) while o < r (q + 1)
-    and in r + (o - r (q + 1)) // q = (o - r) // q after, and each of the
-    two forms is the larger one where it holds. A length below l_min
-    (q = 0, only ever on the extension grid) puts every offset below
-    r (q + 1) = r; with its divisor raised to 1 the second form gives
-    o - r there, the first wins, and trailing intervals stay empty. The
-    rows' intervals are numbered one after another, so a frame's bin is
-    its interval plus the l_min of every row before its own.
+    anchored at walk position anchors[s], each cut into its row's l_min
+    intervals by the rule of :class:`IntervalMap`; a length below l_min,
+    only ever on the extension grid, leaves some intervals empty. A frame's
+    bin is its interval plus the l_min of every row before its own.
 
-    Array code, O(frames): each segment's constants are worked out once
-    and spread over its frames with np.repeat, so a frame costs three
-    integer divisions. The constants of the rule are at most a segment's
-    length, so they are spread as int32, which keeps the walk at 20 bytes
-    a frame.
+    Array code, O(frames): one multiply and two integer divisions a frame,
+    on int64 offsets, which hold o l_min < n^2. Each segment's constants,
+    at most n, are spread over its frames with np.repeat as int32.
     """
     bases = np.repeat(np.cumsum(l_mins) - l_mins, per_row)
-    lengths = np.asarray(lengths, dtype=np.int32)
-    q, r = np.divmod(lengths, np.repeat(l_mins, per_row).astype(np.int32))
-    offsets = np.arange(np.sum(sizes))
+    offsets = np.arange(np.sum(sizes), dtype=np.int64)
     offsets -= np.repeat(anchors, sizes)
-    offsets %= np.repeat(lengths, sizes)
-    bins = offsets // np.repeat(q + 1, sizes)
-    offsets -= np.repeat(r, sizes)
-    offsets //= np.repeat(np.maximum(q, 1), sizes)
-    np.maximum(bins, offsets, out=bins)
-    del offsets
-    bins += np.repeat(bases, sizes)
-    return bins
+    lengths = np.repeat(np.asarray(lengths, dtype=np.int32), sizes)
+    offsets %= lengths
+    offsets *= np.repeat(np.repeat(l_mins, per_row).astype(np.int32), sizes)
+    offsets //= lengths
+    del lengths
+    offsets += np.repeat(bases, sizes)
+    return offsets
 
 
 def _interval_map(periods, l_mins: np.ndarray) -> IntervalMap:
@@ -466,6 +455,16 @@ def _skipped(ref: SequenceDiagnostics, tgt: SequenceDiagnostics) -> ChannelDiagn
     return ChannelDiagnostics(status=STATUS_SKIPPED, reference=ref, target=tgt, detail="; ".join(reasons))
 
 
+def _pair_error(ref, tgt) -> DataError | None:
+    """The first error of a channel's analyses, the reference's first. A
+    constant or plain-ramp sequence's error names its side, as every skip
+    reason of a transfer does."""
+    for side, entry in (("reference", ref), ("target", tgt)):
+        if isinstance(entry, DataError):
+            return ConstantSeriesError(f"{side}: {entry}") if isinstance(entry, ConstantSeriesError) else entry
+    return None
+
+
 def _pair_length_error(n_ref: int, n_tgt: int) -> DataError | None:
     """The error of a reference and a target too short to transfer, or None."""
     if min(n_ref, n_tgt) < MIN_TRANSFER_LENGTH:
@@ -495,9 +494,8 @@ def transfer_channel(reference, target, config: RunConfig | None = None) -> tupl
     ref_x = as_series(reference)
     tgt_x = as_series(target)
     raise_if_error(_pair_length_error(ref_x.size, tgt_x.size))
-    ref, tgt = sides = [_analyze_side(x[np.newaxis].copy(), cfg)[0] for x in (ref_x, tgt_x)]
-    for entry in sides:
-        raise_if_error(entry)
+    ref, tgt = [_analyze_side(x[np.newaxis].copy(), cfg)[0] for x in (ref_x, tgt_x)]
+    raise_if_error(_pair_error(ref, tgt))
     if ref.segmentation is None or tgt.segmentation is None:
         with np.errstate(over="ignore", invalid="ignore"):
             tgt_trend = denormalize(tgt.trend.values, tgt.scale)
@@ -523,17 +521,19 @@ def _table_side(table: PoseTable, selected: set[str], cfg: RunConfig) -> dict[st
 
 
 @contextmanager
-def _channel_step(name: str, diagnostics: dict[str, ChannelDiagnostics]):
+def _channel_step(name: str, diagnostics: dict[str, ChannelDiagnostics], reference=None, target=None):
     """The outcome rule transfer_table and analyze_table share, per channel.
 
     A constant series ends the step as "skipped_no_seasonality" with its
-    message; any other CycleTransferError is raised again as its own class,
-    prefixed with the channel's name.
+    message, keeping whichever of ``reference`` and ``target`` is a
+    sequence that was analyzed; any other CycleTransferError is raised
+    again as its own class, prefixed with the channel's name.
     """
     try:
         yield
     except ConstantSeriesError as exc:
-        diagnostics[name] = ChannelDiagnostics(status=STATUS_SKIPPED, detail=str(exc))
+        ref, tgt = (seq if isinstance(seq, SequenceDiagnostics) else None for seq in (reference, target))
+        diagnostics[name] = ChannelDiagnostics(status=STATUS_SKIPPED, reference=ref, target=tgt, detail=str(exc))
     except CycleTransferError as exc:
         raise type(exc)(f"channel {name!r}: {exc}") from exc
 
@@ -585,11 +585,10 @@ def transfer_table(
         if name not in selected:
             diagnostics[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
             continue
+        ref, tgt = ref_side.pop(name), tgt_side.pop(name)
         try:
-            with _channel_step(name, diagnostics):
-                ref, tgt = ref_side.pop(name), tgt_side.pop(name)
-                for entry in (short, ref, tgt):
-                    raise_if_error(entry)
+            with _channel_step(name, diagnostics, ref, tgt):
+                raise_if_error(short or _pair_error(ref, tgt))
                 if ref.segmentation is None or tgt.segmentation is None:
                     diagnostics[name] = _skipped(ref, tgt)
                 else:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from cycletransfer.config import RunConfig
 from cycletransfer.errors import CycleTransferError, DataError, UsageError
+from cycletransfer.series import denormalize
 from cycletransfer.tableio import (
     MAX_SYNTH_FRAMES,
     READ_BLOCK_BYTES,
@@ -33,6 +34,7 @@ from cycletransfer.tableio import (
     write_report,
 )
 from cycletransfer.transfer import analyze_table, transfer_table
+from test_loop_oracles import phi_oracle, two_phase_transfer_oracle
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -205,14 +207,16 @@ def test_write_report_filtered_channel(tmp_path):
     assert data["b"]["acf"] is None
 
 
-def _transfer_report(tmp_path):
+def _report_pair():
     rng = np.random.Generator(np.random.PCG64(12))
     t = np.arange(200, dtype=float)
     ref = np.sin(2.0 * np.pi * (np.arange(80) + 0.5) / 16.0)
     tgt = 0.01 * t + np.sin(2.0 * np.pi * (t + 0.5) / 16.0) + 0.2 * rng.standard_normal(200)
-    out, diags = transfer_table(
-        PoseTable(["m"], ref.reshape(-1, 1)), PoseTable(["m"], tgt.reshape(-1, 1))
-    )
+    return PoseTable(["m"], ref.reshape(-1, 1)), PoseTable(["m"], tgt.reshape(-1, 1))
+
+
+def _transfer_report(tmp_path):
+    out, diags = transfer_table(*_report_pair())
     path = tmp_path / "report.json"
     write_report(diags, path)
     return out, diags, path
@@ -247,18 +251,41 @@ def test_write_report_bytes_are_pinned(tmp_path):
     assert path.read_text() == json.dumps(old, indent=2) + "\n"
 
 
+def refined_by_loops(ref_values, ref, tgt):
+    """The refined target of a channel from its two sequences' analyses by
+    the loop oracles of test_loop_oracles.py: the per-period interval map,
+    a per-interval mean loop and the two-phase fill."""
+    l_min = min(b - a for seq in (ref, tgt) for a, b in seq.segmentation.periods)
+    residual = ref_values - denormalize(ref.trend.values, ref.scale)
+    sums, counts = [0.0] * l_min, [0] * l_min
+    for frame, j in zip(*phi_oracle(ref.segmentation.periods, l_min)):
+        sums[j - 1] += residual[frame]
+        counts[j - 1] += 1
+    trend = denormalize(tgt.trend.values, tgt.scale)
+    mean_factor = np.array(sums) / np.array(counts)
+    values, _, _ = two_phase_transfer_oracle(trend, mean_factor, tgt.segmentation.periods, tgt.segmentation.reference_period)
+    return values
+
+
 def test_refined_csv_bytes_are_pinned(tmp_path):
     # data/refined_transfer.csv is the refined table of the report's pair
-    # as the two-phase fill wrote it (numpy 2.4.6, x86-64); that fill is
-    # kept in test_loop_oracles.py as apply_transfer's reference form. The
-    # target has 16 leading and 8 trailing frames outside its periods, so
-    # both ends of the extension grid are pinned with the periods.
+    # under the even interval rule: interval j of an L-frame period holds
+    # frames ceil(j L / l_min) to ceil((j + 1) L / l_min) - 1. It was
+    # regenerated as write_csv of refined_by_loops on the pair's analysis
+    # (numpy 2.4.6, x86-64), so the pinned bytes rest on the loop oracles
+    # as well as on transfer_table. The target has 16 leading and 8
+    # trailing frames outside its periods, so both ends of the extension
+    # grid are pinned with the periods.
+    ref_table, _ = _report_pair()
     out, diags, _ = _transfer_report(tmp_path)
-    bounds = diags["m"].target.segmentation.bounds
+    ref, tgt = diags["m"].reference, diags["m"].target
+    bounds = tgt.segmentation.bounds
     assert bounds[0, 0] == 16 and out.n_frames - bounds[-1, 1] == 8
-    path = tmp_path / "refined.csv"
-    write_csv(out, path)
-    assert path.read_bytes() == (DATA / "refined_transfer.csv").read_bytes()
+    pinned = (DATA / "refined_transfer.csv").read_bytes()
+    loops = PoseTable(["m"], refined_by_loops(ref_table.channel("m"), ref, tgt)[:, np.newaxis])
+    for name, table in (("loops.csv", loops), ("refined.csv", out)):
+        write_csv(table, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == pinned, name
 
 
 REPORT_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308]

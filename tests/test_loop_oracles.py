@@ -53,8 +53,10 @@ def validate_oracle(cand, l, alpha):
 
 
 def interval_sizes(length, l_min):
-    q, r = divmod(length, l_min)
-    return [q + 1] * r + [q] * (l_min - r)
+    """Interval sizes of a period of L frames cut evenly into l intervals:
+    interval j holds frames ceil(j L / l) to ceil((j + 1) L / l) - 1."""
+    edges = [-(-j * length // l_min) for j in range(l_min + 1)]
+    return [b - a for a, b in zip(edges, edges[1:])]
 
 
 def phi_oracle(periods, l_min):

@@ -337,9 +337,18 @@ def test_reference_fails_before_target():
         transfer_table(ref, tgt)
     assert str(info.value) == f"channel 'c': {_message(normalize_minmax, cols['big'])[1]}"
     out, diags = transfer_table(ref, tgt, RunConfig(channel_filter=["a", "b"]))
-    assert diags["a"].detail == "series range 0 is below 1e-12"
-    assert diags["b"].detail == "series is a plain ramp, no cyclic part to analyze"
+    assert diags["a"].detail == "reference: series range 0 is below 1e-12"
+    assert diags["b"].detail == "reference: series is a plain ramp, no cyclic part to analyze"
     np.testing.assert_array_equal(out.values, tgt.values)
+    # The reason names the flat side, swapped or not, and the side that was
+    # analysed keeps its diagnostics.
+    wave, flat = PoseTable(["s"], cols["wave"][:, None]), PoseTable(["s"], cols["flat"][:, None])
+    for pair, side, kept in (((wave, flat), "target", "reference"), ((flat, wave), "reference", "target")):
+        out, diags = transfer_table(*pair)
+        diag = diags["s"]
+        assert (diag.status, diag.detail) == (STATUS_SKIPPED, f"{side}: series range 0 is below 1e-12")
+        assert getattr(diag, side) is None and getattr(diag, kept).segmentation is not None
+        np.testing.assert_array_equal(out.values, pair[1].values)
     # The target's error shows once the reference passes.
     tgt = PoseTable(["w"], cols["big"][:, None])
     with pytest.raises(DataError, match="channel 'w': series range from min"):
