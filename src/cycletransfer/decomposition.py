@@ -2,7 +2,7 @@
 
 A series is viewed additively: repeating cycle + slow trend + noise. The
 trend is a least-squares polynomial in the frame index, fitted in the
-orthogonal polynomials of the frame grid (Forsythe, 1957); period starts
+Gram polynomials of the frame grid on one half of it; period starts
 are the rising crossovers between the smoothed series and that trend,
 pruned by a neighbor-spacing test around the detected cycle length.
 """
@@ -42,22 +42,19 @@ class TrendModel:
 
 
 def scaled_abscissa(n: int) -> np.ndarray:
-    """Frame indices 0..n-1 mapped linearly onto [-1, 1]."""
-    return np.linspace(-1.0, 1.0, n)
+    """Frames i = 0..n-1, n >= 2, on [-1, 1] as (2i - (n - 1)) / (n - 1), antisymmetric bit for bit."""
+    return np.arange(1.0 - n, n, 2.0) / (n - 1)
 
 
 @dataclass(frozen=True, eq=False)
 class GramFit:
     """Degree-d least-squares fits of the rows of a (k, n) block, or of one
-    row (:meth:`row`), in the monic polynomials P_0..P_d orthogonal over
-    :func:`scaled_abscissa` (the Gram polynomials), held as their
-    recurrence P_{j+1} = (x - shifts[j]) P_j - ratios[j] P_{j-1}, P_0 = 1.
-    ``orthogonal`` holds the coefficients of P_0..P_d, ``monomial`` the
-    fit in ascending powers of x less the terms that hold only rounding,
-    which the trend order rule reads, and ``abscissa`` the grid itself,
-    shared by every row."""
+    row (:meth:`row`), in the monic Gram polynomials P_0..P_d orthogonal over
+    the symmetric grid :func:`scaled_abscissa`, P_{j+1} = x P_j - ratios[j] P_{j-1},
+    P_0 = 1, so P_j(-x) = (-1)^j P_j(x). ``orthogonal`` holds their coefficients,
+    ``monomial`` the fit in ascending powers of x less the terms that hold
+    only rounding, which the trend order rule reads, and ``abscissa`` the grid."""
 
-    shifts: np.ndarray
     ratios: np.ndarray
     orthogonal: np.ndarray
     monomial: np.ndarray
@@ -65,27 +62,34 @@ class GramFit:
 
     def row(self, i) -> GramFit:
         """Row i's fit, or for an index array the block of those rows' fits."""
-        return GramFit(self.shifts, self.ratios, self.orthogonal[i], self.monomial[i], self.abscissa)
+        return GramFit(self.ratios, self.orthogonal[i], self.monomial[i], self.abscissa)
 
     @property
     def ramp(self) -> np.ndarray:
         """c_0 P_0 + c_1 P_1 of each row, built on each use, so that neither
         the block nor a trend keeps a (k, n) array of ramps alive."""
-        return self.orthogonal[..., :1] + self.orthogonal[..., 1:2] * (self.abscissa - self.shifts[0])
+        return self.orthogonal[..., :1] + self.orthogonal[..., 1:2] * self.abscissa
 
     def trends(self, orders: np.ndarray) -> np.ndarray:
         """The values of each row's fit of its own order, orders[i] from 1
-        to d, as a (k, n) block: the ramp, then for j = 1, 2, ... the term
-        c_{j+1} P_j, with P_j stepped once for all the rows, added to the
-        rows whose order is above j. So a row's values do not depend on the
-        other rows of the block."""
-        t = self.abscissa
-        p_prev, p, values = np.ones(t.size), t - self.shifts[0], self.ramp
-        for j in range(1, int(np.max(orders))):
-            p_prev, p = p, (t - self.shifts[j]) * p - self.ratios[j] * p_prev
+        to d, as a (k, n) block, from the grid's non-negative half t: P_j,
+        stepped once for all rows, adds c_j P_j to the even or odd sum E or
+        O of the rows whose order is at least j, and a row's values are
+        E + O at t and E - O at -t, whatever the other rows of the block."""
+        n, m = self.abscissa.size, self.abscissa.size // 2
+        t = self.abscissa[m:]  # for odd n, t[0] = 0 is the middle frame
+        values = np.empty((orders.size, n))
+        even, odd = values[:, m:], self.orthogonal[:, 1:2] * t  # E is summed where E + O goes
+        even[:] = self.orthogonal[:, :1]
+        p_prev, p, step = np.ones(t.size), t.copy(), np.empty(t.size)
+        for j in range(1, int(np.max(orders))):  # P_{j+1} written over P_{j-1}, as in gram_fits
+            np.subtract(np.multiply(t, p, out=step), np.multiply(p_prev, self.ratios[j], out=p_prev), out=p_prev)
+            p_prev, p = p, p_prev
             active = orders > j
             rows = slice(None) if active.all() else np.flatnonzero(active)  # a slice adds in place
-            values[rows] += self.orthogonal[rows, j + 1, np.newaxis] * p
+            (odd if j % 2 == 0 else even)[rows] += self.orthogonal[rows, j + 1, np.newaxis] * p
+        np.subtract(even[:, n - 2 * m :], odd[:, n - 2 * m :], out=values[:, m - 1 :: -1])
+        even += odd
         return values
 
     def trend(self, order: int) -> np.ndarray:
@@ -96,40 +100,46 @@ class GramFit:
 def gram_fits(rows: np.ndarray, max_order: int) -> GramFit:
     """The :class:`GramFit` of degree d = min(max_order, n - 1) of every
     row of a (k, n) block, n >= 2, by Forsythe's recurrence (G. E.
-    Forsythe, 1957, J. SIAM 5(2):74-88).
+    Forsythe, 1957, J. SIAM 5(2):74-88) in its closed form on this grid,
+    ratios[j] = ||P_j||^2 / ||P_{j-1}||^2 = j^2 (n^2 - j^2) / ((4j^2 - 1)
+    (n - 1)^2) (Barnard et al., 1998, J. Approx. Theory 94:128-143).
 
-    One pass steps P_0..P_d once, keeping only the last two (at 200k
-    frames 31 of them would take 50 MB), and takes each coefficient
-    c_j = <row, P_j> / <P_j, P_j> as an np.sum along the row (numpy's
-    pairwise sum, no BLAS), so the bits depend neither on the thread count
-    nor on which rows share the block. The fits are nested: the first
-    j + 1 coefficients are the degree-j fit. Before the conversion to
-    powers of x (``monomial``, which only the trend order rule reads), a
-    term whose share |c_j| * ||P_j|| is at most n * eps times the norm of
-    the row's shares is zeroed, as polyfit's rcond drops what holds only
-    rounding.
+    Each row is folded once into its even half (right half + reversed left
+    half) and its odd half (their difference). One pass steps P_0..P_d on
+    the non-negative half grid, keeping two, and takes each c_j = <row,
+    P_j> / ||P_j||^2 from the half of j's parity as an np.sum along the row
+    (pairwise, no BLAS), so the bits depend neither on the thread count nor
+    on which rows share the block. The fits are nested: the first j + 1
+    coefficients are the degree-j fit. Before the conversion to powers of
+    x (``monomial``, which only the trend order rule reads), a term whose
+    share |c_j| * ||P_j|| is at most n * eps times the norm of the row's
+    shares is zeroed, as polyfit's rcond drops what holds only rounding.
     """
     k, n = rows.shape
-    d = min(max_order, n - 1)
+    d, m = min(max_order, n - 1), n // 2
     t = scaled_abscissa(n)
-    shifts, ratios, norms = np.zeros(d), np.zeros(d), np.empty(d + 1)
+    squares = np.arange(d + 1.0) ** 2
+    ratios = squares * (n * n - squares) / ((4.0 * squares - 1.0) * (n - 1) ** 2)
+    norms = n * np.cumprod(np.concatenate(([1.0], ratios[1:])))
+    right, left = rows[:, m:], rows[:, n - m - 1 :: -1]  # for odd n both start at the middle frame
+    folds = np.empty((2, k, n - m))  # the even and the odd halves
+    np.add(right, left, out=folds[0])
+    np.subtract(right, left, out=folds[1])
+    folds[0, :, : n % 2] *= 0.5  # so the even half counts the middle frame once
     powers = np.eye(d + 1)  # row j becomes P_j; ratios[0] = 0 keeps row -1 out
-    orthogonal = np.empty((k, d + 1))
-    product = np.empty_like(rows)
-    p_prev, p = np.zeros(n), np.ones(n)
+    orthogonal, product = np.empty((k, d + 1)), np.empty_like(folds[0])
+    p_prev, p, step = np.zeros(n - m), np.ones(n - m), np.empty(n - m)
     for j in range(d + 1):
-        norms[j] = np.sum(p * p)
-        orthogonal[:, j] = np.sum(np.multiply(rows, p, out=product), axis=1) / norms[j]
-        if j < d:
-            shifts[j] = np.sum(t * p * p) / norms[j]
-            ratios[j] = norms[j] / norms[j - 1] if j else 0.0
-            p_prev, p = p, (t - shifts[j]) * p - ratios[j] * p_prev
+        orthogonal[:, j] = np.sum(np.multiply(folds[j % 2], p, out=product), axis=1) / norms[j]
+        if j < d:  # P_{j+1} = t P_j - ratios[j] P_{j-1}, written over P_{j-1}
+            np.subtract(np.multiply(t[m:], p, out=step), np.multiply(p_prev, ratios[j], out=p_prev), out=p_prev)
+            p_prev, p = p, p_prev
             powers[j + 1, 1:] = powers[j, :-1]
-            powers[j + 1] -= shifts[j] * powers[j] + ratios[j] * powers[j - 1]
+            powers[j + 1] -= ratios[j] * powers[j - 1]
     weights = np.abs(orthogonal) * np.sqrt(norms)
     cut = n * np.finfo(float).eps * np.sqrt(np.sum(weights * weights, axis=1, keepdims=True))
     monomial = np.sum(np.where(weights > cut, orthogonal, 0.0)[:, np.newaxis, :] * powers.T, axis=-1)
-    return GramFit(shifts, ratios, orthogonal, monomial, t)
+    return GramFit(ratios, orthogonal, monomial, t)
 
 
 def trend_orders(monomial: np.ndarray, f) -> tuple[np.ndarray, np.ndarray]:
@@ -153,9 +163,9 @@ def fit_trend(series: np.ndarray, max_order: int, f: int) -> TrendModel:
     the coefficient sequence; the trend order is the highest power whose
     coefficient c_k clears the noise floor while staying under f, and the
     model holds that order and the values of the nested fit's first terms
-    up to it (:meth:`GramFit.trends`). The floor,
-    max(MIN_LEAD_COEF, REL_COEF_FLOOR * max|c|), skips powers that only
-    hold rounding noise; the upper bound, with f the number of cycles in
+    up to it (:meth:`GramFit.trends`), both taken on half the frame grid.
+    The floor, max(MIN_LEAD_COEF, REL_COEF_FLOOR * max|c|), skips powers
+    that only hold rounding; the upper bound, with f the number of cycles in
     the series, rejects powers steep enough to belong to the cyclic
     component rather than the trend. When every power fails the test the
     order-1 fit, the ramp, is returned with ``fallback`` set, the common

@@ -24,6 +24,16 @@ def test_scaled_abscissa_endpoints():
     assert t.size == 5
 
 
+@pytest.mark.parametrize("n", [2, 3, 100, 101, 600, 6000, 60000])
+def test_scaled_abscissa_is_antisymmetric_bit_for_bit(n):
+    # The fits fold each row about the middle frame, which needs
+    # t[n - 1 - i] == -t[i] exactly; linspace(-1, 1, n) misses that by
+    # up to 3.3e-16 at these n.
+    t = scaled_abscissa(n)
+    assert np.array_equal(t, -t[::-1])
+    np.testing.assert_allclose(t, np.linspace(-1.0, 1.0, n), rtol=0, atol=4e-16)
+
+
 def test_fit_trend_exact_line():
     t = np.arange(50, dtype=float)
     x = 2.0 * t + 1.0
@@ -103,7 +113,7 @@ def test_gram_fits_give_each_row_its_one_row_fit(n, k, seed, data):
     trends = fits.trends(orders)
     for i, row in enumerate(rows):
         batched, alone = fits.row(i), gram_fits(row[np.newaxis].copy(), max_order).row(0)
-        for name in ("shifts", "ratios", "orthogonal", "monomial", "ramp"):
+        for name in ("ratios", "orthogonal", "monomial", "ramp"):
             np.testing.assert_array_equal(getattr(batched, name), getattr(alone, name))
         for order in range(1, d + 1):
             np.testing.assert_array_equal(batched.trend(order), alone.trend(order))
@@ -131,12 +141,34 @@ def test_trend_walk_gives_each_row_its_one_row_trend(n, k, seed, data):
     np.testing.assert_array_equal(fits.row(subset).trends(orders[subset]), trends[subset])
 
 
+@given(st.integers(2, 400), st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_reversing_the_frames_mirrors_each_fit_exactly(n, k, seed, data):
+    # On the antisymmetric grid P_j(-x) = (-1)^j P_j(x), and reversing a
+    # row swaps its halves: its even half is the same sum and its odd half
+    # the same difference negated. So its odd-j coefficients flip sign
+    # exactly, its trend order stays and its trend values come out
+    # reversed, bit for bit.
+    max_order = data.draw(st.integers(1, 30))
+    f = data.draw(st.lists(st.integers(1, 60), min_size=k, max_size=k))
+    rows = np.ascontiguousarray(trend_columns(np.random.Generator(np.random.PCG64(seed)), n, k).T)
+    fits, mirrored = gram_fits(rows, max_order), gram_fits(rows[:, ::-1].copy(), max_order)
+    signs = (-1.0) ** np.arange(fits.orthogonal.shape[1])
+    assert np.array_equal(mirrored.orthogonal, signs * fits.orthogonal)
+    orders, fallbacks = trend_orders(fits.monomial, f)
+    mirrored_orders, mirrored_fallbacks = trend_orders(mirrored.monomial, f)
+    np.testing.assert_array_equal(mirrored_orders, orders)
+    np.testing.assert_array_equal(mirrored_fallbacks, fallbacks)
+    assert mirrored.trends(orders).tobytes() == np.ascontiguousarray(fits.trends(orders)[:, ::-1]).tobytes()
+    assert mirrored.ramp.tobytes() == np.ascontiguousarray(fits.ramp[:, ::-1]).tobytes()
+
+
 def gram_polynomials(fit, n):
-    """P_0..P_d of a fit at the n points, by its recurrence, as the pass steps it."""
+    """P_0..P_d of a fit at the n points, by its recurrence, on the whole grid."""
     t = scaled_abscissa(n)
-    polynomials = [np.ones(n), t - fit.shifts[0]]
-    for shift, ratio in zip(fit.shifts[1:], fit.ratios[1:]):
-        polynomials.append((t - shift) * polynomials[-1] - ratio * polynomials[-2])
+    polynomials = [np.ones(n), t]
+    for ratio in fit.ratios[1:-1]:
+        polynomials.append(t * polynomials[-1] - ratio * polynomials[-2])
     return np.array(polynomials)
 
 
@@ -176,7 +208,7 @@ def test_gram_fits_agree_with_polyfit(n, seed, data):
 
 def test_gram_basis_stays_orthogonal():
     # The worst cosine between two basis polynomials measured over
-    # n = 8..400 is 5e-9, at n = 31 and d = 30.
+    # n = 8..400 is 3.4e-9, at n = 30 and d = 29.
     worst = 0.0
     for n in range(8, 401):
         fit = gram_fits(np.zeros((1, n)), 30)

@@ -186,13 +186,19 @@ def test_a_block_of_every_outcome_gives_each_row_its_analysis_alone():
     cfg = RunConfig(smooth_kind="exponential")
     n = 64
     t = np.arange(n, dtype=float)
+    s = 2.0 * t / (n - 1) - 1.0
     rng = np.random.Generator(np.random.PCG64(5))
     rows = np.array([
         np.sin(2 * np.pi * t / 32 + 0.3) + 0.01 * t,
         3.0 * np.sin(2 * np.pi * t / 16 + 1.0) - 2.0,
         np.sin(2 * np.pi * t / 8 + 0.5) + 0.05 * rng.standard_normal(n),
         rng.standard_normal(n),
-        -((t / n) ** 2),  # the smoothed curve stays on one side of its trend
+        # Never crosses its trend, by a margin far above rounding: the
+        # order rule keeps the quadratic fit (the sextic's coefficients sit
+        # below its floor), the smoother runs below a concave parabola by
+        # about 3e-3 inside, and on the 8 copied frames at each end the
+        # sextic's part beyond the quadratic fit is negative (d <= -3e-10).
+        -((t / n) ** 2) + 1e-7 * (s**6 - 1.68 * s**4),
         np.where(t < 20, 0.0, 1.0) + 0.1 * np.sin(2 * np.pi * t / 5),
         np.full(n, 7.0),
         0.5 * t - 3.0,

@@ -534,6 +534,34 @@ def test_permuting_the_channels_permutes_every_output_bit_for_bit(tables, cfg, d
         assert (Path(tmp) / "permuted.json").read_bytes() == (Path(tmp) / "reordered.json").read_bytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    mixed_table_pairs() | st.integers(0, 2**32 - 1).map(lambda seed: wide_tables(seed)[1:]),
+    st.sampled_from([RunConfig(), RunConfig(smooth_kind="exponential"), RunConfig(max_order=3)]),
+    st.sampled_from([-9, -1, 1, 7]),
+)
+def test_scaling_both_tables_by_a_power_of_two_scales_every_output_exactly(tables, cfg, k):
+    # Every decision runs on min-max normalized values, which scaling by
+    # 2**k leaves bit for bit, so every decision stays and every output
+    # value in the tables' units scales by exactly 2**k.
+    ref, tgt = tables
+    a = 2.0**k
+    out, diags = transfer_table(ref, tgt, cfg)
+    out_a, diags_a = transfer_table(
+        PoseTable(ref.channel_names, ref.values * a), PoseTable(tgt.channel_names, tgt.values * a), cfg
+    )
+    assert np.array_equal(out_a.values, a * out.values)
+    for name, diag in diags.items():
+        scaled = diags_a[name]
+        assert (scaled.status, scaled.detail, scaled.l_min) == (diag.status, diag.detail, diag.l_min), name
+        assert _orders(scaled) == _orders(diag), name
+        assert_same_array(scaled.mean_factor, None if diag.mean_factor is None else a * diag.mean_factor, name)
+        for seq, seq_a in ((diag.reference, scaled.reference), (diag.target, scaled.target)):
+            assert_same_array(_starts(seq_a), _starts(seq), name)
+            if seq is not None:
+                assert (seq_a.scale.min, seq_a.scale.max) == (a * seq.scale.min, a * seq.scale.max), name
+
+
 def test_run_config_rejects_exponential_zero_radius():
     with pytest.raises(UsageError, match="smooth_radius must be >= 1 for exponential"):
         RunConfig(smooth_kind="exponential", smooth_radius=0)
