@@ -9,8 +9,7 @@ pruned by a neighbor-spacing test around the detected cycle length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,10 +90,6 @@ class GramFit:
         np.subtract(even[:, n - 2 * m :], odd[:, n - 2 * m :], out=values[:, m - 1 :: -1])
         even += odd
         return values
-
-    def trend(self, order: int) -> np.ndarray:
-        """A one-row fit's values up to ``order``: the one-row form of :meth:`trends`."""
-        return replace(self, orthogonal=self.orthogonal[np.newaxis]).trends(np.array([order]))[0]
 
 
 def gram_fits(rows: np.ndarray, max_order: int) -> GramFit:
@@ -236,30 +231,25 @@ def find_crossovers(smoothed: np.ndarray, trend: np.ndarray) -> np.ndarray:
     return index[rising]
 
 
-@dataclass(eq=False)
 class PeriodSegmentation:
     """Validated period starts and the periods they delimit.
 
-    ``periods`` holds half-open frame ranges [start, end) built from
+    The periods are half-open frame ranges [start, end) built from
     consecutive retained starts whose gap sits inside the validation
-    window around ``reference_period``. It is not changed after
-    construction: :attr:`bounds` holds it as an array from the first use.
+    window around ``reference_period``, held once as the (periods, 2) int
+    array ``bounds``; :attr:`periods` gives them as a list of pairs.
     """
 
-    period_starts: np.ndarray
-    periods: list[tuple[int, int]]
-    reference_period: float
-    alpha: float
-
-    @cached_property
-    def bounds(self) -> np.ndarray:
-        """(periods, 2) array of the [start, end) pairs, built once."""
-        return np.asarray(self.periods, dtype=int).reshape(-1, 2)
+    def __init__(self, period_starts: np.ndarray, periods, reference_period: float, alpha: float):
+        self.period_starts = period_starts
+        self.bounds = np.asarray(periods, dtype=int).reshape(-1, 2)
+        self.reference_period = reference_period
+        self.alpha = alpha
 
     @property
-    def period_lengths(self) -> np.ndarray:
-        """Frames per period, in period order."""
-        return self.bounds[:, 1] - self.bounds[:, 0]
+    def periods(self) -> list[tuple[int, int]]:
+        """The [start, end) pairs as a list of int tuples, built on each use."""
+        return list(map(tuple, self.bounds.tolist()))
 
 
 def _gap_ranges(ls: np.ndarray, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,14 +317,14 @@ def validate_period_rows(candidates, cuts, reference_periods, alpha: float) -> l
         retained, row = cand[right | left], row[right | left]
     pair = row[:-1]
     ok = (pair == row[1:]) & (np.abs(np.diff(retained) - ls[pair]) < windows[pair])
-    starts, ends, pair = retained[:-1][ok].tolist(), retained[1:][ok].tolist(), pair[ok]
+    bounds, pair = np.column_stack([retained[:-1][ok], retained[1:][ok]]), pair[ok]
     rows = np.arange(sizes.size + 1)
     kept_cuts, pair_cuts = np.searchsorted(row, rows).tolist(), np.searchsorted(pair, rows).tolist()
     out = []
     for m, l in enumerate(reference_periods):
         kept = retained[kept_cuts[m] : kept_cuts[m + 1]]
-        periods = list(zip(starts[pair_cuts[m] : pair_cuts[m + 1]], ends[pair_cuts[m] : pair_cuts[m + 1]]))
-        if kept.size < 2 or not periods:
+        periods = bounds[pair_cuts[m] : pair_cuts[m + 1]]
+        if kept.size < 2 or not periods.size:
             out.append(SeasonalityNotFoundError(
                 f"{kept.size} retained starts and {len(periods)} periods; "
                 "need at least 2 starts forming 1 period"

@@ -96,12 +96,6 @@ def fisher_g_rows(spectra: np.ndarray, n: int) -> list[tuple[float, float]]:
     return out
 
 
-def fisher_g(spectrum: np.ndarray, n: int) -> tuple[float, float]:
-    """Fisher's g and its p-value for one power spectrum: the one-row form
-    of :func:`fisher_g_rows`."""
-    return fisher_g_rows(spectrum[np.newaxis], n)[0]
-
-
 def reference_period(n: int, f: int) -> float:
     """Cycle length in frames for a series of n samples peaking at bin f."""
     return n / f

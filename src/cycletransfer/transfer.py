@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -152,9 +151,8 @@ def _periods(segmentations, stride: int) -> tuple[np.ndarray, np.ndarray]:
     ``stride`` frames apart: each period's [start, end) as flat frame
     indices, an (m, 2) array in row order, and each row's number of
     periods."""
-    counts = np.array([len(seg.periods) for seg in segmentations], dtype=int)
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(seg.periods for seg in segmentations)), dtype=int)
-    flat = flat.reshape(-1, 2)
+    counts = np.array([len(seg.bounds) for seg in segmentations], dtype=int)
+    flat = np.concatenate([seg.bounds for seg in segmentations])
     flat += np.repeat(np.arange(counts.size) * stride, counts)[:, np.newaxis]
     return flat, counts
 
@@ -167,12 +165,6 @@ def _lmins(ref_periods, target_periods) -> np.ndarray:
         np.minimum.reduceat(bounds[:, 1] - bounds[:, 0], np.cumsum(counts) - counts)
         for bounds, counts in (ref_periods, target_periods)
     ))
-
-
-def compute_lmin(ref_seg: PeriodSegmentation, target_seg: PeriodSegmentation) -> int:
-    """Shortest period length across both segmentations: the one-pair form
-    of the transfer step's l_min rule (:func:`_lmins`)."""
-    return int(_lmins(_periods([ref_seg], 0), _periods([target_seg], 0))[0])
 
 
 def _frame_intervals(sizes, anchors, lengths, l_mins, per_row) -> np.ndarray:
@@ -221,7 +213,7 @@ def build_phi(segmentation: PeriodSegmentation, l_min: int) -> IntervalMap:
 
     The one-row form of the map the transfer step builds for all its
     reference rows at once (:func:`_interval_map`). ``l_min`` is at most
-    the shortest period, as :func:`compute_lmin` makes it, so every
+    the shortest period, as :func:`_lmins` makes it, so every
     interval holds at least one frame of each period.
     """
     return _interval_map(_periods([segmentation], 0), np.array([l_min]))
@@ -381,17 +373,16 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
     per_row = zip(live, reports, radii, gates, map(TrendModel, orders.tolist(), trends, fallbacks.tolist()))
     for i, report, radius, (g_stat, p), trend in per_row:
         segmentation = failure = rising_candidates = None
-        try:
-            if p > MAX_SEASONALITY_P:
-                raise SeasonalityNotFoundError(
-                    f"no significant cycle: Fisher's g = {g_stat:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
-                )
+        if p > MAX_SEASONALITY_P:
+            failure = f"no significant cycle: Fisher's g = {g_stat:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
+        else:
             m = next(slots)
             rising_candidates = cuts[m + 1] - cuts[m]
-            raise_if_error(crossing_error(changes[m]) or periods[m])
-            segmentation = periods[m]
-        except SeasonalityNotFoundError as exc:
-            failure = str(exc)
+            outcome = crossing_error(changes[m]) or periods[m]
+            if isinstance(outcome, SeasonalityNotFoundError):
+                failure = str(outcome)
+            else:
+                segmentation = outcome
         scale = ScaleParams(float(lo[ok[i]]), float(hi[ok[i]]))
         out[ok[i]] = SequenceDiagnostics(report, trend, segmentation, scale, radius, failure, rising_candidates, g_stat, p)
     return out

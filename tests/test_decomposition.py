@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -96,6 +98,11 @@ def trend_columns(rng, n, k):
     return np.column_stack(cols)
 
 
+def one_row_trend(fits, i, order):
+    """Row i's values up to ``order``, by the trend walk on that row alone."""
+    return fits.row([i]).trends(np.array([order]))[0]
+
+
 @given(st.integers(2, 400), st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.data())
 @settings(max_examples=60, deadline=None)
 def test_gram_fits_give_each_row_its_one_row_fit(n, k, seed, data):
@@ -112,11 +119,12 @@ def test_gram_fits_give_each_row_its_one_row_fit(n, k, seed, data):
     orders, fallbacks = trend_orders(fits.monomial, f)
     trends = fits.trends(orders)
     for i, row in enumerate(rows):
-        batched, alone = fits.row(i), gram_fits(row[np.newaxis].copy(), max_order).row(0)
+        alone_fits = gram_fits(row[np.newaxis].copy(), max_order)
+        batched, alone = fits.row(i), alone_fits.row(0)
         for name in ("ratios", "orthogonal", "monomial", "ramp"):
             np.testing.assert_array_equal(getattr(batched, name), getattr(alone, name))
         for order in range(1, d + 1):
-            np.testing.assert_array_equal(batched.trend(order), alone.trend(order))
+            np.testing.assert_array_equal(one_row_trend(fits, i, order), one_row_trend(alone_fits, 0, order))
         model = fit_trend(row, max_order, f[i])
         assert (int(orders[i]), bool(fallbacks[i])) == (model.order, model.fallback)
         np.testing.assert_array_equal(trends[i], model.values)
@@ -135,7 +143,7 @@ def test_trend_walk_gives_each_row_its_one_row_trend(n, k, seed, data):
     trends = fits.trends(orders)
     assert trends.shape == (k, n)
     for i, order in enumerate(orders.tolist()):
-        np.testing.assert_array_equal(trends[i], fits.row(i).trend(order))
+        np.testing.assert_array_equal(trends[i], one_row_trend(fits, i, order))
     # A row block taken out of the fits gives the same rows again.
     subset = [k - 1, 0]
     np.testing.assert_array_equal(fits.row(subset).trends(orders[subset]), trends[subset])
@@ -177,9 +185,10 @@ def gram_polynomials(fit, n):
 def test_gram_fits_are_nested_and_the_order_1_trend_is_the_ramp(n, seed, f, data):
     max_order = data.draw(st.integers(1, 30))
     x = trend_columns(np.random.Generator(np.random.PCG64(seed)), n, 1)[:, 0]
-    fit = gram_fits(x[np.newaxis], max_order).row(0)
+    fits = gram_fits(x[np.newaxis], max_order)
+    fit = fits.row(0)
     # The order-1 trend is the ramp; the ramp is the first two terms.
-    np.testing.assert_array_equal(fit.trend(1), fit.ramp)
+    np.testing.assert_array_equal(one_row_trend(fits, 0, 1), fit.ramp)
     polynomials = gram_polynomials(fit, n)
     np.testing.assert_array_equal(fit.ramp, fit.orthogonal[0] * polynomials[0] + fit.orthogonal[1] * polynomials[1])
     # A lower degree is the first terms of the same fit.
@@ -187,7 +196,7 @@ def test_gram_fits_are_nested_and_the_order_1_trend_is_the_ramp(n, seed, f, data
     np.testing.assert_array_equal(low.orthogonal, fit.orthogonal[: low.orthogonal.size])
     np.testing.assert_array_equal(low.ramp, fit.ramp)
     model = fit_trend(x, max_order, f)
-    np.testing.assert_array_equal(model.values, fit.trend(model.order))
+    np.testing.assert_array_equal(model.values, one_row_trend(fits, 0, model.order))
     if model.order == 1:
         np.testing.assert_array_equal(model.values, fit.ramp)
 
@@ -197,11 +206,12 @@ def test_gram_fits_are_nested_and_the_order_1_trend_is_the_ramp(n, seed, f, data
 def test_gram_fits_agree_with_polyfit(n, seed, data):
     max_order = data.draw(st.integers(1, min(12, n - 1)))
     x = trend_columns(np.random.Generator(np.random.PCG64(seed)), n, 1)[:, 0]
-    fit = gram_fits(x[np.newaxis], max_order).row(0)
+    fits = gram_fits(x[np.newaxis], max_order)
+    fit = fits.row(0)
     t = scaled_abscissa(n)
     expected = npoly.polyval(t, npoly.polyfit(t, x, max_order))
     atol = 1e-9 * max(float(np.max(np.abs(x))), np.finfo(float).tiny)
-    np.testing.assert_allclose(fit.trend(max_order), expected, rtol=0, atol=atol)
+    np.testing.assert_allclose(one_row_trend(fits, 0, max_order), expected, rtol=0, atol=atol)
     # The fit in powers of x, which the trend order rule reads.
     np.testing.assert_allclose(npoly.polyval(t, fit.monomial), expected, rtol=0, atol=atol)
 
@@ -217,7 +227,7 @@ def test_gram_basis_stays_orthogonal():
         # The basis fitted on itself: each row's fit converted to powers of
         # x takes the values the recurrence gives the same coefficients.
         fits = gram_fits(polynomials, 30)
-        values = [fits.row(j).trend(polynomials.shape[0] - 1) for j in range(polynomials.shape[0])]
+        values = [one_row_trend(fits, j, polynomials.shape[0] - 1) for j in range(polynomials.shape[0])]
         np.testing.assert_allclose(npoly.polyval(scaled_abscissa(n), fits.monomial.T), values, rtol=0, atol=1e-9)
         gram = polynomials @ polynomials.T
         norms = np.sqrt(np.diag(gram))
@@ -288,7 +298,7 @@ def test_validate_periods_example():
     seg = validate_periods([0, 15, 31], 16.0, 0.8)
     np.testing.assert_array_equal(seg.period_starts, [0, 15, 31])
     assert seg.periods == [(0, 15), (15, 31)]
-    np.testing.assert_array_equal(seg.period_lengths, [15, 16])
+    np.testing.assert_array_equal(np.diff(seg.bounds, axis=1)[:, 0], [15, 16])
 
 
 def test_validate_periods_gap_outside_window():
@@ -316,8 +326,24 @@ def test_validate_periods_idempotent():
 
 def test_validate_periods_lengths_inside_window():
     seg = validate_periods([0, 15, 31, 46, 63], 16.0, 0.8)
-    for length in seg.period_lengths:
+    for length in np.diff(seg.bounds, axis=1)[:, 0]:
         assert abs(length - 16.0) < 0.2 * 16.0
+
+
+def test_validate_periods_holds_its_periods_as_one_int_array():
+    # 19,999 periods: the retained starts and the (periods, 2) bounds take
+    # 24 bytes a period; a list of int tuples would take over 100 more.
+    candidates = np.arange(0, 16 * 20_000, 16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        seg = validate_periods(candidates, 16.0, 0.8)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert seg.bounds.shape == (19_999, 2)
+    assert held < 48 * seg.bounds.shape[0]
+    assert seg.periods == list(map(tuple, seg.bounds.tolist()))
 
 
 def test_validate_periods_validation():

@@ -344,7 +344,7 @@ def test_build_phi_matches_per_period_loop(l_min, extra, start):
     assert imap.frames.tolist() == frames
     assert imap.interval.tolist() == interval
     assert imap.counts.tolist() == np.bincount(np.array(interval, dtype=int) - 1, minlength=l_min).tolist()
-    assert seg.period_lengths.tolist() == lengths
+    assert np.diff(seg.bounds, axis=1)[:, 0].tolist() == lengths
 
 
 @given(st.integers(1, 80), st.integers(1, 20))

@@ -28,7 +28,7 @@ from cycletransfer.seasonality import (
     analyze_rows,
     autocorrelation,
     dominant_frequency,
-    fisher_g,
+    fisher_g_rows,
     power_spectrum,
 )
 from cycletransfer.series import (
@@ -78,7 +78,7 @@ def analysis_alone(x, cfg):
     # side step's bit for bit.
     trend = fit_trend(normalized, min(cfg.max_order, n - 1), f)
     segmentation = failure = rising_candidates = None
-    g, p = fisher_g(spectrum, n)
+    g, p = fisher_g_rows(spectrum[np.newaxis], n)[0]
     try:
         if p > MAX_SEASONALITY_P:
             raise SeasonalityNotFoundError(
@@ -123,7 +123,7 @@ def assert_same_as_alone(entry, alone):
     assert (entry.trend.order, entry.trend.fallback) == (trend.order, trend.fallback)
     assert (type(entry.trend.order), type(entry.trend.fallback)) == (int, bool)
     np.testing.assert_array_equal(entry.trend.values, trend.values)
-    # The gate's g and p, kept for every analysed row, are fisher_g's.
+    # The gate's g and p, kept for every analysed row, are fisher_g_rows'.
     assert (entry.fisher_g, entry.fisher_p) == alone["gate"]
     assert entry.failure == alone["failure"]
     assert entry.rising_candidates == alone["rising_candidates"]

@@ -1,7 +1,8 @@
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cycletransfer"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cycletransfer"
 
 
 def test_package_has_no_assert_statements():
@@ -134,3 +135,35 @@ def test_package_calls_no_blas():
             if isinstance(getattr(node, "op", None), ast.MatMult):
                 found.append(f"{path.name}:{node.lineno} uses @")
     assert found == []
+
+
+# A public package function is kept for a caller outside the other tests:
+# package code calls or imports it, the acceptance oracles import it, or the
+# benchmark's tracer (bench/tracing.py) looks it up by its quoted name. One
+# that only those tests call is a second form of a rule the package runs in
+# another form, which the tests can call instead. Attribute names do not
+# count: SequenceDiagnostics.fisher_g is a field, not a call.
+def test_every_public_function_has_a_caller_besides_the_tests():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id != own:
+                    used.add(node.func.id)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    used.update(alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom) for alias in node.names)
+    tracer = (ROOT / "bench" / "tracing.py").read_text(encoding="utf-8")
+    unused = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+        and f'"{node.name}"' not in tracer
+    ]
+    assert unused == []

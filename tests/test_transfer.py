@@ -20,10 +20,11 @@ from cycletransfer.transfer import (
     MAX_SEASONALITY_P,
     ChannelDiagnostics,
     _analyze_side,
+    _lmins,
+    _periods,
     analyze_table,
     apply_transfer,
     build_phi,
-    compute_lmin,
     extract_additive,
     mean_additive_factor,
     transfer_channel,
@@ -57,10 +58,15 @@ def phase_shifted_sin(n, period, phase=0.5):
     return np.sin(2.0 * np.pi * (t + phase) / period)
 
 
+def lmin(ref_seg, target_seg):
+    """The transfer step's l_min rule (_lmins) on one pair of segmentations."""
+    return int(_lmins(_periods([ref_seg], 0), _periods([target_seg], 0))[0])
+
+
 def test_compute_lmin_examples():
-    assert compute_lmin(seg_from_lengths([16, 15, 17], 16), seg_from_lengths([20, 21], 20)) == 15
-    assert compute_lmin(seg_from_lengths([16, 16], 16), seg_from_lengths([16], 16)) == 16
-    assert compute_lmin(seg_from_lengths([10], 10), seg_from_lengths([30], 30)) == 10
+    assert lmin(seg_from_lengths([16, 15, 17], 16), seg_from_lengths([20, 21], 20)) == 15
+    assert lmin(seg_from_lengths([16, 16], 16), seg_from_lengths([16], 16)) == 16
+    assert lmin(seg_from_lengths([10], 10), seg_from_lengths([30], 30)) == 10
 
 
 def test_build_phi_one_frame_per_interval():
@@ -675,7 +681,7 @@ def test_pipeline_builds_what_the_stages_assume(pair):
             assert seq.segmentation.reference_period > 0
     if diag.status == STATUS_TRANSFERRED:
         for seq in (diag.reference, diag.target):
-            assert 1 <= diag.l_min <= seq.segmentation.period_lengths.min()
+            assert 1 <= diag.l_min <= np.diff(seq.segmentation.bounds, axis=1).min()
         assert diag.mean_factor.size == diag.l_min
         assert np.all(np.isfinite(diag.mean_factor))
 
