@@ -559,8 +559,6 @@ def _array_texts(arrays):
     bytes, one after another, are its values' json texts joined by
     _ITEM_SEP. All values are formatted in one _float_texts pass; a
     view runs between per-value offsets of one block's text."""
-    if not arrays:
-        return
     blocks = _float_texts(np.concatenate(arrays, dtype=float))
     text, starts, at = memoryview(b""), [0], 0
     for array in arrays:

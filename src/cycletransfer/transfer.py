@@ -37,10 +37,10 @@ from .decomposition import (
     validate_period_rows,
 )
 from .errors import ConstantSeriesError, CycleTransferError, DataError, SeasonalityNotFoundError
-# analyze_series, normalize_minmax, fit_trend, find_crossovers and
-# validate_periods are not called here: the side step runs their
-# row-batched forms. They stay importable from this module, where the
-# benchmark's tracer (bench/tracing.py) looks them up.
+# analyze_series, normalize_minmax, fit_trend, find_crossovers,
+# validate_periods and denormalize are not called here: the side step and
+# the transfer step run their row-batched forms. They stay importable from
+# this module, where the benchmark's tracer (bench/tracing.py) looks them up.
 from .decomposition import find_crossovers, fit_trend, validate_periods  # noqa: F401
 from .seasonality import SeasonalityReport, analyze_rows, analyze_series, fisher_g_rows  # noqa: F401
 from .series import (
@@ -48,7 +48,7 @@ from .series import (
     ScaleParams,
     as_series,
     default_smooth_radius,
-    denormalize,
+    denormalize,  # noqa: F401
     exponential_smoothing,
     length_error,
     mean_smoothing,
@@ -489,7 +489,7 @@ def transfer_channel(reference, target, config: RunConfig | None = None) -> tupl
     raise_if_error(_pair_error(ref, tgt))
     if ref.segmentation is None or tgt.segmentation is None:
         with np.errstate(over="ignore", invalid="ignore"):
-            tgt_trend = denormalize(tgt.trend.values, tgt.scale)
+            (tgt_trend,) = _trends([tgt])
         refined = RefinedSeries(
             values=tgt_x.copy(),
             trend=tgt_trend,
@@ -543,17 +543,18 @@ def transfer_table(
 ) -> tuple[PoseTable, dict[str, ChannelDiagnostics]]:
     """Refine every selected target channel against its reference twin.
 
-    Channel sets must match exactly. The output is a copy of the target's
-    values into which the refined columns are written. Filtered-out
-    channels keep their values as "passthrough", skipped ones (see
-    :func:`_channel_step` and :func:`transfer_channel`) as
-    "skipped_no_seasonality". Each table side's analysis runs once, on
-    all its selected channels (:func:`_table_side`), and the transfer step
-    once, on all the channels whose sequences both have periods
-    (:func:`_transfer_rows`), with the bits each channel gets alone
-    (:func:`transfer_channel`). Errors come in table order, each channel's
-    in the order transfer_channel meets them; an overflow of the transfer
-    step is that channel's last error.
+    Channel sets must match exactly. Three steps, with the bits each
+    channel gets alone (:func:`transfer_channel`). Each table side's
+    analysis runs once, on all its selected channels (:func:`_table_side`).
+    The transfer step runs once, on all the channels whose sequences both
+    have periods (:func:`_transfer_rows`), and writes their refined values
+    into a copy of the target's values. Then every channel is settled in
+    table order: filtered-out channels keep their values as "passthrough",
+    skipped ones (see :func:`_channel_step` and :func:`transfer_channel`)
+    as "skipped_no_seasonality". A channel's errors are raised only in that
+    last step, so the first channel in table order that fails names the
+    error, each channel's in the order transfer_channel meets them; an
+    overflow of the transfer step is that channel's last error.
     """
     cfg = config if config is not None else RunConfig()
     if set(ref_table.channel_names) != set(target_table.channel_names):
@@ -570,54 +571,45 @@ def transfer_table(
     n_ref, n_tgt = ref_table.n_frames, target_table.n_frames
     short = length_error(n_ref, 1) or length_error(n_tgt, 1) or _pair_length_error(n_ref, n_tgt)
 
+    names = target_table.channel_names
+    columns = [
+        i for i, name in enumerate(names)
+        if short is None and name in selected and all(
+            isinstance(seq, SequenceDiagnostics) and seq.segmentation is not None
+            for seq in (ref_side[name], tgt_side[name])
+        )
+    ]
+    jobs = [names[i] for i in columns]
+    outcomes = {}
+    if jobs:
+        ref_column = {name: j for j, name in enumerate(ref_table.channel_names)}
+        refined, l_mins, means, finite = _transfer_rows(
+            ref_table.values.T[[ref_column[name] for name in jobs]],
+            [ref_side[name] for name in jobs],
+            [tgt_side[name] for name in jobs],
+        )
+        refined = refined.values  # the other blocks are not needed here
+        outcomes = dict(zip(jobs, zip(l_mins, means, finite)))
+    values = target_table.values.copy()
+    if jobs:
+        values[:, columns] = refined.T
+
     diagnostics: dict[str, ChannelDiagnostics] = {}
-    jobs: list[tuple[int, ChannelDiagnostics]] = []
-    for i, name in enumerate(target_table.channel_names):
+    for name in names:
         if name not in selected:
             diagnostics[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
             continue
-        ref, tgt = ref_side.pop(name), tgt_side.pop(name)
-        try:
-            with _channel_step(name, diagnostics, ref, tgt):
-                raise_if_error(short or _pair_error(ref, tgt))
-                if ref.segmentation is None or tgt.segmentation is None:
-                    diagnostics[name] = _skipped(ref, tgt)
-                else:
-                    diagnostics[name] = ChannelDiagnostics(STATUS_TRANSFERRED, ref, tgt)
-                    jobs.append((i, diagnostics[name]))
-        except CycleTransferError:
-            # An overflow of a channel before this one comes first.
-            _transfer_columns(ref_table, target_table, jobs, diagnostics)
-            raise
-    values = _transfer_columns(ref_table, target_table, jobs, diagnostics)
-    return PoseTable(list(target_table.channel_names), values), diagnostics
-
-
-def _transfer_columns(ref_table: PoseTable, target_table: PoseTable, jobs, diagnostics) -> np.ndarray:
-    """The transfer step of :func:`transfer_table` (:func:`_transfer_rows`)
-    on its jobs, each a target column and its channel's diagnostics: fills
-    in each channel's l_min and mean pattern and returns a copy of the
-    target's values with the refined columns written in at once. The first
-    channel, in table order, whose refined values overflow raises."""
-    if not jobs:
-        return target_table.values.copy()
-    columns, diags = zip(*jobs)
-    names = [target_table.channel_names[i] for i in columns]
-    ref_column = {name: j for j, name in enumerate(ref_table.channel_names)}
-    refined, l_mins, means, finite = _transfer_rows(
-        ref_table.values.T[[ref_column[name] for name in names]],
-        [diag.reference for diag in diags],
-        [diag.target for diag in diags],
-    )
-    for name, diag, l_min, mean_factor, ok in zip(names, diags, l_mins, means, finite):
-        with _channel_step(name, diagnostics):
-            if not ok:
+        ref, tgt = ref_side[name], tgt_side[name]
+        with _channel_step(name, diagnostics, ref, tgt):
+            raise_if_error(short or _pair_error(ref, tgt))
+            if name not in outcomes:
+                diagnostics[name] = _skipped(ref, tgt)
+                continue
+            l_min, mean_factor, finite = outcomes[name]
+            if not finite:
                 raise DataError(OVERFLOW)
-        diag.l_min, diag.mean_factor = l_min, mean_factor
-    refined = refined.values  # the other blocks are not needed here
-    values = target_table.values.copy()
-    values[:, columns] = refined.T
-    return values
+            diagnostics[name] = ChannelDiagnostics(STATUS_TRANSFERRED, ref, tgt, l_min, mean_factor)
+    return PoseTable(list(names), values), diagnostics
 
 
 def analyze_table(table: PoseTable, config: RunConfig | None = None) -> dict[str, ChannelDiagnostics]:

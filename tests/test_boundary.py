@@ -95,6 +95,11 @@ def _transfer_channel(reference, target):
             2,
             "error: transfer needs at least 8 frames per sequence, got 7 and 80\n",
         ),
+        (
+            _transfer_channel(0.8e308 * _wave(300), 0.8e308 * _wave(300)),
+            2,
+            "error: trend plus transferred pattern overflows float64\n",
+        ),
     ],
     ids=[
         "analyze_0_frames",
@@ -107,6 +112,7 @@ def _transfer_channel(reference, target):
         "transfer_channel_nan",
         "transfer_channel_2d",
         "transfer_channel_7_frames",
+        "transfer_channel_output_overflow",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

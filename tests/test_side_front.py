@@ -279,6 +279,7 @@ def _columns(n, t):
         "flat": np.full(n, 4.0),
         "ramp": np.linspace(-2.0, 5.0, n),
         "big": 1.5e308 * wave,
+        "out": 0.8e308 * wave,
         "wave2": 2.0 * np.sin(2.0 * np.pi * t / 24.0),
     }
 
@@ -314,6 +315,20 @@ def test_error_and_skip_precedence_in_table_order():
         with pytest.raises(DataError) as info:
             transfer_table(table, table)
         assert str(info.value) == f"channel '{culprit}': {overflow[1]}"
+
+    # An overflow of the transfer step is its channel's last error: a
+    # channel before it that fails the analysis comes first, one after it
+    # does not.
+    output = "trend plus transferred pattern overflows float64"
+    for names, culprit, text in (
+        (["out", "big"], "out", output),
+        (["big", "out"], "big", overflow[1]),
+        (["flat", "out", "big"], "out", output),
+    ):
+        table = _table(cols, names)
+        with pytest.raises(DataError) as info:
+            transfer_table(table, table)
+        assert str(info.value) == f"channel '{culprit}': {text}"
 
     # A fixed radius >= n fails after the range and ramp checks: skipped
     # channels before it stay skipped, an overflowing range comes first.

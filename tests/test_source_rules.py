@@ -167,3 +167,25 @@ def test_every_public_function_has_a_caller_besides_the_tests():
         and f'"{node.name}"' not in tracer
     ]
     assert unused == []
+
+
+# A private package function is kept for the package itself: package code
+# outside its own body refers to it by name. One that only the tests refer
+# to is a second form of a rule, kept for them; one that nothing refers to
+# is dead.
+def test_every_private_function_has_a_package_caller():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            used.update(node.id for node in ast.walk(top) if isinstance(node, ast.Name) and node.id != own)
+    unused = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert unused == []
