@@ -1,9 +1,11 @@
 """Cycle detection: autocorrelation, power spectrum, dominant frequency.
 
 The cycle length of a series with n samples is estimated as n/f where f
-is the spectral bin with the strongest response. The autocorrelation is
-computed alongside as a diagnostic; both views should peak consistently
-for genuinely periodic data.
+is the spectral bin with the strongest response. The autocorrelation is a
+diagnostic that only the report writes, so it is computed where a report
+can write it (the target of a transfer, and ``analyze``), on the shortest
+wrap-free transform; both views should peak consistently for genuinely
+periodic data.
 """
 
 from __future__ import annotations
@@ -13,23 +15,41 @@ from dataclasses import dataclass
 import numpy as np
 
 # Doubles the largest transient of one transform chunk may hold (128 KiB):
-# a few hundred-frame rows share a chunk, and long rows go one at a time.
+# the padded autocorrelation spectrum of each row where it is computed, the
+# power spectrum's n + 2 doubles where it is not. A few hundred-frame rows
+# share a chunk, and long rows go one at a time.
 TRANSFORM_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
 class SeasonalityReport:
-    """Bundle of the per-series cycle diagnostics."""
+    """Bundle of the per-series cycle diagnostics. ``acf`` is None where
+    no report can write it: on the reference side of a transfer."""
 
-    acf: np.ndarray
+    acf: np.ndarray | None
     spectrum: np.ndarray
     dominant_frequency: int
     reference_period: float
 
 
-def _acf_size(n: int) -> int:
-    """FFT length of the autocorrelation: a power of two of at least 2n."""
-    return 1 << (2 * n - 1).bit_length()
+def _acf_size(n: int, max_lag: int) -> int:
+    """FFT length of the autocorrelation of n samples up to lag max_lag:
+    the smallest 5-smooth integer (2**a * 3**b * 5**c) of at least
+    n + max_lag, the shortest length at which no lag up to max_lag wraps.
+
+    Each product p of a power of 5 and a power of 3 is lifted to n + max_lag
+    by the smallest power of two; the least of those products is the length.
+    """
+    need = n + max_lag
+    size = 1 << (need - 1).bit_length()
+    p5 = 1
+    while p5 < size:
+        p = p5
+        while p < size:
+            size = min(size, p << (-(-need // p) - 1).bit_length())
+            p *= 3
+        p5 *= 5
+    return size
 
 
 def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
@@ -38,15 +58,18 @@ def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
 
     acf[k] = sum((x[t]-mean)*(x[t+k]-mean)) / sum((x[t]-mean)**2), with the
     denominator running over the full series. The lag sums come from one
-    FFT (Wiener-Khinchin): the mean-removed series is zero-padded to a
-    power of two of at least 2n, so the circular correlation equals the
-    linear one, and the inverse transform of |F|**2 holds every lag sum.
+    FFT (Wiener-Khinchin): the mean-removed series is zero-padded to the
+    smallest 5-smooth length N >= n + max_lag (:func:`_acf_size`). A
+    circular lag-k sum of length N adds x[t]*x[t+k-N] only for t >= N - k,
+    where x is zero, so every lag up to max_lag equals the linear sum, and
+    the inverse transform of |F|**2 holds them all. numpy's FFT runs
+    2-, 3- and 5-smooth lengths at full speed.
     Cost is O(n log n) whatever max_lag is. Each lag is divided by the lag-0
     sum taken from the same transform, so acf[0] is exactly 1; the other
     lags match the direct sums to rounding error (below 1e-15 on random
     series). Each row of a (k, n) block gets the bits the row gives alone.
     """
-    size = _acf_size(series.shape[-1])
+    size = _acf_size(series.shape[-1], max_lag)
     f = np.fft.rfft(series - series.mean(axis=-1, keepdims=True), size)
     r = np.fft.irfft(f.real**2 + f.imag**2, size)[..., : max_lag + 1]
     return r / r[..., :1]
@@ -101,23 +124,28 @@ def reference_period(n: int, f: int) -> float:
     return n / f
 
 
-def analyze_rows(rows: np.ndarray) -> list[SeasonalityReport]:
+def analyze_rows(rows: np.ndarray, *, with_acf: bool = True) -> list[SeasonalityReport]:
     """Run the full cycle analysis on each row of a (k, n) block of
     non-constant series, n >= 4, with the autocorrelation up to lag
-    floor(n/2).
+    floor(n/2), or with ``acf`` None when ``with_acf`` is false.
 
     Each row's report holds the bits :func:`analyze_series` gives for
     that row alone. The rows go through the transforms in chunks whose
-    largest transient, the autocorrelation's padded spectrum of
-    _acf_size(n) + 2 doubles per row, stays within TRANSFORM_CHUNK
-    doubles; a chunk holds one row at least. The chunks fill one block of
-    acf and spectrum rows, so each report's arrays are rows of that block.
+    largest transient stays within TRANSFORM_CHUNK doubles: per row, the
+    autocorrelation's padded spectrum of _acf_size(n, n // 2) + 2 doubles,
+    or the power spectrum's n + 2 without it; a chunk holds one row at
+    least. The chunks fill a block of spectrum rows, and a block of acf
+    rows only when the acf is computed, so each report's arrays are rows
+    of those blocks.
     """
     k, n = rows.shape
-    step = max(1, TRANSFORM_CHUNK // (_acf_size(n) + 2))
-    acf, spectrum = np.empty((2, k, n // 2 + 1))
+    max_lag = n // 2
+    step = max(1, TRANSFORM_CHUNK // ((_acf_size(n, max_lag) if with_acf else n) + 2))
+    spectrum = np.empty((k, max_lag + 1))
+    acf = np.empty((k, max_lag + 1)) if with_acf else [None] * k
     for start in range(0, k, step):
-        acf[start : start + step] = autocorrelation(rows[start : start + step], n // 2)
+        if with_acf:
+            acf[start : start + step] = autocorrelation(rows[start : start + step], max_lag)
         spectrum[start : start + step] = power_spectrum(rows[start : start + step])
     return [
         SeasonalityReport(acf=a, spectrum=s, dominant_frequency=f, reference_period=reference_period(n, f))

@@ -286,10 +286,12 @@ def apply_transfer(trend: np.ndarray, mean_factor: np.ndarray, segmentation: Per
     return RefinedSeries(values=trend + applied, trend=trend, applied_factor=applied, transferred=transferred)
 
 
-def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics | DataError]:
+def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) -> list[SequenceDiagnostics | DataError]:
     """The analysis of one table side: a SequenceDiagnostics per row of a
     (k, n) block of series, or the error of the first check the row fails.
-    The block is the caller's copy: it is normalized in place.
+    The block is the caller's copy: it is normalized in place. Without
+    ``with_acf`` the reports hold no autocorrelation: a transfer's
+    reference side, which no report writes.
 
     Each stage runs once, as array code on every row that still needs it,
     and gives each row the bits it gives the row alone: min-max
@@ -340,7 +342,7 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig) -> list[SequenceDiagnostics 
     if not live:
         return out
 
-    reports = analyze_rows(cyclic[live] if len(live) < len(ok) else cyclic)
+    reports = analyze_rows(cyclic[live] if len(live) < len(ok) else cyclic, with_acf=with_acf)
     del cyclic  # only the transforms read the ramp-removed rows
     gates = fisher_g_rows(np.array([report.spectrum for report in reports]), n)
     fits = fits.row(live)  # the live rows' fits, numbered by g
@@ -472,7 +474,8 @@ def transfer_channel(reference, target, config: RunConfig | None = None) -> tupl
     normalized values), each as a table side of one row
     (:func:`_analyze_side`); the transfer is the one-channel form of the
     step :func:`transfer_table` runs on all its channels at once
-    (:func:`_transfer_rows`).
+    (:func:`_transfer_rows`). The reference's report holds no acf, since
+    no report writes it.
 
     When either sequence fails segmentation the target comes back
     unchanged with status "skipped_no_seasonality". A refined series that
@@ -485,7 +488,8 @@ def transfer_channel(reference, target, config: RunConfig | None = None) -> tupl
     ref_x = as_series(reference)
     tgt_x = as_series(target)
     raise_if_error(_pair_length_error(ref_x.size, tgt_x.size))
-    ref, tgt = [_analyze_side(x[np.newaxis].copy(), cfg)[0] for x in (ref_x, tgt_x)]
+    ref = _analyze_side(ref_x[np.newaxis].copy(), cfg, with_acf=False)[0]
+    tgt = _analyze_side(tgt_x[np.newaxis].copy(), cfg)[0]
     raise_if_error(_pair_error(ref, tgt))
     if ref.segmentation is None or tgt.segmentation is None:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -503,11 +507,13 @@ def transfer_channel(reference, target, config: RunConfig | None = None) -> tupl
     return refined.row(0), ChannelDiagnostics(STATUS_TRANSFERRED, ref, tgt, l_min, mean_factor)
 
 
-def _table_side(table: PoseTable, selected: set[str], cfg: RunConfig) -> dict[str, SequenceDiagnostics | DataError]:
+def _table_side(
+    table: PoseTable, selected: set[str], cfg: RunConfig, *, with_acf: bool = True
+) -> dict[str, SequenceDiagnostics | DataError]:
     """The side step (:func:`_analyze_side`) on the selected columns of a
     table, taken once as a row-contiguous (k, n) block, by channel name."""
     columns = [i for i, name in enumerate(table.channel_names) if name in selected]
-    entries = _analyze_side(table.values.T[columns], cfg)
+    entries = _analyze_side(table.values.T[columns], cfg, with_acf=with_acf)
     return {table.channel_names[i]: entry for i, entry in zip(columns, entries)}
 
 
@@ -545,7 +551,8 @@ def transfer_table(
 
     Channel sets must match exactly. Three steps, with the bits each
     channel gets alone (:func:`transfer_channel`). Each table side's
-    analysis runs once, on all its selected channels (:func:`_table_side`).
+    analysis runs once, on all its selected channels (:func:`_table_side`),
+    the reference's without the acf that no report writes.
     The transfer step runs once, on all the channels whose sequences both
     have periods (:func:`_transfer_rows`), and writes their refined values
     into a copy of the target's values. Then every channel is settled in
@@ -564,7 +571,7 @@ def transfer_table(
             f"channel sets differ; only in reference: {only_ref}, only in target: {only_tgt}"
         )
     selected = _selected_channels(target_table, cfg)
-    ref_side = _table_side(ref_table, selected, cfg)
+    ref_side = _table_side(ref_table, selected, cfg, with_acf=False)
     tgt_side = _table_side(target_table, selected, cfg)
     # Of the checks transfer_channel makes as a channel enters, only the
     # lengths can fail on a table's finite columns.

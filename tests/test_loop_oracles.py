@@ -22,7 +22,7 @@ from cycletransfer.decomposition import (
     validate_periods,
 )
 from cycletransfer.errors import SeasonalityNotFoundError
-from cycletransfer.seasonality import autocorrelation, fisher_g_rows
+from cycletransfer.seasonality import _acf_size, autocorrelation, fisher_g_rows
 from cycletransfer.series import exponential_smoothing
 from cycletransfer.transfer import _frame_intervals, apply_transfer, build_phi
 
@@ -142,6 +142,33 @@ def test_acf_matches_direct_sums(n, seed, data):
     assert acf.shape == (max_lag + 1,)
     assert acf[0] == 1.0
     np.testing.assert_allclose(acf, acf_oracle(x, max_lag), rtol=0, atol=1e-12)
+
+
+def is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_acf_length_is_the_shortest_wrap_free_5_smooth_one():
+    for n in range(2, 201):
+        for max_lag in range(1, n):
+            size = _acf_size(n, max_lag)
+            assert is_5_smooth(size) and size >= n + max_lag, (n, max_lag, size)
+            assert not any(is_5_smooth(m) for m in range(n + max_lag, size)), (n, max_lag, size)
+
+
+def test_acf_matches_direct_sums_at_every_lag_of_short_series():
+    # Every max_lag of every short length: the largest lags are the first
+    # to wrap around when the padded length is too short.
+    rng = np.random.Generator(np.random.PCG64(12))
+    for n in range(2, 41):
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4) + rng.uniform(-50, 50)
+        for max_lag in range(1, n):
+            acf = autocorrelation(x, max_lag)
+            assert acf[0] == 1.0
+            np.testing.assert_allclose(acf, acf_oracle(x, max_lag), rtol=0, atol=1e-12, err_msg=f"{n=} {max_lag=}")
 
 
 @given(

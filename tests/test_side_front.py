@@ -48,6 +48,7 @@ from cycletransfer.transfer import (
     SequenceDiagnostics,
     _analyze_side,
     analyze_table,
+    transfer_channel,
     transfer_table,
 )
 
@@ -254,8 +255,9 @@ def test_stages_along_the_last_axis_equal_their_one_row_calls(k, n, seed, alpha)
 
 
 def test_transforms_stay_within_the_budget(monkeypatch):
-    # 40 rows of 300 frames pad to 1024 for the autocorrelation, so 15 rows
-    # of 1024 + 2 doubles go in each chunk of TRANSFORM_CHUNK = 2**14.
+    # 40 rows of 300 frames pad to 450 = 2 * 3**2 * 5**2 >= 300 + 150 for
+    # the autocorrelation, so 36 rows of 450 + 2 doubles go in each chunk of
+    # TRANSFORM_CHUNK = 2**14.
     shapes = []
     recorded = cycletransfer.seasonality.autocorrelation
 
@@ -266,10 +268,46 @@ def test_transforms_stay_within_the_budget(monkeypatch):
     monkeypatch.setattr(cycletransfer.seasonality, "autocorrelation", recording)
     rows = np.random.Generator(np.random.PCG64(4)).standard_normal((40, 300))
     reports = analyze_rows(rows)
-    assert shapes == [(15, 300)] * 2 + [(10, 300)]
-    assert max(k for k, _ in shapes) * (1024 + 2) <= TRANSFORM_CHUNK
+    assert shapes == [(36, 300), (4, 300)]
+    assert max(k for k, _ in shapes) * (450 + 2) <= TRANSFORM_CHUNK
     assert len(reports) == 40
     assert analyze_rows(rows[:2])[1].reference_period == reports[1].reference_period
+
+
+def test_a_transfer_computes_the_target_acf_alone(monkeypatch):
+    # The report writes only the target's acf, so the reference side goes
+    # without one: only the target's live selected rows are transformed.
+    n = 240
+    t = np.arange(n, dtype=float)
+    cols = _columns(n, t)
+    names = ["wave", "flat", "wave2", "ramp"]
+    ref = PoseTable(names, np.column_stack([cols["wave2"], cols["wave"], cols["wave"], cols["wave2"]]))
+    tgt = _table(cols, names)
+    cfg = RunConfig(channel_filter=["wave", "flat", "wave2"])
+    inputs = []
+    recorded = cycletransfer.seasonality.autocorrelation
+
+    def recording(series, max_lag):
+        inputs.append(series.copy())
+        return recorded(series, max_lag)
+
+    monkeypatch.setattr(cycletransfer.seasonality, "autocorrelation", recording)
+    _, diags = transfer_table(ref, tgt, cfg)
+    during_transfer = np.concatenate(inputs)
+    inputs.clear()
+    target_alone = analyze_table(tgt, cfg)
+    # "flat" is skipped and "ramp" filtered out, so "wave" and "wave2" are
+    # the target's live rows.
+    assert during_transfer.shape == (2, n)
+    np.testing.assert_array_equal(during_transfer, np.concatenate(inputs))
+    assert [diags[name].status for name in names] == [STATUS_TRANSFERRED, STATUS_SKIPPED, STATUS_TRANSFERRED, STATUS_PASSTHROUGH]
+    for name in ("wave", "wave2"):
+        assert diags[name].reference.report.acf is None
+        np.testing.assert_array_equal(diags[name].target.report.acf, target_alone[name].target.report.acf)
+    _, diag = transfer_channel(cols["wave2"], cols["wave"])
+    assert diag.reference.report.acf is None
+    for name, diag in analyze_table(ref).items():
+        assert diag.target.report.acf.size == n // 2 + 1 and diag.target.report.acf[0] == 1.0, name
 
 
 def _columns(n, t):
