@@ -124,10 +124,11 @@ def reference_period(n: int, f: int) -> float:
     return n / f
 
 
-def analyze_rows(rows: np.ndarray, *, with_acf: bool = True) -> list[SeasonalityReport]:
+def analyze_rows(rows: np.ndarray, *, with_acf: bool = True) -> tuple[list[SeasonalityReport], np.ndarray]:
     """Run the full cycle analysis on each row of a (k, n) block of
     non-constant series, n >= 4, with the autocorrelation up to lag
-    floor(n/2), or with ``acf`` None when ``with_acf`` is false.
+    floor(n/2), or with ``acf`` None when ``with_acf`` is false. Returns
+    the reports and the (k, n // 2 + 1) block of their spectra.
 
     Each row's report holds the bits :func:`analyze_series` gives for
     that row alone. The rows go through the transforms in chunks whose
@@ -147,13 +148,15 @@ def analyze_rows(rows: np.ndarray, *, with_acf: bool = True) -> list[Seasonality
         if with_acf:
             acf[start : start + step] = autocorrelation(rows[start : start + step], max_lag)
         spectrum[start : start + step] = power_spectrum(rows[start : start + step])
-    return [
+    reports = [
         SeasonalityReport(acf=a, spectrum=s, dominant_frequency=f, reference_period=reference_period(n, f))
         for a, s, f in zip(acf, spectrum, dominant_frequency(spectrum))
     ]
+    return reports, spectrum
 
 
 def analyze_series(series: np.ndarray) -> SeasonalityReport:
     """Run the full cycle analysis on a non-constant series of n >= 4
     samples, with the autocorrelation up to lag floor(n/2)."""
-    return analyze_rows(series[np.newaxis])[0]
+    reports, _ = analyze_rows(series[np.newaxis])
+    return reports[0]

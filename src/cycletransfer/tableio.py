@@ -32,22 +32,25 @@ code. A value's 9-digit mantissa is r = rint(|x|*10**k), for the k in
 one rounded product is within 2**-24 of the exact one, and r is the
 mantissa ``%.9g`` rounds to whenever that product is more than 1e-6 from
 a half-integer. Such a value is laid out as an integer part and a
-12-digit fraction in 4-digit ASCII words from lookup tables. Every other
+12-digit fraction in 4-digit ASCII words from lookup tables, with as many
+integer-part words as the largest in its block of rows needs. Every other
 value is formatted with ``%.9g`` itself: below 1e-4 or from 1e9 up, a
 mantissa that rounds up to 1e9, or a near tie.
 
 ``write_report`` lays out the two object levels of ``json.dumps(...,
-indent=2)`` itself. It joins the float arrays of every entry into one
-array and writes each value as the shortest text that reads back to it,
-which is the text ``float.__repr__`` and so json give, with array code
-after Ryū (U. Adams, PLDI 2018). Ryū's general case gives the digits of a
+indent=2)`` itself, from pieces encoded once per report. It joins the
+float arrays of every entry into one array and writes each value as the
+shortest text that reads back to it, which is the text
+``float.__repr__`` and so json give, with array code after Ryū (U.
+Adams, PLDI 2018). Ryū's general case gives the digits of a
 normal value below 2**54; its text is gathered from a layout per
 notation, decimal point and digit count, in blocks of WRITE_BLOCK_CELLS
 values, and translate deletes the NUL padding. The
 values that case does not decide, ±0, subnormals, 2**54 and up, NaN and
 ±inf, and those where Ryū would flag trailing zeros (mostly integers and
 other values with a short binary mantissa), are formatted by json itself.
-Int lists and scalars go through json.
+Names, the float scalar and int lists go through json, int scalars
+through ``%d``.
 """
 
 from __future__ import annotations
@@ -330,12 +333,14 @@ def write_csv(table: PoseTable, path) -> None:
     it quote a name holding a lone ``\r`` too, and that end is then cut
     to ``\n``. The body rows ``i,v1,...,vC`` are the bytes of writing
     ``str(i)`` and formatting each value with ``f"{v:.9g}"`` row by row.
-    They are built a block of rows at a time in a fixed-width byte buffer:
-    a value whose ``%.9g`` text is plain decimal, neither exponent form
-    nor within 1e-6 of a rounding tie in its 9th digit, is laid out from
-    4-digit word tables (the module docstring gives the exactness bound);
-    every other value is formatted with ``%.9g`` into its slot. Runs of
-    NUL padding are then deleted from the buffer.
+    They are built a block of rows at a time in a byte buffer of fixed
+    slots, whose frame and integer-part fields are as wide as the block's
+    largest ones need: a value whose ``%.9g`` text is plain decimal,
+    neither exponent form nor within 1e-6 of a rounding tie in its 9th
+    digit, is laid out from 4-digit word tables (the module docstring
+    gives the exactness bound); every other value is formatted with
+    ``%.9g`` into its slot. Runs of NUL padding are then deleted from the
+    buffer.
     """
     header = io.StringIO()
     csv.writer(header, lineterminator="\r\n").writerow(["frame"] + list(table.channel_names))
@@ -343,15 +348,6 @@ def write_csv(table: PoseTable, path) -> None:
     _write_text_atomic(path, itertools.chain([head], _csv_body(table.values)))
 
 
-# A body cell: separator, sign, integer part (three words), dot and
-# 12-digit fraction (three words), NUL where nothing is printed. "text"
-# overlays the sign to the fraction for the cells formatted with %.9g.
-_CELL = np.dtype({
-    "names": ["sep", "sign", "int", "dot", "frac", "text"],
-    "formats": [np.uint8, np.uint8, (np.uint32, 3), np.uint8, (np.uint32, 3), "S26"],
-    "offsets": [0, 1, 2, 14, 15, 1],
-    "itemsize": 27,
-})
 _POW10 = 10 ** np.arange(13)
 # Offsets of the three tables in _digit_words(): all four digits; leading
 # zeros blanked but for the last digit; trailing zeros blanked, which
@@ -364,21 +360,24 @@ def _csv_body(values: np.ndarray):
     WRITE_BLOCK_CELLS cells per block."""
     n, c = values.shape
     step = max(1, WRITE_BLOCK_CELLS // (c + 1))
-    row = np.dtype([("frame", np.uint32, 3), ("cells", _CELL, (c,)), ("end", np.uint8)])
     for start in range(0, n, step):
-        stop = min(start + step, n)
-        # Built in a bytearray, which translate reads in place.
-        buf = bytearray((stop - start) * row.itemsize)
-        block = np.frombuffer(buf, row)
-        _int_words(np.arange(start, stop), block["frame"])
-        _format_cells(values[start:stop], block["cells"])
-        block["end"] = ord("\n")
-        yield buf.translate(None, b"\0")
+        yield _csv_block(values[start : start + step], start)
 
 
-def _format_cells(x: np.ndarray, cells: np.ndarray) -> None:
-    """Write ``",%.9g" % v`` for each value v in x into its _CELL slot."""
+def _csv_block(x: np.ndarray, start: int) -> bytearray:
+    """The body rows of the block x of a table, its first row frame
+    start. The frame field holds as many 4-digit words as the block's last
+    frame needs, and each cell's integer part as many as the block's
+    largest laid-out integer part needs."""
     decided, whole, frac = _decimal_parts(x)
+    stop = start + len(x)
+    cell = _cell_dtype(_word_count(int(whole.max(initial=0))))
+    row = np.dtype([("frame", np.uint32, (_word_count(stop - 1),)), ("cells", cell, (x.shape[1],)), ("end", np.uint8)])
+    # Built in a bytearray, which translate reads in place.
+    buf = bytearray(len(x) * row.itemsize)
+    block = np.frombuffer(buf, row)
+    _int_words(np.arange(start, stop), block["frame"])
+    cells = block["cells"]
     cells["sep"] = ord(",")
     cells["sign"] = np.signbit(x) * np.uint8(ord("-"))
     _int_words(whole, cells["int"])
@@ -387,6 +386,29 @@ def _format_cells(x: np.ndarray, cells: np.ndarray) -> None:
     undecided = ~decided
     if undecided.any():
         cells["text"][undecided] = [b"%.9g" % v for v in x[undecided].tolist()]
+    block["end"] = ord("\n")
+    return buf.translate(None, b"\0")
+
+
+def _word_count(n: int) -> int:
+    """4-digit words the decimal digits of the integer n >= 0 fill."""
+    return (len(str(n)) + 3) // 4
+
+
+@functools.cache
+def _cell_dtype(int_words: int) -> np.dtype:
+    """A body cell whose integer part has int_words words: separator,
+    sign, integer part, dot and 12-digit fraction (three words), NUL where
+    nothing is printed. "text" overlays the sign to the fraction for the
+    cells formatted with %.9g; at 18 bytes or more, it holds the longest
+    such text, the 16 bytes of -1.23456789e+100."""
+    size = 15 + 4 * int_words
+    return np.dtype({
+        "names": ["sep", "sign", "int", "dot", "frac", "text"],
+        "formats": [np.uint8, np.uint8, (np.uint32, (int_words,)), np.uint8, (np.uint32, (3,)), f"S{size - 1}"],
+        "offsets": [0, 1, 2, size - 13, size - 12, 1],
+        "itemsize": size,
+    })
 
 
 def _decimal_parts(x: np.ndarray):
@@ -428,29 +450,34 @@ def _digit_words() -> np.ndarray:
     return words
 
 
-def _digit_groups(n: np.ndarray):
-    """The 4-digit groups of the integers 0 <= n < 10**12, most
-    significant first."""
-    q = n // 10**4
-    hi = q // 10**4
-    return hi, q - hi * 10**4, n - q * 10**4
+def _digit_groups(n: np.ndarray, count: int) -> list:
+    """The count 4-digit groups of the integers 0 <= n < 10**(4 * count),
+    most significant first."""
+    groups = []
+    for _ in range(count - 1):
+        q = n // 10**4
+        groups.append(n - q * 10**4)
+        n = q
+    return [n, *groups[::-1]]
 
 
 def _int_words(n: np.ndarray, out: np.ndarray) -> None:
-    """Write the integers 0 <= n < 10**12 into the three words of out's
+    """Write the integers 0 <= n < 10**(4 * w) into the w words of out's
     last axis, with no leading zeros."""
     words = _digit_words()
-    hi, mid, lo = _digit_groups(n)
-    out[..., 0] = words.take(hi + np.where(hi > 0, _LEAD, _TRAIL))
-    out[..., 1] = words.take(mid + np.where(hi > 0, _FULL, np.where(mid > 0, _LEAD, _TRAIL)))
-    out[..., 2] = words.take(lo + np.where(n >= 10**4, _FULL, _LEAD))
+    width = out.shape[-1]
+    for i, group in enumerate(_digit_groups(n, width)):
+        # A word prints in full after a nonzero group. Before any, a zero
+        # group prints nothing, but the last word prints "0".
+        lead = _LEAD if i == width - 1 else np.where(group > 0, _LEAD, _TRAIL)
+        out[..., i] = words.take(group + np.where(n >= 10 ** (4 * (width - i)), _FULL, lead))
 
 
 def _frac_words(f: np.ndarray, out: np.ndarray) -> None:
     """Write the 12-digit fractions f (0 <= f < 10**12) into the three
     words of out's last axis, with no trailing zeros."""
     words = _digit_words()
-    hi, mid, lo = _digit_groups(f)
+    hi, mid, lo = _digit_groups(f, 3)
     out[..., 0] = words.take(hi + np.where((mid > 0) | (lo > 0), _FULL, _TRAIL))
     out[..., 1] = words.take(mid + np.where(lo > 0, _FULL, _TRAIL))
     out[..., 2] = words.take(lo + _TRAIL)
@@ -466,92 +493,96 @@ def write_report(diagnostics, path) -> None:
 
     The text is the bytes of ``json.dumps(entries, indent=2) + "\n"``.
     That call would run json's pure-Python encoder, which ``indent``
-    selects, over every float; here the two object levels are laid out
-    directly. The float arrays of every entry (acf, spectrum and
-    mean_factor) are joined into one array, which ``_float_texts``
-    formats in one array pass, and each is written as a slice of that
-    text. Int lists go through json's C encoder and scalars through
-    ``json.dumps``.
+    selects, over every float; here each entry is laid out from pieces
+    encoded once per report: the key heads, ``null``, the brackets and
+    each distinct status text. json writes the names, the float scalar and
+    the int lists (the latter through its C encoder); int scalars are
+    ``%d``. The float arrays of every entry (acf, spectrum and
+    mean_factor) are joined into one array, which ``_float_texts`` formats
+    in one array pass, and each is written as views of that text. An
+    entry's other bytes go out as one chunk between those views.
     """
-    out = {}
+    statuses = {}
+    entries = []
     for name, diag in diagnostics.items():
         seq = diag.target
-        entry = {
-            "dominant_frequency": None,
-            "reference_period": None,
-            "acf": None,
-            "spectrum": None,
-            "trend_order": None,
-            "period_starts": None,
-            "l_min": None,
-            "mean_factor": None,
-            "status": diag.status,
-        }
+        fields = [_NULL] * 6
         if seq is not None:
-            entry["dominant_frequency"] = int(seq.report.dominant_frequency)
-            entry["reference_period"] = float(seq.report.reference_period)
-            entry["acf"] = seq.report.acf
-            entry["spectrum"] = seq.report.spectrum
-            entry["trend_order"] = int(seq.trend.order)
-            if seq.segmentation is not None:
-                entry["period_starts"] = seq.segmentation.period_starts.tolist()
-        if diag.l_min is not None:
-            entry["l_min"] = int(diag.l_min)
-        if diag.mean_factor is not None:
-            entry["mean_factor"] = diag.mean_factor
-        out[name] = entry
-    _write_text_atomic(path, _report_text(out))
+            fields = [
+                b"%d" % int(seq.report.dominant_frequency),
+                json.dumps(float(seq.report.reference_period)).encode(),
+                _float_field(seq.report.acf),
+                _float_field(seq.report.spectrum),
+                b"%d" % int(seq.trend.order),
+                _NULL if seq.segmentation is None else _int_list(seq.segmentation.period_starts.tolist()),
+            ]
+        if diag.status not in statuses:
+            statuses[diag.status] = json.dumps(diag.status).encode()
+        fields += [
+            _NULL if diag.l_min is None else b"%d" % int(diag.l_min),
+            _float_field(diag.mean_factor),
+            statuses[diag.status],
+        ]
+        entries.append((json.dumps(name).encode(), fields))
+    _write_text_atomic(path, _report_text(entries))
 
 
-# json.dumps(..., indent=2) puts each item of an entry's array on its own
-# line at this depth.
+# json.dumps(..., indent=2) puts each key of an entry on its own line at
+# this depth, and each item of an entry's array one level deeper.
+_KEY_HEADS = [
+    b'%s\n    "%s": ' % (b"," if i else b"{", key)
+    for i, key in enumerate([
+        b"dominant_frequency", b"reference_period", b"acf", b"spectrum", b"trend_order",
+        b"period_starts", b"l_min", b"mean_factor", b"status",
+    ])
+]
+_NULL = b"null"
 _ITEM_SEP = b",\n      "
+_LIST_OPEN, _LIST_CLOSE = b"[\n      ", b"\n    ]"
 # Runs json's C encoder (it takes no indent) with that separator.
 _LIST_ENCODER = json.JSONEncoder(separators=(_ITEM_SEP.decode(), ": "))
 
 
-def _report_text(out: dict):
-    r"""Yield the bytes of ``json.dumps(out, indent=2) + "\n"`` for a mapping
-    of channel name to entry, an entry being a non-empty dict of scalars,
-    None, lists of scalars and 1-D float arrays, which are dumped as lists;
-    a few chunks per entry field. json.dumps escapes every non-ASCII
-    character, so each chunk is ASCII."""
-    if not out:
+def _float_field(value):
+    """An entry's float-array field: null, ``[]`` or the non-empty array
+    itself, whose items _report_text takes from the formatted text."""
+    if value is None:
+        return _NULL
+    return value if value.size else b"[]"
+
+
+def _int_list(values: list) -> bytes:
+    """An entry's int-list field as json.dumps(..., indent=2) lays it out."""
+    if not values:
+        return b"[]"
+    return _LIST_OPEN + _LIST_ENCODER.encode(values)[1:-1].encode() + _LIST_CLOSE
+
+
+def _report_text(entries):
+    r"""Yield the bytes of ``json.dumps(..., indent=2) + "\n"`` for a list
+    of (name as json, fields) pairs, the fields in _KEY_HEADS' order, each
+    either its text or a non-empty float array. json.dumps escapes every
+    non-ASCII character, so each chunk is ASCII."""
+    if not entries:
         yield b"{}\n"
         return
-    float_texts = _array_texts(
-        [v for entry in out.values() for v in entry.values() if isinstance(v, np.ndarray) and v.size]
-    )
-    head = "{\n  "
-    for name, entry in out.items():
-        sep = f"{head}{json.dumps(name)}: {{\n    "
-        for key, value in entry.items():
-            yield f"{sep}{json.dumps(key)}: ".encode()
-            yield from _json_field(value, float_texts)
-            sep = ",\n    "
-        yield b"\n  }"
-        head = ",\n  "
-    yield b"\n}\n"
-
-
-def _json_field(value, float_texts):
-    """Yield one entry value as ``json.dumps(..., indent=2)`` lays it out
-    inside an entry, as bytes. A non-empty float array's items are the
-    next item of float_texts; a non-empty list's are the C encoder's
-    output, encoded once, its brackets sliced off through a memoryview."""
-    if isinstance(value, np.ndarray):
-        if not value.size:
-            yield b"[]"
-            return
-        items = next(float_texts)
-    elif isinstance(value, list) and value:
-        items = [memoryview(_LIST_ENCODER.encode(value).encode())[1:-1]]
-    else:
-        yield json.dumps(value).encode()
-        return
-    yield b"[\n      "
-    yield from items
-    yield b"\n    ]"
+    float_texts = _array_texts([v for _, fields in entries for v in fields if not isinstance(v, bytes)])
+    frame, head = [], b"{\n  "
+    for name, fields in entries:
+        frame += [head, name, b": "]
+        for key_head, value in zip(_KEY_HEADS, fields):
+            frame.append(key_head)
+            if isinstance(value, bytes):
+                frame.append(value)
+            else:
+                frame.append(_LIST_OPEN)
+                yield b"".join(frame)
+                yield from next(float_texts)
+                frame = [_LIST_CLOSE]
+        frame.append(b"\n  }")
+        head = b",\n  "
+    frame.append(b"\n}\n")
+    yield b"".join(frame)
 
 
 def _array_texts(arrays):

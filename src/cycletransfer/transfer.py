@@ -342,9 +342,9 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) ->
     if not live:
         return out
 
-    reports = analyze_rows(cyclic[live] if len(live) < len(ok) else cyclic, with_acf=with_acf)
+    reports, spectra = analyze_rows(cyclic[live] if len(live) < len(ok) else cyclic, with_acf=with_acf)
     del cyclic  # only the transforms read the ramp-removed rows
-    gates = fisher_g_rows(np.array([report.spectrum for report in reports]), n)
+    gates = fisher_g_rows(spectra, n)
     fits = fits.row(live)  # the live rows' fits, numbered by g
     orders, fallbacks = trend_orders(fits.monomial, [report.dominant_frequency for report in reports])
     trends = fits.trends(orders)

@@ -358,6 +358,42 @@ def test_write_report_matches_indent_oracle(tmp_path_factory, diagnostics):
     assert path.read_bytes() == report_oracle(diagnostics)
 
 
+def test_write_report_matches_oracle_on_a_filtered_table_report(tmp_path):
+    # Shaped like the report of a 60-channel table with a few channels
+    # selected: 58 passthrough entries, two transferred ones and one
+    # skipped one whose target has no segmentation. Names need json's
+    # escapes, and every status text repeats but the skipped one.
+    rng = np.random.Generator(np.random.PCG64(58))
+    names = [f"joint_{j}.x" for j in range(54)] + ['quote"d', "back\\slash", "tab\tline\n", "é", "名\u2028"]
+    names += ["\U0001f600 walk", "hip\x00"]
+
+    def target(n, segmented):
+        report = SimpleNamespace(
+            dominant_frequency=np.int64(n // 25), reference_period=np.float64(n / (n // 25)),
+            acf=rng.standard_normal(n // 2 + 1), spectrum=rng.uniform(0.0, 9.0, n // 2 + 1),
+        )
+        starts = np.arange(7, n - 25, 25) if segmented else None
+        return SimpleNamespace(
+            report=report, trend=SimpleNamespace(order=np.int64(3)),
+            segmentation=None if starts is None else SimpleNamespace(period_starts=starts),
+        )
+
+    diagnostics = {
+        name: SimpleNamespace(status="passthrough", target=None, l_min=None, mean_factor=None)
+        for name in names[:58]
+    }
+    for name in names[58:60]:
+        diagnostics[name] = SimpleNamespace(
+            status="transferred", target=target(1_500, True), l_min=24, mean_factor=rng.standard_normal(24)
+        )
+    diagnostics[names[60]] = SimpleNamespace(
+        status="skipped_no_seasonality", target=target(1_500, False), l_min=None, mean_factor=None
+    )
+    assert len(diagnostics) == 61
+    write_report(diagnostics, tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_bytes() == report_oracle(diagnostics)
+
+
 def repr_texts(x: np.ndarray) -> list[str]:
     """The per-value texts _float_texts gives for x, with its offsets checked
     against them."""
@@ -685,11 +721,46 @@ def test_write_csv_matches_oracle_at_format_boundaries(tmp_path):
         assert (tmp_path / "t.csv").read_bytes() == write_csv_oracle(table)
 
 
+def test_write_csv_matches_oracle_as_block_widths_change(tmp_path):
+    # One-column blocks hold WRITE_BLOCK_CELLS // 2 rows. Each block's frame
+    # field and integer parts are as wide as its own largest ones need, so
+    # blocks alternate between integer parts below 1e4, below 1e8 and up to
+    # 999,999,999, and the frame field widens in the block holding 10_000.
+    step = WRITE_BLOCK_CELLS // 2
+    rng = np.random.Generator(np.random.PCG64(27))
+    values = _boundary_values()
+    # Cells of the narrowest slot: exponent forms (the longest, 16 bytes,
+    # among them), near ties and plain decimals below 1e4.
+    narrow = np.concatenate([
+        values[(np.abs(values) < 9_999) | (np.abs(values) >= 1e9)],
+        [-1.23456789e100, 1.23456789e-100, -9_999.49999, 9_999.4999999, 1e-5],
+    ])
+    tops = [9_999.4, 99_999_999.4, 999_999_999.0, 9_999.0, 99_999_999.0]
+    blocks = []
+    for top in tops + tops[::-1]:
+        block = rng.uniform(-top, top, step)
+        block[:3] = [top, -top, 0.5]
+        if top < 1e4:
+            block[3 : 3 + len(narrow)] = narrow
+        blocks.append(block)
+    column = np.concatenate(blocks)[: 10 * step - 5]
+    assert len(column) > 10_000
+    table = PoseTable(["x"], column[:, np.newaxis])
+    write_csv(table, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == write_csv_oracle(table)
+
+
 def test_int_words_match_str():
-    n = np.array([0, 9, 10, 9_999, 10_000, 99_999_999, 10**8, MAX_SYNTH_FRAMES - 1])
-    words = np.zeros((len(n), 3), np.uint32)
-    _int_words(n, words)
-    assert [row.tobytes() for row in words] == [str(v).rjust(12, "\0").encode() for v in n.tolist()]
+    values = np.array([
+        0, 9, 10, 9_999, 10_000, 99_999_999, 10**8, 999_999_999, MAX_SYNTH_FRAMES - 1, 10**12 - 1,
+    ])
+    # One, two and three words hold the integers below 10**4, 10**8 and 10**12.
+    for width in (1, 2, 3):
+        n = values[values < 10 ** (4 * width)]
+        words = np.zeros((len(n), width), np.uint32)
+        _int_words(n, words)
+        expected = [str(v).rjust(4 * width, "\0").encode() for v in n.tolist()]
+        assert [row.tobytes() for row in words] == expected, width
 
 
 # Files the block parser must decline, each a way in which splitting on

@@ -267,11 +267,15 @@ def test_transforms_stay_within_the_budget(monkeypatch):
 
     monkeypatch.setattr(cycletransfer.seasonality, "autocorrelation", recording)
     rows = np.random.Generator(np.random.PCG64(4)).standard_normal((40, 300))
-    reports = analyze_rows(rows)
+    reports, spectra = analyze_rows(rows)
     assert shapes == [(36, 300), (4, 300)]
     assert max(k for k, _ in shapes) * (450 + 2) <= TRANSFORM_CHUNK
     assert len(reports) == 40
-    assert analyze_rows(rows[:2])[1].reference_period == reports[1].reference_period
+    assert analyze_rows(rows[:2])[0][1].reference_period == reports[1].reference_period
+    # The spectra block holds the reports' spectra as its rows.
+    assert spectra.shape == (40, 151)
+    assert all(np.shares_memory(report.spectrum, spectra) for report in reports)
+    assert np.array_equal(spectra, [report.spectrum for report in reports])
 
 
 def test_a_transfer_computes_the_target_acf_alone(monkeypatch):
