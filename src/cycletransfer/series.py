@@ -56,9 +56,10 @@ def radius_error(radius: int, n: int) -> DataError | None:
 
 
 def raise_if_error(entry) -> None:
-    """Raise ``entry`` when it is a check's error, as a fresh copy since the
-    rows of a table side may share one; anything else passes. The checks
-    store only ConstantSeriesError, SeasonalityNotFoundError and DataError."""
+    """Raise ``entry`` when it is a check's error, anything else passes. The
+    checks store only ConstantSeriesError, SeasonalityNotFoundError and
+    DataError, and each raise here names its class, so every raise in the
+    package names an error family (tests/test_source_rules.py)."""
     if isinstance(entry, ConstantSeriesError):
         raise ConstantSeriesError(*entry.args)
     if isinstance(entry, SeasonalityNotFoundError):

@@ -102,6 +102,8 @@ class PoseTable:
         for name in self.channel_names:
             if not name.strip():
                 raise UsageError("channel names must be non-empty")
+            if "\0" in name:
+                raise UsageError(f"channel name {name!r} holds a NUL character")
         seen = set()
         for name in self.channel_names:
             if name in seen:
@@ -125,20 +127,26 @@ class PoseTable:
 
 def _write_text_atomic(path, chunks) -> None:
     """Write the bytes ``chunks`` yields via a temp file in the same
-    directory, then rename over path."""
+    directory, then rename over path. An OSError names path, not the
+    temp file."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp.{os.urandom(8).hex()}~")
-    # "x" creates the file with mode 0o666, so the umask sets its
-    # permissions as for any new file.
-    fh = open(tmp, "xb")
     try:
-        with fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        # "x" creates the file with mode 0o666, so the umask sets its
+        # permissions as for any new file.
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        exc.filename = path
+        del exc.filename2
         raise
 
 
@@ -305,6 +313,8 @@ def _channel_names(header: list[str], path) -> list[str]:
     for name in names:
         if not name.strip():
             raise DataError(f"{path}: line 1: empty channel name in header")
+        if "\0" in name:
+            raise DataError(f"{path}: line 1: channel name {name!r} holds a NUL character")
     seen = set()
     for name in names:
         if name in seen:

@@ -14,14 +14,14 @@ runs in one step (:func:`_transfer_rows`) over all the channels whose
 sequences both have periods: one interval map of all the references
 (:func:`_interval_map`), their mean patterns (:func:`_mean_patterns`),
 and one walk over every target frame (:func:`_applied_factors`).
-:func:`transfer_channel`, :func:`build_phi`, :func:`extract_additive`,
-:func:`mean_additive_factor` and :func:`apply_transfer` are the
-one-channel forms of these passes.
+:func:`extract_additive` and :func:`mean_additive_factor` run as they
+are in that step, on the map of all the references at once.
+:func:`transfer_channel`, :func:`build_phi` and :func:`apply_transfer`
+are the one-channel forms of these passes.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +36,7 @@ from .decomposition import (
     trend_orders,
     validate_period_rows,
 )
-from .errors import ConstantSeriesError, CycleTransferError, DataError, SeasonalityNotFoundError
+from .errors import ConstantSeriesError, DataError, SeasonalityNotFoundError
 # analyze_series, normalize_minmax, fit_trend, find_crossovers,
 # validate_periods and denormalize are not called here: the side step and
 # the transfer step run their row-batched forms. They stay importable from
@@ -317,8 +317,8 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) ->
     after the ramp is removed, then the two the whole side shares: at
     least 4 samples and a set radius below n (:func:`radius_error`). A
     default radius, max(1, round(n / (8 f))) with f >= 1, is below every
-    n >= 4 (:func:`default_smooth_radius`). The caller raises a row's
-    error in table order (:func:`raise_if_error`). The side's blocks die
+    n >= 4 (:func:`default_smooth_radius`). The caller settles a row's
+    error in table order (:func:`_settle`). The side's blocks die
     with this step, except the trends, whose rows the diagnostics hold.
     """
     k, n = rows.shape
@@ -517,22 +517,19 @@ def _table_side(
     return {table.channel_names[i]: entry for i, entry in zip(columns, entries)}
 
 
-@contextmanager
-def _channel_step(name: str, diagnostics: dict[str, ChannelDiagnostics], reference=None, target=None):
-    """The outcome rule transfer_table and analyze_table share, per channel.
+def _settle(name: str, exc: DataError, reference=None, target=None) -> ChannelDiagnostics:
+    """The outcome of a selected channel whose first error is ``exc``, by
+    the rule transfer_table and analyze_table share.
 
-    A constant series ends the step as "skipped_no_seasonality" with its
-    message, keeping whichever of ``reference`` and ``target`` is a
-    sequence that was analyzed; any other CycleTransferError is raised
-    again as its own class, prefixed with the channel's name.
+    A constant series gives "skipped_no_seasonality" with its message,
+    keeping whichever of ``reference`` and ``target`` is a sequence that
+    was analyzed; any other error is raised as its own class, prefixed
+    with the channel's name.
     """
-    try:
-        yield
-    except ConstantSeriesError as exc:
-        ref, tgt = (seq if isinstance(seq, SequenceDiagnostics) else None for seq in (reference, target))
-        diagnostics[name] = ChannelDiagnostics(status=STATUS_SKIPPED, reference=ref, target=tgt, detail=str(exc))
-    except CycleTransferError as exc:
-        raise type(exc)(f"channel {name!r}: {exc}") from exc
+    if not isinstance(exc, ConstantSeriesError):
+        raise type(exc)(f"channel {name!r}: {exc}")
+    ref, tgt = (seq if isinstance(seq, SequenceDiagnostics) else None for seq in (reference, target))
+    return ChannelDiagnostics(status=STATUS_SKIPPED, reference=ref, target=tgt, detail=str(exc))
 
 
 def _selected_channels(table: PoseTable, cfg: RunConfig) -> set[str]:
@@ -557,11 +554,12 @@ def transfer_table(
     have periods (:func:`_transfer_rows`), and writes their refined values
     into a copy of the target's values. Then every channel is settled in
     table order: filtered-out channels keep their values as "passthrough",
-    skipped ones (see :func:`_channel_step` and :func:`transfer_channel`)
-    as "skipped_no_seasonality". A channel's errors are raised only in that
-    last step, so the first channel in table order that fails names the
-    error, each channel's in the order transfer_channel meets them; an
-    overflow of the transfer step is that channel's last error.
+    skipped ones (see :func:`transfer_channel`) as "skipped_no_seasonality".
+    Until that last step a channel's errors are held as values; there each
+    channel's first one goes to :func:`_settle`, so the first channel in
+    table order that fails names the error, each channel's in the order
+    transfer_channel meets them; an overflow of the transfer step is that
+    channel's last error.
     """
     cfg = config if config is not None else RunConfig()
     if set(ref_table.channel_names) != set(target_table.channel_names):
@@ -596,7 +594,11 @@ def transfer_table(
             [tgt_side[name] for name in jobs],
         )
         refined = refined.values  # the other blocks are not needed here
-        outcomes = dict(zip(jobs, zip(l_mins, means, finite)))
+        outcomes = {
+            name: ChannelDiagnostics(STATUS_TRANSFERRED, ref_side[name], tgt_side[name], l_min, mean)
+            if ok else DataError(OVERFLOW)
+            for name, l_min, mean, ok in zip(jobs, l_mins, means, finite)
+        }
     values = target_table.values.copy()
     if jobs:
         values[:, columns] = refined.T
@@ -607,15 +609,9 @@ def transfer_table(
             diagnostics[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
             continue
         ref, tgt = ref_side[name], tgt_side[name]
-        with _channel_step(name, diagnostics, ref, tgt):
-            raise_if_error(short or _pair_error(ref, tgt))
-            if name not in outcomes:
-                diagnostics[name] = _skipped(ref, tgt)
-                continue
-            l_min, mean_factor, finite = outcomes[name]
-            if not finite:
-                raise DataError(OVERFLOW)
-            diagnostics[name] = ChannelDiagnostics(STATUS_TRANSFERRED, ref, tgt, l_min, mean_factor)
+        # The transfer step's outcome, else the channel's first error, else its skip.
+        outcome = outcomes.get(name) or short or _pair_error(ref, tgt) or _skipped(ref, tgt)
+        diagnostics[name] = _settle(name, outcome, ref, tgt) if isinstance(outcome, DataError) else outcome
     return PoseTable(list(names), values), diagnostics
 
 
@@ -637,9 +633,10 @@ def analyze_table(table: PoseTable, config: RunConfig | None = None) -> dict[str
         if name not in selected:
             out[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
             continue
-        with _channel_step(name, out):
-            seq = side.pop(name)
-            raise_if_error(seq)
+        seq = side.pop(name)
+        if isinstance(seq, DataError):
+            out[name] = _settle(name, seq)
+        else:
             status = STATUS_PASSTHROUGH if seq.segmentation is not None else STATUS_SKIPPED
             out[name] = ChannelDiagnostics(status=status, target=seq, detail=seq.failure)
     return out

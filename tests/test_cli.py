@@ -94,6 +94,27 @@ def test_transfer_missing_file_is_data_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_output_in_a_missing_directory_names_the_output(tmp_path, capsys):
+    ref = run_synth(tmp_path, "hr.csv", 80, 16, 0.0, 0.0, 0)
+    tgt = run_synth(tmp_path, "lr.csv", 200, 16, 0.01, 0.2, 3)
+    out = tmp_path / "nodir" / "o.csv"
+    code = cli_main(["transfer", "--ref", str(ref), "--target", str(tgt), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hr.csv", "lr.csv"]
+
+
+def test_report_over_a_directory_names_the_report(tmp_path, capsys):
+    tgt = run_synth(tmp_path, "lr.csv", 200, 16, 0.01, 0.2, 3)
+    report = tmp_path / "reports"
+    report.mkdir()
+    code = cli_main(["analyze", "--input", str(tgt), "--report", str(report)])
+    assert code == 2
+    assert capsys.readouterr().err.endswith(f"error: [Errno 21] Is a directory: {str(report)!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lr.csv", "reports"]
+    assert list(report.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["transfer", "analyze"])
 @pytest.mark.parametrize("body", ["", "0,1.5\n"], ids=["header_only", "one_row"])
 def test_too_short_csv_is_data_error(tmp_path, capsys, command, body):

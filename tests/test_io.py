@@ -48,6 +48,8 @@ def test_pose_table_validation():
         PoseTable(["a", "a"], np.zeros((3, 2)))
     with pytest.raises(ValueError):
         PoseTable([" "], np.zeros((3, 1)))
+    with pytest.raises(UsageError):
+        PoseTable(["a\0b"], np.zeros((3, 1)))
     with pytest.raises(ValueError):
         PoseTable(["a"], np.array([[np.nan]]))
 
@@ -93,6 +95,17 @@ def test_read_csv_header_errors(tmp_path):
     path.write_text("frame,a,a\n")
     with pytest.raises(DataError, match="line 1: duplicate channel 'a'"):
         read_csv(path)
+
+
+def test_read_csv_rejects_a_nul_in_a_channel_name(tmp_path):
+    # Python 3.10's csv module refuses a NUL with an error of its own, newer
+    # ones read it; the name is refused on line 1 either way.
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"frame,x,a\0b\n0,1,2\n")
+    for parse in (read_csv, _read_csv_lines):
+        with pytest.raises(DataError, match=r"line 1\b"):
+            parse(path)
+    assert _read_csv_blocks(path) is None
 
 
 def test_read_csv_ragged_row(tmp_path):
@@ -636,7 +649,8 @@ def parse_outcome(parse, path):
 
 EXTREME_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308]
 channel_names = st.lists(
-    st.text(st.characters(codec="utf-8"), min_size=1, max_size=6).filter(str.strip),
+    # A name holding NUL is refused by PoseTable, so no table has one.
+    st.text(st.characters(codec="utf-8", exclude_characters="\0"), min_size=1, max_size=6).filter(str.strip),
     max_size=4,
     unique=True,
 )

@@ -22,7 +22,7 @@ def test_package_has_no_assert_statements():
 # one. The base CycleTransferError has no exit code of its own.
 FAMILY_ERRORS = {"UsageError", "DataError", "ConstantSeriesError", "SeasonalityNotFoundError"}
 # Raises outside the families, each on purpose: the channel-name prefix
-# re-raises the caught error's own class, and a missing channel is a
+# raises the settled error's own class, and a missing channel is a
 # KeyError, as for a mapping.
 ALLOWED_RAISES = {("transfer.py", "type(exc)"), ("tableio.py", "KeyError")}
 
@@ -88,20 +88,29 @@ def test_package_never_asks_json_for_an_indent():
     assert found == []
 
 
-def test_constant_series_caught_in_one_function_of_transfer():
-    # transfer_table and analyze_table share one outcome rule per channel;
-    # neither catches ConstantSeriesError on its own.
+def test_transfer_settles_errors_as_values_in_one_function():
+    # transfer_table and analyze_table share one outcome rule per channel,
+    # _settle, which takes the channel's first error as a value: a constant
+    # series becomes a skip, any other error is raised. transfer.py never
+    # raises an error in order to catch it.
     tree = ast.parse((PACKAGE / "transfer.py").read_text(encoding="utf-8"))
-    handlers = [
-        (function.name, handler.lineno)
+    try_nodes = (ast.Try, getattr(ast, "TryStar", ast.Try))  # TryStar from Python 3.11
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, try_nodes)] == []
+    # A function that builds a skip from an error names ConstantSeriesError
+    # and builds a ChannelDiagnostics with STATUS_SKIPPED.
+    builders = [
+        function.name
         for function in ast.walk(tree)
         if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for handler in ast.walk(function)
-        if isinstance(handler, ast.ExceptHandler)
-        and handler.type is not None
-        and "ConstantSeriesError" in ast.unparse(handler.type)
+        and any(isinstance(node, ast.Name) and node.id == "ConstantSeriesError" for node in ast.walk(function))
+        and any(
+            isinstance(call, ast.Call)
+            and ast.unparse(call.func) == "ChannelDiagnostics"
+            and "STATUS_SKIPPED" in ast.unparse(call)
+            for call in ast.walk(function)
+        )
     ]
-    assert [name for name, _ in handlers] == ["_channel_step"], handlers
+    assert builders == ["_settle"], builders
 
 
 # Each series check is worded once, in the one-series form that returns its
