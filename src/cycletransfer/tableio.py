@@ -42,14 +42,17 @@ indent=2)`` itself, from pieces encoded once per report. It joins the
 float arrays of every entry into one array and writes each value as the
 shortest text that reads back to it, which is the text
 ``float.__repr__`` and so json give, with array code after Ryū (U.
-Adams, PLDI 2018). Ryū's general case gives the digits of a
-normal value below 2**54; its text is gathered from a layout per
-notation, decimal point and digit count, in blocks of WRITE_BLOCK_CELLS
-values, and translate deletes the NUL padding. The
-values that case does not decide, ±0, subnormals, 2**54 and up, NaN and
-±inf, and those where Ryū would flag trailing zeros (mostly integers and
-other values with a short binary mantissa), are formatted by json itself.
-Names, the float scalar and int lists go through json, int scalars
+Adams, PLDI 2018). Ryū's general case gives the digits of a normal value
+below 2**54 from one 125-bit product per value: its high bits are the
+scaled value, and two comparisons of its 64 bits below those with
+per-exponent constants give the scaled bounds of the values that round to
+it. The text is gathered from a layout per notation, decimal point and
+digit count, in blocks of WRITE_BLOCK_CELLS values, and translate deletes
+the NUL padding. json formats every other value: ±0, subnormals, 2**54
+and up, NaN and ±inf, powers of two, those where Ryū would flag trailing
+zeros (mostly integers and other values with a short binary mantissa),
+and those whose low bits equal a comparison's constant, which then cannot
+decide. Names, the float scalar and int lists go through json, int scalars
 through ``%d``.
 """
 
@@ -624,7 +627,13 @@ def _array_texts(arrays):
 # mantissa with its hidden bit), and the reals that round to it lie
 # between (mv - 2) * 2**e2 (mv - 1 for a power of two) and (mv + 2) * 2**e2.
 # vm, vr and vp are those three numbers times 2**e2 / 10**e10, e10 = q + e2,
-# rounded down: m * 5**(-e2 - q) // 2**q, a 125-bit multiplier and a shift.
+# rounded down: m * w // 2**j, w a 125-bit multiplier for 5**(-e2 - q).
+# The one product mv * w per value gives vr as its bits j and up, and
+# "low", its 64 bits below j. With D = 2 * w, vp is vr + D // 2**j plus the
+# carry of low bits and D mod 2**j, and vm is vr - D // 2**j less the
+# borrow; each is one comparison of low with a 64-bit window of D. Where
+# low equals the window the comparison cannot tell, and json formats the
+# value, as it does a power of two, whose vm is mv - 1.
 # The digits are vr with every low digit removed that vm and vp let go,
 # rounded.
 _POW5_BITS = 125
@@ -642,7 +651,7 @@ _SIGN, _EXP_SIGN, _DOT, _ZERO, _E = 1, 2, 3, 4, 5
 _DIGITS_END, _ROW_BYTES = 28, 32
 # The longest text: sign, 17 digits, point and a 3-digit exponent form.
 _TEXT_BYTES = 24
-# Values per text gather, which keeps its byte index at 192 KiB.
+# Values per text gather, which keeps its int32 byte index at 96 KiB.
 _GATHER_ROWS = 1 << 10
 # A report value: its text, then the item separator.
 _SLOT = np.dtype([("text", f"S{_TEXT_BYTES}"), ("sep", f"S{len(_ITEM_SEP)}")])
@@ -651,13 +660,15 @@ _SLOT = np.dtype([("text", f"S{_TEXT_BYTES}"), ("sep", f"S{len(_ITEM_SEP)}")])
 @functools.cache
 def _ryu_tables():
     """Ryū's constants per biased exponent 0..2047 of a float64: the 32-bit
-    limbs of the 5**i multiplier (4 rows), the shifts j - 96, 128 - j and
-    160 - j that take bits j and up of a product out of its limbs 3..5
-    (3 rows), e10, and the mask of the low q bits of mv. The mask is 0,
-    so the value is not decided, at exponents outside 1..1076 (subnormal,
-    zero, 2**54 and up, inf and NaN) and where q <= 1, the case Ryū flags
-    vr as having trailing zeros; the other trailing-zero case is mv
-    divisible by 2**q, which the mask tests."""
+    limbs of the 5**i multiplier w (4 rows); the shifts j - 96, 128 - j and
+    160 - j that take a 64-bit window out of three limbs of a product
+    (3 rows); for D = 2 * w, D // 2**j and the complement of D's bits
+    j - 64..j - 1, d_low, and d_low itself (3 rows); e10; and the mask
+    of the low q bits of mv. The mask is 0, so the value is not decided,
+    at exponents outside 1..1076 (subnormal, zero, 2**54 and up, inf and
+    NaN) and where q <= 1, the case Ryū flags vr as having trailing zeros;
+    the other trailing-zero case is mv divisible by 2**q, which the mask
+    tests."""
     # 5**i as 125 bits: 5**i >> shift, rounded down where shift > 0.
     pow5 = [5**i for i in range(326)]
     pow5_shift = [p.bit_length() - _POW5_BITS for p in pow5]
@@ -677,17 +688,20 @@ def _ryu_tables():
     shifts[:, biased] = [j - 96, 128 - j, 160 - j]
     e10[biased] = q - e
     low_bits[biased] = (np.uint64(1) << np.minimum(q, 63).astype(np.uint64)) - np.uint64(1)
-    return limbs, shifts, e10, low_bits
+    # The windows of D are those of the product 2 * w.
+    d_high, d_low = _product_windows(np.full(2048, 2, np.uint64), limbs, shifts)
+    return limbs, shifts, np.stack([d_high, ~d_low, d_low]), e10, low_bits
 
 
-def _mul_shift(m, limbs, shifts):
-    """floor(m * w / 2**j) for m < 2**55 and 125-bit multipliers w given by
-    their 32-bit limbs, j given by _ryu_tables' shifts (j is 118..121, and
-    the result below 2**64). Each
-    product of a 32-bit half of m and a limb is exact in uint64; the
-    product is summed a 32-bit column at a time, so only one column's
-    products are held at once. Bits j and up lie in limbs 3..5 of the
-    product; the lower columns give only their carries."""
+def _product_windows(m, limbs, shifts):
+    """Bits j..j + 63 and j - 64..j - 1 of m * w for m < 2**55 and 125-bit
+    multipliers w given by their 32-bit limbs, j given by _ryu_tables'
+    shifts (j is 118..121, and m * w below 2**(j + 64)). Each product of a
+    32-bit half of m and a limb is exact in uint64; the product is summed a
+    32-bit column at a time, so only one column's products are held at
+    once. The windows lie in limbs 3..5 and 1..3 of the product, and the
+    shift triple takes either out of its three limbs: a left shift past bit
+    63 drops the limb's bits that belong to the window above."""
     halves = (m & _LIMB_MASK, m >> _LIMB_BITS)
     # uint64 zeros: numpy before 2.0 takes a Python int with a uint64
     # scalar to float64.
@@ -699,35 +713,58 @@ def _mul_shift(m, limbs, shifts):
         products = [halves[h] * limbs[k - h] for h in (0, 1) if 0 <= k - h < 4]
         column = (column >> _LIMB_BITS) + high + sum(p & _LIMB_MASK for p in products)
         high = sum(p >> _LIMB_BITS for p in products)
-        if k >= 3:
+        if k:
             out.append(column & _LIMB_MASK)
-    return (out[0] >> shifts[0]) | (out[1] << shifts[1]) | (out[2] << shifts[2])
+    s0, s1, s2 = shifts
+    return tuple((a >> s0) | (b << s1) | (c << s2) for a, b, c in (out[2:5], out[0:3]))
+
+
+def _ryu_bounds(mv, biased):
+    """m * w // 2**j for m = mv, mv + 2 and mv - 2 at the biased exponents,
+    Ryū's vr, vp and vm but for a power of two, and where the windows of
+    the one product mv * w decided vp's carry and vm's borrow."""
+    limbs, shifts, bounds, _, _ = _ryu_tables()
+    vr, low = _product_windows(mv, limbs.take(biased, axis=1), shifts.take(biased, axis=1))
+    d_high, carry_above, borrow_below = bounds.take(biased, axis=1)
+    # Below the windows the product and D mod 2**j hold less than one unit
+    # of bit j - 64 each. So bit j takes a carry exactly where low is above
+    # ~d_low (low + d_low passes 2**64), and lends a borrow where low is
+    # below d_low; only a low equal to the threshold leaves it open.
+    vp = vr + d_high + (low > carry_above)
+    vm = vr - d_high - (low < borrow_below)
+    return vr, vp, vm, (low != carry_above) & (low != borrow_below)
 
 
 def _shortest_digits(x: np.ndarray):
     """Which values of the float64 array x Ryū's general case decides, and
     for those the digits of their shortest round-trip text as an integer
     and its power of ten: the text is of |x| = digits * 10**power."""
-    limbs, shifts, e10, low_bits = _ryu_tables()
+    _, _, _, e10, low_bits = _ryu_tables()
     bits = x.view(np.uint64)
     biased = (bits >> np.uint64(52)).astype(np.intp) & 0x7FF
-    mv = ((bits & np.uint64(2**52 - 1)) | np.uint64(2**52)) << np.uint64(2)
-    # vm is mv - 2 but mv - 1 for a power of two, whose lower neighbour is
-    # half as far (the smallest normal excepted).
-    vm = mv - np.uint64(1) - ((mv != np.uint64(2**54)) | (biased == 1))
-    w, j = limbs.take(biased, axis=1), shifts.take(biased, axis=1)
-    vr, vp, vm = (_mul_shift(m, w, j) for m in (mv, mv + np.uint64(2), vm))
+    # mv without its hidden bit: 0 for a power of two, which the mask then
+    # leaves undecided.
+    fraction = (bits & np.uint64(2**52 - 1)) << np.uint64(2)
+    vr, vp, vm, exact = _ryu_bounds(fraction | np.uint64(2**54), biased)
     # Ryū removes digits while vp // 10 > vm // 10; the t for which
     # vp // 10**t > vm // 10**t are 0..removed, so counting them gives it.
+    # Every value is tested for t = 1..3, which ends the count of nearly all
+    # of them; the few at 3 go on alone.
     removed = np.zeros(len(x), np.intp)
-    for scale in _POW10_U64[1:19]:
+    for scale in _POW10_U64[1:4]:
         removed += vp // scale * scale > vm
+    more = np.flatnonzero(removed == 3)
+    for scale in _POW10_U64[4:19]:
+        more = more[vp[more] // scale * scale > vm[more]]
+        if not more.size:
+            break
+        removed[more] += 1
     scale = _POW10_U64[removed]
     digits = vr // scale
     rest = vr - digits * scale
     # Round half up, and up where vr's truncation is not above vm.
     digits += (rest >= _HALF_POW10[removed]) | (vm >= vr - rest)
-    return (mv & low_bits[biased]) != 0, digits, e10[biased] + removed
+    return exact & ((fraction & low_bits[biased]) != 0), digits, e10[biased] + removed
 
 
 @functools.cache
@@ -753,7 +790,7 @@ def _repr_layouts():
         mantissa = digits[:1] + ([_DOT] + digits[1:] if count > 1 else [])
         for wide in (False, True):
             texts.append(mantissa + [_E, _EXP_SIGN] + list(range(_ROW_BYTES - 2 - wide, _ROW_BYTES)))
-    layouts = np.zeros((len(texts), _TEXT_BYTES), np.intp)
+    layouts = np.zeros((len(texts), _TEXT_BYTES), np.int32)
     for layout, text in zip(layouts, texts):
         layout[: len(text) + 1] = [_SIGN, *text]
     return layouts, np.array([len(text) for text in texts])
@@ -773,8 +810,9 @@ def _float_block(x: np.ndarray):
 
     A value _shortest_digits decides is gathered from the layout its
     notation, point and digit count select. Every other value (±0, a
-    subnormal, 2**54 and up, NaN and ±inf, and those Ryū flags as having
-    trailing zeros) is formatted by json's encoder.
+    subnormal, 2**54 and up, NaN and ±inf, a power of two, those Ryū flags
+    as having trailing zeros and those whose bounds the product's low
+    bits leave open) is formatted by json's encoder.
     """
     decided, digits, power = _shortest_digits(x)
     count = np.searchsorted(_POW10_U64, digits, side="right")
@@ -806,7 +844,7 @@ def _float_block(x: np.ndarray):
     slots["sep"] = _ITEM_SEP
     chars = np.frombuffer(buf, np.uint8).reshape(n, _SLOT.itemsize)
     layouts, lengths = _repr_layouts()
-    row_start = np.arange(0, n * _ROW_BYTES, _ROW_BYTES)[:, None]
+    row_start = np.arange(0, n * _ROW_BYTES, _ROW_BYTES, dtype=np.int32)[:, None]
     for first in range(0, n, _GATHER_ROWS):
         part = slice(first, first + _GATHER_ROWS)
         index = layouts[key[part]]

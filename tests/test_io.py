@@ -1,9 +1,11 @@
 import codecs
 import csv
+import decimal
 import io
 import json
 import os
 import stat
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycletransfer import tableio
 from cycletransfer.config import RunConfig
 from cycletransfer.errors import CycleTransferError, DataError, UsageError
 from cycletransfer.series import denormalize
@@ -465,6 +468,110 @@ def test_float_texts_match_json_on_edge_values():
 def test_float_texts_of_nothing():
     assert list(_float_texts(np.array([]))) == []
     assert repr_texts(np.array([0.5])) == ["0.5"]
+
+
+def _ryu_exact(biased: int, mv: int) -> tuple[int, int, int, int]:
+    """(mv * w) >> j for m = mv, mv + 2 and mv - 2, and the 64 bits of
+    mv * w below bit j, with Ryū's 125-bit multiplier w and shift j for the
+    biased exponent, in Python integers."""
+    e = 1077 - biased
+    q = len(str(5**e)) - 2
+    pow5 = 5 ** (e - q)
+    shift = pow5.bit_length() - 125
+    w = pow5 >> shift if shift >= 0 else pow5 << -shift
+    j = q - shift
+    vr, vp, vm = ((m * w) >> j for m in (mv, mv + 2, mv - 2))
+    return vr, vp, vm, (mv * w >> (j - 64)) % 2**64
+
+
+def test_ryu_bounds_match_exact_products():
+    # Every exponent the tables decide, with the fractions 0 (a power of
+    # two, where the kernel's vm is still the mv - 2 product), 1, all ones
+    # and 16 random ones.
+    low_bits = tableio._ryu_tables()[4]
+    decided = np.flatnonzero(low_bits)
+    assert decided.size == 1072 and decided[0] == 1 and decided[-1] == 1072
+    rng = np.random.Generator(np.random.PCG64(29))
+    fractions = np.concatenate([[0, 1, 2**52 - 1], rng.integers(0, 2**52, 16)])
+    biased, fractions = (a.ravel() for a in np.meshgrid(decided, fractions.astype(np.uint64), indexing="ij"))
+    mv = (fractions | np.uint64(2**52)) << np.uint64(2)
+    vr, vp, vm, exact = tableio._ryu_bounds(mv, biased)
+    got = list(zip(vr.tolist(), vp.tolist(), vm.tolist()))
+    want = [_ryu_exact(b, m)[:3] for b, m in zip(biased.tolist(), mv.tolist())]
+    assert got == want
+    # Where low equals a threshold the carry is open; no value here ties.
+    assert exact.all()
+
+
+@pytest.mark.parametrize("row", [1, 2], ids=["carry", "borrow"])
+def test_ryu_bounds_leave_a_threshold_tie_undecided(monkeypatch, row):
+    # Set one exponent's carry (row 1) or borrow (row 2) threshold to a
+    # value's low window: the windows no longer decide it, so json writes it.
+    x = np.array([0.7071067811865476, 0.25 + 2**-40, 3.0e-200])
+    bits = x.view(np.uint64)
+    biased = (bits >> np.uint64(52)).astype(np.intp)
+    mv = ((bits & np.uint64(2**52 - 1)) | np.uint64(2**52)) << np.uint64(2)
+    assert tableio._shortest_digits(x)[0].all()
+    limbs, shifts, bounds, e10, low_bits = tableio._ryu_tables()
+    bounds = bounds.copy()
+    bounds[row, biased[0]] = _ryu_exact(int(biased[0]), int(mv[0]))[3]
+    monkeypatch.setattr(tableio, "_ryu_tables", lambda: (limbs, shifts, bounds, e10, low_bits))
+    assert tableio._ryu_bounds(mv, biased)[3].tolist() == [False, True, True]
+    assert tableio._shortest_digits(x)[0].tolist() == [False, True, True]
+    assert_json_texts(x)
+
+
+def test_shortest_digits_that_remove_many_digits_match_json():
+    # Decimals with 1 to 17 significant digits: vr has about 17, so a
+    # value removes up to 17 of them, and most remove more than the three
+    # that every value is tested for.
+    rng = np.random.Generator(np.random.PCG64(30))
+    x = np.concatenate([rng.integers(1, 10**d, 50) / 10.0**p for d in range(1, 18) for p in range(1, 20)])
+    decided, digits, power = tableio._shortest_digits(x)
+    biased = (x.view(np.uint64) >> np.uint64(52)).astype(np.intp)
+    removed = (power - tableio._ryu_tables()[3][biased])[decided]
+    assert set(range(4, 18)) <= set(removed.tolist())
+    want = []
+    for v in x[decided].tolist():
+        _, places, exponent = decimal.Decimal(json.dumps(v)).as_tuple()
+        want.append((int("".join(map(str, places))), exponent))
+    assert list(zip(digits[decided].tolist(), power[decided].tolist())) == want
+    assert_json_texts(x)
+
+
+def _long_single_report():
+    """A report shaped like a 60k-frame channel's: 30,001 acf and spectrum
+    values and a 13-interval mean factor, 60,015 floats."""
+    rng = np.random.Generator(np.random.PCG64(60_015))
+    acf = rng.uniform(-1.0, 1.0, 30_001)
+    acf[0] = 1.0
+    spectrum = rng.exponential(1.0, 30_001) * 10.0 ** rng.uniform(-6.0, 2.0, 30_001)
+    report = SimpleNamespace(
+        dominant_frequency=np.int64(2_000), reference_period=np.float64(30.0), acf=acf, spectrum=spectrum
+    )
+    target = SimpleNamespace(
+        report=report, trend=SimpleNamespace(order=3),
+        segmentation=SimpleNamespace(period_starts=np.arange(5, 60_000, 30)),
+    )
+    return {"c": SimpleNamespace(status="transferred", target=target, l_min=13, mean_factor=rng.standard_normal(13))}
+
+
+def test_write_report_memory_peak_is_capped(tmp_path):
+    # The formatter's per-block temporaries set what write_report holds
+    # beyond its input, and they move the process's peak RSS. The cap is
+    # this report's traced peak when each value took three full 125-bit
+    # products (numpy 2.4.6, Python 3.11), which one product undercuts.
+    diagnostics = _long_single_report()
+    path = tmp_path / "report.json"
+    write_report(diagnostics, path)
+    tracemalloc.start()
+    try:
+        write_report(diagnostics, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == report_oracle(diagnostics)
+    assert peak <= 2_960_155
 
 
 def _float_field_diagnostics(sizes, nan_fields, seed):
