@@ -220,8 +220,8 @@ def find_crossovers(smoothed: np.ndarray, trend: np.ndarray) -> np.ndarray:
 
     This is the one-series form of the rule. The side step
     (``transfer._analyze_side``) takes the rising changes of all its gated
-    rows from one :func:`sign_changes` pass instead, and hands the same
-    arrays to :func:`validate_period_rows`.
+    rows from one :func:`sign_changes` pass instead, and hands their
+    rows and indices to :func:`validate_period_rows`.
 
     Raises SeasonalityNotFoundError when d never changes sign, rising or
     falling.
@@ -276,49 +276,41 @@ def _gap_ranges(ls: np.ndarray, windows: np.ndarray) -> tuple[np.ndarray, np.nda
     return gmin.astype(int), gmax.astype(int)
 
 
-def validate_period_rows(candidates, cuts, reference_periods, alpha: float) -> list:
+def validate_period_rows(row, candidates, reference_periods, alpha: float) -> list:
     """Prune the candidate period starts of k rows by neighbor spacing, as
-    :func:`validate_periods` does for one row: row m holds the strictly
-    increasing ``candidates[cuts[m]:cuts[m + 1]]`` and its own reference
-    period ``reference_periods[m]``. Returns per row its
-    PeriodSegmentation, or the SeasonalityNotFoundError the one-row form
-    raises.
+    :func:`validate_periods` does for one row: ``candidates[i]`` is a start
+    of row ``row[i]``, the rows in increasing order, each row's starts
+    strictly increasing, and row m has its own reference period
+    ``reference_periods[m]``. Returns per row its PeriodSegmentation, or
+    the SeasonalityNotFoundError the one-row form raises.
 
     Each row's passing gaps form one integer range [gmin, gmax]
-    (:func:`_gap_ranges`), capped at the row's candidate span. The
-    candidates are keyed by row, each row's keys spaced past any probe of
-    the rows beside it, so one set of searchsorted probes serves every
-    row: O(c log c) for c candidates in all instead of the O(k**2) pairwise
-    scan per row, with the same verdicts.
+    (:func:`_gap_ranges`), so a start is kept when the nearest start at
+    least gmin away on either side is in its own row and at most gmax
+    away. The starts are keyed so that the keys rise row after row, and
+    one searchsorted probe per side finds that nearest start for every
+    row: O(c log c) for c candidates in all instead of the O(k**2)
+    pairwise scan per row, with the same verdicts.
     """
+    row = np.asarray(row, dtype=int)
     cand = np.asarray(candidates, dtype=int)
-    cuts = np.asarray(cuts)
-    sizes = np.diff(cuts)
     ls = np.asarray(reference_periods, dtype=float)
     windows = (1.0 - alpha) * ls
-    row = np.repeat(np.arange(sizes.size), sizes)
     retained = cand
     if cand.size:
-        # A row whose shortest passing gap exceeds its candidate span keeps
-        # no start, nor does one of fewer than two candidates (span 0).
-        spans = np.zeros(sizes.size, dtype=int)
-        several = sizes > 1
-        spans[several] = cand[cuts[1:][several] - 1] - cand[cuts[:-1][several]]
         gmin, gmax = _gap_ranges(ls, windows)
-        gmax = np.minimum(gmax, spans)
-        # Row m's keys lie in [mK, mK + W] for the width W of all the
-        # candidates, and its probes, at most a span away, in [mK - W,
-        # mK + 2W]: K = 2W + 1 keeps them clear of the other rows' keys.
-        width = int(cand.max() - cand.min())
-        key = cand - cand.min() + row * (2 * width + 1)
-        lo, hi = np.repeat(gmin, sizes), np.repeat(gmax, sizes)
-        right = np.searchsorted(key, key + hi, "right") > np.searchsorted(key, key + lo, "left")
-        left = np.searchsorted(key, key - lo, "right") > np.searchsorted(key, key - hi, "left")
-        retained, row = cand[right | left], row[right | left]
+        lo, hi = gmin[row], gmax[row]
+        key = cand + row * (np.ptp(cand) + 1)
+        keep = np.zeros(cand.size, dtype=bool)
+        for probe in (np.searchsorted(key, key + lo, "left"), np.searchsorted(key, key - lo, "right") - 1):
+            probe = np.clip(probe, 0, cand.size - 1)  # a probe past either end fails the gap test
+            gap = np.abs(cand[probe] - cand)
+            keep |= (row[probe] == row) & (lo <= gap) & (gap <= hi)
+        retained, row = cand[keep], row[keep]
     pair = row[:-1]
     ok = (pair == row[1:]) & (np.abs(np.diff(retained) - ls[pair]) < windows[pair])
     bounds, pair = np.column_stack([retained[:-1][ok], retained[1:][ok]]), pair[ok]
-    rows = np.arange(sizes.size + 1)
+    rows = np.arange(ls.size + 1)
     kept_cuts, pair_cuts = np.searchsorted(row, rows).tolist(), np.searchsorted(pair, rows).tolist()
     out = []
     for m, l in enumerate(reference_periods):
@@ -351,6 +343,6 @@ def validate_periods(candidates, reference_period: float, alpha: float) -> Perio
     no consecutive pair forms a period.
     """
     cand = np.asarray(candidates, dtype=int)
-    (out,) = validate_period_rows(cand, [0, cand.size], [reference_period], alpha)
+    (out,) = validate_period_rows(np.zeros(cand.size, dtype=int), cand, [reference_period], alpha)
     raise_if_error(out)
     return out

@@ -575,11 +575,18 @@ def _report_text(entries):
     r"""Yield the bytes of ``json.dumps(..., indent=2) + "\n"`` for a list
     of (name as json, fields) pairs, the fields in _KEY_HEADS' order, each
     either its text or a non-empty float array. json.dumps escapes every
-    non-ASCII character, so each chunk is ASCII."""
+    non-ASCII character, so each chunk is ASCII.
+
+    All the float arrays' values are formatted in one _float_texts pass,
+    a block at a time: an array's items are memoryviews that run between
+    per-value offsets of a block's text, each yielded as it is cut, so
+    one block's text is alive at a time."""
     if not entries:
         yield b"{}\n"
         return
-    float_texts = _array_texts([v for _, fields in entries for v in fields if not isinstance(v, bytes)])
+    arrays = [v for _, fields in entries for v in fields if not isinstance(v, bytes)]
+    blocks = _float_texts(np.concatenate(arrays, dtype=float)) if arrays else None
+    text, starts, at = memoryview(b""), [0], 0
     frame, head = [], b"{\n  "
     for name, fields in entries:
         frame += [head, name, b": "]
@@ -587,37 +594,24 @@ def _report_text(entries):
             frame.append(key_head)
             if isinstance(value, bytes):
                 frame.append(value)
-            else:
-                frame.append(_LIST_OPEN)
-                yield b"".join(frame)
-                yield from next(float_texts)
-                frame = [_LIST_CLOSE]
+                continue
+            frame.append(_LIST_OPEN)
+            yield b"".join(frame)
+            left = value.size
+            while left:
+                if at == len(starts) - 1:
+                    text, starts = next(blocks)
+                    text, at = memoryview(text), 0
+                stop = min(at + left, len(starts) - 1)
+                left -= stop - at
+                # The last value of the array drops its separator.
+                yield text[starts[at] : starts[stop] - (0 if left else len(_ITEM_SEP))]
+                at = stop
+            frame = [_LIST_CLOSE]
         frame.append(b"\n  }")
         head = b",\n  "
     frame.append(b"\n}\n")
     yield b"".join(frame)
-
-
-def _array_texts(arrays):
-    """Yield, for each of the non-empty float arrays, the memoryviews whose
-    bytes, one after another, are its values' json texts joined by
-    _ITEM_SEP. All values are formatted in one _float_texts pass; a
-    view runs between per-value offsets of one block's text."""
-    blocks = _float_texts(np.concatenate(arrays, dtype=float))
-    text, starts, at = memoryview(b""), [0], 0
-    for array in arrays:
-        left = array.size
-        views = []
-        while left:
-            if at == len(starts) - 1:
-                text, starts = next(blocks)
-                text, at = memoryview(text), 0
-            stop = min(at + left, len(starts) - 1)
-            left -= stop - at
-            # The last value of the array drops its separator.
-            views.append(text[starts[at]:starts[stop] - (0 if left else len(_ITEM_SEP))])
-            at = stop
-        yield views
 
 
 # Shortest round-trip float text with array code, after Ryū (U. Adams,

@@ -305,12 +305,14 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) ->
     (:meth:`GramFit.trends`) that adds each term only to the rows whose
     order needs it; then, on the rows that pass the gate, the smoother,
     once per radius, into one block of their distances from their trends;
-    one :func:`sign_changes` pass over that block, which gives every row
-    its rising crossovers as an index array; and one
-    :func:`validate_period_rows` pass that turns them into each row's
-    periods. A row that fails the gate, never crosses its trend or keeps
-    no period holds its trend and names the reason in ``failure``;
-    ``rising_candidates`` is set once the row passes the gate.
+    one :func:`sign_changes` pass over that block, which gives the rising
+    crossovers of all those rows as a row and an index array; and one
+    :func:`validate_period_rows` pass over those two arrays that turns
+    them into each row's periods. A row that fails the gate, never
+    crosses its trend or keeps no period holds its trend and names the
+    reason in ``failure``; ``rising_candidates`` is set once the row
+    passes the gate. A ramp-only row drops out of the side's blocks once,
+    right after the check that finds it.
 
     Raises nothing. The checks, in the order a row meets them, are at
     least 2 samples, a range (:func:`range_error`), a cyclic part left
@@ -337,15 +339,17 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) ->
     late = length_error(n, 4) or (None if cfg.smooth_radius is None else radius_error(cfg.smooth_radius, n))
     for i, j in enumerate(ok):
         out[j] = plain_ramp if flat[i] else late
-    # i numbers the normalized rows, ok[i] the input rows, g the live ones.
-    live = [i for i, j in enumerate(ok) if out[j] is None]
+    # From here on g numbers the live rows and live[g] is its input row.
+    live = [j for j in ok if out[j] is None]
     if not live:
         return out
+    if len(live) < len(ok):  # the ramp-only rows drop out of every block once
+        alive = [i for i, ramp in enumerate(flat) if not ramp]
+        normalized, cyclic, fits = normalized[alive], cyclic[alive], fits.row(alive)
 
-    reports, spectra = analyze_rows(cyclic[live] if len(live) < len(ok) else cyclic, with_acf=with_acf)
+    reports, spectra = analyze_rows(cyclic, with_acf=with_acf)
     del cyclic  # only the transforms read the ramp-removed rows
     gates = fisher_g_rows(spectra, n)
-    fits = fits.row(live)  # the live rows' fits, numbered by g
     orders, fallbacks = trend_orders(fits.monomial, [report.dominant_frequency for report in reports])
     trends = fits.trends(orders)
     fixed = cfg.smooth_radius
@@ -357,7 +361,7 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) ->
     distance = None if len(groups) == 1 else np.empty((len(passing), n))
     for radius in groups:
         group = [m for m, g in enumerate(passing) if radii[g] == radius]
-        block = normalized[[live[passing[m]] for m in group]]
+        block = normalized[[passing[m] for m in group]]
         block = exponential_smoothing(block, cfg.exp_alpha, radius) if exponential else mean_smoothing(block, radius)
         if distance is None:
             distance = block  # one group's smoothed rows are the whole block
@@ -369,24 +373,24 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) ->
     row_of, index, rises = sign_changes(distance)
     del distance
     changes = np.bincount(row_of, minlength=len(passing)).tolist()
-    cuts = np.searchsorted(row_of[rises], np.arange(len(passing) + 1))
-    periods = validate_period_rows(index[rises], cuts, [reports[g].reference_period for g in passing], cfg.alpha)
-    cuts, slots = cuts.tolist(), iter(range(len(passing)))
+    rising = np.bincount(row_of[rises], minlength=len(passing)).tolist()
+    periods = validate_period_rows(row_of[rises], index[rises], [reports[g].reference_period for g in passing], cfg.alpha)
+    slots = iter(range(len(passing)))
     per_row = zip(live, reports, radii, gates, map(TrendModel, orders.tolist(), trends, fallbacks.tolist()))
-    for i, report, radius, (g_stat, p), trend in per_row:
+    for j, report, radius, (g_stat, p), trend in per_row:
         segmentation = failure = rising_candidates = None
         if p > MAX_SEASONALITY_P:
             failure = f"no significant cycle: Fisher's g = {g_stat:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
         else:
             m = next(slots)
-            rising_candidates = cuts[m + 1] - cuts[m]
+            rising_candidates = rising[m]
             outcome = crossing_error(changes[m]) or periods[m]
             if isinstance(outcome, SeasonalityNotFoundError):
                 failure = str(outcome)
             else:
                 segmentation = outcome
-        scale = ScaleParams(float(lo[ok[i]]), float(hi[ok[i]]))
-        out[ok[i]] = SequenceDiagnostics(report, trend, segmentation, scale, radius, failure, rising_candidates, g_stat, p)
+        scale = ScaleParams(float(lo[j]), float(hi[j]))
+        out[j] = SequenceDiagnostics(report, trend, segmentation, scale, radius, failure, rising_candidates, g_stat, p)
     return out
 
 

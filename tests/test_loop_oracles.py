@@ -7,7 +7,7 @@ autocorrelation sums in another order, so it gets a tolerance.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycletransfer.decomposition import (
@@ -300,16 +300,29 @@ def candidate_rows(draw, alpha):
     return l, list(cand)
 
 
-@given(st.one_of(st.sampled_from([0.5, 0.75, 0.8, 0.9]), st.floats(0.01, 0.99)), st.data())
+@given(st.one_of(st.sampled_from([0.5, 0.75, 0.8, 0.9]), st.floats(0.01, 0.99)).flatmap(
+    lambda alpha: st.tuples(st.just(alpha), st.lists(candidate_rows(alpha), min_size=1, max_size=8))
+))
 @settings(max_examples=300, deadline=None)
-def test_validate_period_rows_match_one_row_form_and_pairwise_scan(alpha, data):
-    # One set of probes over a block of rows gives every row what the
+# Row 0's starts are 200 apart, far outside its passing gaps of 33 to 47
+# frames, while row 1's first start lies 41 keys past 200 in the first
+# example and 40 frames below it in the second: only the same-row test
+# keeps every start of row 0 out.
+@example((0.8, [(40.0, [0, 200]), (40.0, [40, 80])]))
+@example((0.8, [(40.0, [0, 200]), (40.0, [160, 200])]))
+# An empty row between two rows with candidates.
+@example((0.8, [(40.0, [0, 40, 80]), (25.0, []), (40.0, [5, 45, 85])]))
+def test_validate_period_rows_match_one_row_form_and_pairwise_scan(case):
+    # One pair of probes over a block of rows gives every row what the
     # one-row form and the pairwise scan give it alone: the same starts,
     # periods and error message.
-    rows = data.draw(st.lists(candidate_rows(alpha), min_size=1, max_size=8))
-    cand = np.array([c for _, row in rows for c in row], dtype=int)
-    cuts = np.cumsum([0] + [len(row) for _, row in rows])
-    got = validate_period_rows(cand, cuts, [l for l, _ in rows], alpha)
+    alpha, rows = case
+    got = validate_period_rows(
+        [m for m, (_, row) in enumerate(rows) for _ in row],
+        [c for _, row in rows for c in row],
+        [l for l, _ in rows],
+        alpha,
+    )
     assert len(got) == len(rows)
     for (l, row), entry in zip(rows, got):
         retained, periods = validate_oracle(row, l, alpha)
