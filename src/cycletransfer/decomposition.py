@@ -178,8 +178,9 @@ def fit_trend(series: np.ndarray, max_order: int, f: int) -> TrendModel:
 
 
 def sign_changes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every sign change along the rows of a (k, n) block d, in row-major
-    order: the row, the index, and whether d rises there.
+    """The rising sign changes along the rows of a (k, n) block d, as their
+    rows and indices in row-major order, and each row's count of sign
+    changes, rising or falling, as a length-k int array.
 
     A zero sample first takes the sign of the next nonzero sample of its
     row, or stays 0 when there is none. A change then sits at every index
@@ -203,7 +204,8 @@ def sign_changes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     flat[zeros] = np.where(after % n != 0, flat[after % flat.size], 0)
     row, index = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
     index += 1
-    return row, index, sign[row, index] > 0
+    rises = sign[row, index] > 0
+    return row[rises], index[rises], np.bincount(row, minlength=d.shape[0])
 
 
 def crossing_error(changes: int) -> SeasonalityNotFoundError | None:
@@ -224,11 +226,11 @@ def find_crossovers(smoothed: np.ndarray, trend: np.ndarray) -> np.ndarray:
     rows and indices to :func:`validate_period_rows`.
 
     Raises SeasonalityNotFoundError when d never changes sign, rising or
-    falling.
+    falling: the count :func:`sign_changes` gives is 0.
     """
-    _, index, rising = sign_changes((smoothed - trend)[np.newaxis])
-    raise_if_error(crossing_error(index.size))
-    return index[rising]
+    _, index, (changes,) = sign_changes((smoothed - trend)[np.newaxis])
+    raise_if_error(crossing_error(changes))
+    return index
 
 
 class PeriodSegmentation:

@@ -64,6 +64,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -298,7 +299,7 @@ def _parse_rows(reader, path) -> tuple[list[str], list[list[float]]]:
                 raise DataError(
                     f"{path}: line {lineno}: channel {name!r} cell {cell!r} is not a number"
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DataError(
                     f"{path}: line {lineno}: channel {name!r} value {cell!r} is not finite"
                 )

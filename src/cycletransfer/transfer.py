@@ -13,7 +13,8 @@ each stage one pass over all the side's selected channels. The transfer
 runs in one step (:func:`_transfer_rows`) over all the channels whose
 sequences both have periods: one interval map of all the references
 (:func:`_interval_map`), their mean patterns (:func:`_mean_patterns`),
-and one walk over every target frame (:func:`_applied_factors`).
+and one walk over every target frame (:func:`_applied_factors`), which
+gives the pattern block its caller adds the targets' trends onto.
 :func:`extract_additive` and :func:`mean_additive_factor` run as they
 are in that step, on the map of all the references at once.
 :func:`transfer_channel`, :func:`build_phi` and :func:`apply_transfer`
@@ -42,7 +43,8 @@ from .errors import ConstantSeriesError, DataError, SeasonalityNotFoundError
 # the transfer step run their row-batched forms. They stay importable from
 # this module, where the benchmark's tracer (bench/tracing.py) looks them up.
 from .decomposition import find_crossovers, fit_trend, validate_periods  # noqa: F401
-from .seasonality import SeasonalityReport, analyze_rows, analyze_series, fisher_g_rows  # noqa: F401
+from .seasonality import SeasonalityReport, analyze_rows, fisher_g_rows
+from .seasonality import analyze_series  # noqa: F401
 from .series import (
     MIN_RANGE,
     ScaleParams,
@@ -98,18 +100,13 @@ class RefinedSeries:
 
     ``transferred`` is True where the frame sat inside a detected target
     period; False marks frames filled by periodic extension of the
-    interval grid (trend-only frames outside the segmented region). The
-    transfer step holds the refined series of all its channels as one
-    such record of (k, n) blocks; :meth:`row` gives one of them.
+    interval grid (trend-only frames outside the segmented region).
     """
 
     values: np.ndarray
     trend: np.ndarray
     applied_factor: np.ndarray
     transferred: np.ndarray
-
-    def row(self, i: int) -> RefinedSeries:
-        return RefinedSeries(self.values[i], self.trend[i], self.applied_factor[i], self.transferred[i])
 
 
 @dataclass(eq=False)
@@ -306,13 +303,14 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) ->
     order needs it; then, on the rows that pass the gate, the smoother,
     once per radius, into one block of their distances from their trends;
     one :func:`sign_changes` pass over that block, which gives the rising
-    crossovers of all those rows as a row and an index array; and one
-    :func:`validate_period_rows` pass over those two arrays that turns
-    them into each row's periods. A row that fails the gate, never
-    crosses its trend or keeps no period holds its trend and names the
-    reason in ``failure``; ``rising_candidates`` is set once the row
-    passes the gate. A ramp-only row drops out of the side's blocks once,
-    right after the check that finds it.
+    crossovers of all those rows as a row and an index array, with each
+    row's count of sign changes; and one :func:`validate_period_rows`
+    pass over those two arrays that turns them into each row's periods.
+    A row that fails the gate, never crosses its trend (its count is 0)
+    or keeps no period holds its trend and names the reason in
+    ``failure``; ``rising_candidates`` is set once the row passes the
+    gate. A ramp-only row drops out of the side's blocks once, right
+    after the check that finds it.
 
     Raises nothing. The checks, in the order a row meets them, are at
     least 2 samples, a range (:func:`range_error`), a cyclic part left
@@ -370,11 +368,10 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) ->
         del block
     # Each smoothed row becomes its distance from its trend.
     distance -= trends if len(passing) == len(live) else trends[passing]
-    row_of, index, rises = sign_changes(distance)
+    row_of, index, changes = sign_changes(distance)
     del distance
-    changes = np.bincount(row_of, minlength=len(passing)).tolist()
-    rising = np.bincount(row_of[rises], minlength=len(passing)).tolist()
-    periods = validate_period_rows(row_of[rises], index[rises], [reports[g].reference_period for g in passing], cfg.alpha)
+    rising = np.bincount(row_of, minlength=len(passing)).tolist()
+    periods = validate_period_rows(row_of, index, [reports[g].reference_period for g in passing], cfg.alpha)
     slots = iter(range(len(passing)))
     per_row = zip(live, reports, radii, gates, map(TrendModel, orders.tolist(), trends, fallbacks.tolist()))
     for j, report, radius, (g_stat, p), trend in per_row:
@@ -399,18 +396,17 @@ def _transfer_rows(ref_rows: np.ndarray, refs, targets):
     once: ``ref_rows`` holds their reference values as a (k, n_ref) block in
     original units, ``refs`` and ``targets`` their sequences' analyses.
 
-    Returns the refined targets as a RefinedSeries of (k, n) blocks, each
-    channel's l_min and mean pattern, and whether each refined row is
-    finite: back in original units a range near float64's limit can
+    Returns the applied factor and the in-period flag of every target
+    frame, as two (k, n) blocks (:func:`_applied_factors`), each channel's
+    l_min and each channel's mean pattern. The caller adds the targets'
+    trends in original units (:func:`_trends`) onto the applied block, so
+    patterns keep their physical amplitude across differently scaled
+    sequences; back in original units a range near float64's limit can
     overflow, which the caller reports instead of numpy warnings.
 
     The mean patterns come from the reference rows
-    (:func:`_mean_patterns`); they are added onto the targets' trends, also
-    in original units, by the same interval rule over every target frame
-    (:func:`_applied_factors`), so patterns keep their physical amplitude
-    across differently scaled sequences. Each channel gets the bits it
-    gets alone. The target walk runs before the trends block is built, so
-    that its transient blocks and the trends are never alive together.
+    (:func:`_mean_patterns`) and are spread over every target frame by the
+    same interval rule. Each channel gets the bits it gets alone.
     """
     n = targets[0].trend.values.size
     ref_periods = _periods([seq.segmentation for seq in refs], ref_rows.shape[1])
@@ -418,13 +414,10 @@ def _transfer_rows(ref_rows: np.ndarray, refs, targets):
     l_mins = _lmins(ref_periods, target_periods)
     with np.errstate(over="ignore", invalid="ignore"):
         means = _mean_patterns(ref_rows, refs, ref_periods, l_mins)
-        del ref_rows  # the caller hands the block over, so it is freed here
-        reference_periods = [seq.segmentation.reference_period for seq in targets]
-        applied, transferred = _applied_factors(means, target_periods, n, reference_periods, l_mins)
-        trends = _trends(targets)
-        refined = RefinedSeries(values=trends + applied, trend=trends, applied_factor=applied, transferred=transferred)
-    finite = np.isfinite(refined.values).all(axis=1)
-    return refined, l_mins.tolist(), np.split(means, np.cumsum(l_mins)[:-1]), finite.tolist()
+    del ref_rows  # the caller hands the block over, so it is freed here
+    reference_periods = [seq.segmentation.reference_period for seq in targets]
+    applied, transferred = _applied_factors(means, target_periods, n, reference_periods, l_mins)
+    return applied, transferred, l_mins.tolist(), np.split(means, np.cumsum(l_mins)[:-1])
 
 
 def _mean_patterns(ref_rows: np.ndarray, refs, periods, l_mins: np.ndarray) -> np.ndarray:
@@ -495,20 +488,18 @@ def transfer_channel(reference, target, config: RunConfig | None = None) -> tupl
     ref = _analyze_side(ref_x[np.newaxis].copy(), cfg, with_acf=False)[0]
     tgt = _analyze_side(tgt_x[np.newaxis].copy(), cfg)[0]
     raise_if_error(_pair_error(ref, tgt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        (trend,) = _trends([tgt])
     if ref.segmentation is None or tgt.segmentation is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            (tgt_trend,) = _trends([tgt])
-        refined = RefinedSeries(
-            values=tgt_x.copy(),
-            trend=tgt_trend,
-            applied_factor=np.zeros(tgt_x.size),
-            transferred=np.zeros(tgt_x.size, dtype=bool),
-        )
-        return refined, _skipped(ref, tgt)
-    refined, (l_min,), (mean_factor,), (finite,) = _transfer_rows(ref_x[np.newaxis], [ref], [tgt])
-    if not finite:
+        zeros = np.zeros(tgt_x.size)
+        return RefinedSeries(tgt_x.copy(), trend, zeros, zeros.astype(bool)), _skipped(ref, tgt)
+    (applied,), (transferred,), (l_min,), (mean_factor,) = _transfer_rows(ref_x[np.newaxis], [ref], [tgt])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = trend + applied
+    if not np.isfinite(values).all():
         raise DataError(OVERFLOW)
-    return refined.row(0), ChannelDiagnostics(STATUS_TRANSFERRED, ref, tgt, l_min, mean_factor)
+    refined = RefinedSeries(values=values, trend=trend, applied_factor=applied, transferred=transferred)
+    return refined, ChannelDiagnostics(STATUS_TRANSFERRED, ref, tgt, l_min, mean_factor)
 
 
 def _table_side(
@@ -555,8 +546,9 @@ def transfer_table(
     analysis runs once, on all its selected channels (:func:`_table_side`),
     the reference's without the acf that no report writes.
     The transfer step runs once, on all the channels whose sequences both
-    have periods (:func:`_transfer_rows`), and writes their refined values
-    into a copy of the target's values. Then every channel is settled in
+    have periods (:func:`_transfer_rows`); their trends are added onto the
+    pattern block it returns, in place, and the sums are written into a
+    copy of the target's values. Then every channel is settled in
     table order: filtered-out channels keep their values as "passthrough",
     skipped ones (see :func:`transfer_channel`) as "skipped_no_seasonality".
     Until that last step a channel's errors are held as values; there each
@@ -592,12 +584,13 @@ def transfer_table(
     outcomes = {}
     if jobs:
         ref_column = {name: j for j, name in enumerate(ref_table.channel_names)}
-        refined, l_mins, means, finite = _transfer_rows(
-            ref_table.values.T[[ref_column[name] for name in jobs]],
-            [ref_side[name] for name in jobs],
-            [tgt_side[name] for name in jobs],
+        targets = [tgt_side[name] for name in jobs]
+        refined, _, l_mins, means = _transfer_rows(
+            ref_table.values.T[[ref_column[name] for name in jobs]], [ref_side[name] for name in jobs], targets
         )
-        refined = refined.values  # the other blocks are not needed here
+        with np.errstate(over="ignore", invalid="ignore"):
+            refined += _trends(targets)
+        finite = np.isfinite(refined).all(axis=1).tolist()
         outcomes = {
             name: ChannelDiagnostics(STATUS_TRANSFERRED, ref_side[name], tgt_side[name], l_min, mean)
             if ok else DataError(OVERFLOW)

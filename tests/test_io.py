@@ -4,6 +4,7 @@ import decimal
 import io
 import json
 import os
+import re
 import stat
 import tracemalloc
 import warnings
@@ -118,10 +119,11 @@ def test_read_csv_ragged_row(tmp_path):
         read_csv(path)
 
 
-def test_read_csv_rejects_non_finite(tmp_path):
+@pytest.mark.parametrize("cell", ["inf", "nan", "-Infinity", "1e999"])
+def test_read_csv_rejects_non_finite(tmp_path, cell):
     path = tmp_path / "t.csv"
-    path.write_text("frame,a\n0,inf\n")
-    with pytest.raises(DataError, match="value 'inf' is not finite"):
+    path.write_text(f"frame,a\n0,1.0\n1,{cell}\n")
+    with pytest.raises(DataError, match=re.escape(f"line 3: channel 'a' value {cell!r} is not finite")):
         read_csv(path)
 
 

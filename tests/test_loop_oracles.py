@@ -240,16 +240,17 @@ def sign_blocks(draw):
 @given(sign_blocks())
 @settings(max_examples=300, deadline=None)
 def test_sign_changes_match_loop_row_by_row(d):
-    row_of, index, rising = sign_changes(d)
+    row_of, index, changes = sign_changes(d)
     # A smoother may hand over its rows in column-major order.
-    for got, expected in zip(sign_changes(np.asfortranarray(d)), (row_of, index, rising)):
+    for got, expected in zip(sign_changes(np.asfortranarray(d)), (row_of, index, changes)):
         np.testing.assert_array_equal(got, expected)
     assert np.all(np.diff(row_of * d.shape[1] + index) > 0)  # row-major order
+    assert changes.shape == (d.shape[0],)
     for r, row in enumerate(d):
         expected = crossovers_oracle(np.sign(row))
-        mine = row_of == r
-        assert list(zip(index[mine].tolist(), ["rising" if up else "falling" for up in rising[mine]])) == expected
-        error = crossing_error(int(mine.sum()))
+        assert index[row_of == r].tolist() == [i for i, direction in expected if direction == "rising"]
+        assert changes[r] == len(expected)
+        error = crossing_error(changes[r])
         assert (error is None) == bool(expected)
         if error is not None:
             assert str(error) == "series never crosses its trend"
