@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -85,6 +86,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file_key(path: str):
+    """Equal for two paths that name one file: an existing file's device and
+    inode, as os.path.samefile compares them, else the path made real."""
+    if os.path.exists(path):
+        stat = os.stat(path)
+        return stat.st_dev, stat.st_ino
+    return os.path.realpath(path)
+
+
+def _check_outputs(args: argparse.Namespace, inputs: list[str], outputs: list[str]) -> None:
+    """Raise UsageError when an output flag names the same file as an input
+    flag or an earlier output flag, before any file is opened, so that no
+    output overwrites an input or another output. Two inputs may name one
+    file."""
+    named: dict = {}
+    for flag in [*inputs, *outputs]:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is None:
+            continue
+        key = _file_key(path)
+        if flag in outputs and key in named:
+            raise UsageError(f"{flag} names the same file as {named[key]}: {path}")
+        named.setdefault(key, flag)
+
+
 def _emit_diagnostics(diagnostics, report_path) -> int:
     """Write the report when a path is given and print one status line per
     channel, with the reason when there is one."""
@@ -98,6 +124,7 @@ def _emit_diagnostics(diagnostics, report_path) -> int:
 
 def _cmd_transfer(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    _check_outputs(args, ["--ref", "--target"], ["--out", "--report"])
     refined, diagnostics = transfer_table(read_csv(args.ref), read_csv(args.target), cfg)
     write_csv(refined, args.out)
     return _emit_diagnostics(diagnostics, args.report)
@@ -105,6 +132,7 @@ def _cmd_transfer(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    _check_outputs(args, ["--input"], ["--report"])
     return _emit_diagnostics(analyze_table(read_csv(args.input), cfg), args.report)
 
 
@@ -117,6 +145,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         noise_sigma=args.noise_sigma,
         seed=args.seed,
     )
+    _check_outputs(args, [], ["--out", "--truth-out"])
     write_csv(synth_generate(spec), args.out)
     if args.truth_out is not None:
         write_csv(synth_generate(replace(spec, noise_sigma=0.0)), args.truth_out)

@@ -891,10 +891,14 @@ def synth_generate(spec: SynthSpec) -> PoseTable:
     values[t] = trend_slope*t + amplitude*sin(2*pi*t/period) + noise, with
     noise drawn from a PCG64 generator seeded by spec.seed. The same spec
     always yields bit-identical output; a noise-free companion is just the
-    same spec with noise_sigma = 0.
+    same spec with noise_sigma = 0. Parameters whose values overflow
+    float64 raise UsageError.
     """
     t = np.arange(spec.n, dtype=float)
-    base = spec.trend_slope * t + spec.amplitude * np.sin(2.0 * np.pi * t / spec.period)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    noise = rng.standard_normal(spec.n) * spec.noise_sigma
-    return PoseTable([SYNTH_CHANNEL], (base + noise).reshape(-1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = spec.trend_slope * t + spec.amplitude * np.sin(2.0 * np.pi * t / spec.period)
+        values += rng.standard_normal(spec.n) * spec.noise_sigma
+    if not np.isfinite(values).all():
+        raise UsageError("trend_slope, amplitude, noise_sigma and n give values that overflow float64")
+    return PoseTable([SYNTH_CHANNEL], values.reshape(-1, 1))

@@ -439,20 +439,19 @@ def _trends(seqs) -> np.ndarray:
     return block
 
 
-def _skipped(ref: SequenceDiagnostics, tgt: SequenceDiagnostics) -> ChannelDiagnostics:
-    """The diagnostics of a channel one of whose sequences has no periods."""
-    reasons = [f"{side}: {seq.failure}" for side, seq in (("reference", ref), ("target", tgt)) if seq.failure]
-    return ChannelDiagnostics(status=STATUS_SKIPPED, reference=ref, target=tgt, detail="; ".join(reasons))
-
-
 def _pair_error(ref, tgt) -> DataError | None:
-    """The first error of a channel's analyses, the reference's first. A
+    """The first error of a channel's analyses, or None when both sequences
+    have periods. The reference's error comes first, then the target's; a
     constant or plain-ramp sequence's error names its side, as every skip
-    reason of a transfer does."""
-    for side, entry in (("reference", ref), ("target", tgt)):
+    reason of a transfer does. After those, a sequence without periods
+    gives a SeasonalityNotFoundError that joins each such side's reason,
+    ``reference: ...; target: ...``."""
+    sides = (("reference", ref), ("target", tgt))
+    for side, entry in sides:
         if isinstance(entry, DataError):
             return ConstantSeriesError(f"{side}: {entry}") if isinstance(entry, ConstantSeriesError) else entry
-    return None
+    reasons = [f"{side}: {seq.failure}" for side, seq in sides if seq.failure]
+    return SeasonalityNotFoundError("; ".join(reasons)) if reasons else None
 
 
 def _pair_length_error(n_ref: int, n_tgt: int) -> DataError | None:
@@ -474,12 +473,13 @@ def transfer_channel(reference, target, config: RunConfig | None = None) -> tupl
     (:func:`_transfer_rows`). The reference's report holds no acf, since
     no report writes it.
 
-    When either sequence fails segmentation the target comes back
-    unchanged with status "skipped_no_seasonality". A refined series that
-    overflows float64, which a range near its limit can cause, raises
-    DataError. Errors come in the order the analysis meets them: the
-    checks of each series as it enters (:func:`as_series`), the length
-    check, then the reference's analysis, then the target's.
+    The pair's first error (:func:`_pair_error`) is raised unless it is
+    the SeasonalityNotFoundError of a sequence without periods: then the
+    target comes back unchanged, with the skip :func:`_settle` builds. A
+    refined series that overflows float64, which a range near its limit
+    can cause, raises DataError. Errors come in the order the analysis
+    meets them: the checks of each series as it enters (:func:`as_series`),
+    the length check, then the reference's analysis, then the target's.
     """
     cfg = config if config is not None else RunConfig()
     ref_x = as_series(reference)
@@ -487,12 +487,14 @@ def transfer_channel(reference, target, config: RunConfig | None = None) -> tupl
     raise_if_error(_pair_length_error(ref_x.size, tgt_x.size))
     ref = _analyze_side(ref_x[np.newaxis].copy(), cfg, with_acf=False)[0]
     tgt = _analyze_side(tgt_x[np.newaxis].copy(), cfg)[0]
-    raise_if_error(_pair_error(ref, tgt))
+    error = _pair_error(ref, tgt)
+    if not isinstance(error, SeasonalityNotFoundError):
+        raise_if_error(error)
     with np.errstate(over="ignore", invalid="ignore"):
         (trend,) = _trends([tgt])
-    if ref.segmentation is None or tgt.segmentation is None:
+    if error is not None:  # settled as a skip, so the channel name is never used
         zeros = np.zeros(tgt_x.size)
-        return RefinedSeries(tgt_x.copy(), trend, zeros, zeros.astype(bool)), _skipped(ref, tgt)
+        return RefinedSeries(tgt_x.copy(), trend, zeros, zeros.astype(bool)), _settle("", error, ref, tgt)
     (applied,), (transferred,), (l_min,), (mean_factor,) = _transfer_rows(ref_x[np.newaxis], [ref], [tgt])
     with np.errstate(over="ignore", invalid="ignore"):
         values = trend + applied
@@ -514,14 +516,16 @@ def _table_side(
 
 def _settle(name: str, exc: DataError, reference=None, target=None) -> ChannelDiagnostics:
     """The outcome of a selected channel whose first error is ``exc``, by
-    the rule transfer_table and analyze_table share.
+    the rule transfer_table, analyze_table and transfer_channel share.
 
-    A constant series gives "skipped_no_seasonality" with its message,
-    keeping whichever of ``reference`` and ``target`` is a sequence that
-    was analyzed; any other error is raised as its own class, prefixed
-    with the channel's name.
+    A constant series (ConstantSeriesError) and a sequence without periods
+    (SeasonalityNotFoundError) give "skipped_no_seasonality" with the
+    error's message, keeping whichever of ``reference`` and ``target`` is
+    a sequence that was analyzed; this is the only place a skip is built.
+    Any other error is raised as its own class, prefixed with the
+    channel's name.
     """
-    if not isinstance(exc, ConstantSeriesError):
+    if not isinstance(exc, (ConstantSeriesError, SeasonalityNotFoundError)):
         raise type(exc)(f"channel {name!r}: {exc}")
     ref, tgt = (seq if isinstance(seq, SequenceDiagnostics) else None for seq in (reference, target))
     return ChannelDiagnostics(status=STATUS_SKIPPED, reference=ref, target=tgt, detail=str(exc))
@@ -549,13 +553,13 @@ def transfer_table(
     have periods (:func:`_transfer_rows`); their trends are added onto the
     pattern block it returns, in place, and the sums are written into a
     copy of the target's values. Then every channel is settled in
-    table order: filtered-out channels keep their values as "passthrough",
-    skipped ones (see :func:`transfer_channel`) as "skipped_no_seasonality".
-    Until that last step a channel's errors are held as values; there each
-    channel's first one goes to :func:`_settle`, so the first channel in
-    table order that fails names the error, each channel's in the order
-    transfer_channel meets them; an overflow of the transfer step is that
-    channel's last error.
+    table order: filtered-out channels keep their values as "passthrough".
+    Until that last step a channel's errors are held as values, its first
+    one (:func:`_pair_error`) in the order transfer_channel meets them, or
+    the transfer step's overflow; there each goes to :func:`_settle`,
+    which keeps a skipped channel's values as "skipped_no_seasonality" and
+    raises any other error, so the first channel in table order that
+    fails names the error.
     """
     cfg = config if config is not None else RunConfig()
     if set(ref_table.channel_names) != set(target_table.channel_names):
@@ -573,13 +577,8 @@ def transfer_table(
     short = length_error(n_ref, 1) or length_error(n_tgt, 1) or _pair_length_error(n_ref, n_tgt)
 
     names = target_table.channel_names
-    columns = [
-        i for i, name in enumerate(names)
-        if short is None and name in selected and all(
-            isinstance(seq, SequenceDiagnostics) and seq.segmentation is not None
-            for seq in (ref_side[name], tgt_side[name])
-        )
-    ]
+    errors = {name: short or _pair_error(ref_side[name], tgt_side[name]) for name in selected}
+    columns = [i for i, name in enumerate(names) if name in selected and errors[name] is None]
     jobs = [names[i] for i in columns]
     outcomes = {}
     if jobs:
@@ -591,11 +590,11 @@ def transfer_table(
         with np.errstate(over="ignore", invalid="ignore"):
             refined += _trends(targets)
         finite = np.isfinite(refined).all(axis=1).tolist()
-        outcomes = {
-            name: ChannelDiagnostics(STATUS_TRANSFERRED, ref_side[name], tgt_side[name], l_min, mean)
-            if ok else DataError(OVERFLOW)
-            for name, l_min, mean, ok in zip(jobs, l_mins, means, finite)
-        }
+        for name, l_min, mean, ok in zip(jobs, l_mins, means, finite):
+            if ok:
+                outcomes[name] = ChannelDiagnostics(STATUS_TRANSFERRED, ref_side[name], tgt_side[name], l_min, mean)
+            else:
+                errors[name] = DataError(OVERFLOW)
     values = target_table.values.copy()
     if jobs:
         values[:, columns] = refined.T
@@ -604,11 +603,8 @@ def transfer_table(
     for name in names:
         if name not in selected:
             diagnostics[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
-            continue
-        ref, tgt = ref_side[name], tgt_side[name]
-        # The transfer step's outcome, else the channel's first error, else its skip.
-        outcome = outcomes.get(name) or short or _pair_error(ref, tgt) or _skipped(ref, tgt)
-        diagnostics[name] = _settle(name, outcome, ref, tgt) if isinstance(outcome, DataError) else outcome
+        else:  # the transfer step's outcome, else the channel's first error
+            diagnostics[name] = outcomes.get(name) or _settle(name, errors[name], ref_side[name], tgt_side[name])
     return PoseTable(list(names), values), diagnostics
 
 
@@ -616,11 +612,11 @@ def analyze_table(table: PoseTable, config: RunConfig | None = None) -> dict[str
     """Run the per-sequence analysis on every selected channel of a table.
 
     Channels that segment cleanly get status "passthrough" (nothing is
-    modified by analysis); constant ones and ones that fail segmentation get
-    "skipped_no_seasonality" with the reason in ``detail``, by the rule
-    :func:`transfer_table` uses; filtered-out channels get "passthrough" with
-    empty diagnostics. The analysis runs once on the selected channels
-    (:func:`_table_side`).
+    modified by analysis), and filtered-out ones "passthrough" with empty
+    diagnostics. Any other channel's error is settled by the rule
+    :func:`transfer_table` uses (:func:`_settle`), a failed segmentation
+    as a SeasonalityNotFoundError, which keeps the analysis as ``target``.
+    The analysis runs once on the selected channels (:func:`_table_side`).
     """
     cfg = config if config is not None else RunConfig()
     selected = _selected_channels(table, cfg)
@@ -631,9 +627,9 @@ def analyze_table(table: PoseTable, config: RunConfig | None = None) -> dict[str
             out[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH)
             continue
         seq = side.pop(name)
-        if isinstance(seq, DataError):
-            out[name] = _settle(name, seq)
+        if isinstance(seq, SequenceDiagnostics) and seq.failure is None:
+            out[name] = ChannelDiagnostics(status=STATUS_PASSTHROUGH, target=seq)
         else:
-            status = STATUS_PASSTHROUGH if seq.segmentation is not None else STATUS_SKIPPED
-            out[name] = ChannelDiagnostics(status=status, target=seq, detail=seq.failure)
+            error = seq if isinstance(seq, DataError) else SeasonalityNotFoundError(seq.failure)
+            out[name] = _settle(name, error, target=seq)
     return out

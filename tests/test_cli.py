@@ -270,8 +270,9 @@ SYNTH_FLAGS = {
         (("--trend-slope", "nan"), 1, "trend_slope must be finite"),
         (("--seed", "-1"), 1, "seed must be >= 0"),
         (("--n", str(10**20)), 1, "n must be <="),
+        (("--trend-slope", "1e308"), 1, "trend_slope, amplitude, noise_sigma and n give values that overflow"),
     ],
-    ids=["non_utf8", "long_field", "period", "noise_sigma", "trend_slope", "seed", "huge_n"],
+    ids=["non_utf8", "long_field", "period", "noise_sigma", "trend_slope", "seed", "huge_n", "overflow"],
 )
 def test_exit_code_follows_error_family(tmp_path, capsys, case, code, fragment):
     if isinstance(case, bytes):
@@ -285,6 +286,35 @@ def test_exit_code_follows_error_family(tmp_path, capsys, case, code, fragment):
     err = capsys.readouterr().err
     assert err.startswith("usage error: " if code == 1 else "error: ")
     assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, other",
+    [
+        ("transfer", "--report", "--out"),
+        ("transfer", "--out", "--target"),
+        ("analyze", "--report", "--input"),
+        ("synth", "--truth-out", "--out"),
+    ],
+    ids=["transfer_report_is_out", "transfer_out_is_target", "analyze_report_is_input", "synth_truth_is_out"],
+)
+def test_output_naming_another_file_flag_is_usage_error(tmp_path, capsys, command, flag, other):
+    # Each flag's file, the aliased output spelled another way; nothing is
+    # read or written, so every file in tmp_path keeps its bytes.
+    ref = run_synth(tmp_path, "hr.csv", 80, 16, 0.0, 0.0, 0)
+    tgt = run_synth(tmp_path, "lr.csv", 200, 16, 0.01, 0.2, 3)
+    paths = {"--ref": ref, "--target": tgt, "--input": tgt, "--out": tmp_path / "o.csv",
+             "--report": tmp_path / "r.json", "--truth-out": tmp_path / "t.csv"}
+    paths = {key: str(path) for key, path in paths.items()}
+    paths[flag] = os.path.join(str(tmp_path), ".", os.path.basename(paths[other]))
+    flags = {"transfer": ["--ref", "--target", "--out", "--report"], "analyze": ["--input", "--report"],
+             "synth": ["--out", "--truth-out", *SYNTH_FLAGS]}[command]
+    argv = [command, *(x for key in flags for x in (key, SYNTH_FLAGS.get(key) or paths[key]))]
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {flag} names the same file as {other}: {paths[flag]}\n"
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_max_order_cap_rejected_before_reading(tmp_path, capsys):

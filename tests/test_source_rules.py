@@ -89,26 +89,21 @@ def test_package_never_asks_json_for_an_indent():
 
 
 def test_transfer_settles_errors_as_values_in_one_function():
-    # transfer_table and analyze_table share one outcome rule per channel,
-    # _settle, which takes the channel's first error as a value: a constant
-    # series becomes a skip, any other error is raised. transfer.py never
-    # raises an error in order to catch it.
+    # transfer_table, analyze_table and transfer_channel share one outcome
+    # rule per channel, _settle, which takes the channel's first error as a
+    # value: a constant series or a sequence without periods becomes a
+    # skip, any other error is raised. transfer.py never raises an error in
+    # order to catch it.
     tree = ast.parse((PACKAGE / "transfer.py").read_text(encoding="utf-8"))
     try_nodes = (ast.Try, getattr(ast, "TryStar", ast.Try))  # TryStar from Python 3.11
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, try_nodes)] == []
-    # A function that builds a skip from an error names ConstantSeriesError
-    # and builds a ChannelDiagnostics with STATUS_SKIPPED.
+    # Every skip is built where STATUS_SKIPPED is named, so _settle alone
+    # names it.
     builders = [
         function.name
         for function in ast.walk(tree)
         if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any(isinstance(node, ast.Name) and node.id == "ConstantSeriesError" for node in ast.walk(function))
-        and any(
-            isinstance(call, ast.Call)
-            and ast.unparse(call.func) == "ChannelDiagnostics"
-            and "STATUS_SKIPPED" in ast.unparse(call)
-            for call in ast.walk(function)
-        )
+        and any(isinstance(node, ast.Name) and node.id == "STATUS_SKIPPED" for node in ast.walk(function))
     ]
     assert builders == ["_settle"], builders
 

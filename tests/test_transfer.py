@@ -275,6 +275,39 @@ def test_noisy_cycles_pass_the_significance_gate():
     assert [d.status for d in diags.values()] == [STATUS_TRANSFERRED] * k
 
 
+def test_skip_reason_names_each_side_without_periods():
+    # Channel "both" pairs two noise sequences, "ref" a noise reference with
+    # a wave target, "tgt" the other way round.
+    n = 200
+    rng = np.random.Generator(np.random.PCG64(7))
+    wave = phase_shifted_sin(n, 16)
+    noise_a, noise_b = rng.standard_normal((2, n))
+    names = ["both", "ref", "tgt"]
+    ref = PoseTable(names, np.column_stack([noise_a, noise_a, wave]))
+    tgt = PoseTable(names, np.column_stack([noise_b, wave, noise_b]))
+    out, diags = transfer_table(ref, tgt)
+    np.testing.assert_array_equal(out.values, tgt.values)
+    gate = "no significant cycle: Fisher's g = "
+    for name, failing in (("both", ["reference", "target"]), ("ref", ["reference"]), ("tgt", ["target"])):
+        diag = diags[name]
+        reasons = [f"{side}: {getattr(diag, side).failure}" for side in failing]
+        assert (diag.status, diag.detail) == (STATUS_SKIPPED, "; ".join(reasons)), name
+        assert all(getattr(diag, side).failure.startswith(gate) for side in failing), name
+        assert [side for side in ("reference", "target") if getattr(diag, side).failure] == failing, name
+        refined, alone = transfer_channel(ref.channel(name), tgt.channel(name))
+        np.testing.assert_array_equal(refined.values, tgt.channel(name))
+        assert (alone.status, alone.detail) == (diag.status, diag.detail), name
+        assert [(seq.failure, seq.fisher_g) for seq in (alone.reference, alone.target)] == [
+            (seq.failure, seq.fisher_g) for seq in (diag.reference, diag.target)
+        ], name
+    analyzed = analyze_table(tgt)
+    for name in ("both", "tgt"):
+        diag = analyzed[name]
+        assert (diag.status, diag.detail, diag.reference) == (STATUS_SKIPPED, diag.target.failure, None), name
+        assert diag.detail.startswith(gate), name
+    assert (analyzed["ref"].status, analyzed["ref"].detail) == (STATUS_PASSTHROUGH, None)
+
+
 def test_gate_keeps_the_trend_of_a_skipped_sequence():
     rng = np.random.Generator(np.random.PCG64(6))
     seq = analyze_alone(0.01 * np.arange(200.0) + rng.standard_normal(200), RunConfig())

@@ -11,17 +11,22 @@ fixed list of cases runs through ``cycletransfer.cli.cli_main`` in one
 fresh process per tree, on input files written once and shared by both.
 For every case the exit code, stdout, stderr, output CSV bytes and report
 bytes are compared; each mismatch is printed, and the exit status is 1 if
-there is any, 0 if there is none. ``--match`` keeps only the cases whose
-name contains TEXT.
+there is any, 0 if there is none. A report mismatch also prints, for each
+float field that differs (``acf``, ``spectrum``, ``mean_factor``,
+``reference_period``), its largest per-element difference, absolute and
+relative to the field's largest magnitude. ``--match`` keeps only the
+cases whose name contains TEXT.
 
 The cases are ``transfer`` and ``analyze`` on the seed-3 tables of the
 three benchmark workloads (bench/workloads.py, imported read-only) under
-six flag sets; both commands on small wave, noise, constant, ramp, curve,
-triangle and mixed tables of 2 to 200 frames under four flag sets and a
-``--channels`` subset; and a few edge cases: values near float64's limit
-and near its smallest normal scale, BOM, CRLF and quoted-header files,
-malformed cells, a missing output directory and a report path that is a
-directory.
+eight flag sets, and on their seed-4 tables under the defaults; both
+commands on small wave, noise, constant, ramp, curve, triangle and mixed
+tables of 2 to 200 frames under four flag sets and a ``--channels``
+subset; ``analyze`` on the golden input of tests/data with and without
+``--smooth-radius 120``; and a few edge cases: values near float64's
+limit and near its smallest normal scale, BOM, CRLF and quoted-header
+files, malformed cells, a missing output directory, a report path that
+is a directory and one that is the output CSV.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
-WORKLOAD_SEED = 3
+WORKLOAD_SEEDS = (3, 4)  # every flag set runs at the first, the defaults at both
 WORKLOAD_FLAGS = {
     "default": [],
     "max-order-1": ["--max-order", "1"],
@@ -54,10 +59,14 @@ WORKLOAD_FLAGS = {
     "radius-3": ["--smooth-radius", "3"],
     "radius-0": ["--smooth-radius", "0"],
     "alpha-0.6": ["--alpha", "0.6"],
+    "max-order-5": ["--max-order", "5"],
+    "max-order-12": ["--max-order", "12"],
 }
 SMALL_FLAGS = {name: WORKLOAD_FLAGS[name] for name in ("default", "max-order-1", "exponential", "radius-3")}
 SMALL_KINDS = ("wave", "noise", "constant", "ramp", "curve", "triangle")
-SMALL_SIZES = (2, 5, 8, 17, 65, 200)
+SMALL_SIZES = (2, 3, 4, 5, 6, 7, 8, 9, 10, 17, 20, 64, 65, 200)
+GOLDEN_INPUT = ROOT / "tests" / "data" / "analyze_input.csv"
+FLOAT_FIELDS = ("acf", "spectrum", "mean_factor", "reference_period")
 
 
 def _small_channel(kind: str, n: int, rng) -> np.ndarray:
@@ -94,8 +103,8 @@ def _table_bytes(names, values) -> bytes:
 
 
 @functools.lru_cache(maxsize=None)
-def _workload_pair(workload: str) -> workloads.Inputs:
-    return workloads.generate(workload, WORKLOAD_SEED)[0]
+def _workload_pair(workload: str, seed: int) -> workloads.Inputs:
+    return workloads.generate(workload, seed)[0]
 
 
 def _edge_tables() -> dict:
@@ -142,14 +151,18 @@ def cases() -> tuple[list[tuple[str, list[str]]], dict]:
                                  "--out", "out/{i}.csv", "--report", "out/{i}.json", *flags])
         add(f"analyze/{name}", ["analyze", "--input", f"inputs/{target}", "--report", "out/{i}.json", *flags])
 
-    for workload, shape in workloads.SHAPES.items():
-        ref, target = f"{workload}-ref.csv", f"{workload}-target.csv"
-        files[ref] = lambda w=workload: _table_bytes(_workload_pair(w).names, _workload_pair(w).ref)
-        files[target] = lambda w=workload: _table_bytes(_workload_pair(w).names, _workload_pair(w).target)
-        for flag_name, flags in WORKLOAD_FLAGS.items():
-            both(f"{workload}/{flag_name}", ref, target, flags)
-        if shape.selected is not None:
-            both(f"{workload}/channels", ref, target, ["--channels", ",".join(_workload_pair(workload).selections[0])])
+    for seed in WORKLOAD_SEEDS:
+        flag_sets = WORKLOAD_FLAGS if seed == WORKLOAD_SEEDS[0] else {"default": []}
+        for workload, shape in workloads.SHAPES.items():
+            pair = functools.partial(_workload_pair, workload, seed)
+            label = workload if seed == WORKLOAD_SEEDS[0] else f"{workload}-seed{seed}"
+            ref, target = f"{label}-ref.csv", f"{label}-target.csv"
+            files[ref] = lambda pair=pair: _table_bytes(pair().names, pair().ref)
+            files[target] = lambda pair=pair: _table_bytes(pair().names, pair().target)
+            for flag_name, flags in flag_sets.items():
+                both(f"{label}/{flag_name}", ref, target, flags)
+            if shape.selected is not None and seed == WORKLOAD_SEEDS[0]:
+                both(f"{label}/channels", ref, target, ["--channels", ",".join(pair().selections[0])])
 
     for n in SMALL_SIZES:
         for kind in (*SMALL_KINDS, "mixed"):
@@ -161,6 +174,10 @@ def cases() -> tuple[list[tuple[str, list[str]]], dict]:
                 both(f"{kind}-n{n}/{flag_name}", ref, target, flags)
             both(f"{kind}-n{n}/channels", ref, target, ["--channels", "wave,noise" if kind == "mixed" else "a"])
 
+    files["golden.csv"] = GOLDEN_INPUT.read_bytes
+    for flag_name, flags in (("default", []), ("radius-120", ["--smooth-radius", "120"])):
+        add(f"golden/{flag_name}", ["analyze", "--input", "inputs/golden.csv", "--report", "out/{i}.json", *flags])
+
     files.update(_edge_tables())
     for name in ("huge", "range", "scaled", "bom-crlf", "quoted", "nan-cell", "bad-frame"):
         both(f"edge/{name}", "huge-ref.csv" if name == "huge" else "wave-200-ref.csv", f"{name}.csv", [])
@@ -169,6 +186,7 @@ def cases() -> tuple[list[tuple[str, list[str]]], dict]:
     analyze = ["analyze", "--input", target, "--report", "out/{i}.json"]
     add("edge/missing-out-dir", [*transfer, "--out", "missing/{i}.csv"])
     add("edge/report-is-dir", [*transfer, "--out", "out/{i}.csv", "--report", "out"])
+    add("edge/report-is-out", [*transfer, "--out", "out/{i}.csv", "--report", "out/{i}.csv"])
     add("edge/max-order-50", [*analyze, "--max-order", "50"])
     add("edge/radius-5000", [*analyze, "--smooth-radius", "5000"])
     add("edge/unknown-channel", [*analyze, "--channels", "zz"])
@@ -231,6 +249,41 @@ def _first_difference(a: bytes, b: bytes) -> str:
     return f"{len(a)} vs {len(b)} bytes, first difference at byte {at}: {a[at:at + 40]!r} vs {b[at:at + 40]!r}"
 
 
+def float_differences(base: bytes, head: bytes) -> list[str]:
+    """One line per float field that differs between two reports: the
+    largest per-element difference over the channels where both reports
+    hold the field with one shape, absolute and relative to the field's
+    largest magnitude in either report, and how many channels hold it in
+    one report only or in two shapes. Nothing for bytes that are not both
+    reports."""
+    try:
+        reports = json.loads(base), json.loads(head)
+    except ValueError:
+        return []
+    if not all(isinstance(report, dict) for report in reports):
+        return []
+    a, b = reports
+    lines = []
+    for field in FLOAT_FIELDS:
+        left, right, unmatched = [], [], 0
+        for name in sorted(a.keys() & b.keys()):
+            x, y = (np.ravel(np.asarray(entry.get(field), dtype=float)) for entry in (a[name], b[name]))
+            if x.shape != y.shape or (np.isnan(x) != np.isnan(y)).any():
+                unmatched += 1
+            else:
+                left.append(x)
+                right.append(y)
+        x, y = np.concatenate([np.zeros(0), *left]), np.concatenate([np.zeros(0), *right])
+        both = ~(np.isnan(x) & np.isnan(y))  # a null in both reports is no difference
+        largest = float(np.abs(x - y)[both].max(initial=0.0))
+        scale = float(np.abs(np.concatenate([x[both], y[both]])).max(initial=0.0))
+        if largest > 0 or unmatched:
+            relative = f"{largest / scale:.3g}" if scale else "-"
+            lines.append(f"{field}: largest difference {largest:.3g} absolute, {relative} of the field's largest "
+                         f"magnitude {scale:.3g}; {unmatched} channels held in one report only or in two shapes")
+    return lines
+
+
 def _read(path: Path) -> bytes | None:
     return path.read_bytes() if path.is_file() else None
 
@@ -242,12 +295,14 @@ def compare(base: dict, head: dict, base_work: Path, head_work: Path, argvs) -> 
         for field in ("exit", "stdout", "stderr"):
             if a[field] != b[field]:
                 mismatches.append(f"{name}: {field} {a[field]!r} vs {b[field]!r}")
-        outputs = [argv[i + 1] for i, arg in enumerate(argv) if arg in ("--out", "--report")]
+        outputs = dict.fromkeys(argv[i + 1] for i, arg in enumerate(argv) if arg in ("--out", "--report"))
         for output in outputs:
             left, right = _read(base_work / output), _read(head_work / output)
             if left != right:
-                detail = _first_difference(left, right) if left is not None and right is not None else (
-                    f"written {left is not None} vs {right is not None}")
+                if left is not None and right is not None:
+                    detail = "\n    ".join([_first_difference(left, right), *float_differences(left, right)])
+                else:
+                    detail = f"written {left is not None} vs {right is not None}"
                 mismatches.append(f"{name}: {output} differs, {detail}")
     return mismatches
 
