@@ -3,21 +3,25 @@
 A series is held as a plain 1-D float64 numpy array. Raw input is checked
 once, where it enters the pipeline, by :func:`as_series` (one dimension,
 enough samples, all values finite). Each check that depends on a series'
-length, range or smoothing radius is stated once, as a function that
-returns its error: the one-series stages raise it, and a table side's
+length, values, range or smoothing radius is stated once, as a function
+that returns its error: the one-series stages raise it, and a table side's
 analysis records it for the row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstantSeriesError, DataError, SeasonalityNotFoundError
 
-# Ranges below this are treated as constant (zero variance).
+# A normalized row whose range about its ramp is below this has no cyclic part.
 MIN_RANGE = 1e-12
+# A few roundings leave this many float64 spacings (math.ulp) on an exact
+# constant, and min-max scaling a range this small gives at most five levels.
+CONSTANT_SPACINGS = 4
 
 
 def as_series(values) -> np.ndarray:
@@ -26,10 +30,13 @@ def as_series(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DataError(f"expected a 1-D series, got shape {arr.shape}")
-    raise_if_error(length_error(arr.size, 1))
-    if not np.all(np.isfinite(arr)):
-        raise DataError("series contains NaN or infinite samples")
+    raise_if_error(length_error(arr.size, 1) or finite_error(arr))
     return arr
+
+
+def finite_error(values: np.ndarray) -> DataError | None:
+    """The error of values that hold a NaN or an infinity, or None."""
+    return None if np.isfinite(values).all() else DataError("values include NaN or infinity")
 
 
 def length_error(n: int, min_len: int) -> DataError | None:
@@ -39,10 +46,11 @@ def length_error(n: int, min_len: int) -> DataError | None:
 
 def range_error(lo: float, hi: float) -> DataError | None:
     """The error of a series with these bounds in :func:`normalize_minmax`,
-    or None: a range below MIN_RANGE is constant (ConstantSeriesError), and
-    one that overflows float64 would make every sample NaN (DataError)."""
-    if hi - lo < MIN_RANGE:
-        error, what = ConstantSeriesError, f"{hi - lo:g} is below {MIN_RANGE:g}"
+    or None: a range of CONSTANT_SPACINGS spacings at its largest magnitude
+    or less is constant (ConstantSeriesError), whatever the units, and one
+    that overflows float64 would make every sample NaN (DataError)."""
+    if hi - lo <= CONSTANT_SPACINGS * math.ulp(max(abs(lo), abs(hi))):
+        error, what = ConstantSeriesError, f"is at most {CONSTANT_SPACINGS} float64 spacings, so the series is constant"
     elif hi - lo == np.inf:
         error, what = DataError, f"from min {lo:g} to max {hi:g} overflows float64"
     else:
@@ -79,8 +87,8 @@ class ScaleParams:
 def normalize_minmax(series: np.ndarray) -> tuple[np.ndarray, ScaleParams]:
     """Map a series onto [0, 1] and return the bounds used.
 
-    The minimum maps to exactly 0 and the maximum to exactly 1. A series
-    whose range falls below ``MIN_RANGE`` raises ConstantSeriesError; one
+    The minimum maps to exactly 0 and the maximum to exactly 1. A constant
+    series (:func:`range_error`) raises ConstantSeriesError; one
     whose range overflows float64, which would make every sample NaN,
     raises DataError.
     """
@@ -113,11 +121,15 @@ def mean_smoothing(series: np.ndarray, radius: int) -> np.ndarray:
     base = series[..., :1]
     csum = np.cumsum(series - base, axis=-1)
     csum = np.concatenate((np.zeros(csum.shape[:-1] + (1,)), csum), axis=-1)
-    idx = np.arange(n)
-    lo = np.maximum(idx - radius, 0)
-    hi = np.minimum(idx + radius, n - 1)
+    out = np.empty(series.shape)
+    # Windows inside the row hold 2*radius + 1 samples; the first and last radius are clipped.
+    full = max(n - 2 * radius, 0)
+    out[..., radius : radius + full] = base + (csum[..., n + 1 - full :] - csum[..., :full]) / (2 * radius + 1)
+    idx = np.r_[:radius, radius + full : n]
+    lo, hi = np.maximum(idx - radius, 0), np.minimum(idx + radius + 1, n)
     # take, not csum[..., idx], which lays a block out column-major.
-    return _clip_to_rows(base + (csum.take(hi + 1, axis=-1) - csum.take(lo, axis=-1)) / (hi - lo + 1), series)
+    out[..., idx] = base + (csum.take(hi, axis=-1) - csum.take(lo, axis=-1)) / (hi - lo)
+    return _clip_to_rows(out, series)
 
 
 def exponential_smoothing(series: np.ndarray, alpha: float, radius: int) -> np.ndarray:

@@ -72,6 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UsageError
+from .series import finite_error, raise_if_error
 
 SYNTH_CHANNEL = "synth"
 # Largest synthetic table, in frames; far past what fits in memory, but
@@ -100,21 +101,8 @@ class PoseTable:
         if self.values.ndim != 2:
             raise UsageError(f"table values must be 2-D, got shape {self.values.shape}")
         if self.values.shape[1] != len(self.channel_names):
-            raise UsageError(
-                f"{len(self.channel_names)} channel names but {self.values.shape[1]} columns"
-            )
-        for name in self.channel_names:
-            if not name.strip():
-                raise UsageError("channel names must be non-empty")
-            if "\0" in name:
-                raise UsageError(f"channel name {name!r} holds a NUL character")
-        seen = set()
-        for name in self.channel_names:
-            if name in seen:
-                raise DataError(f"duplicate channel name {name!r}")
-            seen.add(name)
-        if not np.all(np.isfinite(self.values)):
-            raise UsageError("table contains NaN or infinite values")
+            raise UsageError(f"{len(self.channel_names)} channel names but {self.values.shape[1]} columns")
+        raise_if_error(names_error(self.channel_names) or finite_error(self.values))
 
     @property
     def n_frames(self) -> int:
@@ -264,9 +252,7 @@ def _read_csv_lines(path) -> PoseTable:
             # does not locate the bad byte; the raw bytes do.
             line = _first_non_utf8_line(path)
             raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
-    values = np.asarray(rows, dtype=float) if rows else np.empty((0, len(names)))
-    values = values.reshape(len(rows), len(names))
-    return PoseTable(list(names), values)
+    return PoseTable(names, np.asarray(rows, dtype=float).reshape(len(rows), len(names)))
 
 
 def _parse_rows(reader, path) -> tuple[list[str], list[list[float]]]:
@@ -309,22 +295,28 @@ def _parse_rows(reader, path) -> tuple[list[str], list[list[float]]]:
 
 
 def _channel_names(header: list[str], path) -> list[str]:
-    """The channel names a header row declares; DataError if it is not a
-    pose table header."""
-    if not header or header[0] != "frame":
-        raise DataError(f"{path}: line 1: header must start with 'frame'")
-    names = header[1:]
+    """The channel names a pose table's header row declares, else DataError."""
+    error = names_error(header[1:]) if header[:1] == ["frame"] else DataError("header must start with 'frame'")
+    if error is not None:
+        raise DataError(f"{path}: line 1: {error}")
+    return header[1:]
+
+
+def names_error(names: list[str]) -> DataError | None:
+    """The error of a table's channel names, or None: a blank name or one
+    holding a NUL character, which Python 3.10's csv module can neither
+    write nor read, and then a name given twice."""
     for name in names:
         if not name.strip():
-            raise DataError(f"{path}: line 1: empty channel name in header")
+            return DataError(f"channel name {name!r} is blank")
         if "\0" in name:
-            raise DataError(f"{path}: line 1: channel name {name!r} holds a NUL character")
+            return DataError(f"channel name {name!r} holds a NUL character")
     seen = set()
     for name in names:
         if name in seen:
-            raise DataError(f"{path}: line 1: duplicate channel {name!r}")
+            return DataError(f"duplicate channel name {name!r}")
         seen.add(name)
-    return names
+    return None
 
 
 def _first_non_utf8_line(path) -> int | None:

@@ -456,11 +456,9 @@ def _pair_error(ref, tgt) -> DataError | None:
 
 def _pair_length_error(n_ref: int, n_tgt: int) -> DataError | None:
     """The error of a reference and a target too short to transfer, or None."""
-    if min(n_ref, n_tgt) < MIN_TRANSFER_LENGTH:
-        return DataError(
-            f"transfer needs at least {MIN_TRANSFER_LENGTH} frames per sequence, got {n_ref} and {n_tgt}"
-        )
-    return None
+    if min(n_ref, n_tgt) >= MIN_TRANSFER_LENGTH:
+        return None
+    return DataError(f"transfer needs at least {MIN_TRANSFER_LENGTH} frames per sequence, got {n_ref} and {n_tgt}")
 
 
 def transfer_channel(reference, target, config: RunConfig | None = None) -> tuple[RefinedSeries, ChannelDiagnostics]:
@@ -562,12 +560,10 @@ def transfer_table(
     fails names the error.
     """
     cfg = config if config is not None else RunConfig()
-    if set(ref_table.channel_names) != set(target_table.channel_names):
-        only_ref = sorted(set(ref_table.channel_names) - set(target_table.channel_names))
-        only_tgt = sorted(set(target_table.channel_names) - set(ref_table.channel_names))
-        raise DataError(
-            f"channel sets differ; only in reference: {only_ref}, only in target: {only_tgt}"
-        )
+    only_ref = sorted(set(ref_table.channel_names) - set(target_table.channel_names))
+    only_tgt = sorted(set(target_table.channel_names) - set(ref_table.channel_names))
+    if only_ref or only_tgt:
+        raise DataError(f"channel sets differ; only in reference: {only_ref}, only in target: {only_tgt}")
     selected = _selected_channels(target_table, cfg)
     ref_side = _table_side(ref_table, selected, cfg, with_acf=False)
     tgt_side = _table_side(target_table, selected, cfg)

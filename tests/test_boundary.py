@@ -83,7 +83,7 @@ def _transfer_channel(reference, target):
         (
             _transfer_channel(np.where(np.arange(80) == 5, np.nan, _wave(80)), _wave(80)),
             2,
-            "error: series contains NaN or infinite samples\n",
+            "error: values include NaN or infinity\n",
         ),
         (
             _transfer_channel(np.zeros((80, 2)), _wave(80)),

@@ -166,7 +166,7 @@ def test_analyze_stderr_names_each_skip_reason(tmp_path, capsys):
         "channel 'wave': passthrough",
         "channel 'noise': skipped_no_seasonality "
         "(no significant cycle: Fisher's g = 0.105, p = 0.0959 > 0.01)",
-        "channel 'still': skipped_no_seasonality (series range 0 is below 1e-12)",
+        "channel 'still': skipped_no_seasonality (series range is at most 4 float64 spacings, so the series is constant)",
     ]
 
 

@@ -51,9 +51,10 @@ def test_float_differences_summarize_each_float_field():
     summarize = _differential().float_differences
     tail = "channels held in one report only or in two shapes"
     assert summarize(json.dumps(base).encode(), json.dumps(head).encode()) == [
-        f"acf: largest difference 0.25 absolute, 0.25 of the field's largest magnitude 1; 1 {tail}",
-        f"mean_factor: largest difference 0 absolute, - of the field's largest magnitude 0; 1 {tail}",
-        f"reference_period: largest difference 0.5 absolute, 0.0312 of the field's largest magnitude 16; 0 {tail}",
+        f"acf: largest difference 0.25 absolute, 0.25 of the field's largest magnitude 1, 0.5 of its own element; 1 {tail}",
+        f"mean_factor: largest difference 0 absolute, - of the field's largest magnitude 0, 0 of its own element; 1 {tail}",
+        "reference_period: largest difference 0.5 absolute, 0.0312 of the field's largest magnitude 16, "
+        f"0.0588 of its own element; 0 {tail}",
     ]
     assert summarize(json.dumps(base).encode(), json.dumps(base).encode()) == []
     assert summarize(b"frame,a\n0,1\n", b"frame,a\n0,2\n") == []

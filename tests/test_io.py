@@ -44,18 +44,23 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_pose_table_validation():
-    with pytest.raises(ValueError):
+    # Shape misuse is a UsageError; a bad name or value is a DataError.
+    with pytest.raises(UsageError, match="1 channel names but 2 columns"):
         PoseTable(["a"], np.zeros((3, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match=re.escape("table values must be 2-D, got shape (3,)")):
         PoseTable(["a"], np.zeros(3))
-    with pytest.raises(DataError, match="duplicate channel name 'a'"):
-        PoseTable(["a", "a"], np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        PoseTable([" "], np.zeros((3, 1)))
-    with pytest.raises(UsageError):
-        PoseTable(["a\0b"], np.zeros((3, 1)))
-    with pytest.raises(ValueError):
-        PoseTable(["a"], np.array([[np.nan]]))
+    for names, values, message in [
+        (["a", "a"], np.zeros((3, 2)), "duplicate channel name 'a'"),
+        ([" "], np.zeros((3, 1)), "channel name ' ' is blank"),
+        (["a\0b"], np.zeros((3, 1)), "channel name 'a\\x00b' holds a NUL character"),
+        # Every blank and NUL check comes before the duplicate check.
+        (["a", "a", ""], np.zeros((3, 3)), "channel name '' is blank"),
+        (["a"], np.array([[np.nan]]), "values include NaN or infinity"),
+        (["a"], np.array([[1.0], [-np.inf]]), "values include NaN or infinity"),
+    ]:
+        with pytest.raises(DataError) as info:
+            PoseTable(names, values)
+        assert str(info.value) == message
 
 
 def test_pose_table_channel_access():
@@ -97,8 +102,34 @@ def test_read_csv_header_errors(tmp_path):
     with pytest.raises(DataError, match="line 1: header must start with 'frame'"):
         read_csv(path)
     path.write_text("frame,a,a\n")
-    with pytest.raises(DataError, match="line 1: duplicate channel 'a'"):
+    with pytest.raises(DataError, match="line 1: duplicate channel name 'a'"):
         read_csv(path)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("frame,a,,b", "channel name '' is blank"),
+        ("frame,a, ", "channel name ' ' is blank"),
+        ("frame,a,b,a", "duplicate channel name 'a'"),
+        ("frame,a,a, ", "channel name ' ' is blank"),
+    ],
+    ids=["empty", "space", "duplicate", "blank_before_duplicate"],
+)
+def test_read_csv_header_name_errors_name_path_and_line(tmp_path, header, message):
+    # The first file is one the fast path would take but for its header;
+    # the second, without its final newline, only the line parser reads.
+    # Both give PoseTable's message, prefixed with the path and line 1.
+    width = header.count(",")
+    body = "".join(f"{i}" + ",1.5" * width + "\n" for i in range(3))
+    for text in (header + "\n" + body, header + "\n" + body.rstrip("\n")):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        assert _read_csv_blocks(path) is None
+        for parse in (read_csv, _read_csv_lines):
+            with pytest.raises(DataError) as info:
+                parse(path)
+            assert str(info.value) == f"{path}: line 1: {message}"
 
 
 def test_read_csv_rejects_a_nul_in_a_channel_name(tmp_path):

@@ -23,7 +23,7 @@ from cycletransfer.decomposition import (
 )
 from cycletransfer.errors import SeasonalityNotFoundError
 from cycletransfer.seasonality import _acf_size, autocorrelation, fisher_g_rows
-from cycletransfer.series import exponential_smoothing
+from cycletransfer.series import exponential_smoothing, mean_smoothing
 from cycletransfer.transfer import _frame_intervals, apply_transfer, build_phi
 
 
@@ -91,6 +91,11 @@ def two_phase_transfer_oracle(trend, mean_factor, periods, reference_period):
     ends_of_intervals = np.cumsum(interval_sizes(l_int, l_min))
     applied[outside] = mean_factor[np.searchsorted(ends_of_intervals, offsets, side="right")]
     return trend + applied, applied, transferred
+
+
+def mean_oracle(series, radius):
+    n = series.size
+    return np.array([np.mean(series[max(i - radius, 0) : i + radius + 1]) for i in range(n)])
 
 
 def exponential_oracle(series, alpha, radius):
@@ -190,6 +195,23 @@ def test_exponential_smoothing_matches_window_loop(n, seed, alpha, data):
     np.testing.assert_array_equal(got[n - radius :], x[n - radius :])
     flat = np.full(n, x[0])
     np.testing.assert_array_equal(exponential_smoothing(flat, alpha, radius), flat)
+
+
+@given(st.integers(1, 400), st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=150, deadline=None)
+def test_mean_smoothing_matches_window_loop(n, seed, data):
+    # Radius up to n - 1, so the windows clip at one end, at both, or not.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    scale = 10.0 ** rng.integers(-3, 4)
+    x = scale * (rng.standard_normal(n) + rng.uniform(-5, 5))
+    radius = data.draw(st.integers(0, n - 1))
+    got = mean_smoothing(x, radius)
+    np.testing.assert_allclose(got, mean_oracle(x, radius), rtol=0, atol=1e-12 * np.ptp(x))
+    # Each row of a block gets the bits it gets alone, row-major.
+    block = np.stack([x, x[::-1]])
+    both = mean_smoothing(block, radius)
+    assert both.flags.c_contiguous
+    np.testing.assert_array_equal(both, [got, mean_smoothing(x[::-1].copy(), radius)])
 
 
 signs = st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=1, max_size=60)

@@ -58,6 +58,16 @@ def test_normalize_already_unit_range():
 def test_normalize_constant_errors():
     with pytest.raises(ConstantSeriesError):
         normalize_minmax(np.array([5.0, 5.0, 5.0]))
+    # Constant means a range of at most 4 float64 spacings at the values'
+    # magnitude, whatever their units; a range of 5 is normalized.
+    eps = 2.0**-52
+    for scale in (1.0, 2.0**-900, 2.0**900):
+        with pytest.raises(ConstantSeriesError, match="series range is at most 4 float64 spacings"):
+            normalize_minmax(scale * np.array([1.0, 1.0 + 4 * eps]))
+        normed, _ = normalize_minmax(scale * np.array([1.0, 1.0 + 5 * eps]))
+        np.testing.assert_array_equal(normed, [0.0, 1.0])
+    normed, _ = normalize_minmax(np.array([0.0, 1e-300, 0.5e-300]))
+    np.testing.assert_array_equal(normed, [0.0, 1.0, 0.5])
 
 
 def test_normalize_rejects_range_overflow():

@@ -216,7 +216,7 @@ def test_a_block_of_every_outcome_gives_each_row_its_analysis_alone():
         "0 retained starts and 0 periods; need at least 2 starts forming 1 period",
     ]
     assert [str(entry) for entry in entries[6:]] == [
-        "series range 0 is below 1e-12",
+        "series range is at most 4 float64 spacings, so the series is constant",
         "series is a plain ramp, no cyclic part to analyze",
     ]
 
@@ -347,7 +347,7 @@ def test_error_and_skip_precedence_in_table_order():
     # the first channel in table order that fails otherwise names the error.
     diags = analyze_table(_table(cols, ["flat", "wave", "ramp", "wave2"]))
     assert [d.status for d in diags.values()] == [STATUS_SKIPPED, STATUS_PASSTHROUGH, STATUS_SKIPPED, STATUS_PASSTHROUGH]
-    assert diags["flat"].detail == "series range 0 is below 1e-12"
+    assert diags["flat"].detail == "series range is at most 4 float64 spacings, so the series is constant"
     assert diags["ramp"].detail == "series is a plain ramp, no cyclic part to analyze"
     for names, culprit in ((["flat", "ramp", "big", "wave"], "big"), (["wave", "big", "flat"], "big")):
         with pytest.raises(DataError) as info:
@@ -400,7 +400,7 @@ def test_reference_fails_before_target():
         transfer_table(ref, tgt)
     assert str(info.value) == f"channel 'c': {_message(normalize_minmax, cols['big'])[1]}"
     out, diags = transfer_table(ref, tgt, RunConfig(channel_filter=["a", "b"]))
-    assert diags["a"].detail == "reference: series range 0 is below 1e-12"
+    assert diags["a"].detail == "reference: series range is at most 4 float64 spacings, so the series is constant"
     assert diags["b"].detail == "reference: series is a plain ramp, no cyclic part to analyze"
     np.testing.assert_array_equal(out.values, tgt.values)
     # The reason names the flat side, swapped or not, and the side that was
@@ -409,7 +409,8 @@ def test_reference_fails_before_target():
     for pair, side, kept in (((wave, flat), "target", "reference"), ((flat, wave), "reference", "target")):
         out, diags = transfer_table(*pair)
         diag = diags["s"]
-        assert (diag.status, diag.detail) == (STATUS_SKIPPED, f"{side}: series range 0 is below 1e-12")
+        constant = "series range is at most 4 float64 spacings, so the series is constant"
+        assert (diag.status, diag.detail) == (STATUS_SKIPPED, f"{side}: {constant}")
         assert getattr(diag, side) is None and getattr(diag, kept).segmentation is not None
         np.testing.assert_array_equal(out.values, pair[1].values)
     # The target's error shows once the reference passes.

@@ -111,7 +111,13 @@ def test_transfer_settles_errors_as_values_in_one_function():
 # Each series check is worded once, in the one-series form that returns its
 # error (series.length_error, range_error, radius_error) or, for the plain
 # ramp, in the side step; every other caller records or raises that error.
-CHECK_MESSAGES = ["series has ", "series range ", "must be below the series length", "plain ramp"]
+# So is each table content rule: the channel names (tableio.names_error: a
+# blank name, a NUL, a duplicate) and finite values (series.finite_error),
+# which PoseTable, the CSV header check and as_series share.
+CHECK_MESSAGES = [
+    "series has ", "series range ", "must be below the series length", "plain ramp",
+    " is blank", " holds a NUL character", "duplicate channel name ", "NaN or infinity",
+]
 
 
 def test_each_series_check_message_is_worded_once():

@@ -13,9 +13,9 @@ For every case the exit code, stdout, stderr, output CSV bytes and report
 bytes are compared; each mismatch is printed, and the exit status is 1 if
 there is any, 0 if there is none. A report mismatch also prints, for each
 float field that differs (``acf``, ``spectrum``, ``mean_factor``,
-``reference_period``), its largest per-element difference, absolute and
-relative to the field's largest magnitude. ``--match`` keeps only the
-cases whose name contains TEXT.
+``reference_period``), its largest per-element difference, absolute,
+relative to the field's largest magnitude and relative to each element.
+``--match`` keeps only the cases whose name contains TEXT.
 
 The cases are ``transfer`` and ``analyze`` on the seed-3 tables of the
 three benchmark workloads (bench/workloads.py, imported read-only) under
@@ -25,8 +25,11 @@ tables of 2 to 200 frames under four flag sets and a ``--channels``
 subset; ``analyze`` on the golden input of tests/data with and without
 ``--smooth-radius 120``; and a few edge cases: values near float64's
 limit and near its smallest normal scale, BOM, CRLF and quoted-header
-files, malformed cells, a missing output directory, a report path that
-is a directory and one that is the output CSV.
+files, malformed cells, a blank, a duplicate and a NUL-holding channel
+name, each in a file the fast CSV reader would take but for its header
+and in one only the line parser reads, ``--smooth-radius`` equal to the
+series length, a missing output directory, a report path that is a
+directory and one that is the output CSV.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ SMALL_FLAGS = {name: WORKLOAD_FLAGS[name] for name in ("default", "max-order-1",
 SMALL_KINDS = ("wave", "noise", "constant", "ramp", "curve", "triangle")
 SMALL_SIZES = (2, 3, 4, 5, 6, 7, 8, 9, 10, 17, 20, 64, 65, 200)
 GOLDEN_INPUT = ROOT / "tests" / "data" / "analyze_input.csv"
+# Bad names for channel b of the edge tables, as header bytes.
+BAD_NAMES = {"blank-name": b" ", "duplicate-name": b"a", "nul-name": b"b\0"}
 FLOAT_FIELDS = ("acf", "spectrum", "mean_factor", "reference_period")
 
 
@@ -112,7 +117,8 @@ def _edge_tables() -> dict:
     from the 200-frame two-channel wave tables: channel b scaled near
     float64's limit on both sides (the transfer overflows) or beyond it
     (the range overflows), or scaled apart from channel a, and the
-    target's text changed."""
+    target's text changed. Each bad channel name comes in a file that ends
+    in a newline and in one without it, which only the line parser reads."""
     names, wave = _small_table(["wave"], 200, 2)
     ref = _small_table(["wave"], 200, 1)[1]
     with_nan = wave.copy()
@@ -122,7 +128,11 @@ def _edge_tables() -> dict:
     def scaled(values, scales):
         return functools.partial(_table_bytes, names, values / np.abs(values).max(axis=0) * scales)
 
-    return {
+    def header(name, final_newline):
+        return lambda: plain().replace(b"frame,a,b", b"frame,a," + name, 1)[: None if final_newline else -1]
+
+    bad = {f"{kind}{suffix}.csv": header(name, not suffix) for kind, name in BAD_NAMES.items() for suffix in ("", "-lines")}
+    return bad | {
         "huge-ref.csv": scaled(ref, [1.0, 0.7e308]),
         "huge.csv": scaled(wave, [1.0, 0.7e308]),
         "range.csv": scaled(wave, [1.0, 1.5e308]),
@@ -179,8 +189,10 @@ def cases() -> tuple[list[tuple[str, list[str]]], dict]:
         add(f"golden/{flag_name}", ["analyze", "--input", "inputs/golden.csv", "--report", "out/{i}.json", *flags])
 
     files.update(_edge_tables())
-    for name in ("huge", "range", "scaled", "bom-crlf", "quoted", "nan-cell", "bad-frame"):
+    bad_names = [f"{kind}{suffix}" for kind in BAD_NAMES for suffix in ("", "-lines")]
+    for name in ("huge", "range", "scaled", "bom-crlf", "quoted", "nan-cell", "bad-frame", *bad_names):
         both(f"edge/{name}", "huge-ref.csv" if name == "huge" else "wave-200-ref.csv", f"{name}.csv", [])
+    both("edge/radius-n", "wave-200-ref.csv", "wave-200-target.csv", ["--smooth-radius", "200"])
     ref, target = "inputs/wave-200-ref.csv", "inputs/wave-200-target.csv"
     transfer = ["transfer", "--ref", ref, "--target", target]
     analyze = ["analyze", "--input", target, "--report", "out/{i}.json"]
@@ -252,9 +264,10 @@ def _first_difference(a: bytes, b: bytes) -> str:
 def float_differences(base: bytes, head: bytes) -> list[str]:
     """One line per float field that differs between two reports: the
     largest per-element difference over the channels where both reports
-    hold the field with one shape, absolute and relative to the field's
-    largest magnitude in either report, and how many channels hold it in
-    one report only or in two shapes. Nothing for bytes that are not both
+    hold the field with one shape, absolute, relative to the field's
+    largest magnitude in either report and relative to the larger
+    magnitude of its own element, and how many channels hold it in one
+    report only or in two shapes. Nothing for bytes that are not both
     reports."""
     try:
         reports = json.loads(base), json.loads(head)
@@ -275,12 +288,16 @@ def float_differences(base: bytes, head: bytes) -> list[str]:
                 right.append(y)
         x, y = np.concatenate([np.zeros(0), *left]), np.concatenate([np.zeros(0), *right])
         both = ~(np.isnan(x) & np.isnan(y))  # a null in both reports is no difference
-        largest = float(np.abs(x - y)[both].max(initial=0.0))
-        scale = float(np.abs(np.concatenate([x[both], y[both]])).max(initial=0.0))
+        difference, magnitude = np.abs(x - y)[both], np.maximum(np.abs(x), np.abs(y))[both]
+        largest = float(difference.max(initial=0.0))
+        scale = float(magnitude.max(initial=0.0))
+        nonzero = magnitude > 0  # two zeros are no difference
+        own = float((difference[nonzero] / magnitude[nonzero]).max(initial=0.0))
         if largest > 0 or unmatched:
             relative = f"{largest / scale:.3g}" if scale else "-"
             lines.append(f"{field}: largest difference {largest:.3g} absolute, {relative} of the field's largest "
-                         f"magnitude {scale:.3g}; {unmatched} channels held in one report only or in two shapes")
+                         f"magnitude {scale:.3g}, {own:.3g} of its own element; "
+                         f"{unmatched} channels held in one report only or in two shapes")
     return lines
 
 
