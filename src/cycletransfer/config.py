@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import UsageError
+from .series import exp_alpha_error, raise_if_error, smooth_radius_error
 
 SMOOTH_MEAN = "mean"
 SMOOTH_EXPONENTIAL = "exponential"
@@ -39,8 +40,7 @@ class RunConfig:
             raise UsageError(f"max_order must be >= 1, got {self.max_order}")
         if self.max_order > MAX_TREND_ORDER:
             raise UsageError(f"max_order must be <= {MAX_TREND_ORDER}, got {self.max_order}")
-        if self.smooth_radius is not None and not self.smooth_radius >= 0:
-            raise UsageError(f"smooth_radius must be >= 0, got {self.smooth_radius}")
+        raise_if_error(smooth_radius_error(self.smooth_radius))
         if self.smooth_radius == float("inf"):
             raise UsageError("smooth_radius must be finite, got inf")
         # The stages count and slice with these, so they are held as ints.
@@ -51,9 +51,7 @@ class RunConfig:
             object.__setattr__(self, name, None if value is None else int(value))
         if self.smooth_kind not in (SMOOTH_MEAN, SMOOTH_EXPONENTIAL):
             raise UsageError(f"unknown smooth_kind {self.smooth_kind!r}")
-        if self.smooth_kind == SMOOTH_EXPONENTIAL and self.smooth_radius == 0:
-            raise UsageError("smooth_radius must be >= 1 for exponential smoothing, got 0")
-        if not 0.0 < self.exp_alpha <= 1.0:
-            raise UsageError(f"exp_alpha must lie in (0, 1], got {self.exp_alpha}")
+        raise_if_error(smooth_radius_error(self.smooth_radius, 1 if self.smooth_kind == SMOOTH_EXPONENTIAL else 0))
+        raise_if_error(exp_alpha_error(self.exp_alpha))
         if isinstance(self.channel_filter, str):
             raise UsageError(f"channel_filter must be a list of channel names, got {self.channel_filter!r}")

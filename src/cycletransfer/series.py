@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantSeriesError, DataError, SeasonalityNotFoundError
+from .errors import ConstantSeriesError, DataError, SeasonalityNotFoundError, UsageError
 
 # A normalized row whose range about its ramp is below this has no cyclic part.
 MIN_RANGE = 1e-12
@@ -63,17 +63,31 @@ def radius_error(radius: int, n: int) -> DataError | None:
     return DataError(f"radius {radius} must be below the series length {n}") if radius >= n else None
 
 
+def smooth_radius_error(radius, least: int = 0) -> UsageError | None:
+    """The error of a smoothing radius below ``least`` (1 for the exponential smoother), or None; None passes."""
+    if radius is None or radius >= least:
+        return None
+    return UsageError(f"smooth_radius must be >= {least}{' for exponential smoothing' if least else ''}, got {radius}")
+
+
+def exp_alpha_error(alpha) -> UsageError | None:
+    """The error of an exponential smoother's center weight outside (0, 1], or None."""
+    return None if 0.0 < alpha <= 1.0 else UsageError(f"exp_alpha must lie in (0, 1], got {alpha}")
+
+
 def raise_if_error(entry) -> None:
     """Raise ``entry`` when it is a check's error, anything else passes. The
-    checks store only ConstantSeriesError, SeasonalityNotFoundError and
-    DataError, and each raise here names its class, so every raise in the
-    package names an error family (tests/test_source_rules.py)."""
+    checks store only ConstantSeriesError, SeasonalityNotFoundError,
+    DataError and UsageError, and each raise here names its class, so every
+    raise in the package names an error family (tests/test_source_rules.py)."""
     if isinstance(entry, ConstantSeriesError):
         raise ConstantSeriesError(*entry.args)
     if isinstance(entry, SeasonalityNotFoundError):
         raise SeasonalityNotFoundError(*entry.args)
     if isinstance(entry, DataError):
         raise DataError(*entry.args)
+    if isinstance(entry, UsageError):
+        raise UsageError(*entry.args)
 
 
 @dataclass(frozen=True)
@@ -114,7 +128,7 @@ def mean_smoothing(series: np.ndarray, radius: int) -> np.ndarray:
     row-major, each row with the bits the row gives alone.
     """
     n = series.shape[-1]
-    raise_if_error(radius_error(radius, n))
+    raise_if_error(smooth_radius_error(radius) or radius_error(radius, n))
     if radius == 0:
         return series.copy()
     # Center on the first sample so constant series come back bit-exact.
@@ -144,7 +158,7 @@ def exponential_smoothing(series: np.ndarray, alpha: float, radius: int) -> np.n
     the row gives alone.
     """
     n = series.shape[-1]
-    raise_if_error(radius_error(radius, n))
+    raise_if_error(smooth_radius_error(radius, 1) or exp_alpha_error(alpha) or radius_error(radius, n))
     if alpha == 1.0 or 2 * radius >= n:
         # No interior sample is further than radius from both ends, so the
         # boundary-copy rule covers the whole series.

@@ -56,7 +56,6 @@ from .series import (
     mean_smoothing,
     normalize_minmax,  # noqa: F401
     radius_error,
-    raise_if_error,
     range_error,
 )
 from .tableio import PoseTable
@@ -100,7 +99,8 @@ class RefinedSeries:
 
     ``transferred`` is True where the frame sat inside a detected target
     period; False marks frames filled by periodic extension of the
-    interval grid (trend-only frames outside the segmented region).
+    interval grid (trend-only frames outside the segmented region). A
+    skipped channel's values and trend are both its target.
     """
 
     values: np.ndarray
@@ -115,8 +115,8 @@ class SequenceDiagnostics:
     units, its periods, and the bounds and radius it was analyzed with.
     ``failure`` says why a sequence that was analyzed has no periods.
     ``rising_candidates`` counts the rising crossovers that period
-    validation started from; it is None when the seasonality gate stopped
-    the sequence first. ``fisher_g`` and ``fisher_p`` are the gate's."""
+    validation started from, None when the gate or the two-cycle rule
+    stopped the sequence first. ``fisher_g`` and ``fisher_p`` are the gate's."""
 
     report: SeasonalityReport
     trend: TrendModel
@@ -300,17 +300,18 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) ->
     Fisher's g gate at MAX_SEASONALITY_P (:func:`fisher_g_rows`); the
     trend order rule (:func:`trend_orders`) and one trend walk
     (:meth:`GramFit.trends`) that adds each term only to the rows whose
-    order needs it; then, on the rows that pass the gate, the smoother,
-    once per radius, into one block of their distances from their trends;
-    one :func:`sign_changes` pass over that block, which gives the rising
-    crossovers of all those rows as a row and an index array, with each
-    row's count of sign changes; and one :func:`validate_period_rows`
-    pass over those two arrays that turns them into each row's periods.
-    A row that fails the gate, never crosses its trend (its count is 0)
-    or keeps no period holds its trend and names the reason in
-    ``failure``; ``rising_candidates`` is set once the row passes the
-    gate. A ramp-only row drops out of the side's blocks once, right
-    after the check that finds it.
+    order needs it; then, on the rows that pass the gate with a dominant
+    bin of at least 2, the smoother, once per radius, into one block of
+    their distances from their trends; one :func:`sign_changes` pass over
+    that block, which gives the rising crossovers of all those rows as a
+    row and an index array, with each row's count of sign changes; and
+    one :func:`validate_period_rows` pass over those two arrays that
+    turns them into each row's periods. A row that fails the gate, shows
+    fewer than 2 cycles, never crosses its trend (its count is 0) or
+    keeps no period holds its trend and names the reason in ``failure``;
+    ``rising_candidates`` is set once the row passes the gate and the
+    two-cycle rule. A ramp-only row drops out of the side's blocks once,
+    right after the check that finds it.
 
     Raises nothing. The checks, in the order a row meets them, are at
     least 2 samples, a range (:func:`range_error`), a cyclic part left
@@ -352,8 +353,8 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) ->
     trends = fits.trends(orders)
     fixed = cfg.smooth_radius
     radii = [default_smooth_radius(report.reference_period) if fixed is None else fixed for report in reports]
-    # Only the rows that pass the gate are segmented, numbered by m.
-    passing = [g for g, (_, p) in enumerate(gates) if not p > MAX_SEASONALITY_P]
+    # Only the rows that pass the gate with at least 2 cycles are segmented, numbered by m.
+    passing = [g for g, (_, p) in enumerate(gates) if p <= MAX_SEASONALITY_P and reports[g].dominant_frequency > 1]
     groups = sorted({radii[g] for g in passing})
     exponential = cfg.smooth_kind == SMOOTH_EXPONENTIAL
     distance = None if len(groups) == 1 else np.empty((len(passing), n))
@@ -378,6 +379,8 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) ->
         segmentation = failure = rising_candidates = None
         if p > MAX_SEASONALITY_P:
             failure = f"no significant cycle: Fisher's g = {g_stat:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
+        elif report.dominant_frequency < 2:
+            failure = f"fewer than 2 cycles: dominant bin {report.dominant_frequency}"
         else:
             m = next(slots)
             rising_candidates = rising[m]
@@ -471,35 +474,30 @@ def transfer_channel(reference, target, config: RunConfig | None = None) -> tupl
     (:func:`_transfer_rows`). The reference's report holds no acf, since
     no report writes it.
 
-    The pair's first error (:func:`_pair_error`) is raised unless it is
-    the SeasonalityNotFoundError of a sequence without periods: then the
-    target comes back unchanged, with the skip :func:`_settle` builds. A
-    refined series that overflows float64, which a range near its limit
-    can cause, raises DataError. Errors come in the order the analysis
-    meets them: the checks of each series as it enters (:func:`as_series`),
-    the length check, then the reference's analysis, then the target's.
+    The channel ends as it does in a table: its first error goes to
+    :func:`_settle`, in the order the analysis meets them: the checks of
+    each series as it enters (:func:`as_series`), the length check, the
+    reference's analysis, the target's (:func:`_pair_error`), then a
+    refined series that overflows float64. A skipped channel's refined
+    series is its target, as values and as trend; its fitted trend stays
+    in the diagnostics.
     """
     cfg = config if config is not None else RunConfig()
     ref_x = as_series(reference)
     tgt_x = as_series(target)
-    raise_if_error(_pair_length_error(ref_x.size, tgt_x.size))
     ref = _analyze_side(ref_x[np.newaxis].copy(), cfg, with_acf=False)[0]
     tgt = _analyze_side(tgt_x[np.newaxis].copy(), cfg)[0]
-    error = _pair_error(ref, tgt)
-    if not isinstance(error, SeasonalityNotFoundError):
-        raise_if_error(error)
-    with np.errstate(over="ignore", invalid="ignore"):
-        (trend,) = _trends([tgt])
-    if error is not None:  # settled as a skip, so the channel name is never used
-        zeros = np.zeros(tgt_x.size)
-        return RefinedSeries(tgt_x.copy(), trend, zeros, zeros.astype(bool)), _settle("", error, ref, tgt)
-    (applied,), (transferred,), (l_min,), (mean_factor,) = _transfer_rows(ref_x[np.newaxis], [ref], [tgt])
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = trend + applied
-    if not np.isfinite(values).all():
-        raise DataError(OVERFLOW)
-    refined = RefinedSeries(values=values, trend=trend, applied_factor=applied, transferred=transferred)
-    return refined, ChannelDiagnostics(STATUS_TRANSFERRED, ref, tgt, l_min, mean_factor)
+    error = _pair_length_error(ref_x.size, tgt_x.size) or _pair_error(ref, tgt)
+    if error is None:
+        (applied,), (transferred,), (l_min,), (mean_factor,) = _transfer_rows(ref_x[np.newaxis], [ref], [tgt])
+        with np.errstate(over="ignore", invalid="ignore"):
+            (trend,) = _trends([tgt])
+            refined = RefinedSeries(trend + applied, trend, applied, transferred)
+        if np.isfinite(refined.values).all():
+            return refined, ChannelDiagnostics(STATUS_TRANSFERRED, ref, tgt, l_min, mean_factor)
+        error = DataError(OVERFLOW)
+    skipped = RefinedSeries(tgt_x.copy(), tgt_x.copy(), np.zeros(tgt_x.size), np.zeros(tgt_x.size, dtype=bool))
+    return skipped, _settle(None, error, ref, tgt)
 
 
 def _table_side(
@@ -512,19 +510,19 @@ def _table_side(
     return {table.channel_names[i]: entry for i, entry in zip(columns, entries)}
 
 
-def _settle(name: str, exc: DataError, reference=None, target=None) -> ChannelDiagnostics:
+def _settle(name: str | None, exc: DataError, reference=None, target=None) -> ChannelDiagnostics:
     """The outcome of a selected channel whose first error is ``exc``, by
     the rule transfer_table, analyze_table and transfer_channel share.
 
-    A constant series (ConstantSeriesError) and a sequence without periods
-    (SeasonalityNotFoundError) give "skipped_no_seasonality" with the
-    error's message, keeping whichever of ``reference`` and ``target`` is
-    a sequence that was analyzed; this is the only place a skip is built.
-    Any other error is raised as its own class, prefixed with the
-    channel's name.
+    A constant or plain-ramp series (ConstantSeriesError) and a sequence
+    without periods (SeasonalityNotFoundError) give
+    "skipped_no_seasonality" with the error's message, keeping whichever
+    of ``reference`` and ``target`` is a sequence that was analyzed; this
+    is the only place a skip is built. Any other error is raised as its
+    own class, prefixed with the channel's name unless ``name`` is None.
     """
     if not isinstance(exc, (ConstantSeriesError, SeasonalityNotFoundError)):
-        raise type(exc)(f"channel {name!r}: {exc}")
+        raise type(exc)(str(exc) if name is None else f"channel {name!r}: {exc}")
     ref, tgt = (seq if isinstance(seq, SequenceDiagnostics) else None for seq in (reference, target))
     return ChannelDiagnostics(status=STATUS_SKIPPED, reference=ref, target=tgt, detail=str(exc))
 
@@ -543,21 +541,18 @@ def transfer_table(
 ) -> tuple[PoseTable, dict[str, ChannelDiagnostics]]:
     """Refine every selected target channel against its reference twin.
 
-    Channel sets must match exactly. Three steps, with the bits each
-    channel gets alone (:func:`transfer_channel`). Each table side's
-    analysis runs once, on all its selected channels (:func:`_table_side`),
-    the reference's without the acf that no report writes.
-    The transfer step runs once, on all the channels whose sequences both
-    have periods (:func:`_transfer_rows`); their trends are added onto the
-    pattern block it returns, in place, and the sums are written into a
-    copy of the target's values. Then every channel is settled in
-    table order: filtered-out channels keep their values as "passthrough".
-    Until that last step a channel's errors are held as values, its first
-    one (:func:`_pair_error`) in the order transfer_channel meets them, or
-    the transfer step's overflow; there each goes to :func:`_settle`,
-    which keeps a skipped channel's values as "skipped_no_seasonality" and
-    raises any other error, so the first channel in table order that
-    fails names the error.
+    Channel sets must match exactly. Each selected channel ends with the
+    outcome and the bits it gets alone (:func:`transfer_channel`), in three
+    steps. Each table side's analysis runs once, on all its selected
+    channels (:func:`_table_side`), the reference's without the acf that no
+    report writes. The transfer step runs once, on all the channels whose
+    sequences both have periods (:func:`_transfer_rows`); their trends are
+    added onto the pattern block it returns, in place, and the sums are
+    written into a copy of the target's values. Then every channel is
+    settled in table order: filtered-out channels keep their values as
+    "passthrough", and every other channel's first error, held as a value
+    until then, goes to :func:`_settle`, so the first channel in table
+    order that fails names the error.
     """
     cfg = config if config is not None else RunConfig()
     only_ref = sorted(set(ref_table.channel_names) - set(target_table.channel_names))

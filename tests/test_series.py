@@ -151,6 +151,34 @@ def test_exponential_smoothing_alpha_one_is_identity():
     np.testing.assert_array_equal(exponential_smoothing(x, 1.0, 1), x)
 
 
+@pytest.mark.parametrize(
+    "smooth, settings, message",
+    [
+        (lambda x: mean_smoothing(x, -1), {"smooth_radius": -1}, "smooth_radius must be >= 0, got -1"),
+        (
+            lambda x: exponential_smoothing(x, 0.5, 0),
+            {"smooth_kind": "exponential", "smooth_radius": 0},
+            "smooth_radius must be >= 1 for exponential smoothing, got 0",
+        ),
+        (lambda x: exponential_smoothing(x, 0.5, -1), None, "smooth_radius must be >= 1 for exponential smoothing, got -1"),
+        (lambda x: exponential_smoothing(x, 0.0, 2), {"exp_alpha": 0.0}, "exp_alpha must lie in (0, 1], got 0.0"),
+        (lambda x: exponential_smoothing(x, 1.5, 2), {"exp_alpha": 1.5}, "exp_alpha must lie in (0, 1], got 1.5"),
+    ],
+    ids=["mean_radius_-1", "exponential_radius_0", "exponential_radius_-1", "alpha_0", "alpha_1.5"],
+)
+def test_smoothers_reject_bad_parameters_in_run_config_wording(smooth, settings, message):
+    # The smoothers apply the rules RunConfig applies, so a direct call
+    # with a bad radius or center weight is a usage error, not a division
+    # by zero, a broadcasting failure or a result.
+    with pytest.raises(UsageError) as info:
+        smooth(np.arange(10.0))
+    assert str(info.value) == message
+    if settings is not None:
+        with pytest.raises(UsageError) as info:
+            RunConfig(**settings)
+        assert str(info.value) == message
+
+
 def test_exponential_smoothing_alpha_validation():
     # alpha and a zero radius are refused where the run's settings enter;
     # only the radius against the series length depends on the series.

@@ -85,6 +85,8 @@ def analysis_alone(x, cfg):
             raise SeasonalityNotFoundError(
                 f"no significant cycle: Fisher's g = {g:.3g}, p = {p:.3g} > {MAX_SEASONALITY_P}"
             )
+        if f < 2:  # one cycle cannot be told from a curved trend
+            raise SeasonalityNotFoundError(f"fewer than 2 cycles: dominant bin {f}")
         rising_candidates = 0
         rising = find_crossovers(smoothed, trend.values)
         rising_candidates = rising.size
@@ -182,25 +184,23 @@ def test_side_analysis_equals_the_one_series_analysis_row_by_row(rows, config):
 
 
 def test_a_block_of_every_outcome_gives_each_row_its_analysis_alone():
-    # Rows in four smoothing radius groups (1, 2, 4 and 8 frames) that meet
-    # every outcome a row of a side can have.
+    # Rows that meet every outcome a row of a side can have, the segmented
+    # ones in three smoothing radius groups (1, 2 and 4 frames).
     cfg = RunConfig(smooth_kind="exponential")
     n = 64
     t = np.arange(n, dtype=float)
-    s = 2.0 * t / (n - 1) - 1.0
     rng = np.random.Generator(np.random.PCG64(5))
     rows = np.array([
         np.sin(2 * np.pi * t / 32 + 0.3) + 0.01 * t,
         3.0 * np.sin(2 * np.pi * t / 16 + 1.0) - 2.0,
         np.sin(2 * np.pi * t / 8 + 0.5) + 0.05 * rng.standard_normal(n),
         rng.standard_normal(n),
-        # Never crosses its trend, by a margin far above rounding: the
-        # order rule keeps the quadratic fit (the sextic's coefficients sit
-        # below its floor), the smoother runs below a concave parabola by
-        # about 3e-3 inside, and on the 8 copied frames at each end the
-        # sextic's part beyond the quadratic fit is negative (d <= -3e-10).
-        -((t / n) ** 2) + 1e-7 * (s**6 - 1.68 * s**4),
-        np.where(t < 20, 0.0, 1.0) + 0.1 * np.sin(2 * np.pi * t / 5),
+        # A smooth curve with no cycle passes Fisher's gate at dominant bin
+        # 1; its one "period" would be cut from rounding residues at the
+        # smoother's copied edge frames, so it is not segmented.
+        -((t / n) ** 2),
+        # One pulse: dominant bin 2, but no two rising crossings a period apart.
+        np.where((t >= 4) & (t < 24), 1.0, 0.0) + 0.1 * np.sin(2 * np.pi * t / 5),
         np.full(n, 7.0),
         0.5 * t - 3.0,
     ])
@@ -208,13 +208,14 @@ def test_a_block_of_every_outcome_gives_each_row_its_analysis_alone():
     for row, entry in zip(rows, entries):
         assert_same_as_alone(entry, analysis_alone(row, cfg))
     analysed = entries[:6]
-    assert [entry.smooth_radius for entry in analysed] == [4, 2, 1, 1, 8, 8]
+    assert [entry.smooth_radius for entry in analysed] == [4, 2, 1, 1, 8, 4]
     assert [entry.segmentation is not None for entry in analysed] == [True] * 3 + [False] * 3
     assert analysed[3].failure.startswith("no significant cycle: Fisher's g = ")
     assert [entry.failure for entry in analysed[4:]] == [
-        "series never crosses its trend",
+        "fewer than 2 cycles: dominant bin 1",
         "0 retained starts and 0 periods; need at least 2 starts forming 1 period",
     ]
+    assert [entry.rising_candidates for entry in analysed[3:]] == [None, None, 2]
     assert [str(entry) for entry in entries[6:]] == [
         "series range is at most 4 float64 spacings, so the series is constant",
         "series is a plain ramp, no cyclic part to analyze",
@@ -419,6 +420,28 @@ def test_reference_fails_before_target():
         transfer_table(PoseTable(["w"], cols["wave"][:, None]), tgt)
     out, diags = transfer_table(PoseTable(["w"], cols["wave"][:, None]), PoseTable(["w"], cols["wave2"][:, None]))
     assert diags["w"].status == STATUS_TRANSFERRED
+
+
+@pytest.mark.parametrize("kind", ["mean", "exponential"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["convex", "concave"])
+def test_a_curve_with_fewer_than_two_cycles_is_skipped(sign, kind):
+    # The parabolas +-(t/64)^2 pass Fisher's gate at dominant bin 1. Under
+    # the exponential smoother the concave one was segmented from rounding
+    # residues at the copied edge frames, and a sine reference transferred
+    # onto it. Fewer than 2 cycles is a skip with its own reason, whatever
+    # the sign and the smoother.
+    t = np.arange(64, dtype=float)
+    curve = PoseTable(["a"], sign * (t / 64.0)[:, None] ** 2)
+    cfg = RunConfig(smooth_kind=kind)
+    reason = "fewer than 2 cycles: dominant bin 1"
+    diag = analyze_table(curve, cfg)["a"]
+    assert (diag.status, diag.detail) == (STATUS_SKIPPED, reason)
+    assert (diag.target.rising_candidates, diag.target.segmentation) == (None, None)
+    assert diag.target.fisher_p <= MAX_SEASONALITY_P
+    sine = PoseTable(["a"], np.sin(2.0 * np.pi * t / 16.0)[:, None])
+    out, diags = transfer_table(sine, curve, cfg)
+    assert (diags["a"].status, diags["a"].detail) == (STATUS_SKIPPED, f"target: {reason}")
+    np.testing.assert_array_equal(out.values, curve.values)
 
 
 @pytest.mark.xfail(

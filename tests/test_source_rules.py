@@ -106,17 +106,26 @@ def test_transfer_settles_errors_as_values_in_one_function():
         and any(isinstance(node, ast.Name) and node.id == "STATUS_SKIPPED" for node in ast.walk(function))
     ]
     assert builders == ["_settle"], builders
+    # transfer_channel settles its channel's error by the same rule: its
+    # body names neither skip error and raises nothing itself.
+    channel = next(node for node in tree.body if getattr(node, "name", None) == "transfer_channel")
+    assert [node.lineno for node in ast.walk(channel) if isinstance(node, ast.Raise)] == []
+    named = {node.id for node in ast.walk(channel) if isinstance(node, ast.Name)}
+    assert named & {"ConstantSeriesError", "SeasonalityNotFoundError", "raise_if_error"} == set()
 
 
 # Each series check is worded once, in the one-series form that returns its
-# error (series.length_error, range_error, radius_error) or, for the plain
-# ramp, in the side step; every other caller records or raises that error.
+# error (series.length_error, range_error, radius_error, and the smoother
+# parameter rules smooth_radius_error and exp_alpha_error, which RunConfig
+# and the smoothers share) or, for the plain ramp, in the side step; every
+# other caller records or raises that error.
 # So is each table content rule: the channel names (tableio.names_error: a
 # blank name, a NUL, a duplicate) and finite values (series.finite_error),
 # which PoseTable, the CSV header check and as_series share.
 CHECK_MESSAGES = [
     "series has ", "series range ", "must be below the series length", "plain ramp",
     " is blank", " holds a NUL character", "duplicate channel name ", "NaN or infinity",
+    "smooth_radius must be >= ", "exp_alpha must lie in ",
 ]
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import cycletransfer.transfer
 from cycletransfer.config import RunConfig
 from cycletransfer.decomposition import PeriodSegmentation, gram_fits, validate_periods
-from cycletransfer.errors import ConstantSeriesError, DataError, UsageError
+from cycletransfer.errors import DataError, UsageError
 from cycletransfer.series import normalize_minmax, raise_if_error
 from cycletransfer.tableio import PoseTable, write_report
 from cycletransfer.transfer import (
@@ -236,6 +236,33 @@ def test_transfer_channel_white_noise_falls_back():
     assert diag.status == STATUS_SKIPPED
     assert diag.detail
     np.testing.assert_array_equal(refined.values, noise)
+    assert not refined.transferred.any()
+
+
+@pytest.mark.parametrize(
+    "ref_kind, tgt_kind, side, kept",
+    [("flat", "wave", "reference", "target"), ("wave", "flat", "target", "reference"), ("ramp", "wave", "reference", "target")],
+)
+def test_transfer_channel_skips_a_flat_or_ramp_side_as_a_table_does(ref_kind, tgt_kind, side, kept):
+    # A constant or plain-ramp sequence is a skip alone as in a table: the
+    # same status, reason and kept side. The target comes back as its own
+    # trend, nothing applied; its fitted trend stays in the diagnostics.
+    n = 120
+    t = np.arange(n, dtype=float)
+    columns = {"wave": phase_shifted_sin(n, 16) + 0.01 * t, "flat": np.full(n, 4.0), "ramp": np.linspace(-2.0, 5.0, n)}
+    reference, target = columns[ref_kind], columns[tgt_kind]
+    refined, diag = transfer_channel(reference, target)
+    _, diags = transfer_table(PoseTable(["s"], reference[:, None]), PoseTable(["s"], target[:, None]))
+    table = diags["s"]
+    assert (diag.status, diag.detail) == (table.status, table.detail)
+    assert diag.status == STATUS_SKIPPED and diag.detail.startswith(f"{side}: ")
+    assert getattr(diag, side) is None and getattr(table, side) is None
+    alone, in_table = getattr(diag, kept), getattr(table, kept)
+    assert alone.trend.order == in_table.trend.order
+    np.testing.assert_array_equal(alone.trend.values, in_table.trend.values)
+    np.testing.assert_array_equal(refined.values, target)
+    np.testing.assert_array_equal(refined.trend, target)
+    np.testing.assert_array_equal(refined.applied_factor, np.zeros(n))
     assert not refined.transferred.any()
 
 
@@ -548,6 +575,19 @@ def mixed_table_pairs(draw):
 
 
 @settings(max_examples=40, deadline=None)
+@given(mixed_table_pairs())
+def test_every_refined_series_is_its_trend_plus_its_applied_factor(tables):
+    # Transferred or skipped, flat, ramp, noise or cycle: transfer_channel's
+    # refined values are exactly trend + applied_factor.
+    ref, tgt = tables
+    for name in tgt.channel_names:
+        refined, diag = transfer_channel(ref.channel(name), tgt.channel(name))
+        np.testing.assert_array_equal(refined.values, refined.trend + refined.applied_factor, err_msg=name)
+        if diag.status == STATUS_SKIPPED:
+            np.testing.assert_array_equal(refined.values, tgt.channel(name), err_msg=name)
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     mixed_table_pairs() | st.integers(0, 2**32 - 1).map(lambda seed: wide_tables(seed)[1:]),
     st.sampled_from([RunConfig(), RunConfig(smooth_kind="exponential"), RunConfig(max_order=3)]),
@@ -767,9 +807,10 @@ def assert_same_array(got, want, name):
 
 
 def assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg, tmp_path):
-    """transfer_table's output, statuses, trend orders, l_min, mean
-    patterns, target period starts and report bytes equal those of
-    transfer_channel run on each channel alone."""
+    """transfer_table's output, statuses, skip reasons, kept sides and
+    their trend orders, l_min, mean patterns, target period starts and
+    report bytes equal those of transfer_channel run on each channel
+    alone, constant and plain-ramp channels included."""
     selected = set(tgt.channel_names if cfg.channel_filter is None else cfg.channel_filter)
     alone_diags = {}
     for name in tgt.channel_names:
@@ -778,13 +819,7 @@ def assert_matches_per_channel_transfers(ref, tgt, out, diags, cfg, tmp_path):
             assert diags[name].status == STATUS_PASSTHROUGH, name
             np.testing.assert_array_equal(out.channel(name), tgt.channel(name))
             continue
-        try:
-            alone, diag = transfer_channel(ref.channel(name), tgt.channel(name), cfg)
-        except ConstantSeriesError as exc:
-            alone_diags[name] = ChannelDiagnostics(status=STATUS_SKIPPED, detail=str(exc))
-            assert (diags[name].status, diags[name].detail) == (STATUS_SKIPPED, str(exc))
-            np.testing.assert_array_equal(out.channel(name), tgt.channel(name))
-            continue
+        alone, diag = transfer_channel(ref.channel(name), tgt.channel(name), cfg)
         alone_diags[name] = diag
         assert diags[name].status == diag.status, name
         assert diags[name].detail == diag.detail, name

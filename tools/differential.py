@@ -29,7 +29,13 @@ files, malformed cells, a blank, a duplicate and a NUL-holding channel
 name, each in a file the fast CSV reader would take but for its header
 and in one only the line parser reads, ``--smooth-radius`` equal to the
 series length, a missing output directory, a report path that is a
-directory and one that is the output CSV.
+directory and one that is the output CSV. The precedence cases run the
+tables of tests/test_side_front.py's precedence tests: flat, plain-ramp,
+wave and range- or output-overflowing channels in several orders, with and
+without ``--smooth-radius`` equal to the series length, and a reference
+that fails before its target. The curve cases run the 64-frame parabolas
++-(t/64)^2 against a sine reference under the defaults and
+``--smooth-kind exponential``.
 """
 
 from __future__ import annotations
@@ -72,6 +78,18 @@ GOLDEN_INPUT = ROOT / "tests" / "data" / "analyze_input.csv"
 # Bad names for channel b of the edge tables, as header bytes.
 BAD_NAMES = {"blank-name": b" ", "duplicate-name": b"a", "nul-name": b"b\0"}
 FLOAT_FIELDS = ("acf", "spectrum", "mean_factor", "reference_period")
+# Channel orders of the precedence tables, each run through both commands
+# as reference and target.
+PRECEDENCE_ORDERS = (
+    ("flat", "wave", "ramp", "wave2"),
+    ("flat", "ramp", "big", "wave"),
+    ("wave", "big", "flat"),
+    ("out", "big"),
+    ("big", "out"),
+    ("flat", "out", "big"),
+    ("flat", "ramp", "wave2", "big"),
+    ("flat", "big", "wave"),
+)
 
 
 def _small_channel(kind: str, n: int, rng) -> np.ndarray:
@@ -144,6 +162,36 @@ def _edge_tables() -> dict:
     }
 
 
+def _precedence_tables() -> dict:
+    """Input files of the precedence cases, as {file name: bytes maker}:
+    240-frame tables of the columns tests/test_side_front.py's precedence
+    tests use, one file per channel order."""
+    t = np.arange(240, dtype=float)
+    wave = np.sin(2.0 * np.pi * (t + 0.5) / 16.0)
+    columns = {"wave": wave + 0.003 * t, "flat": np.full(t.size, 4.0), "ramp": np.linspace(-2.0, 5.0, t.size),
+               "big": 1.5e308 * wave, "out": 0.8e308 * wave, "wave2": 2.0 * np.sin(2.0 * np.pi * t / 24.0)}
+
+    def table(order, names=None):
+        values = np.column_stack([columns[name] for name in order])
+        return functools.partial(_table_bytes, names or order, values)
+
+    files = {f"prec-{'-'.join(order)}.csv": table(order) for order in PRECEDENCE_ORDERS}
+    files["prec-abc-ref.csv"] = table(["flat", "ramp", "big"], ["a", "b", "c"])
+    files["prec-abc-target.csv"] = table(["big", "flat", "flat"], ["a", "b", "c"])
+    files.update({f"prec-s-{name}.csv": table([name], ["s"]) for name in ("wave", "flat")})
+    return files
+
+
+def _curve_tables() -> dict:
+    """Input files of the curve cases: the 64-frame parabolas +-(t/64)^2,
+    which have no cycle, and a sine reference of period 16."""
+    t = np.arange(64, dtype=float)
+    files = {f"curve64-{label}.csv": functools.partial(_table_bytes, ["a"], sign * (t / 64.0)[:, None] ** 2)
+             for label, sign in (("convex", 1.0), ("concave", -1.0))}
+    files["sine64.csv"] = functools.partial(_table_bytes, ["a"], np.sin(2.0 * np.pi * t / 16.0)[:, None])
+    return files
+
+
 def cases() -> tuple[list[tuple[str, list[str]]], dict]:
     """The fixed case list, as (name, argv), and the input files the cases
     read, as {file name: function that makes its bytes}. Paths in argv are
@@ -204,6 +252,21 @@ def cases() -> tuple[list[tuple[str, list[str]]], dict]:
     add("edge/unknown-channel", [*analyze, "--channels", "zz"])
     add("edge/empty-channels", [*analyze, "--channels", ","])
     add("edge/missing-input", ["analyze", "--input", "inputs/none.csv", "--report", "out/{i}.json"])
+
+    files.update(_precedence_tables())
+    for order in PRECEDENCE_ORDERS:
+        table = f"prec-{'-'.join(order)}.csv"
+        for flag_name, flags in (("default", []), ("radius-n", ["--smooth-radius", "240"])):
+            both(f"precedence/{'-'.join(order)}/{flag_name}", table, table, flags)
+    for flag_name, flags in (("default", []), ("channels", ["--channels", "a,b"])):
+        both(f"precedence/reference-first/{flag_name}", "prec-abc-ref.csv", "prec-abc-target.csv", flags)
+    for ref, target in (("wave", "flat"), ("flat", "wave")):
+        both(f"precedence/{ref}-onto-{target}", f"prec-s-{ref}.csv", f"prec-s-{target}.csv", [])
+
+    files.update(_curve_tables())
+    for label in ("convex", "concave"):
+        for flag_name, flags in (("default", []), ("exponential", ["--smooth-kind", "exponential"])):
+            both(f"curve64/{label}/{flag_name}", "sine64.csv", f"curve64-{label}.csv", flags)
     return out, files
 
 
