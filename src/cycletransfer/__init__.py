@@ -7,7 +7,6 @@ re-applied on top of the target's trend, period by period.
 
 from .config import RunConfig
 from .errors import (
-    ConstantSeriesError,
     CycleTransferError,
     DataError,
     SeasonalityNotFoundError,

@@ -177,10 +177,9 @@ def fit_trend(series: np.ndarray, max_order: int, f: int) -> TrendModel:
     return TrendModel(int(orders[0]), fit.trends(orders)[0], fallback=bool(fallbacks[0]))
 
 
-def sign_changes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sign_changes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rising sign changes along the rows of a (k, n) block d, as their
-    rows and indices in row-major order, and each row's count of sign
-    changes, rising or falling, as a length-k int array.
+    rows and indices in row-major order.
 
     A zero sample first takes the sign of the next nonzero sample of its
     row, or stays 0 when there is none. A change then sits at every index
@@ -205,13 +204,7 @@ def sign_changes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     row, index = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
     index += 1
     rises = sign[row, index] > 0
-    return row[rises], index[rises], np.bincount(row, minlength=d.shape[0])
-
-
-def crossing_error(changes: int) -> SeasonalityNotFoundError | None:
-    """The error of a series whose distance from its trend changes sign
-    ``changes`` times, or None."""
-    return None if changes else SeasonalityNotFoundError("series never crosses its trend")
+    return row[rises], index[rises]
 
 
 def find_crossovers(smoothed: np.ndarray, trend: np.ndarray) -> np.ndarray:
@@ -225,12 +218,10 @@ def find_crossovers(smoothed: np.ndarray, trend: np.ndarray) -> np.ndarray:
     rows from one :func:`sign_changes` pass instead, and hands their
     rows and indices to :func:`validate_period_rows`.
 
-    Raises SeasonalityNotFoundError when d never changes sign, rising or
-    falling: the count :func:`sign_changes` gives is 0.
+    Raises nothing: a series that never rises through its trend gives no
+    index, which :func:`validate_periods` turns into its error.
     """
-    _, index, (changes,) = sign_changes((smoothed - trend)[np.newaxis])
-    raise_if_error(crossing_error(changes))
-    return index
+    return sign_changes((smoothed - trend)[np.newaxis])[1]
 
 
 class PeriodSegmentation:

@@ -3,7 +3,9 @@
 Two families, one per CLI exit code: UsageError (1) for a bad argument or
 parameter, DataError (2) for input that cannot be processed. Both derive
 from CycleTransferError, which is a ValueError, so callers that catch
-ValueError keep working.
+ValueError keep working. One DataError, SeasonalityNotFoundError, is a
+skip rather than a failure: a table reports its channel as
+"skipped_no_seasonality".
 """
 
 
@@ -19,10 +21,7 @@ class DataError(CycleTransferError):
     """A series, table or file that cannot be processed; the CLI exits with code 2."""
 
 
-class ConstantSeriesError(DataError):
-    """Series range is (numerically) zero, so there is no cycle to analyze."""
-
-
 class SeasonalityNotFoundError(DataError):
-    """No periods found: the series never crosses its trend, or period
-    validation retained too few starts to segment it."""
+    """No cycle to segment: the series is constant or a straight line, shows
+    no significant cycle, or keeps too few period starts to segment it. It is
+    the one error a channel is skipped for, as "skipped_no_seasonality"."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantSeriesError, DataError, SeasonalityNotFoundError, UsageError
+from .errors import DataError, SeasonalityNotFoundError, UsageError
 
 # A normalized row whose range about its ramp is below this has no cyclic part.
 MIN_RANGE = 1e-12
@@ -47,10 +47,11 @@ def length_error(n: int, min_len: int) -> DataError | None:
 def range_error(lo: float, hi: float) -> DataError | None:
     """The error of a series with these bounds in :func:`normalize_minmax`,
     or None: a range of CONSTANT_SPACINGS spacings at its largest magnitude
-    or less is constant (ConstantSeriesError), whatever the units, and one
-    that overflows float64 would make every sample NaN (DataError)."""
+    or less is constant (SeasonalityNotFoundError), whatever the units, and
+    one that overflows float64 would make every sample NaN (DataError)."""
     if hi - lo <= CONSTANT_SPACINGS * math.ulp(max(abs(lo), abs(hi))):
-        error, what = ConstantSeriesError, f"is at most {CONSTANT_SPACINGS} float64 spacings, so the series is constant"
+        error = SeasonalityNotFoundError
+        what = f"is at most {CONSTANT_SPACINGS} float64 spacings, so the series is constant"
     elif hi - lo == np.inf:
         error, what = DataError, f"from min {lo:g} to max {hi:g} overflows float64"
     else:
@@ -77,11 +78,9 @@ def exp_alpha_error(alpha) -> UsageError | None:
 
 def raise_if_error(entry) -> None:
     """Raise ``entry`` when it is a check's error, anything else passes. The
-    checks store only ConstantSeriesError, SeasonalityNotFoundError,
-    DataError and UsageError, and each raise here names its class, so every
-    raise in the package names an error family (tests/test_source_rules.py)."""
-    if isinstance(entry, ConstantSeriesError):
-        raise ConstantSeriesError(*entry.args)
+    checks store only SeasonalityNotFoundError, DataError and UsageError,
+    and each raise here names its class, so every raise in the package
+    names an error family (tests/test_source_rules.py)."""
     if isinstance(entry, SeasonalityNotFoundError):
         raise SeasonalityNotFoundError(*entry.args)
     if isinstance(entry, DataError):
@@ -102,7 +101,7 @@ def normalize_minmax(series: np.ndarray) -> tuple[np.ndarray, ScaleParams]:
     """Map a series onto [0, 1] and return the bounds used.
 
     The minimum maps to exactly 0 and the maximum to exactly 1. A constant
-    series (:func:`range_error`) raises ConstantSeriesError; one
+    series (:func:`range_error`) raises SeasonalityNotFoundError; one
     whose range overflows float64, which would make every sample NaN,
     raises DataError.
     """

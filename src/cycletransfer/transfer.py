@@ -31,13 +31,12 @@ from .config import SMOOTH_EXPONENTIAL, RunConfig
 from .decomposition import (
     PeriodSegmentation,
     TrendModel,
-    crossing_error,
     gram_fits,
     sign_changes,
     trend_orders,
     validate_period_rows,
 )
-from .errors import ConstantSeriesError, DataError, SeasonalityNotFoundError
+from .errors import DataError, SeasonalityNotFoundError
 # analyze_series, normalize_minmax, fit_trend, find_crossovers,
 # validate_periods and denormalize are not called here: the side step and
 # the transfer step run their row-batched forms. They stay importable from
@@ -304,14 +303,14 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) ->
     bin of at least 2, the smoother, once per radius, into one block of
     their distances from their trends; one :func:`sign_changes` pass over
     that block, which gives the rising crossovers of all those rows as a
-    row and an index array, with each row's count of sign changes; and
-    one :func:`validate_period_rows` pass over those two arrays that
-    turns them into each row's periods. A row that fails the gate, shows
-    fewer than 2 cycles, never crosses its trend (its count is 0) or
-    keeps no period holds its trend and names the reason in ``failure``;
-    ``rising_candidates`` is set once the row passes the gate and the
-    two-cycle rule. A ramp-only row drops out of the side's blocks once,
-    right after the check that finds it.
+    row and an index array; and one :func:`validate_period_rows` pass over
+    those two arrays that turns them into each row's periods, or its
+    error, which a row without rising crossovers gets too. A row that
+    fails the gate, shows fewer than 2 cycles or keeps no period holds its
+    trend and names the reason in ``failure``; ``rising_candidates`` is
+    set once the row passes the gate and the two-cycle rule. A ramp-only
+    row drops out of the side's blocks once, right after the check that
+    finds it.
 
     Raises nothing. The checks, in the order a row meets them, are at
     least 2 samples, a range (:func:`range_error`), a cyclic part left
@@ -334,7 +333,7 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) ->
     fits = gram_fits(normalized, cfg.max_order)
     cyclic = normalized - fits.ramp
     flat = (np.ptp(cyclic, axis=1) < MIN_RANGE).tolist()
-    plain_ramp = ConstantSeriesError("series is a plain ramp, no cyclic part to analyze")
+    plain_ramp = SeasonalityNotFoundError("series is a plain ramp, no cyclic part to analyze")
     late = length_error(n, 4) or (None if cfg.smooth_radius is None else radius_error(cfg.smooth_radius, n))
     for i, j in enumerate(ok):
         out[j] = plain_ramp if flat[i] else late
@@ -369,7 +368,7 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) ->
         del block
     # Each smoothed row becomes its distance from its trend.
     distance -= trends if len(passing) == len(live) else trends[passing]
-    row_of, index, changes = sign_changes(distance)
+    row_of, index = sign_changes(distance)
     del distance
     rising = np.bincount(row_of, minlength=len(passing)).tolist()
     periods = validate_period_rows(row_of, index, [reports[g].reference_period for g in passing], cfg.alpha)
@@ -384,11 +383,10 @@ def _analyze_side(rows: np.ndarray, cfg: RunConfig, *, with_acf: bool = True) ->
         else:
             m = next(slots)
             rising_candidates = rising[m]
-            outcome = crossing_error(changes[m]) or periods[m]
-            if isinstance(outcome, SeasonalityNotFoundError):
-                failure = str(outcome)
+            if isinstance(periods[m], SeasonalityNotFoundError):
+                failure = str(periods[m])
             else:
-                segmentation = outcome
+                segmentation = periods[m]
         scale = ScaleParams(float(lo[j]), float(hi[j]))
         out[j] = SequenceDiagnostics(report, trend, segmentation, scale, radius, failure, rising_candidates, g_stat, p)
     return out
@@ -445,14 +443,16 @@ def _trends(seqs) -> np.ndarray:
 def _pair_error(ref, tgt) -> DataError | None:
     """The first error of a channel's analyses, or None when both sequences
     have periods. The reference's error comes first, then the target's; a
-    constant or plain-ramp sequence's error names its side, as every skip
-    reason of a transfer does. After those, a sequence without periods
+    constant or plain-ramp sequence's SeasonalityNotFoundError names its
+    side, as every skip reason of a transfer does. After those, a sequence without periods
     gives a SeasonalityNotFoundError that joins each such side's reason,
     ``reference: ...; target: ...``."""
     sides = (("reference", ref), ("target", tgt))
     for side, entry in sides:
+        if isinstance(entry, SeasonalityNotFoundError):
+            return SeasonalityNotFoundError(f"{side}: {entry}")
         if isinstance(entry, DataError):
-            return ConstantSeriesError(f"{side}: {entry}") if isinstance(entry, ConstantSeriesError) else entry
+            return entry
     reasons = [f"{side}: {seq.failure}" for side, seq in sides if seq.failure]
     return SeasonalityNotFoundError("; ".join(reasons)) if reasons else None
 
@@ -514,14 +514,14 @@ def _settle(name: str | None, exc: DataError, reference=None, target=None) -> Ch
     """The outcome of a selected channel whose first error is ``exc``, by
     the rule transfer_table, analyze_table and transfer_channel share.
 
-    A constant or plain-ramp series (ConstantSeriesError) and a sequence
-    without periods (SeasonalityNotFoundError) give
+    A SeasonalityNotFoundError, the error of a constant or plain-ramp
+    series and of a sequence without periods, gives
     "skipped_no_seasonality" with the error's message, keeping whichever
     of ``reference`` and ``target`` is a sequence that was analyzed; this
     is the only place a skip is built. Any other error is raised as its
     own class, prefixed with the channel's name unless ``name`` is None.
     """
-    if not isinstance(exc, (ConstantSeriesError, SeasonalityNotFoundError)):
+    if not isinstance(exc, SeasonalityNotFoundError):
         raise type(exc)(str(exc) if name is None else f"channel {name!r}: {exc}")
     ref, tgt = (seq if isinstance(seq, SequenceDiagnostics) else None for seq in (reference, target))
     return ChannelDiagnostics(status=STATUS_SKIPPED, reference=ref, target=tgt, detail=str(exc))

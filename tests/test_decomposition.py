@@ -256,19 +256,23 @@ def test_find_crossovers_hand_example():
 def test_find_crossovers_zero_run_single_crossover():
     # Zeros side with their successor, so the run [0, 0] crossing from
     # positive to negative registers once, at the first zero. It falls, so
-    # no period starts there, but the series does cross its trend.
+    # no period starts there; the same run read backwards rises once.
     smoothed = np.array([1.0, 0.0, 0.0, -1.0])
     trend = np.zeros(4)
-    _, index, changes = sign_changes((smoothed - trend)[np.newaxis])
-    assert index.size == 0
-    assert changes.tolist() == [1]
+    row_of, index = sign_changes(np.array([smoothed - trend, (smoothed - trend)[::-1]]))
+    assert row_of.tolist() == [1]
+    assert index.tolist() == [1]
     assert find_crossovers(smoothed, trend).size == 0
 
 
 def test_find_crossovers_identical_inputs_error():
+    # A series that never leaves its trend has no crossing; period
+    # validation is where that becomes an error.
     x = np.array([0.3, 0.8, 0.1, 0.4])
-    with pytest.raises(SeasonalityNotFoundError, match="never crosses its trend"):
-        find_crossovers(x, x)
+    crossings = find_crossovers(x, x)
+    assert crossings.size == 0
+    with pytest.raises(SeasonalityNotFoundError, match="0 retained starts and 0 periods"):
+        validate_periods(crossings, 2.0, 0.5)
 
 
 def test_find_crossovers_length_mismatch():
@@ -288,13 +292,15 @@ def test_find_crossovers_sin_with_trend_spacing():
 def test_sign_changes_alternate_directions():
     rng = np.random.Generator(np.random.PCG64(5))
     x = np.sin(2.0 * np.pi * np.arange(60) / 12.0) + 0.05 * rng.standard_normal(60)
-    row_of, index, changes = sign_changes(np.array([x, -x, x[::-1]]))
+    row_of, index = sign_changes(np.array([x, -x, x[::-1]]))
+    rises = np.bincount(row_of, minlength=3)
+    assert rises[0] + rises[1] >= 8 and rises[2] >= 4
     for r in range(3):
-        mine = row_of == r
-        assert changes[r] >= 8
-        assert np.all(np.diff(index[mine]) > 0)
-        # Rises and falls alternate, so a row's rises are half its changes.
-        assert abs(2 * int(mine.sum()) - changes[r]) <= 1
+        assert np.all(np.diff(index[row_of == r]) > 0)
+    # The rises of -x are the falls of x, and rises and falls alternate.
+    both = np.concatenate([index[row_of == 0], index[row_of == 1]])
+    labels = np.repeat([0, 1], rises[:2])[np.argsort(both)]
+    assert np.all(np.diff(labels) != 0)
 
 
 def test_validate_periods_example():

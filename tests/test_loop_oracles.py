@@ -14,7 +14,6 @@ from cycletransfer.decomposition import (
     MIN_LEAD_COEF,
     REL_COEF_FLOOR,
     PeriodSegmentation,
-    crossing_error,
     find_crossovers,
     sign_changes,
     trend_orders,
@@ -225,10 +224,7 @@ def test_find_crossovers_matches_loop(sign, zero_tail, level):
     trend = np.full(sign.size, level)
     smoothed = trend + sign * np.linspace(0.5, 2.0, sign.size)
     expected = crossovers_oracle(np.sign(smoothed - trend))
-    if not expected:
-        with pytest.raises(SeasonalityNotFoundError, match="never crosses its trend"):
-            find_crossovers(smoothed, trend)
-        return
+    # A series that never crosses its trend gives the oracle's empty list.
     got = find_crossovers(smoothed, trend)
     assert got.dtype == np.intp
     assert got.tolist() == [i for i, direction in expected if direction == "rising"]
@@ -262,26 +258,16 @@ def sign_blocks(draw):
 @given(sign_blocks())
 @settings(max_examples=300, deadline=None)
 def test_sign_changes_match_loop_row_by_row(d):
-    row_of, index, changes = sign_changes(d)
+    row_of, index = sign_changes(d)
     # A smoother may hand over its rows in column-major order.
-    for got, expected in zip(sign_changes(np.asfortranarray(d)), (row_of, index, changes)):
+    for got, expected in zip(sign_changes(np.asfortranarray(d)), (row_of, index)):
         np.testing.assert_array_equal(got, expected)
     assert np.all(np.diff(row_of * d.shape[1] + index) > 0)  # row-major order
-    assert changes.shape == (d.shape[0],)
     for r, row in enumerate(d):
-        expected = crossovers_oracle(np.sign(row))
-        assert index[row_of == r].tolist() == [i for i, direction in expected if direction == "rising"]
-        assert changes[r] == len(expected)
-        error = crossing_error(changes[r])
-        assert (error is None) == bool(expected)
-        if error is not None:
-            assert str(error) == "series never crosses its trend"
-            with pytest.raises(SeasonalityNotFoundError, match="never crosses its trend"):
-                find_crossovers(row, np.zeros(row.size))
-        else:
-            # find_crossovers is the one-row form of the block pass.
-            got = find_crossovers(row, np.zeros(row.size))
-            assert got.tolist() == [i for i, direction in expected if direction == "rising"]
+        rising = [i for i, direction in crossovers_oracle(np.sign(row)) if direction == "rising"]
+        assert index[row_of == r].tolist() == rising
+        # find_crossovers is the one-row form of the block pass.
+        assert find_crossovers(row, np.zeros(row.size)).tolist() == rising
 
 
 @given(

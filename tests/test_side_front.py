@@ -22,7 +22,7 @@ from cycletransfer.decomposition import (
     gram_fits,
     validate_periods,
 )
-from cycletransfer.errors import ConstantSeriesError, CycleTransferError, DataError, SeasonalityNotFoundError
+from cycletransfer.errors import CycleTransferError, DataError, SeasonalityNotFoundError
 from cycletransfer.seasonality import (
     TRANSFORM_CHUNK,
     analyze_rows,
@@ -62,7 +62,7 @@ def analysis_alone(x, cfg):
         normalized, scale = normalize_minmax(x)
         cyclic = normalized - gram_fits(normalized[np.newaxis], 1).ramp[0]
         if float(np.ptp(cyclic)) < 1e-12:
-            raise ConstantSeriesError("series is a plain ramp, no cyclic part to analyze")
+            raise SeasonalityNotFoundError("series is a plain ramp, no cyclic part to analyze")
         raise_if_error(length_error(n, 4))
         spectrum = power_spectrum(cyclic)
         f = dominant_frequency(spectrum)
@@ -111,7 +111,7 @@ def analysis_alone(x, cfg):
 def assert_same_as_alone(entry, alone):
     """A side step's entry for a row against the row's analysis alone."""
     if isinstance(alone, CycleTransferError):
-        assert type(alone) in (ConstantSeriesError, DataError)
+        assert type(alone) in (SeasonalityNotFoundError, DataError)
         assert (type(entry), str(entry)) == (type(alone), str(alone))
         return
     assert isinstance(entry, SequenceDiagnostics), entry

@@ -20,7 +20,7 @@ def test_package_has_no_assert_statements():
 
 # The CLI's exit code comes from the error family, so every raise names
 # one. The base CycleTransferError has no exit code of its own.
-FAMILY_ERRORS = {"UsageError", "DataError", "ConstantSeriesError", "SeasonalityNotFoundError"}
+FAMILY_ERRORS = {"UsageError", "DataError", "SeasonalityNotFoundError"}
 # Raises outside the families, each on purpose: the channel-name prefix
 # raises the settled error's own class, and a missing channel is a
 # KeyError, as for a mapping.
@@ -107,11 +107,33 @@ def test_transfer_settles_errors_as_values_in_one_function():
     ]
     assert builders == ["_settle"], builders
     # transfer_channel settles its channel's error by the same rule: its
-    # body names neither skip error and raises nothing itself.
+    # body names no skip error and raises nothing itself.
     channel = next(node for node in tree.body if getattr(node, "name", None) == "transfer_channel")
     assert [node.lineno for node in ast.walk(channel) if isinstance(node, ast.Raise)] == []
     named = {node.id for node in ast.walk(channel) if isinstance(node, ast.Name)}
-    assert named & {"ConstantSeriesError", "SeasonalityNotFoundError", "raise_if_error"} == set()
+    assert named & {"SeasonalityNotFoundError", "raise_if_error"} == set()
+
+
+def test_one_error_class_is_a_skip():
+    # "skipped_no_seasonality" has one error class: errors.py defines one
+    # subclass of DataError, and _settle's skip test names that class alone.
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    skips = [
+        node.name
+        for node in errors.body
+        if isinstance(node, ast.ClassDef) and any(ast.unparse(base) == "DataError" for base in node.bases)
+    ]
+    assert skips == ["SeasonalityNotFoundError"]
+    transfer = ast.parse((PACKAGE / "transfer.py").read_text(encoding="utf-8"))
+    settle = next(node for node in transfer.body if getattr(node, "name", None) == "_settle")
+    tests = [
+        ast.unparse(node.args[1])
+        for node in ast.walk(settle)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and getattr(node.args[0], "id", None) == "exc"
+    ]
+    assert tests == skips
 
 
 # Each series check is worded once, in the one-series form that returns its

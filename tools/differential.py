@@ -9,9 +9,10 @@ revision's ``src/`` is extracted with ``git archive`` into a temporary
 directory, so the checkout and its worktree list are left alone. One
 fixed list of cases runs through ``cycletransfer.cli.cli_main`` in one
 fresh process per tree, on input files written once and shared by both.
-For every case the exit code, stdout, stderr, output CSV bytes and report
-bytes are compared; each mismatch is printed, and the exit status is 1 if
-there is any, 0 if there is none. A report mismatch also prints, for each
+For every case the exit code, stdout, stderr, output CSV bytes, report
+bytes and noise-free ``--truth-out`` CSV bytes are compared; each
+mismatch is printed, and the exit status is 1 if there is any, 0 if there
+is none. A report mismatch also prints, for each
 float field that differs (``acf``, ``spectrum``, ``mean_factor``,
 ``reference_period``), its largest per-element difference, absolute,
 relative to the field's largest magnitude and relative to each element.
@@ -35,7 +36,9 @@ wave and range- or output-overflowing channels in several orders, with and
 without ``--smooth-radius`` equal to the series length, and a reference
 that fails before its target. The curve cases run the 64-frame parabolas
 +-(t/64)^2 against a sine reference under the defaults and
-``--smooth-kind exponential``.
+``--smooth-kind exponential``. The synth cases run ``synth`` on one spec
+with and without ``--truth-out``, with n below twice the period and with
+a trend slope whose values overflow float64; the last two exit 1.
 """
 
 from __future__ import annotations
@@ -267,6 +270,15 @@ def cases() -> tuple[list[tuple[str, list[str]]], dict]:
     for label in ("convex", "concave"):
         for flag_name, flags in (("default", []), ("exponential", ["--smooth-kind", "exponential"])):
             both(f"curve64/{label}/{flag_name}", "sine64.csv", f"curve64-{label}.csv", flags)
+
+    def synth(name, n, slope, *extra):
+        add(f"synth/{name}", ["synth", "--n", n, "--period", "16", "--trend-slope", slope, "--amplitude", "1.5",
+                              "--noise-sigma", "0.2", "--seed", "7", "--out", "out/{i}.csv", *extra])
+
+    synth("truth-out", "200", "0.01", "--truth-out", "out/{i}-truth.csv")
+    synth("no-truth", "200", "0.01")
+    synth("short", "31", "0.01")
+    synth("overflow", "200", "1e307")
     return out, files
 
 
@@ -375,7 +387,8 @@ def compare(base: dict, head: dict, base_work: Path, head_work: Path, argvs) -> 
         for field in ("exit", "stdout", "stderr"):
             if a[field] != b[field]:
                 mismatches.append(f"{name}: {field} {a[field]!r} vs {b[field]!r}")
-        outputs = dict.fromkeys(argv[i + 1] for i, arg in enumerate(argv) if arg in ("--out", "--report"))
+        written = ("--out", "--report", "--truth-out")
+        outputs = dict.fromkeys(argv[i + 1] for i, arg in enumerate(argv) if arg in written)
         for output in outputs:
             left, right = _read(base_work / output), _read(head_work / output)
             if left != right:
